@@ -1,0 +1,11 @@
+"""Make the benchmark package and nightseg (from src/) importable."""
+
+import os
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[2]
+for path in (ROOT / "src", ROOT):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
+os.environ.setdefault("NF_THREADS", "1")
