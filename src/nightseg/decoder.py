@@ -14,13 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .layers import Linear, Params, TokenSelfAttention
-from .phase import PhasePyramid
+from .layers import Linear, Params, Pyramid, TokenSelfAttention
 from .tensor import Tensor
 
 __all__ = [
     "ATTENTION_TOKEN_BUDGET",
-    "FeaturePyramid",
     "AmplifiedFeature",
     "CommonProjection",
     "project_common",
@@ -32,20 +30,6 @@ __all__ = [
 ]
 
 ATTENTION_TOKEN_BUDGET = 4096
-
-
-@dataclass
-class FeaturePyramid:
-    """Backbone feature maps ordered coarse to fine; extents double per stage."""
-
-    stages: list[Tensor]
-
-    def __post_init__(self):
-        for a, b in zip(self.stages, self.stages[1:]):
-            if b.shape[0] != 2 * a.shape[0] or b.shape[1] != 2 * a.shape[1]:
-                raise ValueError(
-                    f"FeaturePyramid: stage extents {b.shape[:2]} are not 2x {a.shape[:2]}"
-                )
 
 
 @dataclass
@@ -159,7 +143,7 @@ class HierarchicalAmplifiedDecoder:
         self.depth = depth
         self.normalize_amp_map = normalize_amp_map
 
-    def __call__(self, fp: FeaturePyramid, pp: PhasePyramid | None) -> Tensor:
+    def __call__(self, fp: Pyramid, pp: Pyramid | None) -> Tensor:
         if len(fp.stages) != 4:
             raise ValueError(f"decoder expects a 4-stage pyramid, got {len(fp.stages)}")
         if pp is not None:

@@ -1,161 +1,56 @@
-"""2-D discrete Fourier transforms: radix-2 fast path and brute-force fallback.
+"""2-D discrete Fourier transforms of real planes, any extents.
 
 The forward transform is unnormalized (plain double sum); the inverse
 carries the 1/(H*W) factor, so ``ifft2d(fft2d(x))`` reproduces ``x``.
-The fast path requires power-of-two extents; ``dft2d_bruteforce`` and
-``idft2d_bruteforce`` evaluate the defining sums bin by bin and work for
-any extents, doubling as the verification oracle for the fast path.
+``fft2d``/``ifft2d`` are numpy's FFT; ``dft2d_bruteforce`` and
+``idft2d_bruteforce`` evaluate the defining sums bin by bin and serve as
+the independent verification oracle. All four return complex128 arrays.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .tensor import Tensor
 
-__all__ = ["ComplexPlane", "fft2d", "ifft2d", "dft2d_bruteforce", "idft2d_bruteforce"]
+__all__ = ["fft2d", "ifft2d", "dft2d_bruteforce", "idft2d_bruteforce"]
 
 
-@dataclass
-class ComplexPlane:
-    """A complex [H, W] frequency plane stored as separate real/imag planes."""
-
-    real: np.ndarray
-    imag: np.ndarray
-
-    def __post_init__(self):
-        self.real = np.asarray(self.real, dtype=np.float64)
-        self.imag = np.asarray(self.imag, dtype=np.float64)
-        if self.real.shape != self.imag.shape:
-            raise ValueError(f"ComplexPlane: real {self.real.shape} and imag {self.imag.shape} differ")
-        if self.real.ndim != 2:
-            raise ValueError(f"ComplexPlane: expects 2-D planes, got shape {self.real.shape}")
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.real.shape
-
-    def to_complex(self) -> np.ndarray:
-        return self.real + 1j * self.imag
-
-    @classmethod
-    def from_complex(cls, z: np.ndarray) -> "ComplexPlane":
-        z = np.asarray(z, dtype=np.complex128)
-        return cls(z.real.copy(), z.imag.copy())
-
-
-def _is_pow2(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
-
-
-_BITREV_CACHE: dict[int, np.ndarray] = {}
-
-
-def _bitrev(n: int) -> np.ndarray:
-    idx = _BITREV_CACHE.get(n)
-    if idx is None:
-        bits = n.bit_length() - 1
-        idx = np.zeros(n, dtype=np.int64)
-        for i in range(n):
-            r = 0
-            v = i
-            for _ in range(bits):
-                r = (r << 1) | (v & 1)
-                v >>= 1
-            idx[i] = r
-        _BITREV_CACHE[n] = idx
-    return idx
-
-
-_TWIDDLE_CACHE: dict[int, np.ndarray] = {}
-
-
-def _twiddles(size: int) -> np.ndarray:
-    t = _TWIDDLE_CACHE.get(size)
-    if t is None:
-        t = np.exp(-2j * np.pi * np.arange(size // 2) / size)
-        _TWIDDLE_CACHE[size] = t
-    return t
-
-
-def _fft1d_batch(a: np.ndarray) -> np.ndarray:
-    """Radix-2 decimation-in-time FFT along the last axis of a complex batch."""
-    n = a.shape[-1]
-    if n == 1:
-        return a.copy()
-    buf = a[..., _bitrev(n)].copy()
-    size = 2
-    while size <= n:
-        half = size // 2
-        tw = _twiddles(size)
-        v = buf.reshape(-1, n // size, size)
-        even = v[:, :, :half]
-        odd = v[:, :, half:] * tw
-        upper = even + odd
-        lower = even - odd
-        v[:, :, :half] = upper
-        v[:, :, half:] = lower
-        size *= 2
-    return buf
-
-
-def _fft2_core(z: np.ndarray) -> np.ndarray:
-    z = _fft1d_batch(z)                       # rows
-    z = _fft1d_batch(np.ascontiguousarray(z.T))  # columns
-    return np.ascontiguousarray(z.T)
-
-
-def _as_plane(x) -> np.ndarray:
+def _as_plane(x, dtype) -> np.ndarray:
     arr = x.data if isinstance(x, Tensor) else np.asarray(x)
     if arr.ndim != 2:
         raise ValueError(f"expected a 2-D plane, got shape {arr.shape}")
-    return arr.astype(np.float64)
+    return arr.astype(dtype)
 
 
-def fft2d(x) -> ComplexPlane:
-    """Unnormalized 2-D DFT of a real plane via radix-2 Cooley-Tukey."""
-    arr = _as_plane(x)
-    h, w = arr.shape
-    if not (_is_pow2(h) and _is_pow2(w)):
-        raise ValueError(
-            f"fft2d: extents {(h, w)} must be powers of two; use dft2d_bruteforce for arbitrary sizes"
-        )
-    return ComplexPlane.from_complex(_fft2_core(arr.astype(np.complex128)))
+def fft2d(x) -> np.ndarray:
+    """Unnormalized 2-D DFT of a real plane."""
+    return np.fft.fft2(_as_plane(x, np.float64))
 
 
-def ifft2d(s: ComplexPlane) -> ComplexPlane:
-    """Inverse 2-D DFT (carries the 1/(H*W) factor); power-of-two extents."""
-    h, w = s.shape
-    if not (_is_pow2(h) and _is_pow2(w)):
-        raise ValueError(
-            f"ifft2d: extents {(h, w)} must be powers of two; use idft2d_bruteforce for arbitrary sizes"
-        )
-    z = np.conj(_fft2_core(np.conj(s.to_complex()))) / (h * w)
-    return ComplexPlane.from_complex(z)
+def ifft2d(z) -> np.ndarray:
+    """Inverse 2-D DFT; carries the 1/(H*W) factor."""
+    return np.fft.ifft2(_as_plane(z, np.complex128))
 
 
-def dft2d_bruteforce(x) -> ComplexPlane:
-    """Literal double-sum DFT, evaluated bin by bin; any extents."""
-    arr = _as_plane(x)
+def dft2d_bruteforce(x) -> np.ndarray:
+    """Literal double-sum DFT, evaluated bin by bin."""
+    arr = _as_plane(x, np.float64)
     h, w = arr.shape
     ii = np.arange(h)[:, None] / h
     jj = np.arange(w)[None, :] / w
-    re = np.empty((h, w))
-    im = np.empty((h, w))
+    out = np.empty((h, w), dtype=np.complex128)
     for u in range(h):
         for v in range(w):
             ang = -2.0 * np.pi * (u * ii + v * jj)
-            re[u, v] = np.sum(arr * np.cos(ang))
-            im[u, v] = np.sum(arr * np.sin(ang))
-    return ComplexPlane(re, im)
+            out[u, v] = np.sum(arr * np.exp(1j * ang))
+    return out
 
 
-def idft2d_bruteforce(s: ComplexPlane) -> ComplexPlane:
-    """Literal double-sum inverse DFT with the 1/(H*W) factor; any extents."""
-    h, w = s.shape
-    z = s.to_complex()
+def idft2d_bruteforce(z) -> np.ndarray:
+    """Literal double-sum inverse DFT with the 1/(H*W) factor."""
+    z = _as_plane(z, np.complex128)
+    h, w = z.shape
     ii = np.arange(h)[:, None] / h
     jj = np.arange(w)[None, :] / w
     out = np.empty((h, w), dtype=np.complex128)
@@ -163,4 +58,4 @@ def idft2d_bruteforce(s: ComplexPlane) -> ComplexPlane:
         for b in range(w):
             ang = 2.0 * np.pi * (a * ii + b * jj)
             out[a, b] = np.sum(z * np.exp(1j * ang))
-    return ComplexPlane.from_complex(out / (h * w))
+    return out / (h * w)

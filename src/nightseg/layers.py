@@ -8,6 +8,7 @@ can address every weight by a stable dotted name.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,9 +22,22 @@ __all__ = [
     "LayerNorm",
     "TokenSelfAttention",
     "FeedForward",
+    "Pyramid",
 ]
 
 Params = list[tuple[str, Tensor]]
+
+
+@dataclass
+class Pyramid:
+    """[h, w, C] stage maps ordered coarse to fine; extents double per stage."""
+
+    stages: list[Tensor]
+
+    def __post_init__(self):
+        for a, b in zip(self.stages, self.stages[1:]):
+            if b.shape[0] != 2 * a.shape[0] or b.shape[1] != 2 * a.shape[1]:
+                raise ValueError(f"Pyramid: stage extents {b.shape[:2]} are not 2x {a.shape[:2]}")
 
 
 def glorot_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int, dtype) -> Tensor:

@@ -7,10 +7,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .decoder import FeaturePyramid, HierarchicalAmplifiedDecoder
-from .layers import Conv2dLayer, Linear, Params
+from .decoder import HierarchicalAmplifiedDecoder
+from .layers import Conv2dLayer, Linear, Params, Pyramid
 from .matcher import ReliableMatcher
-from .phase import PhaseEncoder, PhasePyramid
+from .phase import PhaseEncoder
 from .tensor import Tensor, relu
 
 __all__ = [
@@ -70,7 +70,7 @@ class BackboneStub:
         self.stage4 = Conv2dLayer(rng, w4, w5, 3, 2, 1, dtype)
         self.widths = widths
 
-    def __call__(self, image: Tensor) -> FeaturePyramid:
+    def __call__(self, image: Tensor) -> Pyramid:
         h, w = image.shape[:2]
         if h % 16 or w % 16:
             raise ValueError(f"backbone: extents {(h, w)} must be divisible by 16")
@@ -78,7 +78,7 @@ class BackboneStub:
         f3 = relu(self.stage2(f2))
         f4 = relu(self.stage3(f3))
         f5 = relu(self.stage4(f4))
-        return FeaturePyramid(stages=[f5, f4, f3, f2])
+        return Pyramid(stages=[f5, f4, f3, f2])
 
     def parameters(self) -> Params:
         out: Params = []
@@ -136,7 +136,7 @@ class NightSegModel:
 
     def __call__(self, image: Tensor, texture: Tensor | None) -> SegOutput:
         fp = self.backbone(image)
-        pp: PhasePyramid | None = None
+        pp: Pyramid | None = None
         if self.phase_encoder is not None:
             if texture is None:
                 raise ValueError(f"enhance_op={self.cfg.enhance_op!r} requires a texture map")

@@ -13,14 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fourier import ComplexPlane, dft2d_bruteforce, fft2d, idft2d_bruteforce, ifft2d, _is_pow2
-from .layers import Conv2dLayer, Params
+from .fourier import fft2d, ifft2d
+from .layers import Conv2dLayer, Params, Pyramid
 from .tensor import Tensor, relu
 
 __all__ = [
     "Spectrum",
     "PhaseTextureMap",
-    "PhasePyramid",
     "fourier_decompose",
     "choose_c_a",
     "phase_reconstruct",
@@ -46,10 +45,6 @@ class Spectrum:
     def shape(self) -> tuple[int, int]:
         return self.amplitude.shape
 
-    def to_plane(self) -> ComplexPlane:
-        a, p = self.amplitude.data, self.phase.data
-        return ComplexPlane(a * np.cos(p), a * np.sin(p))
-
 
 @dataclass
 class PhaseTextureMap:
@@ -60,30 +55,21 @@ class PhaseTextureMap:
     imag_residue: float  # max |imaginary part| discarded by the reconstruction
 
 
-@dataclass
-class PhasePyramid:
-    """Phase feature maps ordered coarse to fine, aligned with the backbone stages."""
-
-    stages: list[Tensor]
-
-    def __post_init__(self):
-        for a, b in zip(self.stages, self.stages[1:]):
-            if b.shape[0] != 2 * a.shape[0] or b.shape[1] != 2 * a.shape[1]:
-                raise ValueError(
-                    f"PhasePyramid: stage extents {b.shape[:2]} are not 2x {a.shape[:2]}"
-                )
+# Bins at most this fraction of the mean amplitude vanish up to rounding
+# (float64 transform noise sits orders of magnitude lower at image sizes):
+# their angle is noise, so they get phase 0.
+ZERO_BIN_RTOL = 1e-9
 
 
 def fourier_decompose(x: Tensor) -> Spectrum:
-    """Split a real plane into amplitude and phase; zero bins get phase 0."""
+    """Split a real plane into amplitude and phase; (near-)zero bins get phase 0."""
     if x.data.ndim != 2:
         raise ValueError(f"fourier_decompose: expects a single-channel plane, got {x.shape}")
     if not np.all(np.isfinite(x.data)):
         raise ValueError("fourier_decompose: input contains non-finite values")
-    h, w = x.shape
-    plane = fft2d(x) if _is_pow2(h) and _is_pow2(w) else dft2d_bruteforce(x)
-    amp = np.hypot(plane.real, plane.imag)
-    ph = np.where(amp == 0.0, 0.0, np.arctan2(plane.imag, plane.real))
+    z = fft2d(x)
+    amp = np.abs(z)
+    ph = np.where(amp <= ZERO_BIN_RTOL * amp.mean(), 0.0, np.angle(z))
     ph = np.where(ph == -np.pi, np.pi, ph)
     return Spectrum(Tensor(amp), Tensor(ph))
 
@@ -97,10 +83,7 @@ def phase_reconstruct(s: Spectrum, c_a: float) -> PhaseTextureMap:
     """Invert a spectrum whose amplitude is forced to the constant c_a."""
     if c_a <= 0:
         raise ValueError(f"phase_reconstruct: c_a must be positive, got {c_a}")
-    h, w = s.shape
-    p = s.phase.data
-    flat = ComplexPlane(c_a * np.cos(p), c_a * np.sin(p))
-    rec = ifft2d(flat) if _is_pow2(h) and _is_pow2(w) else idft2d_bruteforce(flat)
+    rec = ifft2d(c_a * np.exp(1j * s.phase.data))
     return PhaseTextureMap(Tensor(rec.real.copy()), c_a, float(np.max(np.abs(rec.imag))))
 
 
@@ -171,7 +154,7 @@ class PhaseEncoder:
         self.stages = [Conv2dLayer(rng, w_in[i], widths[i], 3, 2, 1, dtype) for i in range(4)]
         self.widths = widths
 
-    def __call__(self, texture: Tensor) -> PhasePyramid:
+    def __call__(self, texture: Tensor) -> Pyramid:
         h, w = texture.shape[:2]
         if h % 32 or w % 32:
             raise ValueError(f"phase encoder: extents {(h, w)} must be divisible by 32")
@@ -180,7 +163,7 @@ class PhaseEncoder:
         for stage in self.stages:
             x = relu(stage(x))
             taps.append(x)
-        return PhasePyramid(stages=list(reversed(taps)))  # [1/32, 1/16, 1/8, 1/4]
+        return Pyramid(stages=list(reversed(taps)))  # [1/32, 1/16, 1/8, 1/4]
 
     def parameters(self) -> Params:
         out: Params = [("stem." + n, p) for n, p in self.stem.parameters()]

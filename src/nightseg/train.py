@@ -66,13 +66,15 @@ class TrainConfig:
             self.weights = LossWeights()
         if self.lr2 >= self.lr1:
             raise ValueError(f"second-phase rate {self.lr2} must be below first-phase rate {self.lr1}")
+        if self.c_a is not None and not self.c_a > 0:
+            raise ValueError(f"phase.c_a must be > 0, got {self.c_a}")
 
     @classmethod
     def from_config(cls, cfg: Config) -> "TrainConfig":
         iters = cfg.get_int("train.iters", 3000)
         phase1 = cfg.get_int("train.phase1_iters", (iters * 4) // 5)
         dtype = {"float32": np.float32, "float64": np.float64}[cfg.get_str("train.dtype", "float32")]
-        c_a = cfg.get_float("phase.c_a", 0.0)
+        c_a = cfg.get_float("phase.c_a", 0.0) if "phase.c_a" in cfg.values else None
         return cls(
             iters=iters,
             phase1_iters=phase1,
@@ -88,7 +90,7 @@ class TrainConfig:
             ),
             dtype=dtype,
             log_every=cfg.get_int("train.log_every", 1),
-            c_a=c_a if c_a > 0 else None,
+            c_a=c_a,
         )
 
 

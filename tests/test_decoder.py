@@ -4,18 +4,18 @@ import numpy as np
 import pytest
 
 from nightseg import tensor as T
-from nightseg.decoder import (CommonProjection, FeaturePyramid,
-                              HierarchicalAmplifiedDecoder, SelfAttentionBlock,
-                              amplified_map, amplify, project_common)
+from nightseg.decoder import (CommonProjection, HierarchicalAmplifiedDecoder,
+                              SelfAttentionBlock, amplified_map, amplify,
+                              project_common)
 from nightseg.gradcheck import grad_check
-from nightseg.phase import PhasePyramid
+from nightseg.layers import Pyramid
 from nightseg.tensor import Tensor
 
 
 def _pyramids(rng, h5=1, w5=2, cf=(7, 6, 5, 4), cp=(5, 4, 3, 2), zero=False):
     make = (lambda s: np.zeros(s)) if zero else (lambda s: rng.normal(size=s))
-    fp = FeaturePyramid(stages=[Tensor(make((h5 * 2 ** i, w5 * 2 ** i, cf[i]))) for i in range(4)])
-    pp = PhasePyramid(stages=[Tensor(make((h5 * 2 ** i, w5 * 2 ** i, cp[i]))) for i in range(4)])
+    fp = Pyramid(stages=[Tensor(make((h5 * 2 ** i, w5 * 2 ** i, cf[i]))) for i in range(4)])
+    pp = Pyramid(stages=[Tensor(make((h5 * 2 ** i, w5 * 2 ** i, cp[i]))) for i in range(4)])
     return fp, pp
 
 
@@ -212,7 +212,7 @@ class TestHierarchicalDecode:
     def test_phase_misalignment_rejected(self):
         rng = np.random.default_rng(21)
         fp, _ = _pyramids(rng)  # coarsest stage 1x2
-        bad_pp = PhasePyramid(
+        bad_pp = Pyramid(
             stages=[Tensor(np.zeros((2 * 2 ** i, 4 * 2 ** i, c)))
                     for i, c in enumerate((5, 4, 3, 2))]  # coarsest stage 2x4
         )
@@ -234,13 +234,13 @@ class TestHierarchicalDecode:
         head = Tensor(rng.normal(size=(8, 16, 6)))
 
         def f_feat(t):
-            fp2 = FeaturePyramid(stages=[t] + fp.stages[1:])
+            fp2 = Pyramid(stages=[t] + fp.stages[1:])
             return T.tsum(T.mul(dec(fp2, pp), head))
 
         assert grad_check(f_feat, Tensor(fp.stages[0].data.copy())) < 1e-4
 
         def f_phase(t):
-            pp2 = PhasePyramid(stages=[t] + pp.stages[1:])
+            pp2 = Pyramid(stages=[t] + pp.stages[1:])
             return T.tsum(T.mul(dec(fp, pp2), head))
 
         assert grad_check(f_phase, Tensor(pp.stages[0].data.copy())) < 1e-4
@@ -252,4 +252,4 @@ class TestHierarchicalDecode:
 
 def test_feature_pyramid_doubling_enforced():
     with pytest.raises(ValueError, match="2x"):
-        FeaturePyramid(stages=[Tensor(np.zeros((2, 2, 1))), Tensor(np.zeros((3, 4, 1)))])
+        Pyramid(stages=[Tensor(np.zeros((2, 2, 1))), Tensor(np.zeros((3, 4, 1)))])

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from nightseg.fourier import (ComplexPlane, dft2d_bruteforce, fft2d,
-                              idft2d_bruteforce, ifft2d)
+from nightseg.fourier import dft2d_bruteforce, fft2d, idft2d_bruteforce, ifft2d
 
 
 class TestBruteForce:
@@ -46,28 +45,23 @@ class TestFastPath:
         rng = np.random.default_rng(123)
         for _ in range(50):
             x = rng.normal(size=(16, 16))
-            fast = fft2d(x).to_complex()
-            brute = dft2d_bruteforce(x).to_complex()
+            fast = fft2d(x)
+            brute = dft2d_bruteforce(x)
             rel = np.abs(fast - brute).max() / max(1.0, np.abs(brute).max())
             assert rel < 1e-6
 
     def test_non_square_and_rect_sizes(self):
         rng = np.random.default_rng(5)
-        for h, w in ((4, 8), (8, 2), (1, 16)):
+        for h, w in ((4, 8), (8, 2), (1, 16), (3, 4), (6, 10), (5, 7)):
             x = rng.normal(size=(h, w))
-            fast = fft2d(x).to_complex()
-            brute = dft2d_bruteforce(x).to_complex()
+            fast = fft2d(x)
+            brute = dft2d_bruteforce(x)
             assert np.abs(fast - brute).max() < 1e-9 * max(1.0, np.abs(brute).max())
-
-    def test_non_power_of_two_rejected_with_guidance(self):
-        with pytest.raises(ValueError, match="bruteforce"):
-            fft2d(np.zeros((3, 4)))
-        with pytest.raises(ValueError, match="bruteforce"):
-            ifft2d(ComplexPlane(np.zeros((4, 6)), np.zeros((4, 6))))
 
 
 class TestRoundTrip:
-    @pytest.mark.parametrize("shape", [(2, 2), (4, 8), (16, 16), (32, 32), (64, 64)])
+    @pytest.mark.parametrize("shape", [(2, 2), (4, 8), (16, 16), (32, 32), (64, 64),
+                                       (3, 4), (6, 10), (5, 7)])
     def test_inverse_restores_input(self, shape):
         rng = np.random.default_rng(shape[0] * 100 + shape[1])
         x = rng.normal(size=shape)
@@ -87,8 +81,3 @@ class TestRoundTrip:
         # DC bin of the forward transform is the plain sum
         x = np.array([[1.0, 2.0], [3.0, 4.0]])
         assert fft2d(x).real[0, 0] == pytest.approx(10.0)
-
-
-def test_complex_plane_shape_mismatch():
-    with pytest.raises(ValueError, match="differ"):
-        ComplexPlane(np.zeros((2, 2)), np.zeros((2, 3)))

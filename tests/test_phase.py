@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from nightseg import fourier, phase
 from nightseg import tensor as T
-from nightseg.fourier import dft2d_bruteforce, idft2d_bruteforce, ComplexPlane
+from nightseg.fourier import dft2d_bruteforce, idft2d_bruteforce
 from nightseg.gradcheck import grad_check
 from nightseg.phase import (PhaseEncoder, choose_c_a, fourier_decompose,
                             image_texture_stack, minmax_normalize,
@@ -33,7 +34,7 @@ class TestDecompose:
         x = rng.normal(size=(8, 8))
         s = fourier_decompose(Tensor(x))
         b = dft2d_bruteforce(x)
-        want = b.real ** 2 + b.imag ** 2
+        want = np.abs(b) ** 2
         assert np.abs(s.amplitude.data ** 2 - want).max() < 1e-10 * max(1.0, want.max())
 
     def test_phase_range(self):
@@ -47,10 +48,19 @@ class TestDecompose:
         rng = np.random.default_rng(4)
         x = rng.normal(size=(8, 8))
         s = fourier_decompose(Tensor(x))
-        plane = s.to_plane()
+        plane = s.amplitude.data * np.exp(1j * s.phase.data)
         b = dft2d_bruteforce(x)
-        scale = max(1.0, np.abs(b.to_complex()).max())
-        assert np.abs(plane.to_complex() - b.to_complex()).max() / scale < 1e-9
+        scale = max(1.0, np.abs(b).max())
+        assert np.abs(plane - b).max() / scale < 1e-9
+
+    def test_rounding_level_bins_get_phase_zero(self):
+        # adjacent columns equal: the Nyquist column vanishes exactly, but a
+        # float transform leaves it at rounding level with a noise angle
+        img = np.random.default_rng(12).integers(0, 256, size=(16, 12)) / 255.0
+        x = np.repeat(img, 2, axis=1)
+        s = fourier_decompose(Tensor(x))
+        assert np.abs(s.amplitude.data[:, 12]).max() < 1e-9
+        assert np.abs(s.phase.data[:, 12]).max() == 0.0
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
@@ -106,7 +116,7 @@ class TestReconstruct:
         c_a = 2.5
         rec = phase_reconstruct(s, c_a)
         p = s.phase.data
-        oracle = idft2d_bruteforce(ComplexPlane(c_a * np.cos(p), c_a * np.sin(p)))
+        oracle = idft2d_bruteforce(c_a * np.exp(1j * p))
         assert np.abs(rec.plane.data - oracle.real).max() < 1e-8
         assert rec.imag_residue < 1e-9  # conjugate symmetry of real-input phases
 
@@ -195,6 +205,29 @@ class TestTextureStack:
         rng = np.random.default_rng(11)
         img = rng.uniform(size=(16, 16, 3))
         tex = image_texture_stack(img, mode="sobel")
+        assert tex.shape == img.shape
+
+    def test_matches_bruteforce_texture_with_vanishing_bins(self):
+        img = np.random.default_rng(13).integers(0, 256, size=(16, 12, 3)) / 255.0
+        img = np.repeat(img, 2, axis=1)  # 16x24, exact-zero Nyquist column
+        chans = []
+        for c in range(3):
+            b = dft2d_bruteforce(img[:, :, c])
+            amp = np.abs(b)
+            ph = np.where(amp <= 1e-9 * amp.mean(), 0.0, np.angle(b))
+            chans.append(minmax_normalize(idft2d_bruteforce(amp.mean() * np.exp(1j * ph)).real))
+        want = np.stack(chans, axis=2)
+        assert np.abs(image_texture_stack(img, mode="phase") - want).max() < 1e-9
+
+    def test_any_extent_avoids_bruteforce(self, monkeypatch):
+        def boom(*args):
+            raise AssertionError("brute-force transform called")
+
+        for name in ("dft2d_bruteforce", "idft2d_bruteforce"):
+            monkeypatch.setattr(fourier, name, boom)
+            monkeypatch.setattr(phase, name, boom, raising=False)
+        img = np.random.default_rng(14).uniform(size=(32, 96, 3))
+        tex = image_texture_stack(img, mode="phase")
         assert tex.shape == img.shape
 
     def test_unknown_mode_rejected(self):

@@ -140,6 +140,17 @@ class TestTrainConfig:
         assert tc.weights.bce == 1.0
         assert tc.weights.dice == 5.0
 
+    @pytest.mark.parametrize("value", ["-1", "0"])
+    def test_nonpositive_c_a_rejected(self, value):
+        cfg = parse_config(f"phase.c_a = {value}\n", from_text=True)
+        with pytest.raises(ValueError, match=r"phase\.c_a"):
+            TrainConfig.from_config(cfg)
+
+    def test_c_a_absent_means_mean_amplitude(self):
+        assert TrainConfig.from_config(Config({})).c_a is None
+        cfg = parse_config("phase.c_a = 2.5\n", from_text=True)
+        assert TrainConfig.from_config(cfg).c_a == 2.5
+
     def test_two_phase_schedule_applied(self, tiny_data):
         ds = load_dataset(tiny_data, "phase")
         cfg = Config({})
