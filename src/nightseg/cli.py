@@ -16,16 +16,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    g = sub.add_parser("gen-data", help="generate a synthetic night-scene dataset")
+    # an omitted scene flag is left out of args, so SceneConfig supplies its default
+    g = sub.add_parser("gen-data", help="generate a synthetic night-scene dataset",
+                       argument_default=argparse.SUPPRESS)
     g.add_argument("--out", required=True, help="output directory")
     g.add_argument("--count", type=int, default=250)
-    g.add_argument("--height", type=int, default=32)
-    g.add_argument("--width", type=int, default=64)
-    g.add_argument("--classes", type=int, default=4)
     g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--noise-std", type=float, default=0.01)
-    g.add_argument("--contrast-gap", type=float, default=0.06)
-    g.add_argument("--deceivers", type=int, nargs=2, default=(1, 2), metavar=("MIN", "MAX"))
+    g.add_argument("--height", type=int)
+    g.add_argument("--width", type=int)
+    g.add_argument("--classes", dest="num_classes", type=int, metavar="CLASSES")
+    g.add_argument("--noise-std", type=float)
+    g.add_argument("--contrast-gap", type=float)
+    g.add_argument("--deceivers", type=int, nargs=2, metavar=("MIN", "MAX"))
 
     p = sub.add_parser("phase-extract", help="write a texture map for one image")
     p.add_argument("--in", dest="input", required=True, help="input PPM image")
@@ -56,17 +58,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gen_data(args) -> int:
+    from dataclasses import fields
+
     from .scenes import SceneConfig, gen_dataset
 
-    cfg = SceneConfig(
-        height=args.height,
-        width=args.width,
-        num_classes=args.classes,
-        noise_std=args.noise_std,
-        contrast_gap=args.contrast_gap,
-        deceivers=tuple(args.deceivers),
-    )
-    manifest = gen_dataset(cfg, args.count, args.seed, args.out)
+    scene = {f.name: getattr(args, f.name) for f in fields(SceneConfig) if hasattr(args, f.name)}
+    if "deceivers" in scene:
+        scene["deceivers"] = tuple(scene["deceivers"])
+    manifest = gen_dataset(SceneConfig(**scene), args.count, args.seed, args.out)
     print(f"wrote {args.count} samples to {args.out} (manifest: {manifest})")
     return 0
 
@@ -82,24 +81,32 @@ def _cmd_phase_extract(args) -> int:
     return 0
 
 
-def _load_everything(config_path: str, data_dir: str):
-    from .config import parse_config
-    from .train import TrainConfig, load_dataset, model_config_from
+def _build(config_path: str, data_dir: str, overrides: dict[str, str] | None = None):
+    """Train config and model for a dataset, validated against its manifest
+    header; reads no image, so a bad config fails before the data loads."""
+    from .config import build, parse_config
+    from .model import ModelConfig, NightSegModel
+    from .scenes import parse_manifest
+    from .train import TrainConfig
 
-    cfg = parse_config(config_path)
-    tc = TrainConfig.from_config(cfg)
-    enhance = cfg.get_str("enhance.op", "phase")
-    ds = load_dataset(data_dir, enhance, tc.c_a)
-    mc = model_config_from(cfg, ds.num_classes, tc.seed, tc.dtype)
-    return cfg, tc, mc, ds
+    manifest = Path(data_dir) / "manifest.txt"
+    meta, _ = parse_manifest(manifest)
+    try:
+        num_classes, height, width = (int(meta[k]) for k in ("num_classes", "height", "width"))
+    except (KeyError, ValueError):
+        raise ValueError(f"{manifest}: header needs integer num_classes, height and width") from None
+    values = {**parse_config(config_path), **(overrides or {})}
+    tc = build(TrainConfig, values)
+    mc = build(ModelConfig, values, num_classes=num_classes, seed=tc.seed, dtype=tc.dtype)
+    mc.check_image_size(height, width)
+    return tc, NightSegModel(mc)
 
 
 def _cmd_train(args) -> int:
-    from .model import NightSegModel
-    from .train import TrainingDiverged, train
+    from .train import TrainingDiverged, load_dataset, train
 
-    _, tc, mc, ds = _load_everything(args.config, args.data)
-    model = NightSegModel(mc)
+    tc, model = _build(args.config, args.data)
+    ds = load_dataset(args.data, model.cfg.enhance_op, tc.c_a)
     try:
         log = train(model, ds, tc, out_dir=args.out)
     except TrainingDiverged as exc:
@@ -111,12 +118,11 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    from .model import NightSegModel
-    from .train import evaluate, load_checkpoint, render_report
+    from .train import evaluate, load_checkpoint, load_dataset, render_report
 
-    _, tc, mc, ds = _load_everything(args.config, args.data)
-    model = NightSegModel(mc)
+    tc, model = _build(args.config, args.data)
     load_checkpoint(args.ckpt, model)
+    ds = load_dataset(args.data, model.cfg.enhance_op, tc.c_a)
     report = render_report(evaluate(model, ds, tc.dtype))
     Path(args.report).write_text(report, encoding="utf-8")
     print(report, end="")
@@ -136,18 +142,13 @@ _ABLATION_ROWS = {
 
 
 def _cmd_ablate(args) -> int:
-    from .config import Config, parse_config
-    from .model import NightSegModel
-    from .train import TrainConfig, evaluate, load_dataset, model_config_from, train
+    from .train import evaluate, load_dataset, train
 
-    base = parse_config(args.config)
+    rows = [(label, *_build(args.config, args.data, overrides))
+            for label, overrides in _ABLATION_ROWS[args.axis]]
     lines = [f"axis {args.axis}", "setting miou"]
-    for label, overrides in _ABLATION_ROWS[args.axis]:
-        cfg = Config({**base.values, **overrides})
-        tc = TrainConfig.from_config(cfg)
-        ds = load_dataset(args.data, cfg.get_str("enhance.op", "phase"), tc.c_a)
-        mc = model_config_from(cfg, ds.num_classes, tc.seed, tc.dtype)
-        model = NightSegModel(mc)
+    for label, tc, model in rows:
+        ds = load_dataset(args.data, model.cfg.enhance_op, tc.c_a)
         train(model, ds, tc, out_dir=None)
         _, mean = evaluate(model, ds, tc.dtype).iou()
         lines.append(f"{label} {mean:.6f}")
@@ -187,8 +188,13 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand; a rejected config or argument value exits 2 with one line."""
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except ValueError as exc:
+        print(f"nightseg: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -1,75 +1,102 @@
-"""Plain-text configuration: one ``key = value`` per line, ``#`` comments."""
+"""Plain-text configuration: one ``key = value`` per line, ``#`` comments.
+
+The config dataclasses are the schema: each key is declared once, with its
+default, on the field it sets (``option``), and ``build`` converts a parsed
+file's strings by those fields' declared types.
+"""
 
 from __future__ import annotations
 
+import typing
+from collections.abc import Mapping
+from dataclasses import field, fields, is_dataclass
 from pathlib import Path
 
-__all__ = ["KNOWN_KEYS", "Config", "parse_config"]
-
-KNOWN_KEYS = {
-    "decoder.depth",
-    "decoder.channels",
-    "decoder.normalize_amp_map",
-    "matcher.prototypes",
-    "matcher.reliable_k",
-    "matcher.layers",
-    "matcher.mode",
-    "reliable.renormalize",
-    "enhance.op",
-    "phase.c_a",
-    "backbone.widths",
-    "phase_enc.widths",
-    "train.iters",
-    "train.phase1_iters",
-    "train.lr1",
-    "train.lr2",
-    "train.batch",
-    "train.seed",
-    "train.weight_decay",
-    "train.lambda_cls",
-    "train.lambda_bce",
-    "train.lambda_dice",
-    "train.dtype",
-    "train.log_every",
-}
+__all__ = ["option", "check_options", "known_keys", "build", "parse_config"]
 
 _BOOL = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+_EXPECTED = {bool: "a boolean", int: "an integer", float: "a number"}
 
 
-class Config:
-    """Typed access over the flat key/value map."""
-
-    def __init__(self, values: dict[str, str] | None = None):
-        self.values = dict(values or {})
-
-    def get_str(self, key: str, default: str) -> str:
-        return self.values.get(key, default)
-
-    def get_int(self, key: str, default: int) -> int:
-        return int(self.values.get(key, default))
-
-    def get_float(self, key: str, default: float) -> float:
-        return float(self.values.get(key, default))
-
-    def get_bool(self, key: str, default: bool) -> bool:
-        raw = self.values.get(key)
-        if raw is None:
-            return default
-        lowered = raw.lower()
-        if lowered not in _BOOL:
-            raise ValueError(f"config key {key}: expected a boolean, got {raw!r}")
-        return _BOOL[lowered]
-
-    def get_ints(self, key: str, default: tuple[int, ...]) -> tuple[int, ...]:
-        raw = self.values.get(key)
-        if raw is None:
-            return default
-        return tuple(int(p) for p in raw.replace(",", " ").split())
+def option(key: str, default, *, choices=None, at_least=None):
+    """A dataclass field set by config ``key``. ``choices`` lists the accepted
+    values, or maps each accepted spelling to its value; ``at_least`` is an
+    inclusive lower bound. ``check_options`` enforces both."""
+    return field(default=default, metadata={"key": key, "choices": choices, "at_least": at_least})
 
 
-def parse_config(source: str | Path, from_text: bool = False) -> Config:
-    """Parse a config file (or literal text); unknown keys are rejected."""
+def check_options(obj) -> None:
+    """Reject a field of ``obj`` outside its declared choices or bound."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        choices, least = f.metadata.get("choices"), f.metadata.get("at_least")
+        allowed = choices.values() if isinstance(choices, Mapping) else choices
+        if choices is not None and value not in allowed:
+            raise ValueError(f"{f.metadata['key']} must be one of {', '.join(choices)}, got {value!r}")
+        if least is not None and value < least:
+            raise ValueError(f"{f.metadata['key']} must be >= {least}, got {value}")
+
+
+def _keys(cls) -> set[str]:
+    keys, hints = set(), typing.get_type_hints(cls)
+    for f in fields(cls):
+        if "key" in f.metadata:
+            keys.add(f.metadata["key"])
+        elif is_dataclass(hints[f.name]):
+            keys |= _keys(hints[f.name])
+    return keys
+
+
+def known_keys() -> set[str]:
+    """Every config key: the keyed fields of ``ModelConfig`` and ``TrainConfig``."""
+    from .model import ModelConfig   # deferred: both modules import this one
+    from .train import TrainConfig
+
+    return _keys(ModelConfig) | _keys(TrainConfig)
+
+
+def _convert(key: str, raw: str, tp, choices):
+    if choices is not None:   # an unknown spelling is left for check_options to reject
+        return choices.get(raw, raw) if isinstance(choices, Mapping) else raw
+    args = typing.get_args(tp)
+    if type(None) in args:    # optional: a present value has the other type
+        tp = next(a for a in args if a is not type(None))
+        args = typing.get_args(tp)
+    is_tuple = typing.get_origin(tp) is tuple
+    try:
+        if tp is bool:
+            return _BOOL[raw.lower()]
+        if not is_tuple:
+            return tp(raw)
+        ints = tuple(int(p) for p in raw.replace(",", " ").split())
+        if len(ints) == len(args):
+            return ints
+    except (KeyError, ValueError):
+        pass
+    expected = f"{len(args)} integers" if is_tuple else _EXPECTED[tp]
+    raise ValueError(f"config key {key}: expected {expected}, got {raw!r}")
+
+
+def build(cls, values: dict[str, str], **given):
+    """``cls(**given)``, with each keyed field that ``values`` sets read from its
+    string; an absent key keeps the field's default."""
+    kwargs, hints = {}, typing.get_type_hints(cls)
+    for f in fields(cls):
+        if f.name in given:
+            continue
+        key, tp = f.metadata.get("key"), hints[f.name]
+        if key in values:
+            kwargs[f.name] = _convert(key, values[key], tp, f.metadata["choices"])
+        elif key is None and is_dataclass(tp):
+            kwargs[f.name] = build(tp, values)
+    return cls(**kwargs, **given)
+
+
+def parse_config(source: str | Path, from_text: bool = False) -> dict[str, str]:
+    """Parse a config file (or literal text) into its key/value strings;
+    unknown keys are rejected."""
     text = source if from_text else Path(source).read_text(encoding="utf-8")
+    keys = known_keys()
     values: dict[str, str] = {}
     for lineno, raw in enumerate(str(text).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -78,9 +105,9 @@ def parse_config(source: str | Path, from_text: bool = False) -> Config:
         if "=" not in line:
             raise ValueError(f"config line {lineno}: expected 'key = value', got {raw!r}")
         key, value = (p.strip() for p in line.split("=", 1))
-        if key not in KNOWN_KEYS:
+        if key not in keys:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
         if key in values:
             raise ValueError(f"config line {lineno}: duplicate key {key!r}")
         values[key] = value
-    return Config(values)
+    return values

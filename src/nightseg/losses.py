@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
+from .config import option
 from .tensor import Tensor
 
 __all__ = [
@@ -23,6 +24,7 @@ __all__ = [
     "bce_loss",
     "ce_loss",
     "decompose_gt",
+    "class_and_mask_probs",
     "matching_costs",
     "total_loss",
 ]
@@ -30,9 +32,9 @@ __all__ = [
 
 @dataclass
 class LossWeights:
-    cls: float = 2.0
-    bce: float = 5.0
-    dice: float = 5.0
+    cls: float = option("train.lambda_cls", 2.0)
+    bce: float = option("train.lambda_bce", 5.0)
+    dice: float = option("train.lambda_dice", 5.0)
 
 
 def hungarian_match(cost) -> np.ndarray:
@@ -136,17 +138,25 @@ def decompose_gt(mask: np.ndarray, num_classes: int) -> tuple[np.ndarray, np.nda
     return labels.astype(np.int64), targets
 
 
+def class_and_mask_probs(mask_logits: np.ndarray,
+                         class_logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Float64 row-softmax of the [N, K] class logits and clipped sigmoid of
+    the mask logits (any layout); plain numpy, no gradients."""
+    cz = class_logits.astype(np.float64)
+    cmax = cz.max(axis=1, keepdims=True)
+    probs = np.exp(cz - cmax)
+    probs /= probs.sum(axis=1, keepdims=True)
+    masks = 1.0 / (1.0 + np.exp(-np.clip(np.asarray(mask_logits, dtype=np.float64), -60, 60)))
+    return probs, masks
+
+
 def matching_costs(mask_logits: np.ndarray, class_logits: np.ndarray,
                    targets: np.ndarray, labels: np.ndarray,
                    weights: LossWeights) -> np.ndarray:
     """Assignment cost[N, G]; plain numpy, no gradients flow through matching."""
     n = class_logits.shape[0]
     z = mask_logits.reshape(-1, n).T.astype(np.float64)          # [N, hw]
-    cz = class_logits.astype(np.float64)
-    cmax = cz.max(axis=1, keepdims=True)
-    probs = np.exp(cz - cmax)
-    probs /= probs.sum(axis=1, keepdims=True)
-    sig = 1.0 / (1.0 + np.exp(-np.clip(z, -60, 60)))
+    probs, sig = class_and_mask_probs(z, class_logits)
 
     g = targets.shape[0]
     cost = np.empty((n, g))

@@ -7,8 +7,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
+from .config import check_options, option
 from .decoder import HierarchicalAmplifiedDecoder
 from .layers import Conv2dLayer, Linear, Params, Pyramid
+from .losses import class_and_mask_probs
 from .matcher import ReliableMatcher
 from .phase import PhaseEncoder
 from .tensor import Tensor, relu
@@ -27,19 +29,36 @@ __all__ = [
 @dataclass
 class ModelConfig:
     num_classes: int = 4
-    backbone_widths: tuple[int, int, int, int] = (16, 32, 48, 64)   # F2..F5 (fine to coarse)
-    phase_widths: tuple[int, int, int, int] = (8, 16, 24, 32)       # 1/4..1/32 (fine to coarse)
-    decoder_channels: int = 64
-    decoder_depth: int = 4
-    normalize_amp_map: bool = True
-    enhance_op: str = "phase"        # phase | sobel | none
-    prototypes: int = 8
-    reliable_k: int = 16
-    matcher_layers: int = 3
-    matcher_mode: str = "reliable"   # reliable | vanilla
-    renormalize: bool = False
+    backbone_widths: tuple[int, int, int, int] = option(
+        "backbone.widths", (16, 32, 48, 64))   # F2..F5 (fine to coarse)
+    phase_widths: tuple[int, int, int, int] = option(
+        "phase_enc.widths", (8, 16, 24, 32))   # 1/4..1/32 (fine to coarse)
+    decoder_channels: int = option("decoder.channels", 64)
+    decoder_depth: int = option("decoder.depth", 4)
+    normalize_amp_map: bool = option("decoder.normalize_amp_map", True)
+    enhance_op: str = option("enhance.op", "phase", choices=("phase", "sobel", "none"))
+    prototypes: int = option("matcher.prototypes", 8)
+    reliable_k: int = option("matcher.reliable_k", 16)
+    matcher_layers: int = option("matcher.layers", 3)
+    matcher_mode: str = option("matcher.mode", "reliable", choices=("reliable", "vanilla"))
+    renormalize: bool = option("reliable.renormalize", False)
     seed: int = 0
     dtype: object = field(default=np.float64)
+
+    def __post_init__(self):
+        check_options(self)
+        if self.prototypes < self.num_classes:
+            raise ValueError(f"matcher.prototypes must be at least the class count "
+                             f"{self.num_classes}, got {self.prototypes}")
+
+    def check_image_size(self, height: int, width: int) -> None:
+        """Reject image extents this model cannot run on, before any image is read."""
+        if height % 32 or width % 32:
+            raise ValueError(f"image extents {(height, width)} must be divisible by 32")
+        pixels = (height // 4) * (width // 4)
+        if self.matcher_mode == "reliable" and not 1 <= self.reliable_k <= pixels:
+            raise ValueError(f"matcher.reliable_k must be in 1..{pixels} for {height}x{width} "
+                             f"images, got {self.reliable_k}")
 
 
 @dataclass
@@ -72,8 +91,8 @@ class BackboneStub:
 
     def __call__(self, image: Tensor) -> Pyramid:
         h, w = image.shape[:2]
-        if h % 16 or w % 16:
-            raise ValueError(f"backbone: extents {(h, w)} must be divisible by 16")
+        if h % 32 or w % 32:
+            raise ValueError(f"backbone: extents {(h, w)} must be divisible by 32")
         f2 = relu(self.stage1(image))
         f3 = relu(self.stage2(f2))
         f4 = relu(self.stage3(f3))
@@ -102,10 +121,6 @@ class NightSegModel:
     """Backbone + phase encoder + amplified decoder + reliable matcher + heads."""
 
     def __init__(self, cfg: ModelConfig):
-        if cfg.prototypes < cfg.num_classes:
-            raise ValueError(
-                f"need at least {cfg.num_classes} prototypes, got {cfg.prototypes}"
-            )
         self.cfg = cfg
         rng = np.random.default_rng(cfg.seed)
         dtype = cfg.dtype
@@ -162,12 +177,7 @@ class NightSegModel:
 
 def predict(out: SegOutput, num_classes: int) -> np.ndarray:
     """Per-pixel argmax of sum_n p_n(class) * sigmoid(mask_n); ties -> lowest class."""
-    z = out.mask_logits.data
-    cz = out.class_logits.data.astype(np.float64)
-    cmax = cz.max(axis=1, keepdims=True)
-    probs = np.exp(cz - cmax)
-    probs /= probs.sum(axis=1, keepdims=True)
-    masks = 1.0 / (1.0 + np.exp(-np.clip(z.astype(np.float64), -60, 60)))   # [h, w, N]
+    probs, masks = class_and_mask_probs(out.mask_logits.data, out.class_logits.data)
     scores = masks @ probs[:, :num_classes]                                  # [h, w, num_classes]
     return np.argmax(scores, axis=2).astype(np.int64)
 

@@ -113,7 +113,7 @@ def minmax_normalize(plane: np.ndarray) -> np.ndarray:
     return (plane - lo) / (hi - lo)
 
 
-def image_texture_stack(image: np.ndarray, mode: str = "phase",
+def image_texture_stack(image: np.ndarray, mode: str,
                         c_a: float | None = None) -> np.ndarray:
     """Per-channel texture maps of an [H,W,3] image, min-max scaled to [0,1].
 

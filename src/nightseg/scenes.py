@@ -13,7 +13,7 @@ from __future__ import annotations
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -51,18 +51,10 @@ class SceneConfig:
             self.objects_max = n_fg + 1
 
     def to_lines(self) -> list[str]:
-        return [
-            f"height = {self.height}",
-            f"width = {self.width}",
-            f"num_classes = {self.num_classes}",
-            f"objects_min = {self.objects_min}",
-            f"objects_max = {self.objects_max}",
-            f"ambient = {self.ambient[0]} {self.ambient[1]}",
-            f"contrast_gap = {self.contrast_gap}",
-            f"texture_amp = {self.texture_amp}",
-            f"deceivers = {self.deceivers[0]} {self.deceivers[1]}",
-            f"noise_std = {self.noise_std}",
-        ]
+        """One ``field = value`` manifest header line per field; tuples space-separated."""
+        values = ((f.name, getattr(self, f.name)) for f in fields(self))
+        return [f"{name} = {' '.join(map(str, v)) if isinstance(v, tuple) else v}"
+                for name, v in values]
 
 
 @dataclass

@@ -9,15 +9,15 @@ against majority-pooled ground truth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .config import Config
+from .config import check_options, option
 from .losses import LossWeights, total_loss
 from .metrics import ConfusionMatrix
-from .model import ModelConfig, NightSegModel, SegOutput, majority_pool, predict
+from .model import NightSegModel, SegOutput, majority_pool, predict
 from .netpbm import read_pgm, read_ppm
 from .phase import image_texture_stack
 from .scenes import parse_manifest
@@ -39,78 +39,40 @@ __all__ = [
 
 
 class TrainingDiverged(RuntimeError):
-    def __init__(self, iteration: int, ckpt: Path):
-        super().__init__(f"non-finite loss at iteration {iteration}; last good checkpoint: {ckpt}")
+    def __init__(self, iteration: int, ckpt: Path | None):
+        saved = f"; weights at divergence saved to {ckpt}" if ckpt is not None else ""
+        super().__init__(f"non-finite loss at iteration {iteration}{saved}")
         self.iteration = iteration
         self.checkpoint = ckpt
 
 
 @dataclass
 class TrainConfig:
-    iters: int = 3000
-    phase1_iters: int | None = None   # default: 80% of iters
-    lr1: float = 1e-3
-    lr2: float = 1e-4
-    batch: int = 4
-    seed: int = 0
-    weight_decay: float = 1e-4
-    weights: LossWeights = None       # type: ignore[assignment]
-    dtype: object = np.float32
-    log_every: int = 1
-    c_a: float | None = None
+    iters: int = option("train.iters", 3000, at_least=1)
+    phase1_iters: int | None = option("train.phase1_iters", None, at_least=0)  # None: 80% of iters
+    lr1: float = option("train.lr1", 1e-3)
+    lr2: float = option("train.lr2", 1e-4)
+    batch: int = option("train.batch", 4, at_least=1)
+    seed: int = option("train.seed", 0)
+    weight_decay: float = option("train.weight_decay", 1e-4)
+    weights: LossWeights = field(default_factory=LossWeights)
+    dtype: object = option("train.dtype", np.float32,
+                           choices={"float32": np.float32, "float64": np.float64})
+    log_every: int = option("train.log_every", 1, at_least=1)
+    c_a: float | None = option("phase.c_a", None)              # None: mean amplitude
 
     def __post_init__(self):
         if self.phase1_iters is None:
             self.phase1_iters = (self.iters * 4) // 5
-        if self.weights is None:
-            self.weights = LossWeights()
+        check_options(self)
+        if self.phase1_iters > self.iters:
+            raise ValueError(f"train.phase1_iters must be at most train.iters = {self.iters}, "
+                             f"got {self.phase1_iters}")
         if self.lr2 >= self.lr1:
-            raise ValueError(f"second-phase rate {self.lr2} must be below first-phase rate {self.lr1}")
+            raise ValueError(f"second-phase rate train.lr2 = {self.lr2} must be below "
+                             f"first-phase rate train.lr1 = {self.lr1}")
         if self.c_a is not None and not self.c_a > 0:
             raise ValueError(f"phase.c_a must be > 0, got {self.c_a}")
-
-    @classmethod
-    def from_config(cls, cfg: Config) -> "TrainConfig":
-        iters = cfg.get_int("train.iters", 3000)
-        phase1 = cfg.get_int("train.phase1_iters", (iters * 4) // 5)
-        dtype = {"float32": np.float32, "float64": np.float64}[cfg.get_str("train.dtype", "float32")]
-        c_a = cfg.get_float("phase.c_a", 0.0) if "phase.c_a" in cfg.values else None
-        return cls(
-            iters=iters,
-            phase1_iters=phase1,
-            lr1=cfg.get_float("train.lr1", 1e-3),
-            lr2=cfg.get_float("train.lr2", 1e-4),
-            batch=cfg.get_int("train.batch", 4),
-            seed=cfg.get_int("train.seed", 0),
-            weight_decay=cfg.get_float("train.weight_decay", 1e-4),
-            weights=LossWeights(
-                cls=cfg.get_float("train.lambda_cls", 2.0),
-                bce=cfg.get_float("train.lambda_bce", 5.0),
-                dice=cfg.get_float("train.lambda_dice", 5.0),
-            ),
-            dtype=dtype,
-            log_every=cfg.get_int("train.log_every", 1),
-            c_a=c_a,
-        )
-
-
-def model_config_from(cfg: Config, num_classes: int, seed: int, dtype) -> ModelConfig:
-    return ModelConfig(
-        num_classes=num_classes,
-        backbone_widths=cfg.get_ints("backbone.widths", (16, 32, 48, 64)),
-        phase_widths=cfg.get_ints("phase_enc.widths", (8, 16, 24, 32)),
-        decoder_channels=cfg.get_int("decoder.channels", 64),
-        decoder_depth=cfg.get_int("decoder.depth", 4),
-        normalize_amp_map=cfg.get_bool("decoder.normalize_amp_map", True),
-        enhance_op=cfg.get_str("enhance.op", "phase"),
-        prototypes=cfg.get_int("matcher.prototypes", 8),
-        reliable_k=cfg.get_int("matcher.reliable_k", 16),
-        matcher_layers=cfg.get_int("matcher.layers", 3),
-        matcher_mode=cfg.get_str("matcher.mode", "reliable"),
-        renormalize=cfg.get_bool("reliable.renormalize", False),
-        seed=seed,
-        dtype=dtype,
-    )
 
 
 class AdamW:
@@ -155,15 +117,12 @@ class LoadedDataset:
     train_idx: list[int]
     val_idx: list[int]
     num_classes: int
-    height: int
-    width: int
 
 
 def load_dataset(data_dir: str | Path, enhance_op: str, c_a: float | None = None) -> LoadedDataset:
     """Read a generated dataset and precompute texture maps once per image."""
     data_dir = Path(data_dir)
     meta, entries = parse_manifest(data_dir / "manifest.txt")
-    num_classes = int(meta.get("num_classes", 4))
     images, masks, full_masks, textures = [], [], [], []
     train_idx, val_idx = [], []
     for i, (img_name, msk_name, split) in enumerate(entries):
@@ -182,9 +141,7 @@ def load_dataset(data_dir: str | Path, enhance_op: str, c_a: float | None = None
         textures=textures if enhance_op != "none" else None,
         train_idx=train_idx,
         val_idx=val_idx,
-        num_classes=num_classes,
-        height=int(meta.get("height", images[0].shape[0])),
-        width=int(meta.get("width", images[0].shape[1])),
+        num_classes=int(meta["num_classes"]),
     )
 
 
@@ -245,16 +202,14 @@ def train(model: NightSegModel, ds: LoadedDataset, tc: TrainConfig,
                 out = _forward_sample(model, ds, sample, dtype)
                 if not (np.isfinite(out.mask_logits.data).all()
                         and np.isfinite(out.class_logits.data).all()):
-                    ckpt = save_checkpoint(ckpt_dir or "last_good_checkpoint", params)
-                    raise TrainingDiverged(it, ckpt)
+                    raise TrainingDiverged(it, ckpt_dir and save_checkpoint(ckpt_dir, params))
                 term = total_loss(out.mask_logits, out.class_logits,
                                   ds.masks[sample], ds.num_classes, tc.weights)
                 loss = term if loss is None else loss + term
             loss = loss * (1.0 / len(idxs))
             loss_val = loss.item()
             if not np.isfinite(loss_val):
-                ckpt = save_checkpoint(ckpt_dir or "last_good_checkpoint", params)
-                raise TrainingDiverged(it, ckpt)
+                raise TrainingDiverged(it, ckpt_dir and save_checkpoint(ckpt_dir, params))
             backward(loss)
         opt.step()
         if it % tc.log_every == 0 or it == tc.iters - 1:
@@ -267,11 +222,9 @@ def train(model: NightSegModel, ds: LoadedDataset, tc: TrainConfig,
     return log
 
 
-def evaluate(model: NightSegModel, ds: LoadedDataset, dtype=np.float32,
-             split: str = "val") -> ConfusionMatrix:
+def evaluate(model: NightSegModel, ds: LoadedDataset, dtype) -> ConfusionMatrix:
     cm = ConfusionMatrix(ds.num_classes)
-    indices = ds.val_idx if split == "val" else ds.train_idx
-    for idx in indices:
+    for idx in ds.val_idx:
         out = _forward_sample(model, ds, idx, dtype)
         cm.update(predict(out, ds.num_classes), ds.masks[idx])
     return cm

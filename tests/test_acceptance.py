@@ -185,10 +185,10 @@ def desk_run(tmp_path_factory) -> DeskRun:
         ablate_cfg.write_text(
             f"train.seed = {TRAIN_SEED}\ntrain.iters = 700\n", encoding="utf-8")
 
-        from nightseg.config import parse_config
+        from nightseg.config import build, parse_config
         from nightseg.train import TrainConfig
 
-        iters = TrainConfig.from_config(parse_config(config)).iters
+        iters = build(TrainConfig, parse_config(config)).iters
 
         reports = []
         train_seconds = 0.0

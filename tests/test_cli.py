@@ -105,6 +105,71 @@ class TestTrainEvalCli:
             float(row.split()[1])
 
 
+@pytest.fixture(scope="module")
+def dataset_48x64(tmp_path_factory):
+    root = tmp_path_factory.mktemp("cli_data_48x64")
+    assert main(["gen-data", "--out", str(root), "--count", "2", "--seed", "5",
+                 "--height", "48", "--width", "64"]) == 0
+    return root
+
+
+@pytest.fixture
+def no_data_load(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("load_dataset called for a config that should be rejected")
+    monkeypatch.setattr("nightseg.train.load_dataset", fail)
+
+
+def _assert_one_line_exit_2(rc, capsys, *needles):
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.count("\n") == 1 and err.startswith("nightseg: ")
+    for needle in needles:
+        assert needle in err
+
+
+@pytest.mark.usefixtures("no_data_load")
+class TestBadConfigExit2:
+    @pytest.mark.parametrize("line,key", [
+        ("enhance.op = Phase", "enhance.op"),
+        ("train.batch = 0", "train.batch"),
+        ("train.dtype = float16", "train.dtype"),
+        ("matcher.reliable_k = 500", "matcher.reliable_k"),
+        ("phase.c_a = -1", "phase.c_a"),
+        ("train.log_every = 0", "train.log_every"),
+    ])
+    def test_bad_value_rejected_before_data_loads(self, dataset, tiny_cfg, tmp_path, capsys,
+                                                  line, key):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(tiny_cfg.read_text() + line + "\n", encoding="utf-8")
+        rc = main(["train", "--config", str(cfg), "--data", str(dataset),
+                   "--out", str(tmp_path / "run")])
+        _assert_one_line_exit_2(rc, capsys, key)
+        assert not (tmp_path / "run").exists()
+
+    def test_extents_not_divisible_by_32_rejected(self, dataset_48x64, tiny_cfg, tmp_path,
+                                                  capsys):
+        rc = main(["train", "--config", str(tiny_cfg), "--data", str(dataset_48x64),
+                   "--out", str(tmp_path / "run")])
+        _assert_one_line_exit_2(rc, capsys, "(48, 64)", "divisible by 32")
+
+    def test_eval_and_ablate_share_the_checks(self, dataset, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("train.batch = 0\n", encoding="utf-8")
+        rc = main(["eval", "--ckpt", str(tmp_path), "--config", str(cfg),
+                   "--data", str(dataset), "--report", str(tmp_path / "r.txt")])
+        _assert_one_line_exit_2(rc, capsys, "train.batch")
+        # the vanilla row alone would accept this K; the reliable row is checked before any run
+        cfg.write_text("matcher.reliable_k = 500\n", encoding="utf-8")
+        rc = main(["ablate", "--axis", "matcher", "--config", str(cfg), "--data", str(dataset)])
+        _assert_one_line_exit_2(rc, capsys, "matcher.reliable_k")
+
+    def test_phase_extract_bad_c_a(self, dataset, tmp_path, capsys):
+        rc = main(["phase-extract", "--in", str(dataset / "img_00000.ppm"),
+                   "--out", str(tmp_path / "t.ppm"), "--c-a", "0"])
+        _assert_one_line_exit_2(rc, capsys, "c_a")
+
+
 class TestVerificationCli:
     def test_grad_check_exit_0(self, capsys):
         assert main(["grad-check"]) == 0

@@ -1,11 +1,18 @@
 """Config parsing and the binary tensor format."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from nightseg.config import parse_config
+from nightseg.config import build, known_keys, parse_config
+from nightseg.model import ModelConfig
 from nightseg.tensor import Tensor
 from nightseg.tensor_io import decode_tensor, encode_tensor, read_tensor, write_tensor
+from nightseg.train import TrainConfig
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 class TestConfig:
@@ -18,15 +25,19 @@ class TestConfig:
             "train.lr1 = 0.002\n",
             from_text=True,
         )
-        assert cfg.get_int("decoder.depth", 4) == 2
-        assert cfg.get_str("matcher.mode", "reliable") == "vanilla"
-        assert cfg.get_float("train.lr1", 0.0) == pytest.approx(0.002)
+        mc = build(ModelConfig, cfg)
+        assert mc.decoder_depth == 2
+        assert mc.matcher_mode == "vanilla"
+        assert build(TrainConfig, cfg).lr1 == pytest.approx(0.002)
 
     def test_defaults_when_absent(self):
         cfg = parse_config("", from_text=True)
-        assert cfg.get_int("decoder.depth", 4) == 4
-        assert cfg.get_bool("decoder.normalize_amp_map", True) is True
-        assert cfg.get_ints("backbone.widths", (1, 2, 3, 4)) == (1, 2, 3, 4)
+        assert build(ModelConfig, cfg, num_classes=3) == ModelConfig(num_classes=3)
+        assert build(TrainConfig, cfg) == TrainConfig()
+        mc = build(ModelConfig, cfg)
+        assert mc.decoder_depth == 4
+        assert mc.normalize_amp_map is True
+        assert mc.backbone_widths == (16, 32, 48, 64)
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown key"):
@@ -45,13 +56,50 @@ class TestConfig:
             "decoder.normalize_amp_map = false\nbackbone.widths = 8,16, 24 32\n",
             from_text=True,
         )
-        assert cfg.get_bool("decoder.normalize_amp_map", True) is False
-        assert cfg.get_ints("backbone.widths", ()) == (8, 16, 24, 32)
+        mc = build(ModelConfig, cfg)
+        assert mc.normalize_amp_map is False
+        assert mc.backbone_widths == (8, 16, 24, 32)
+        for spelling, value in [("TRUE", True), ("1", True), ("yes", True),
+                                ("False", False), ("0", False), ("no", False)]:
+            assert build(ModelConfig, {"reliable.renormalize": spelling}).renormalize is value
 
     def test_bad_bool_rejected(self):
         cfg = parse_config("decoder.normalize_amp_map = maybe\n", from_text=True)
-        with pytest.raises(ValueError, match="boolean"):
-            cfg.get_bool("decoder.normalize_amp_map", True)
+        with pytest.raises(ValueError, match="decoder.normalize_amp_map: expected a boolean"):
+            build(ModelConfig, cfg)
+
+    @pytest.mark.parametrize("cls,key,raw,msg", [
+        (ModelConfig, "decoder.depth", "two", "decoder.depth: expected an integer"),
+        (ModelConfig, "backbone.widths", "8 16 24", "backbone.widths: expected 4 integers"),
+        (ModelConfig, "enhance.op", "Phase", "enhance.op must be one of phase, sobel, none"),
+        (ModelConfig, "matcher.mode", "hard", "matcher.mode must be one of reliable, vanilla"),
+        (ModelConfig, "matcher.prototypes", "3",
+         "matcher.prototypes must be at least the class count 4"),
+        (TrainConfig, "train.lr1", "fast", "train.lr1: expected a number"),
+        (TrainConfig, "phase.c_a", "mean", "phase.c_a: expected a number"),
+        (TrainConfig, "train.dtype", "float16", "train.dtype must be one of float32, float64"),
+        (TrainConfig, "train.iters", "0", "train.iters must be >= 1"),
+        (TrainConfig, "train.batch", "0", "train.batch must be >= 1"),
+        (TrainConfig, "train.log_every", "0", "train.log_every must be >= 1"),
+        (TrainConfig, "train.phase1_iters", "-1", "train.phase1_iters must be >= 0"),
+        (TrainConfig, "train.phase1_iters", "3001",
+         "train.phase1_iters must be at most train.iters"),
+    ])
+    def test_bad_value_names_its_key(self, cls, key, raw, msg):
+        with pytest.raises(ValueError, match=re.escape(msg)):
+            build(cls, {key: raw})
+
+    def test_readme_table_matches_schema(self):
+        text = README.read_text(encoding="utf-8")
+        section = text.split("## Configuration keys", 1)[1].split("\n## ", 1)[0]
+        rows = re.findall(r"^\| `([^`]+)` \| ([^|]+?) \|", section, flags=re.M)
+        assert sorted(k for k, _ in rows) == sorted(known_keys())
+        for key, default in rows:
+            if default in ("80%", "mean amplitude"):
+                continue
+            values = {key: default}
+            assert build(ModelConfig, values) == ModelConfig(), key
+            assert build(TrainConfig, values) == TrainConfig(), key
 
 
 class TestTensorFile:

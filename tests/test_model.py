@@ -27,8 +27,9 @@ class TestBackbone:
 
     def test_divisibility_precondition(self):
         bb = BackboneStub(np.random.default_rng(4), (4, 5, 6, 7))
-        with pytest.raises(ValueError, match="divisible"):
-            bb(Tensor(np.zeros((30, 64, 3))))
+        for shape in ((30, 64, 3), (48, 64, 3)):
+            with pytest.raises(ValueError, match="divisible by 32"):
+                bb(Tensor(np.zeros(shape)))
 
     def test_gradient_reaches_stem(self):
         bb = BackboneStub(np.random.default_rng(5), (2, 2, 2, 2))

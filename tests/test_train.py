@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
-from nightseg.config import Config, parse_config
-from nightseg.model import NightSegModel
+from nightseg.config import build, parse_config
+from nightseg.model import ModelConfig, NightSegModel
 from nightseg.scenes import SceneConfig, gen_dataset
 from nightseg.train import (AdamW, TrainConfig, TrainingDiverged, evaluate,
-                            load_checkpoint, load_dataset, model_config_from,
-                            render_report, save_checkpoint, train)
+                            load_checkpoint, load_dataset, render_report,
+                            save_checkpoint, train)
 from nightseg.tensor import Tensor
 
 
@@ -19,17 +19,11 @@ def tiny_data(tmp_path_factory):
     return root
 
 
-def small_model_cfg(cfg, ds, seed=0, dtype=np.float32, **overrides):
-    mc = model_config_from(cfg, ds.num_classes, seed, dtype)
-    mc.backbone_widths = (4, 5, 6, 7)
-    mc.phase_widths = (3, 4, 5, 6)
-    mc.decoder_channels = 8
-    mc.prototypes = 4
-    mc.reliable_k = 4
-    mc.matcher_layers = 1
-    for k, v in overrides.items():
-        setattr(mc, k, v)
-    return mc
+def small_model_cfg(ds, seed=0, dtype=np.float32, **overrides):
+    small = dict(backbone_widths=(4, 5, 6, 7), phase_widths=(3, 4, 5, 6), decoder_channels=8,
+                 prototypes=4, reliable_k=4, matcher_layers=1)
+    return ModelConfig(num_classes=ds.num_classes, seed=seed, dtype=dtype,
+                       **{**small, **overrides})
 
 
 class TestAdamW:
@@ -58,8 +52,7 @@ class TestAdamW:
 class TestTrainLoop:
     def test_one_iteration_reduces_loss_on_frozen_batch(self, tiny_data):
         ds = load_dataset(tiny_data, "phase")
-        cfg = Config({})
-        mc = small_model_cfg(cfg, ds)
+        mc = small_model_cfg(ds)
         model = NightSegModel(mc)
         tc = TrainConfig(iters=8, batch=2, seed=5, log_every=1, lr1=1e-3, lr2=1e-4)
         log = train(model, ds, tc)
@@ -69,20 +62,18 @@ class TestTrainLoop:
 
     def test_same_seed_bit_identical_logs(self, tiny_data):
         ds = load_dataset(tiny_data, "phase")
-        cfg = Config({})
         logs = []
         for _ in range(2):
-            model = NightSegModel(small_model_cfg(cfg, ds, seed=3))
+            model = NightSegModel(small_model_cfg(ds, seed=3))
             logs.append(train(model, ds, TrainConfig(iters=5, batch=2, seed=3, log_every=1)))
         assert logs[0] == logs[1]
 
     def test_checkpoint_roundtrip(self, tiny_data, tmp_path):
         ds = load_dataset(tiny_data, "phase")
-        cfg = Config({})
-        model = NightSegModel(small_model_cfg(cfg, ds))
+        model = NightSegModel(small_model_cfg(ds))
         params = model.parameters()
         save_checkpoint(tmp_path / "ckpt", params)
-        model2 = NightSegModel(small_model_cfg(cfg, ds))
+        model2 = NightSegModel(small_model_cfg(ds))
         for _, p in model2.parameters():
             p.data = p.data + 1.0  # scramble
         load_checkpoint(tmp_path / "ckpt", model2)
@@ -92,26 +83,34 @@ class TestTrainLoop:
 
     def test_checkpoint_name_mismatch_rejected(self, tiny_data, tmp_path):
         ds = load_dataset(tiny_data, "phase")
-        cfg = Config({})
-        model = NightSegModel(small_model_cfg(cfg, ds))
+        model = NightSegModel(small_model_cfg(ds))
         save_checkpoint(tmp_path / "ckpt", model.parameters())
-        other = NightSegModel(small_model_cfg(cfg, ds, matcher_layers=2))
+        other = NightSegModel(small_model_cfg(ds, matcher_layers=2))
         with pytest.raises(ValueError, match="mismatch"):
             load_checkpoint(tmp_path / "ckpt", other)
 
     def test_divergence_aborts_with_checkpoint(self, tiny_data, tmp_path):
         ds = load_dataset(tiny_data, "phase")
-        cfg = Config({})
-        model = NightSegModel(small_model_cfg(cfg, ds))
+        model = NightSegModel(small_model_cfg(ds))
         model.class_head.w.data[:] = np.nan
-        with pytest.raises(TrainingDiverged, match="iteration 0"):
+        with pytest.raises(TrainingDiverged, match="iteration 0; weights at divergence saved"):
             train(model, ds, TrainConfig(iters=2, batch=1, seed=0), out_dir=tmp_path / "run")
         assert (tmp_path / "run" / "checkpoint" / "params.txt").exists()
 
+    def test_divergence_without_out_dir_writes_nothing(self, tiny_data, tmp_path, monkeypatch):
+        ds = load_dataset(tiny_data, "phase")
+        model = NightSegModel(small_model_cfg(ds))
+        model.class_head.w.data[:] = np.nan
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(TrainingDiverged, match="iteration 0") as exc:
+            train(model, ds, TrainConfig(iters=2, batch=1, seed=0), out_dir=None)
+        assert exc.value.checkpoint is None
+        assert "saved" not in str(exc.value)
+        assert list(tmp_path.iterdir()) == []
+
     def test_evaluate_and_report_format(self, tiny_data):
         ds = load_dataset(tiny_data, "phase")
-        cfg = Config({})
-        model = NightSegModel(small_model_cfg(cfg, ds))
+        model = NightSegModel(small_model_cfg(ds))
         report = render_report(evaluate(model, ds, np.float32))
         lines = report.strip().splitlines()
         assert lines[0].startswith("background ")
@@ -127,7 +126,7 @@ class TestTrainConfig:
 
     def test_from_config_defaults_and_overrides(self):
         cfg = parse_config("train.iters = 12\ntrain.lr1 = 0.005\n", from_text=True)
-        tc = TrainConfig.from_config(cfg)
+        tc = build(TrainConfig, cfg)
         assert tc.iters == 12
         assert tc.lr1 == pytest.approx(0.005)
         assert tc.phase1_iters == 9  # 80% default
@@ -135,7 +134,7 @@ class TestTrainConfig:
 
     def test_loss_weights_from_config(self):
         cfg = parse_config("train.lambda_cls = 3\ntrain.lambda_bce = 1\n", from_text=True)
-        tc = TrainConfig.from_config(cfg)
+        tc = build(TrainConfig, cfg)
         assert tc.weights.cls == 3.0
         assert tc.weights.bce == 1.0
         assert tc.weights.dice == 5.0
@@ -144,17 +143,16 @@ class TestTrainConfig:
     def test_nonpositive_c_a_rejected(self, value):
         cfg = parse_config(f"phase.c_a = {value}\n", from_text=True)
         with pytest.raises(ValueError, match=r"phase\.c_a"):
-            TrainConfig.from_config(cfg)
+            build(TrainConfig, cfg)
 
     def test_c_a_absent_means_mean_amplitude(self):
-        assert TrainConfig.from_config(Config({})).c_a is None
+        assert build(TrainConfig, {}).c_a is None
         cfg = parse_config("phase.c_a = 2.5\n", from_text=True)
-        assert TrainConfig.from_config(cfg).c_a == 2.5
+        assert build(TrainConfig, cfg).c_a == 2.5
 
     def test_two_phase_schedule_applied(self, tiny_data):
         ds = load_dataset(tiny_data, "phase")
-        cfg = Config({})
-        model = NightSegModel(small_model_cfg(cfg, ds))
+        model = NightSegModel(small_model_cfg(ds))
         tc = TrainConfig(iters=4, phase1_iters=2, batch=1, seed=0, log_every=1,
                          lr1=1e-3, lr2=1e-5)
         log = train(model, ds, tc)
