@@ -188,11 +188,12 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one subcommand; a rejected config or argument value exits 2 with one line."""
+    """Run one subcommand; a rejected config or argument value, or a missing
+    input file, exits 2 with one line."""
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except ValueError as exc:
+    except (ValueError, FileNotFoundError) as exc:
         print(f"nightseg: {exc}", file=sys.stderr)
         return 2
 

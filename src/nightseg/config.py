@@ -21,7 +21,8 @@ _EXPECTED = {bool: "a boolean", int: "an integer", float: "a number"}
 def option(key: str, default, *, choices=None, at_least=None):
     """A dataclass field set by config ``key``. ``choices`` lists the accepted
     values, or maps each accepted spelling to its value; ``at_least`` is an
-    inclusive lower bound. ``check_options`` enforces both."""
+    inclusive lower bound, on every entry of a tuple. ``check_options``
+    enforces both."""
     return field(default=default, metadata={"key": key, "choices": choices, "at_least": at_least})
 
 
@@ -32,9 +33,11 @@ def check_options(obj) -> None:
         choices, least = f.metadata.get("choices"), f.metadata.get("at_least")
         allowed = choices.values() if isinstance(choices, Mapping) else choices
         if choices is not None and value not in allowed:
-            raise ValueError(f"{f.metadata['key']} must be one of {', '.join(choices)}, got {value!r}")
-        if least is not None and value < least:
-            raise ValueError(f"{f.metadata['key']} must be >= {least}, got {value}")
+            raise ValueError(f"{f.metadata['key']} must be one of {', '.join(map(str, choices))}, "
+                             f"got {value!r}")
+        if least is not None and min(value if isinstance(value, tuple) else (value,)) < least:
+            entries = "entries of " if isinstance(value, tuple) else ""
+            raise ValueError(f"{entries}{f.metadata['key']} must be >= {least}, got {value}")
 
 
 def _keys(cls) -> set[str]:
@@ -56,8 +59,8 @@ def known_keys() -> set[str]:
 
 
 def _convert(key: str, raw: str, tp, choices):
-    if choices is not None:   # an unknown spelling is left for check_options to reject
-        return choices.get(raw, raw) if isinstance(choices, Mapping) else raw
+    if isinstance(choices, Mapping):   # an unknown spelling is left for check_options to reject
+        return choices.get(raw, raw)
     args = typing.get_args(tp)
     if type(None) in args:    # optional: a present value has the other type
         tp = next(a for a in args if a is not type(None))

@@ -9,8 +9,6 @@ the output sits at 1/4 resolution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import tensor as T
@@ -19,11 +17,7 @@ from .tensor import Tensor
 
 __all__ = [
     "ATTENTION_TOKEN_BUDGET",
-    "AmplifiedFeature",
-    "CommonProjection",
-    "project_common",
     "amplified_map",
-    "amplify",
     "amplify_stage",
     "SelfAttentionBlock",
     "HierarchicalAmplifiedDecoder",
@@ -32,48 +26,10 @@ __all__ = [
 ATTENTION_TOKEN_BUDGET = 4096
 
 
-@dataclass
-class AmplifiedFeature:
-    features: Tensor   # [h, w, C]
-    amp_map: Tensor    # [h, w], nonnegative before normalization
-
-    def __post_init__(self):
-        if self.features.shape[:2] != self.amp_map.shape:
-            raise ValueError(
-                f"AmplifiedFeature: feature extents {self.features.shape[:2]} vs map {self.amp_map.shape}"
-            )
-
-
-class CommonProjection:
-    """Two independent 1x1 projections mapping a stage pair to width C."""
-
-    def __init__(self, rng: np.random.Generator, c_feat: int, c_phase: int,
-                 width: int, dtype=np.float64):
-        self.proj_f = Linear(rng, c_feat, width, dtype=dtype)
-        self.proj_p = Linear(rng, c_phase, width, dtype=dtype)
-
-    def project_features(self, f: Tensor) -> Tensor:
-        return _project(f, self.proj_f)
-
-    def project_phase(self, p: Tensor) -> Tensor:
-        return _project(p, self.proj_p)
-
-    def parameters(self) -> Params:
-        out: Params = [("f." + n, p) for n, p in self.proj_f.parameters()]
-        out += [("p." + n, p) for n, p in self.proj_p.parameters()]
-        return out
-
-
 def _project(x: Tensor, lin: Linear) -> Tensor:
+    """Apply a per-pixel linear map to an [h, w, C] map."""
     h, w, c = x.shape
     return T.reshape(lin(T.reshape(x, (h * w, c))), (h, w, lin.w.shape[1]))
-
-
-def project_common(f: Tensor, phi: Tensor, proj: CommonProjection) -> tuple[Tensor, Tensor]:
-    """Project a feature map and a phase map to the shared width."""
-    if f.shape[:2] != phi.shape[:2]:
-        raise ValueError(f"project_common: spatial extents differ, {f.shape[:2]} vs {phi.shape[:2]}")
-    return proj.project_features(f), proj.project_phase(phi)
 
 
 def amplified_map(fbar: Tensor, pbar: Tensor, normalize: bool = True) -> Tensor:
@@ -88,17 +44,10 @@ def amplified_map(fbar: Tensor, pbar: Tensor, normalize: bool = True) -> Tensor:
     return T.mul_scalar_t(raw, T.recip(T.add_scalar(T.tmean(raw), 1e-12)))
 
 
-def amplify(f: Tensor, a: Tensor) -> Tensor:
-    """Scale every channel of pixel (i,j) by a[i,j]."""
-    if f.shape[:2] != a.shape:
-        raise ValueError(f"amplify: spatial extents differ, {f.shape[:2]} vs {a.shape}")
-    return T.scale_pixels(f, a)
-
-
-def amplify_stage(fbar: Tensor, pbar: Tensor, normalize: bool = True) -> AmplifiedFeature:
-    """One amplification step: build the map from (fbar, pbar), reweight fbar."""
-    amap = amplified_map(fbar, pbar, normalize=normalize)
-    return AmplifiedFeature(features=amplify(fbar, amap), amp_map=amap)
+def amplify_stage(fbar: Tensor, pbar: Tensor, normalize: bool = True) -> Tensor:
+    """One amplification step: scale every channel of pixel (i, j) of fbar by
+    the amplified map of (fbar, pbar) at (i, j)."""
+    return T.scale_pixels(fbar, amplified_map(fbar, pbar, normalize=normalize))
 
 
 class SelfAttentionBlock:
@@ -135,9 +84,13 @@ class HierarchicalAmplifiedDecoder:
             raise ValueError(f"decoder depth must be in 1..4, got {depth}")
         if len(feat_widths) != 4 or len(phase_widths) != 4:
             raise ValueError("decoder expects 4 stage widths, coarse to fine")
-        self.projections = [
-            CommonProjection(rng, feat_widths[i], phase_widths[i], width, dtype) for i in range(4)
-        ]
+        # per stage the backbone projection draws before the phase one; this
+        # draw order fixes which initial weights a seed gives
+        self.proj_f: list[Linear] = []
+        self.proj_p: list[Linear] = []
+        for c_feat, c_phase in zip(feat_widths, phase_widths):
+            self.proj_f.append(Linear(rng, c_feat, width, dtype=dtype))
+            self.proj_p.append(Linear(rng, c_phase, width, dtype=dtype))
         self.attention = [SelfAttentionBlock(rng, width, dtype) for _ in range(4)]
         self.width = width
         self.depth = depth
@@ -158,21 +111,21 @@ class HierarchicalAmplifiedDecoder:
             if s >= self.depth:
                 x = T.upsample_bilinear2x(x)  # finer stages excluded from fusion
                 continue
-            proj = self.projections[s]
-            fbar = proj.project_features(fp.stages[s])
+            fbar = _project(fp.stages[s], self.proj_f[s])
             if x is not None:
                 x = T.upsample_bilinear2x(x)
                 fbar = T.add(x, fbar)
             if pp is not None:
-                pbar = proj.project_phase(pp.stages[s])
-                fbar = amplify_stage(fbar, pbar, self.normalize_amp_map).features
+                pbar = _project(pp.stages[s], self.proj_p[s])
+                fbar = amplify_stage(fbar, pbar, self.normalize_amp_map)
             x = self.attention[s](fbar)
         return x
 
     def parameters(self) -> Params:
         out: Params = []
-        for i, proj in enumerate(self.projections):
-            out += [(f"proj{i}." + n, p) for n, p in proj.parameters()]
+        for i, (lin_f, lin_p) in enumerate(zip(self.proj_f, self.proj_p)):
+            out += [(f"proj{i}.f." + n, p) for n, p in lin_f.parameters()]
+            out += [(f"proj{i}.p." + n, p) for n, p in lin_p.parameters()]
         for i, attn in enumerate(self.attention):
             out += [(f"attn{i}." + n, p) for n, p in attn.parameters()]
         return out

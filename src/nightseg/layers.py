@@ -17,6 +17,7 @@ from .tensor import Tensor
 
 __all__ = [
     "glorot_uniform",
+    "attention_weights",
     "Conv2dLayer",
     "Linear",
     "LayerNorm",
@@ -43,6 +44,12 @@ class Pyramid:
 def glorot_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int, dtype) -> Tensor:
     a = math.sqrt(6.0 / (fan_in + fan_out))
     return Tensor(rng.uniform(-a, a, size=shape).astype(dtype), requires_grad=True)
+
+
+def attention_weights(q: Tensor, k: Tensor) -> Tensor:
+    """Scaled dot-product weights softmax(q k^T / sqrt(C)); row i of q [M, C]
+    is a distribution over the rows of k [L, C]."""
+    return T.softmax(T.scale(T.matmul(q, T.transpose2d(k)), 1.0 / math.sqrt(q.shape[1])), axis=1)
 
 
 class Conv2dLayer:
@@ -120,8 +127,7 @@ class TokenSelfAttention:
         q = T.matmul(x, self.wq)
         k = T.matmul(x, self.wk)
         v = T.matmul(x, self.wv)
-        att = T.softmax(T.scale(T.matmul(q, T.transpose2d(k)), 1.0 / math.sqrt(self.width)), axis=1)
-        ctx = T.matmul(T.matmul(att, v), self.wo)
+        ctx = T.matmul(T.matmul(attention_weights(q, k), v), self.wo)
         return self.norm(T.add(x, ctx))
 
     def parameters(self) -> Params:

@@ -20,9 +20,7 @@ from .tensor import Tensor
 __all__ = [
     "LossWeights",
     "hungarian_match",
-    "dice_loss",
-    "bce_loss",
-    "ce_loss",
+    "row_dice_loss",
     "decompose_gt",
     "class_and_mask_probs",
     "matching_costs",
@@ -99,28 +97,16 @@ def hungarian_match(cost) -> np.ndarray:
     return proto_for_segment
 
 
-def dice_loss(pred: Tensor, target, eps: float = 1.0) -> Tensor:
-    """1 - (2*sum(p*t)+eps) / (sum(p)+sum(t)+eps) on probabilities in [0,1]."""
-    t = target.data if isinstance(target, Tensor) else np.asarray(target, dtype=pred.data.dtype)
-    if t.shape != pred.shape:
-        raise ValueError(f"dice_loss: target shape {t.shape} != prediction shape {pred.shape}")
-    if pred.data.min() < -1e-6 or pred.data.max() > 1 + 1e-6:
-        raise ValueError("dice_loss: predictions must be probabilities in [0, 1]")
-    tt = Tensor(t)
-    inter = T.tsum(T.mul(pred, tt))
-    denom = T.add(T.tsum(pred), T.tsum(tt))
-    frac = T.mul(T.add_scalar(T.scale(inter, 2.0), eps), T.recip(T.add_scalar(denom, eps)))
-    return T.add_scalar(T.neg(frac), 1.0)
-
-
-def bce_loss(pred_logits: Tensor, target) -> Tensor:
-    """Mean stable binary cross-entropy over all elements."""
-    return T.tmean(T.bce_with_logits(pred_logits, target))
-
-
-def ce_loss(class_logits: Tensor, class_indices) -> Tensor:
-    """Mean cross-entropy of [N, K] logits against integer targets."""
-    return T.ce_logits(class_logits, class_indices)
+def row_dice_loss(logits: Tensor, targets: np.ndarray) -> Tensor:
+    """Per-row 1 - (2*sum(p*t)+1) / (sum(p)+sum(t)+1) of p = sigmoid(logits)
+    against targets, both [G, M]; returns [G]."""
+    probs = T.sigmoid(logits)
+    inter = T.tsum(T.mul(probs, Tensor(targets)), axis=1)
+    denom = T.add(T.tsum(probs, axis=1), Tensor(targets.sum(axis=1)))
+    return T.add_scalar(
+        T.neg(T.mul(T.add_scalar(T.scale(inter, 2.0), 1.0), T.recip(T.add_scalar(denom, 1.0)))),
+        1.0,
+    )
 
 
 def decompose_gt(mask: np.ndarray, num_classes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -192,13 +178,7 @@ def total_loss(mask_logits: Tensor, class_logits: Tensor, gt_mask: np.ndarray,
     tt = targets.astype(mask_logits.data.dtype)
 
     bce_per_seg = T.tmean(T.bce_with_logits(matched, tt), axis=1)          # [G]
-    probs = T.sigmoid(matched)
-    inter = T.tsum(T.mul(probs, Tensor(tt)), axis=1)
-    denom = T.add(T.tsum(probs, axis=1), Tensor(tt.sum(axis=1)))
-    dice_per_seg = T.add_scalar(
-        T.neg(T.mul(T.add_scalar(T.scale(inter, 2.0), 1.0), T.recip(T.add_scalar(denom, 1.0)))),
-        1.0,
-    )
+    dice_per_seg = row_dice_loss(matched, tt)                              # [G]
     mask_term = T.add(T.scale(T.tsum(bce_per_seg), weights.bce),
                       T.scale(T.tsum(dice_per_seg), weights.dice))
-    return T.add(mask_term, T.scale(ce_loss(class_logits, ce_targets), weights.cls))
+    return T.add(mask_term, T.scale(T.ce_logits(class_logits, ce_targets), weights.cls))

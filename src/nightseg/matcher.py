@@ -11,126 +11,47 @@ recipe for ablations.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import tensor as T
-from .layers import FeedForward, LayerNorm, Linear, Params, TokenSelfAttention, glorot_uniform
+from .layers import (FeedForward, LayerNorm, Linear, Params, TokenSelfAttention,
+                     attention_weights, glorot_uniform)
 from .tensor import Tensor
 
 __all__ = [
-    "ProjectionWeights",
-    "ReliableSet",
-    "SimilarityBundle",
-    "cross_similarity",
-    "reliable_scores",
     "select_reliable",
     "bridged_similarity",
-    "update_prototypes",
     "ReliableMatcherLayer",
     "ReliableMatcher",
 ]
 
 
-@dataclass
-class ProjectionWeights:
-    """Query/key/value projections; queries and keys share the output width."""
+def select_reliable(sim: Tensor, k: int) -> np.ndarray:
+    """Indices of the K pixels with the largest aggregate similarity (the
+    column sums of sim [N, hw]), best first; ties go to the lower pixel index.
 
-    wq: Tensor  # [C, Ck]
-    wk: Tensor  # [C, Ck]
-    wv: Tensor  # [C, Cv]
-
-    def __post_init__(self):
-        if not (self.wq.shape[0] == self.wk.shape[0] == self.wv.shape[0]):
-            raise ValueError("projection weights must share the input width")
-        if self.wq.shape[1] != self.wk.shape[1]:
-            raise ValueError("query and key projections must share the output width")
-
-    @property
-    def c_in(self) -> int:
-        return self.wq.shape[0]
-
-    @property
-    def c_k(self) -> int:
-        return self.wq.shape[1]
-
-    def parameters(self) -> Params:
-        return [("wq", self.wq), ("wk", self.wk), ("wv", self.wv)]
-
-
-@dataclass
-class ReliableSet:
-    """Top-K pixels by aggregate similarity; indices sorted by descending score."""
-
-    indices: np.ndarray  # [K] distinct pixel positions
-    features: Tensor     # [K, C] gathered pixel features (gradients flow through)
-    scores: Tensor       # [hw] the full score vector the selection was made from
-
-
-@dataclass
-class SimilarityBundle:
-    sim: Tensor      # [N, hw] direct prototype-to-pixel similarity
-    sim_q: Tensor    # [N, K]  prototype-to-reliable distribution
-    sim_k: Tensor    # [hw, K] pixel-to-reliable distribution
-    sim_qk: Tensor   # [N, hw] bridged similarity, entries in [0, 1]
-
-
-def cross_similarity(p: Tensor, fa: Tensor, w: ProjectionWeights) -> Tensor:
-    """Row-stochastic similarity of each prototype to every pixel."""
-    if p.shape[1] != w.c_in or fa.shape[1] != w.c_in:
-        raise ValueError(
-            f"cross_similarity: widths {p.shape[1]}/{fa.shape[1]} do not match projections ({w.c_in})"
-        )
-    q = T.matmul(p, w.wq)
-    k = T.matmul(fa, w.wk)
-    logits = T.scale(T.matmul(q, T.transpose2d(k)), 1.0 / math.sqrt(w.c_k))
-    return T.softmax(logits, axis=1)
-
-
-def reliable_scores(sim: Tensor) -> Tensor:
-    """Per-pixel aggregate similarity (column sums); totals N."""
-    return T.tsum(sim, axis=0)
-
-
-def select_reliable(scores: Tensor, fa: Tensor, k: int) -> ReliableSet:
-    """Deterministic top-K pixels; ties broken by ascending pixel index.
-
-    The index choice carries no gradient; gradients flow only through the
-    gathered features.
+    The index choice carries no gradient.
     """
+    scores = np.sum(sim.data, axis=0)
     hw = scores.shape[0]
     if not 1 <= k <= hw:
         raise ValueError(f"select_reliable: K={k} outside 1..{hw}")
-    order = np.lexsort((np.arange(hw), -scores.data))
-    idx = order[:k].copy()
-    return ReliableSet(indices=idx, features=T.gather_rows(fa, idx), scores=scores)
+    return np.lexsort((np.arange(hw), -scores))[:k].copy()
 
 
-def bridged_similarity(p: Tensor, fa: Tensor, rs: ReliableSet, w: ProjectionWeights,
-                       sim: Tensor | None = None, renormalize: bool = False) -> SimilarityBundle:
-    """Prototype-to-pixel similarity routed through the reliable points."""
-    if rs.indices.size == 0:
+def bridged_similarity(q: Tensor, q_pix: Tensor, kr: Tensor, renormalize: bool = False) -> Tensor:
+    """Prototype-to-pixel weights [N, hw] routed through the reliable keys kr [K, C].
+
+    Prototype queries q and pixel queries q_pix are each soft-assigned over
+    the reliable points; the product of the two distributions has entries
+    in [0, 1], and ``renormalize`` scales each row to sum to one.
+    """
+    if kr.shape[0] == 0:
         raise ValueError("bridged_similarity: empty reliable set")
-    if sim is None:
-        sim = cross_similarity(p, fa, w)
-    kr = T.matmul(rs.features, w.wk)           # [K, Ck]
-    krt = T.transpose2d(kr)
-    inv = 1.0 / math.sqrt(w.c_k)
-    sim_q = T.softmax(T.scale(T.matmul(T.matmul(p, w.wq), krt), inv), axis=1)
-    sim_k = T.softmax(T.scale(T.matmul(T.matmul(fa, w.wq), krt), inv), axis=1)
-    sim_qk = T.matmul(sim_q, T.transpose2d(sim_k))
+    sim_qk = T.matmul(attention_weights(q, kr), T.transpose2d(attention_weights(q_pix, kr)))
     if renormalize:
         sim_qk = T.scale_rows(sim_qk, T.recip(T.tsum(sim_qk, axis=1)))
-    return SimilarityBundle(sim=sim, sim_q=sim_q, sim_k=sim_k, sim_qk=sim_qk)
-
-
-def update_prototypes(sb: SimilarityBundle, v: Tensor) -> Tensor:
-    """Blend pixel values with the bridged similarity."""
-    if sb.sim_qk.shape[1] != v.shape[0]:
-        raise ValueError(f"update_prototypes: {sb.sim_qk.shape} incompatible with values {v.shape}")
-    return T.matmul(sb.sim_qk, v)
+    return sim_qk
 
 
 class ReliableMatcherLayer:
@@ -142,11 +63,9 @@ class ReliableMatcherLayer:
         if mode not in ("reliable", "vanilla"):
             raise ValueError(f"matcher mode must be 'reliable' or 'vanilla', got {mode!r}")
         self.attn_in = TokenSelfAttention(rng, width, dtype)
-        self.proj = ProjectionWeights(
-            wq=glorot_uniform(rng, (width, width), width, width, dtype),
-            wk=glorot_uniform(rng, (width, width), width, width, dtype),
-            wv=glorot_uniform(rng, (width, width), width, width, dtype),
-        )
+        self.wq = glorot_uniform(rng, (width, width), width, width, dtype)
+        self.wk = glorot_uniform(rng, (width, width), width, width, dtype)
+        self.wv = glorot_uniform(rng, (width, width), width, width, dtype)
         # zero-init: the unnormalized bridged weights sum to ~hw/K per row,
         # so an untrained projection would bury prototype identity under a
         # large shared vector; starting at identity preserves diversity
@@ -160,23 +79,19 @@ class ReliableMatcherLayer:
 
     def __call__(self, p: Tensor, fa: Tensor) -> Tensor:
         p1 = self.attn_in(p)
-        sim = cross_similarity(p1, fa, self.proj)
+        q = T.matmul(p1, self.wq)
+        weights = attention_weights(q, T.matmul(fa, self.wk))
         if self.mode == "reliable":
-            scores = reliable_scores(sim)
-            rs = select_reliable(scores, fa, self.k)
-            sb = bridged_similarity(p1, fa, rs, self.proj, sim=sim, renormalize=self.renormalize)
-            weights = sb.sim_qk
-        else:
-            weights = sim
-        v = T.matmul(fa, self.proj.wv)
-        upd = T.matmul(weights, v)
+            kr = T.matmul(T.gather_rows(fa, select_reliable(weights, self.k)), self.wk)
+            weights = bridged_similarity(q, T.matmul(fa, self.wq), kr, self.renormalize)
+        upd = T.matmul(weights, T.matmul(fa, self.wv))
         p2 = self.norm_cross(T.add(p1, self.out_proj(upd)))
         p3 = self.attn_out(p2)
         return self.ffn(p3)
 
     def parameters(self) -> Params:
         out: Params = [("attn_in." + n, t) for n, t in self.attn_in.parameters()]
-        out += [("proj." + n, t) for n, t in self.proj.parameters()]
+        out += [("proj.wq", self.wq), ("proj.wk", self.wk), ("proj.wv", self.wv)]
         out += [("out_proj." + n, t) for n, t in self.out_proj.parameters()]
         out += [("norm_cross." + n, t) for n, t in self.norm_cross.parameters()]
         out += [("attn_out." + n, t) for n, t in self.attn_out.parameters()]

@@ -30,11 +30,11 @@ __all__ = [
 class ModelConfig:
     num_classes: int = 4
     backbone_widths: tuple[int, int, int, int] = option(
-        "backbone.widths", (16, 32, 48, 64))   # F2..F5 (fine to coarse)
+        "backbone.widths", (16, 32, 48, 64), at_least=1)   # F2..F5 (fine to coarse)
     phase_widths: tuple[int, int, int, int] = option(
-        "phase_enc.widths", (8, 16, 24, 32))   # 1/4..1/32 (fine to coarse)
-    decoder_channels: int = option("decoder.channels", 64)
-    decoder_depth: int = option("decoder.depth", 4)
+        "phase_enc.widths", (8, 16, 24, 32), at_least=1)   # 1/4..1/32 (fine to coarse)
+    decoder_channels: int = option("decoder.channels", 64, at_least=1)
+    decoder_depth: int = option("decoder.depth", 4, choices=(1, 2, 3, 4))
     normalize_amp_map: bool = option("decoder.normalize_amp_map", True)
     enhance_op: str = option("enhance.op", "phase", choices=("phase", "sobel", "none"))
     prototypes: int = option("matcher.prototypes", 8)

@@ -14,13 +14,12 @@ import math
 import numpy as np
 
 from . import tensor as T
-from .decoder import SelfAttentionBlock, amplified_map, amplify
+from .decoder import SelfAttentionBlock, amplified_map, amplify_stage
 from .fourier import dft2d_bruteforce, fft2d, ifft2d
 from .gradcheck import grad_check
-from .layers import glorot_uniform
-from .losses import LossWeights, hungarian_match, total_loss
-from .matcher import (ProjectionWeights, bridged_similarity, cross_similarity,
-                      reliable_scores, select_reliable, update_prototypes)
+from .layers import attention_weights, glorot_uniform
+from .losses import LossWeights, hungarian_match, row_dice_loss, total_loss
+from .matcher import bridged_similarity, select_reliable
 from .metrics import miou
 from .model import ModelConfig, NightSegModel
 from .phase import choose_c_a, fourier_decompose, phase_reconstruct, sobel_texture_map
@@ -164,7 +163,7 @@ def check_amplified_map_oracle():
     want = ((f + p) ** 2).sum(axis=2)
     assert np.abs(got - want).max() < 1e-10 and (got >= 0).all()
     ones = np.ones((3, 4))
-    out = amplify(Tensor(f), Tensor(ones)).data
+    out = T.scale_pixels(Tensor(f), Tensor(ones)).data
     assert np.array_equal(out, f)
 
 
@@ -178,13 +177,17 @@ def check_attention_permutation():
     assert np.abs(yp - y[perm]).max() < 1e-9
 
 
-def _random_projection(rng, c):
+def _random_projections(rng, c):
+    """Query, key and value weights [c, c], drawn from a generator seeded by rng."""
     init = np.random.default_rng(int(rng.integers(1 << 31)))
-    return ProjectionWeights(
-        wq=glorot_uniform(init, (c, c), c, c, np.float64),
-        wk=glorot_uniform(init, (c, c), c, c, np.float64),
-        wv=glorot_uniform(init, (c, c), c, c, np.float64),
-    )
+    return [glorot_uniform(init, (c, c), c, c, np.float64) for _ in range(3)]
+
+
+def _bridge(p: Tensor, fa: Tensor, wq: Tensor, wk: Tensor, k: int) -> Tensor:
+    """The reliable bridge of a matcher layer, from its query and key weights."""
+    q = T.matmul(p, wq)
+    idx = select_reliable(attention_weights(q, T.matmul(fa, wk)), k)
+    return bridged_similarity(q, T.matmul(fa, wq), T.matmul(T.gather_rows(fa, idx), wk))
 
 
 def check_matching_invariants():
@@ -194,32 +197,20 @@ def check_matching_invariants():
         k = int(rng.integers(1, hw + 1))
         p = Tensor(rng.normal(size=(n, c)))
         fa = Tensor(rng.normal(size=(hw, c)))
-        w = _random_projection(rng, c)
-        sim = cross_similarity(p, fa, w)
+        wq, wk, _ = _random_projections(rng, c)
+        q, q_pix = T.matmul(p, wq), T.matmul(fa, wq)
+        sim = attention_weights(q, T.matmul(fa, wk))
         assert np.abs(sim.data.sum(axis=1) - 1.0).max() < 1e-6
-        scores = reliable_scores(sim)
-        assert abs(scores.data.sum() - n) < 1e-5
-        rs = select_reliable(scores, fa, k)
-        order = np.lexsort((np.arange(hw), -scores.data))
-        assert np.array_equal(rs.indices, order[:k])
-        sb = bridged_similarity(p, fa, rs, w, sim=sim)
-        assert np.abs(sb.sim_q.data.sum(axis=1) - 1.0).max() < 1e-6
-        assert np.abs(sb.sim_k.data.sum(axis=1) - 1.0).max() < 1e-6
-        assert sb.sim_qk.data.min() >= 0.0 and sb.sim_qk.data.max() <= 1.0 + 1e-9
-
-
-def check_update_prototypes():
-    rng = _rng(13)
-    v = rng.normal(size=(6, 5))
-    qk = np.zeros((3, 6))
-    qk[0, 2] = qk[1, 4] = qk[2, 0] = 1.0
-    assert np.abs(qk @ v - np.stack([v[2], v[4], v[0]])).max() == 0.0
-    p = Tensor(rng.normal(size=(3, 4)))
-    fa = Tensor(rng.normal(size=(6, 4)))
-    w = _random_projection(rng, 4)
-    bundle = bridged_similarity(p, fa, select_reliable(reliable_scores(cross_similarity(p, fa, w)), fa, 3), w)
-    out = update_prototypes(bundle, Tensor(v)).data
-    assert np.abs(out - bundle.sim_qk.data @ v).max() < 1e-12
+        scores = sim.data.sum(axis=0)
+        assert abs(scores.sum() - n) < 1e-5
+        idx = select_reliable(sim, k)
+        order = np.lexsort((np.arange(hw), -scores))
+        assert np.array_equal(idx, order[:k])
+        kr = T.matmul(T.gather_rows(fa, idx), wk)
+        assert np.abs(attention_weights(q, kr).data.sum(axis=1) - 1.0).max() < 1e-6
+        assert np.abs(attention_weights(q_pix, kr).data.sum(axis=1) - 1.0).max() < 1e-6
+        sim_qk = bridged_similarity(q, q_pix, kr).data
+        assert sim_qk.min() >= 0.0 and sim_qk.max() <= 1.0 + 1e-9
 
 
 def check_hungarian_oracle():
@@ -256,8 +247,6 @@ def run_grad_suite() -> list[tuple[str, float]]:
     Small random instances, 64-bit, h=1e-5; each entry reduces through a
     fixed random weighting so no check degenerates to a constant.
     """
-    from .losses import bce_loss, ce_loss, dice_loss
-
     rng = _rng(16)
     results: list[tuple[str, float]] = []
 
@@ -286,44 +275,32 @@ def run_grad_suite() -> list[tuple[str, float]]:
     phi = Tensor(rng.normal(size=(2, 3, 4)))
     h5 = Tensor(rng.normal(size=(2, 3, 4)))
 
-    def amp_head(x):
-        a = amplified_map(x, phi, normalize=True)
-        return T.tsum(T.mul(amplify(x, a), h5))
+    results.append(("amplified map + amplify", grad_check(
+        lambda x: T.tsum(T.mul(amplify_stage(x, phi, normalize=True), h5)),
+        Tensor(rng.normal(size=(2, 3, 4))))))
 
-    results.append(("amplified map + amplify", grad_check(amp_head, Tensor(rng.normal(size=(2, 3, 4))))))
-
-    wproj = _random_projection(_rng(161), 4)
+    wq, wk, wv = _random_projections(_rng(161), 4)
     fa0 = Tensor(rng.normal(size=(7, 4)))
     v0 = Tensor(rng.normal(size=(7, 4)))
     h6 = Tensor(rng.normal(size=(3, 4)))
 
-    def bridge_head_p(p):
-        sim = cross_similarity(p, fa0, wproj)
-        rs = select_reliable(reliable_scores(sim), fa0, 3)
-        sb = bridged_similarity(p, fa0, rs, wproj, sim=sim)
-        return T.tsum(T.mul(update_prototypes(sb, v0), h6))
-
-    results.append(("bridged similarity + update (prototypes)",
-                    grad_check(bridge_head_p, Tensor(rng.normal(size=(3, 4))))))
+    results.append(("bridged similarity + update (prototypes)", grad_check(
+        lambda p: T.tsum(T.mul(T.matmul(_bridge(p, fa0, wq, wk, 3), v0), h6)),
+        Tensor(rng.normal(size=(3, 4))))))
 
     p0 = Tensor(rng.normal(size=(3, 4)))
 
-    def bridge_head_f(fa):
-        sim = cross_similarity(p0, fa, wproj)
-        rs = select_reliable(reliable_scores(sim), fa, 3)
-        sb = bridged_similarity(p0, fa, rs, wproj, sim=sim)
-        return T.tsum(T.mul(update_prototypes(sb, T.matmul(fa, wproj.wv)), h6))
-
-    results.append(("bridged similarity + update (pixels)",
-                    grad_check(bridge_head_f, Tensor(rng.normal(size=(7, 4))))))
+    results.append(("bridged similarity + update (pixels)", grad_check(
+        lambda fa: T.tsum(T.mul(T.matmul(_bridge(p0, fa, wq, wk, 3), T.matmul(fa, wv)), h6)),
+        Tensor(rng.normal(size=(7, 4))))))
 
     tgt = (rng.random((4, 4)) > 0.5).astype(np.float64)
     results.append(("dice", grad_check(
-        lambda x: dice_loss(T.sigmoid(x), tgt), Tensor(rng.normal(size=(4, 4))))))
+        lambda x: T.tsum(row_dice_loss(x, tgt)), Tensor(rng.normal(size=(4, 4))))))
     results.append(("bce", grad_check(
-        lambda x: bce_loss(x, tgt), Tensor(rng.normal(size=(4, 4))))))
+        lambda x: T.tmean(T.bce_with_logits(x, tgt)), Tensor(rng.normal(size=(4, 4))))))
     results.append(("ce", grad_check(
-        lambda x: ce_loss(x, np.array([1, 0, 2])), Tensor(rng.normal(size=(3, 4))))))
+        lambda x: T.ce_logits(x, np.array([1, 0, 2])), Tensor(rng.normal(size=(3, 4))))))
 
     gt = rng.integers(0, 3, size=(4, 4))
     cls0 = Tensor(rng.normal(size=(5, 4)))
@@ -406,7 +383,6 @@ CHECKS = [
     ("amplified map matches per-pixel loop and is nonnegative", check_amplified_map_oracle),
     ("self-attention is permutation-equivariant", check_attention_permutation),
     ("similarity invariants hold on 1000 random instances", check_matching_invariants),
-    ("prototype update blends values by bridged similarity", check_update_prototypes),
     ("assignment matches exhaustive enumeration (1000 cases)", check_hungarian_oracle),
     ("mIoU hand example and self-comparison", check_miou),
     ("per-op gradients match finite differences", check_gradients),

@@ -112,7 +112,6 @@ class AdamW:
 class LoadedDataset:
     images: list[np.ndarray]
     masks: list[np.ndarray]       # quarter-resolution, majority pooled
-    full_masks: list[np.ndarray]
     textures: list[np.ndarray] | None
     train_idx: list[int]
     val_idx: list[int]
@@ -123,13 +122,12 @@ def load_dataset(data_dir: str | Path, enhance_op: str, c_a: float | None = None
     """Read a generated dataset and precompute texture maps once per image."""
     data_dir = Path(data_dir)
     meta, entries = parse_manifest(data_dir / "manifest.txt")
-    images, masks, full_masks, textures = [], [], [], []
+    images, masks, textures = [], [], []
     train_idx, val_idx = [], []
     for i, (img_name, msk_name, split) in enumerate(entries):
         img = read_ppm((data_dir / img_name).read_bytes())
         msk = read_pgm((data_dir / msk_name).read_bytes())
         images.append(img)
-        full_masks.append(msk)
         masks.append(majority_pool(msk, 4))
         if enhance_op in ("phase", "sobel"):
             textures.append(image_texture_stack(img, mode=enhance_op, c_a=c_a))
@@ -137,7 +135,6 @@ def load_dataset(data_dir: str | Path, enhance_op: str, c_a: float | None = None
     return LoadedDataset(
         images=images,
         masks=masks,
-        full_masks=full_masks,
         textures=textures if enhance_op != "none" else None,
         train_idx=train_idx,
         val_idx=val_idx,

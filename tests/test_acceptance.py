@@ -17,10 +17,10 @@ import pytest
 
 from nightseg.cli import main
 from nightseg.fourier import dft2d_bruteforce, fft2d, ifft2d
-from nightseg.layers import glorot_uniform
+from nightseg import tensor as T
+from nightseg.layers import attention_weights, glorot_uniform
 from nightseg.losses import hungarian_match
-from nightseg.matcher import (ProjectionWeights, bridged_similarity,
-                              cross_similarity, reliable_scores, select_reliable)
+from nightseg.matcher import bridged_similarity, select_reliable
 from nightseg.metrics import miou
 from nightseg.phase import choose_c_a, fourier_decompose, phase_reconstruct
 from nightseg.selftest import run_grad_suite
@@ -92,25 +92,24 @@ def test_criterion_5_attention_invariants_1000():
         c = int(rng.integers(3, 7))
         k = int(rng.integers(1, hw + 1))
         init = np.random.default_rng(int(rng.integers(1 << 31)))
-        w = ProjectionWeights(
-            wq=glorot_uniform(init, (c, c), c, c, np.float64),
-            wk=glorot_uniform(init, (c, c), c, c, np.float64),
-            wv=glorot_uniform(init, (c, c), c, c, np.float64),
-        )
+        wq = glorot_uniform(init, (c, c), c, c, np.float64)
+        wk = glorot_uniform(init, (c, c), c, c, np.float64)
         p = Tensor(rng.normal(size=(n, c)) * rng.uniform(0.5, 3.0))
         fa = Tensor(rng.normal(size=(hw, c)) * rng.uniform(0.5, 3.0))
-        sim = cross_similarity(p, fa, w)
+        q, q_pix = T.matmul(p, wq), T.matmul(fa, wq)
+        sim = attention_weights(q, T.matmul(fa, wk))
         assert np.abs(sim.data.sum(axis=1) - 1.0).max() < 1e-6
-        scores = reliable_scores(sim)
-        assert abs(scores.data.sum() - n) < 1e-5
-        rs = select_reliable(scores, fa, k)
-        want = sorted(range(hw), key=lambda i: (-scores.data[i], i))[:k]
-        assert rs.indices.tolist() == want
-        sb = bridged_similarity(p, fa, rs, w, sim=sim)
-        assert np.abs(sb.sim_q.data.sum(axis=1) - 1.0).max() < 1e-6
-        assert np.abs(sb.sim_k.data.sum(axis=1) - 1.0).max() < 1e-6
-        assert sb.sim_qk.data.min() >= 0.0
-        assert sb.sim_qk.data.max() <= 1.0 + 1e-9
+        scores = sim.data.sum(axis=0)
+        assert abs(scores.sum() - n) < 1e-5
+        idx = select_reliable(sim, k)
+        want = sorted(range(hw), key=lambda i: (-scores[i], i))[:k]
+        assert idx.tolist() == want
+        kr = T.matmul(T.gather_rows(fa, idx), wk)
+        assert np.abs(attention_weights(q, kr).data.sum(axis=1) - 1.0).max() < 1e-6
+        assert np.abs(attention_weights(q_pix, kr).data.sum(axis=1) - 1.0).max() < 1e-6
+        sim_qk = bridged_similarity(q, q_pix, kr).data
+        assert sim_qk.min() >= 0.0
+        assert sim_qk.max() <= 1.0 + 1e-9
     _report(5, "row sums, score totals, [0,1] range, and top-K order on 1000 instances")
 
 

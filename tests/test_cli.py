@@ -137,11 +137,16 @@ class TestBadConfigExit2:
         ("matcher.reliable_k = 500", "matcher.reliable_k"),
         ("phase.c_a = -1", "phase.c_a"),
         ("train.log_every = 0", "train.log_every"),
+        ("decoder.depth = 7", "decoder.depth"),
+        ("decoder.channels = 0", "decoder.channels"),
+        ("backbone.widths = 4 5 6 0", "backbone.widths"),
+        ("phase_enc.widths = 0 4 5 6", "phase_enc.widths"),
     ])
     def test_bad_value_rejected_before_data_loads(self, dataset, tiny_cfg, tmp_path, capsys,
                                                   line, key):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text(tiny_cfg.read_text() + line + "\n", encoding="utf-8")
+        kept = [k for k in tiny_cfg.read_text().splitlines() if not k.startswith(key + " ")]
+        cfg.write_text("\n".join(kept + [line]) + "\n", encoding="utf-8")
         rc = main(["train", "--config", str(cfg), "--data", str(dataset),
                    "--out", str(tmp_path / "run")])
         _assert_one_line_exit_2(rc, capsys, key)
@@ -163,6 +168,16 @@ class TestBadConfigExit2:
         cfg.write_text("matcher.reliable_k = 500\n", encoding="utf-8")
         rc = main(["ablate", "--axis", "matcher", "--config", str(cfg), "--data", str(dataset)])
         _assert_one_line_exit_2(rc, capsys, "matcher.reliable_k")
+
+    def test_missing_config_file(self, dataset, tmp_path, capsys):
+        rc = main(["train", "--config", str(tmp_path / "absent.cfg"), "--data", str(dataset),
+                   "--out", str(tmp_path / "run")])
+        _assert_one_line_exit_2(rc, capsys, "absent.cfg")
+
+    def test_missing_data_directory(self, tiny_cfg, tmp_path, capsys):
+        rc = main(["train", "--config", str(tiny_cfg), "--data", str(tmp_path / "absent"),
+                   "--out", str(tmp_path / "run")])
+        _assert_one_line_exit_2(rc, capsys, "absent")
 
     def test_phase_extract_bad_c_a(self, dataset, tmp_path, capsys):
         rc = main(["phase-extract", "--in", str(dataset / "img_00000.ppm"),

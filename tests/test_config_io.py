@@ -70,6 +70,10 @@ class TestConfig:
 
     @pytest.mark.parametrize("cls,key,raw,msg", [
         (ModelConfig, "decoder.depth", "two", "decoder.depth: expected an integer"),
+        (ModelConfig, "decoder.depth", "7", "decoder.depth must be one of 1, 2, 3, 4, got 7"),
+        (ModelConfig, "decoder.channels", "0", "decoder.channels must be >= 1"),
+        (ModelConfig, "backbone.widths", "16 0 48 64", "entries of backbone.widths must be >= 1"),
+        (ModelConfig, "phase_enc.widths", "8 16 24 0", "entries of phase_enc.widths must be >= 1"),
         (ModelConfig, "backbone.widths", "8 16 24", "backbone.widths: expected 4 integers"),
         (ModelConfig, "enhance.op", "Phase", "enhance.op must be one of phase, sobel, none"),
         (ModelConfig, "matcher.mode", "hard", "matcher.mode must be one of reliable, vanilla"),

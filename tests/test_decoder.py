@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from nightseg import tensor as T
-from nightseg.decoder import (CommonProjection, HierarchicalAmplifiedDecoder,
-                              SelfAttentionBlock, amplified_map, amplify,
-                              project_common)
+from nightseg.decoder import (HierarchicalAmplifiedDecoder, SelfAttentionBlock,
+                              amplified_map, amplify_stage)
 from nightseg.gradcheck import grad_check
 from nightseg.layers import Pyramid
 from nightseg.tensor import Tensor
@@ -19,45 +18,68 @@ def _pyramids(rng, h5=1, w5=2, cf=(7, 6, 5, 4), cp=(5, 4, 3, 2), zero=False):
     return fp, pp
 
 
+def _layer_norm(x):
+    mu = x.mean(axis=-1, keepdims=True)
+    var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
+    return (x - mu) / np.sqrt(var + 1e-5)
+
+
+def _upsample_to_finest(x):
+    for _ in range(3):
+        x = T.upsample_bilinear2x(Tensor(x)).data
+    return x
+
+
+def _depth1_oracle(dec, f, p):
+    """A depth-1 decoder's output: its stage-0 projections, amplification and
+    (zero-initialized W_O, so residual-only) attention, upsampled to the finest stage."""
+    lin_f, lin_p = dec.proj_f[0], dec.proj_p[0]
+    fbar = f @ lin_f.w.data + lin_f.b.data
+    if p is not None:
+        pbar = p @ lin_p.w.data + lin_p.b.data
+        raw = ((fbar + pbar) ** 2).sum(axis=2)
+        fbar = fbar * (raw * (1.0 / (raw.mean() + 1e-12)))[:, :, None]
+    return _upsample_to_finest(_layer_norm(fbar))
+
+
 class TestProjection:
+    """Per-stage projections to the shared width, seen through a depth-1 decoder."""
+
     def test_identity_initialized_projection_passes_features_through(self):
         rng = np.random.default_rng(0)
-        proj = CommonProjection(rng, 4, 3, 4)
-        proj.proj_f.w.data = np.eye(4)
-        proj.proj_f.b.data[:] = 0.0
-        f = Tensor(rng.normal(size=(3, 5, 4)))
-        fbar, _ = project_common(f, Tensor(rng.normal(size=(3, 5, 3))), proj)
-        assert np.abs(fbar.data - f.data).max() < 1e-12
+        fp, _ = _pyramids(rng, cf=(4, 6, 5, 4))
+        dec = HierarchicalAmplifiedDecoder(rng, [4, 6, 5, 4], [5, 4, 3, 2], 4, depth=1)
+        dec.proj_f[0].w.data = np.eye(4)
+        dec.proj_f[0].b.data[:] = 0.0
+        want = _upsample_to_finest(_layer_norm(fp.stages[0].data))
+        assert np.abs(dec(fp, None).data - want).max() < 1e-12
 
     def test_zero_weights_zero_output(self):
         rng = np.random.default_rng(1)
-        proj = CommonProjection(rng, 4, 3, 6)
-        for lin in (proj.proj_f, proj.proj_p):
+        fp, pp = _pyramids(rng)
+        dec = HierarchicalAmplifiedDecoder(rng, [7, 6, 5, 4], [5, 4, 3, 2], 6, depth=1)
+        for lin in (dec.proj_f[0], dec.proj_p[0]):
             lin.w.data[:] = 0.0
             lin.b.data[:] = 0.0
-        fbar, pbar = project_common(Tensor(rng.normal(size=(2, 2, 4))),
-                                    Tensor(rng.normal(size=(2, 2, 3))), proj)
-        assert np.abs(fbar.data).max() == 0.0
-        assert np.abs(pbar.data).max() == 0.0
+        assert np.abs(dec(fp, pp).data).max() == 0.0
 
     def test_matches_per_pixel_matmul_oracle(self):
         rng = np.random.default_rng(2)
-        proj = CommonProjection(rng, 4, 3, 6)
-        f = rng.normal(size=(3, 2, 4))
-        p = rng.normal(size=(3, 2, 3))
-        fbar, pbar = project_common(Tensor(f), Tensor(p), proj)
-        for i in range(3):
-            for j in range(2):
-                want_f = f[i, j] @ proj.proj_f.w.data + proj.proj_f.b.data
-                want_p = p[i, j] @ proj.proj_p.w.data + proj.proj_p.b.data
-                assert np.abs(fbar.data[i, j] - want_f).max() < 1e-10
-                assert np.abs(pbar.data[i, j] - want_p).max() < 1e-10
+        fp, pp = _pyramids(rng)
+        dec = HierarchicalAmplifiedDecoder(rng, [7, 6, 5, 4], [5, 4, 3, 2], 6, depth=1)
+        for lin in (dec.proj_f[0], dec.proj_p[0]):
+            lin.b.data = rng.normal(size=lin.b.data.shape)
+        f, p = fp.stages[0].data, pp.stages[0].data
+        assert np.abs(dec(fp, None).data - _depth1_oracle(dec, f, None)).max() < 1e-10
+        assert np.abs(dec(fp, pp).data - _depth1_oracle(dec, f, p)).max() < 1e-10
 
     def test_spatial_mismatch_rejected(self):
         rng = np.random.default_rng(3)
-        proj = CommonProjection(rng, 4, 3, 6)
-        with pytest.raises(ValueError, match="extents"):
-            project_common(Tensor(np.zeros((2, 2, 4))), Tensor(np.zeros((2, 3, 3))), proj)
+        fp, _ = _pyramids(rng)  # coarsest stage 1x2
+        _, pp = _pyramids(rng, h5=2, w5=1)  # coarsest stage 2x1
+        dec = HierarchicalAmplifiedDecoder(rng, [7, 6, 5, 4], [5, 4, 3, 2], 6)
+        with pytest.raises(ValueError, match="misaligned"):
+            dec(fp, pp)
 
 
 class TestAmplifiedMap:
@@ -94,41 +116,39 @@ class TestAmplifiedMap:
 
 class TestAmplifyStage:
     def test_bundle_carries_map_and_weighted_features(self):
-        from nightseg.decoder import amplify_stage
-
         rng = np.random.default_rng(30)
         f = rng.normal(size=(3, 4, 5))
         p = rng.normal(size=(3, 4, 5))
+        amap = amplified_map(Tensor(f), Tensor(p), normalize=False).data
         out = amplify_stage(Tensor(f), Tensor(p), normalize=False)
-        assert (out.amp_map.data >= 0).all()
-        want = f * out.amp_map.data[:, :, None]
-        assert np.abs(out.features.data - want).max() < 1e-12
+        assert (amap >= 0).all()
+        want = f * amap[:, :, None]
+        assert np.abs(out.data - want).max() < 1e-12
 
     def test_mismatched_bundle_rejected(self):
-        from nightseg.decoder import AmplifiedFeature
-
-        with pytest.raises(ValueError, match="extents"):
-            AmplifiedFeature(features=Tensor(np.zeros((2, 2, 3))),
-                             amp_map=Tensor(np.zeros((2, 3))))
+        with pytest.raises(ValueError, match="mismatch"):
+            amplify_stage(Tensor(np.zeros((2, 2, 3))), Tensor(np.zeros((2, 3, 3))))
 
 
 class TestAmplify:
+    """Per-pixel reweighting: every channel of pixel (i, j) scaled by a[i, j]."""
+
     def test_ones_map_is_identity(self):
         rng = np.random.default_rng(6)
         f = rng.normal(size=(3, 4, 2))
-        out = amplify(Tensor(f), Tensor(np.ones((3, 4))))
+        out = T.scale_pixels(Tensor(f), Tensor(np.ones((3, 4))))
         assert np.array_equal(out.data, f)
 
     def test_hand_value(self):
         f = np.array([[[1.0, 2.0]]])
-        out = amplify(Tensor(f), Tensor(np.full((1, 1), 3.0)))
+        out = T.scale_pixels(Tensor(f), Tensor(np.full((1, 1), 3.0)))
         assert out.data.tolist() == [[[3.0, 6.0]]]
 
     def test_matches_broadcast_loop_oracle(self):
         rng = np.random.default_rng(7)
         f = rng.normal(size=(4, 3, 5))
         a = rng.normal(size=(4, 3))
-        got = amplify(Tensor(f), Tensor(a)).data
+        got = T.scale_pixels(Tensor(f), Tensor(a)).data
         want = np.zeros_like(f)
         for i in range(4):
             for j in range(3):

@@ -8,9 +8,8 @@ import pytest
 
 from nightseg import tensor as T
 from nightseg.gradcheck import grad_check
-from nightseg.losses import (LossWeights, bce_loss, ce_loss, decompose_gt,
-                             dice_loss, hungarian_match, matching_costs,
-                             total_loss)
+from nightseg.losses import (LossWeights, decompose_gt, hungarian_match,
+                             matching_costs, row_dice_loss, total_loss)
 from nightseg.tensor import Tensor
 
 
@@ -73,55 +72,77 @@ class TestHungarian:
             hungarian_match(np.array([[np.inf, 0.0], [0.0, 1.0]]))
 
 
+def _logit(p):
+    """Logits whose sigmoid is p; 0 and 1 map to -40 and 40, which round to them."""
+    with np.errstate(divide="ignore"):
+        return np.clip(np.log(p) - np.log1p(-p), -40.0, 40.0)
+
+
+def dice(p, t):
+    """Whole-array dice of probabilities p against t, through the row dice."""
+    return row_dice_loss(Tensor(_logit(p).reshape(1, -1)), t.reshape(1, -1))
+
+
 class TestDice:
     def test_perfect_prediction_near_zero(self):
         t = np.zeros((4, 4))
         t[1:3, 1:3] = 1.0
-        loss = dice_loss(Tensor(t.copy()), t)
+        loss = dice(t.copy(), t)
         assert loss.item() < 0.02  # epsilon keeps exact zero out of reach
 
     def test_disjoint_prediction(self):
         t = np.zeros(16)
         t[:8] = 1.0
         pred = 1.0 - t
-        loss = dice_loss(Tensor(pred), t)
+        loss = dice(pred, t)
         assert loss.item() == pytest.approx(1 - 1.0 / (16 + 1.0), abs=1e-12)
 
     def test_gradient(self):
         rng = np.random.default_rng(4)
         t = (rng.random(12) > 0.5).astype(np.float64)
-        assert grad_check(lambda x: dice_loss(T.sigmoid(x), t), Tensor(rng.normal(size=12))) < 1e-4
+        assert grad_check(lambda x: T.tsum(row_dice_loss(T.reshape(x, (1, 12)), t[None])),
+                          Tensor(rng.normal(size=12))) < 1e-4
 
-    def test_out_of_range_probability_rejected(self):
-        with pytest.raises(ValueError, match="probabilities"):
-            dice_loss(Tensor(np.array([1.5, 0.0])), np.array([1.0, 0.0]))
+    def test_rows_are_independent(self):
+        rng = np.random.default_rng(9)
+        z = rng.normal(size=(3, 10))
+        t = (rng.random((3, 10)) > 0.5).astype(np.float64)
+        rows = row_dice_loss(Tensor(z), t).data
+        for g in range(3):
+            p = 1.0 / (1.0 + np.exp(-z[g]))
+            want = 1.0 - (2.0 * (p * t[g]).sum() + 1.0) / (p.sum() + t[g].sum() + 1.0)
+            assert rows[g] == pytest.approx(want, abs=1e-12)
 
     def test_nonnegative(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
             p = rng.uniform(size=10)
             t = (rng.random(10) > 0.5).astype(np.float64)
-            assert dice_loss(Tensor(p), t).item() >= 0.0
+            assert dice(p, t).item() >= 0.0
+
+
+def bce(z, t):
+    return T.tmean(T.bce_with_logits(z, t))
 
 
 class TestBceCe:
     def test_zero_logits_balanced_target_ln2(self):
         t = np.array([1.0, 0.0, 1.0, 0.0])
-        loss = bce_loss(Tensor(np.zeros(4)), t)
+        loss = bce(Tensor(np.zeros(4)), t)
         assert loss.item() == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_confident_correct_class_near_zero(self):
         logits = np.full((2, 3), -50.0)
         logits[0, 1] = 50.0
         logits[1, 2] = 50.0
-        assert ce_loss(Tensor(logits), [1, 2]).item() < 1e-12
+        assert T.ce_logits(Tensor(logits), [1, 2]).item() < 1e-12
 
     def test_bce_matches_direct_formula(self):
         rng = np.random.default_rng(6)
         z = rng.normal(size=(3, 5))
         t = (rng.random((3, 5)) > 0.5).astype(np.float64)
         want = np.mean(-(t * np.log(1 / (1 + np.exp(-z))) + (1 - t) * np.log(1 - 1 / (1 + np.exp(-z)))))
-        assert bce_loss(Tensor(z), t).item() == pytest.approx(want, abs=1e-10)
+        assert bce(Tensor(z), t).item() == pytest.approx(want, abs=1e-10)
 
     def test_ce_matches_direct_formula(self):
         rng = np.random.default_rng(7)
@@ -129,14 +150,14 @@ class TestBceCe:
         idx = np.array([0, 3, 2, 4])
         p = np.exp(z) / np.exp(z).sum(axis=1, keepdims=True)
         want = -np.mean(np.log(p[np.arange(4), idx]))
-        assert ce_loss(Tensor(z), idx).item() == pytest.approx(want, abs=1e-10)
+        assert T.ce_logits(Tensor(z), idx).item() == pytest.approx(want, abs=1e-10)
 
     def test_losses_nonnegative(self):
         rng = np.random.default_rng(8)
         z = rng.normal(size=(3, 4))
         t = (rng.random((3, 4)) > 0.5).astype(np.float64)
-        assert bce_loss(Tensor(z), t).item() >= 0.0
-        assert ce_loss(Tensor(z), [0, 1, 2]).item() >= 0.0
+        assert bce(Tensor(z), t).item() >= 0.0
+        assert T.ce_logits(Tensor(z), [0, 1, 2]).item() >= 0.0
 
 
 class TestDecomposeGt:

@@ -4,127 +4,131 @@ import numpy as np
 import pytest
 
 from nightseg.gradcheck import grad_check
-from nightseg.layers import glorot_uniform
-from nightseg.matcher import (ProjectionWeights, ReliableMatcher,
-                              ReliableMatcherLayer, bridged_similarity,
-                              cross_similarity, reliable_scores,
-                              select_reliable, update_prototypes)
+from nightseg.layers import attention_weights, glorot_uniform
+from nightseg.matcher import (ReliableMatcher, ReliableMatcherLayer,
+                              bridged_similarity, select_reliable)
 from nightseg.tensor import Tensor
 from nightseg import tensor as T
 
 
-def make_proj(seed, c=4, ck=None, cv=None):
+def make_proj(seed, c=4):
+    """Query and key weights [c, c]."""
     rng = np.random.default_rng(seed)
-    ck = ck or c
-    cv = cv or c
-    return ProjectionWeights(
-        wq=glorot_uniform(rng, (c, ck), c, ck, np.float64),
-        wk=glorot_uniform(rng, (c, ck), c, ck, np.float64),
-        wv=glorot_uniform(rng, (c, cv), c, cv, np.float64),
-    )
+    return (glorot_uniform(rng, (c, c), c, c, np.float64),
+            glorot_uniform(rng, (c, c), c, c, np.float64))
+
+
+def soft(rows):
+    e = np.exp(rows - rows.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def cross_similarity(p, fa, wq, wk):
+    """The vanilla prototype-to-pixel weights a matcher layer forms."""
+    return attention_weights(T.matmul(p, wq), T.matmul(fa, wk))
 
 
 class TestCrossSimilarity:
     def test_zero_logits_uniform_rows(self):
-        w = make_proj(0)
-        sim = cross_similarity(Tensor(np.zeros((3, 4))), Tensor(np.zeros((6, 4))), w)
+        wq, wk = make_proj(0)
+        sim = cross_similarity(Tensor(np.zeros((3, 4))), Tensor(np.zeros((6, 4))), wq, wk)
         assert np.abs(sim.data - 1 / 6).max() < 1e-12
 
     def test_dominating_key_gives_one_hot(self):
         c = 4
-        w = ProjectionWeights(wq=Tensor(np.eye(c)), wk=Tensor(np.eye(c)), wv=Tensor(np.eye(c)))
-        p = Tensor(np.ones((2, c)))
         fa = np.zeros((5, c))
         fa[3] = 100.0
-        sim = cross_similarity(p, Tensor(fa), w)
+        sim = attention_weights(Tensor(np.ones((2, c))), Tensor(fa))
         assert sim.data[:, 3].min() > 1 - 1e-9
 
     def test_matches_composed_oracle(self):
         rng = np.random.default_rng(1)
-        w = make_proj(2)
+        wq, wk = make_proj(2)
         p = rng.normal(size=(3, 4))
         fa = rng.normal(size=(6, 4))
-        sim = cross_similarity(Tensor(p), Tensor(fa), w).data
-        logits = (p @ w.wq.data) @ (fa @ w.wk.data).T / 2.0
-        e = np.exp(logits - logits.max(axis=1, keepdims=True))
-        want = e / e.sum(axis=1, keepdims=True)
+        sim = cross_similarity(Tensor(p), Tensor(fa), wq, wk).data
+        want = soft((p @ wq.data) @ (fa @ wk.data).T / 2.0)
         assert np.abs(sim - want).max() < 1e-10
 
     def test_width_mismatch_rejected(self):
-        w = make_proj(3)
-        with pytest.raises(ValueError, match="width"):
-            cross_similarity(Tensor(np.zeros((2, 5))), Tensor(np.zeros((4, 4))), w)
+        with pytest.raises(ValueError, match="inner extents"):
+            attention_weights(Tensor(np.zeros((2, 5))), Tensor(np.zeros((4, 4))))
 
 
 class TestReliableScores:
+    """The reliable score of a pixel is its column sum of the similarity."""
+
     def test_uniform_sim(self):
-        scores = reliable_scores(Tensor(np.full((2, 4), 0.25)))
-        assert np.abs(scores.data - 0.5).max() < 1e-12
+        # equal scores everywhere: the tie-break takes the first pixels
+        assert select_reliable(Tensor(np.full((2, 4), 0.25)), 2).tolist() == [0, 1]
 
     def test_total_equals_prototype_count(self):
         rng = np.random.default_rng(4)
-        w = make_proj(5)
+        wq, wk = make_proj(5)
         sim = cross_similarity(Tensor(rng.normal(size=(7, 4))),
-                               Tensor(rng.normal(size=(9, 4))), w)
-        assert reliable_scores(sim).data.sum() == pytest.approx(7.0, abs=1e-5)
+                               Tensor(rng.normal(size=(9, 4))), wq, wk)
+        assert sim.data.sum(axis=0).sum() == pytest.approx(7.0, abs=1e-5)
 
     def test_matches_column_sum_loop(self):
         rng = np.random.default_rng(6)
         sim = rng.uniform(size=(5, 8))
-        got = reliable_scores(Tensor(sim)).data
         want = np.array([sum(sim[n, m] for n in range(5)) for m in range(8)])
-        assert np.abs(got - want).max() < 1e-12
+        order = sorted(range(8), key=lambda m: (-want[m], m))
+        assert select_reliable(Tensor(sim), 8).tolist() == order
 
 
 class TestSelectReliable:
     def test_argtop(self):
-        rs = select_reliable(Tensor([0.5, 2.0, 1.0, 0.3]), Tensor(np.zeros((4, 2))), 2)
-        assert rs.indices.tolist() == [1, 2]
+        assert select_reliable(Tensor([[0.5, 2.0, 1.0, 0.3]]), 2).tolist() == [1, 2]
 
     def test_tie_break_ascending_index(self):
-        rs = select_reliable(Tensor([1.0, 1.0, 1.0, 1.0]), Tensor(np.zeros((4, 2))), 2)
-        assert rs.indices.tolist() == [0, 1]
+        assert select_reliable(Tensor([[1.0, 1.0, 1.0, 1.0]]), 2).tolist() == [0, 1]
 
     def test_matches_sort_oracle(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
-            scores = rng.normal(size=20)
-            fa = rng.normal(size=(20, 3))
-            rs = select_reliable(Tensor(scores), Tensor(fa), 5)
+            sim = rng.normal(size=(3, 20))
+            scores = sim.sum(axis=0)
             want = sorted(range(20), key=lambda i: (-scores[i], i))[:5]
-            assert rs.indices.tolist() == want
-            assert np.array_equal(rs.features.data, fa[want])
+            assert select_reliable(Tensor(sim), 5).tolist() == want
 
     def test_k_out_of_range_rejected(self):
-        with pytest.raises(ValueError, match="outside"):
-            select_reliable(Tensor(np.ones(4)), Tensor(np.zeros((4, 2))), 5)
+        # K = 0 would leave the bridge with an empty reliable set
+        for k in (0, 5):
+            with pytest.raises(ValueError, match="outside"):
+                select_reliable(Tensor(np.ones((2, 4))), k)
 
     def test_full_k_returns_all_pixels(self):
         rng = np.random.default_rng(8)
-        scores = rng.uniform(0.1, 1.0, size=6)
-        rs = select_reliable(Tensor(scores), Tensor(rng.normal(size=(6, 2))), 6)
-        assert sorted(rs.indices.tolist()) == list(range(6))
+        sim = rng.uniform(0.1, 1.0, size=(2, 6))
+        assert sorted(select_reliable(Tensor(sim), 6).tolist()) == list(range(6))
 
     def test_deterministic(self):
         rng = np.random.default_rng(9)
-        scores = rng.normal(size=30)
-        fa = rng.normal(size=(30, 4))
-        a = select_reliable(Tensor(scores), Tensor(fa), 7).indices
-        b = select_reliable(Tensor(scores.copy()), Tensor(fa.copy()), 7).indices
+        sim = rng.normal(size=(4, 30))
+        a = select_reliable(Tensor(sim), 7)
+        b = select_reliable(Tensor(sim.copy()), 7)
         assert np.array_equal(a, b)
+
+
+def reliable_inputs(seed_data, seed_proj, n, hw, k):
+    """(p, fa, q, q_pix, kr, idx, wq, wk) for a reliable bridge over random inputs."""
+    rng = np.random.default_rng(seed_data)
+    wq, wk = make_proj(seed_proj)
+    p = Tensor(rng.normal(size=(n, 4)))
+    fa = Tensor(rng.normal(size=(hw, 4)))
+    q, q_pix = T.matmul(p, wq), T.matmul(fa, wq)
+    idx = select_reliable(attention_weights(q, T.matmul(fa, wk)), k)
+    kr = T.matmul(T.gather_rows(fa, idx), wk)
+    return p, fa, q, q_pix, kr, idx, wq, wk
 
 
 class TestBridgedSimilarity:
     def test_k1_all_ones(self):
-        rng = np.random.default_rng(10)
-        w = make_proj(11)
-        p = Tensor(rng.normal(size=(3, 4)))
-        fa = Tensor(rng.normal(size=(6, 4)))
-        rs = select_reliable(reliable_scores(cross_similarity(p, fa, w)), fa, 1)
-        sb = bridged_similarity(p, fa, rs, w)
-        assert np.abs(sb.sim_q.data - 1.0).max() < 1e-12
-        assert np.abs(sb.sim_k.data - 1.0).max() < 1e-12
-        assert np.abs(sb.sim_qk.data - 1.0).max() < 1e-12
+        _, _, q, q_pix, kr, _, _, _ = reliable_inputs(10, 11, 3, 6, 1)
+        assert np.abs(attention_weights(q, kr).data - 1.0).max() < 1e-12
+        assert np.abs(attention_weights(q_pix, kr).data - 1.0).max() < 1e-12
+        assert np.abs(bridged_similarity(q, q_pix, kr).data - 1.0).max() < 1e-12
 
     def test_disjoint_one_hot_supports_give_zero(self):
         # orthogonal one-hot rows: prototype routed to point 0, pixel to point 1
@@ -133,70 +137,28 @@ class TestBridgedSimilarity:
         assert (sim_q @ sim_k.T)[0, 0] == 0.0
 
     def test_matches_composed_oracle_and_range(self):
-        rng = np.random.default_rng(12)
-        w = make_proj(13)
-        p = rng.normal(size=(3, 4))
-        fa = rng.normal(size=(8, 4))
-        pt, ft = Tensor(p), Tensor(fa)
-        sim = cross_similarity(pt, ft, w)
-        rs = select_reliable(reliable_scores(sim), ft, 4)
-        sb = bridged_similarity(pt, ft, rs, w, sim=sim)
+        p, fa, q, q_pix, kr, idx, wq, wk = reliable_inputs(12, 13, 3, 8, 4)
+        sim_qk = bridged_similarity(q, q_pix, kr).data
 
-        def soft(rows):
-            e = np.exp(rows - rows.max(axis=1, keepdims=True))
-            return e / e.sum(axis=1, keepdims=True)
-
-        fr = fa[rs.indices]
-        want_q = soft((p @ w.wq.data) @ (fr @ w.wk.data).T / 2.0)
-        want_k = soft((fa @ w.wq.data) @ (fr @ w.wk.data).T / 2.0)
-        assert np.abs(sb.sim_q.data - want_q).max() < 1e-10
-        assert np.abs(sb.sim_k.data - want_k).max() < 1e-10
-        assert np.abs(sb.sim_qk.data - want_q @ want_k.T).max() < 1e-10
-        assert sb.sim_qk.data.min() >= 0.0
-        assert sb.sim_qk.data.max() <= 1.0 + 1e-9
+        fr = fa.data[idx]
+        want_q = soft((p.data @ wq.data) @ (fr @ wk.data).T / 2.0)
+        want_k = soft((fa.data @ wq.data) @ (fr @ wk.data).T / 2.0)
+        assert np.abs(attention_weights(q, kr).data - want_q).max() < 1e-10
+        assert np.abs(attention_weights(q_pix, kr).data - want_k).max() < 1e-10
+        assert np.abs(sim_qk - want_q @ want_k.T).max() < 1e-10
+        assert sim_qk.min() >= 0.0
+        assert sim_qk.max() <= 1.0 + 1e-9
 
     def test_renormalized_rows_sum_to_one(self):
-        rng = np.random.default_rng(14)
-        w = make_proj(15)
-        p = Tensor(rng.normal(size=(3, 4)))
-        fa = Tensor(rng.normal(size=(8, 4)))
-        rs = select_reliable(reliable_scores(cross_similarity(p, fa, w)), fa, 3)
-        sb = bridged_similarity(p, fa, rs, w, renormalize=True)
-        assert np.abs(sb.sim_qk.data.sum(axis=1) - 1.0).max() < 1e-9
+        _, _, q, q_pix, kr, _, _, _ = reliable_inputs(14, 15, 3, 8, 3)
+        sim_qk = bridged_similarity(q, q_pix, kr, renormalize=True)
+        assert np.abs(sim_qk.data.sum(axis=1) - 1.0).max() < 1e-9
 
     def test_empty_reliable_set_rejected(self):
-        rng = np.random.default_rng(16)
-        w = make_proj(17)
-        p = Tensor(rng.normal(size=(2, 4)))
-        fa = Tensor(rng.normal(size=(5, 4)))
-        rs = select_reliable(reliable_scores(cross_similarity(p, fa, w)), fa, 2)
-        rs.indices = np.array([], dtype=np.int64)
+        _, _, q, q_pix, kr, _, _, _ = reliable_inputs(16, 17, 2, 5, 2)
+        empty = T.gather_rows(kr, np.array([], dtype=np.int64))
         with pytest.raises(ValueError, match="empty"):
-            bridged_similarity(p, fa, rs, w)
-
-
-class TestUpdatePrototypes:
-    def test_one_hot_rows_select_values(self):
-        rng = np.random.default_rng(18)
-        v = rng.normal(size=(5, 3))
-        qk = np.zeros((2, 5))
-        qk[0, 4] = 1.0
-        qk[1, 1] = 1.0
-        sb = type("B", (), {"sim_qk": Tensor(qk)})()
-        out = update_prototypes(sb, Tensor(v)).data
-        assert np.array_equal(out, np.stack([v[4], v[1]]))
-
-    def test_zero_similarity_zero_output(self):
-        sb = type("B", (), {"sim_qk": Tensor(np.zeros((2, 4)))})()
-        out = update_prototypes(sb, Tensor(np.random.default_rng(19).normal(size=(4, 3))))
-        assert np.abs(out.data).max() == 0.0
-
-    def test_matches_matmul_oracle(self):
-        rng = np.random.default_rng(20)
-        qk = rng.uniform(size=(3, 6))
-        v = rng.normal(size=(6, 4))
-        sb = type("B", (), {"sim_qk": Tensor(qk)})()
-        assert np.abs(update_prototypes(sb, Tensor(v)).data - qk @ v).max() < 1e-10
+            bridged_similarity(q, q_pix, empty)
 
 
 class TestMatcherLayer:
@@ -218,6 +180,31 @@ class TestMatcherLayer:
             out = layer(p, Tensor(fa[perm])).data
             assert np.abs(out - base).max() < 1e-9
 
+    @pytest.mark.parametrize("mode,renormalize", [("reliable", False), ("reliable", True),
+                                                  ("vanilla", False)])
+    def test_cross_update_matches_numpy_oracle(self, mode, renormalize):
+        rng = np.random.default_rng(31)
+        layer = ReliableMatcherLayer(rng, 4, k=3, mode=mode, renormalize=renormalize)
+        layer.out_proj.w.data = rng.normal(size=(4, 4))  # let the update reach the output
+        p = rng.normal(size=(3, 4))
+        fa = rng.normal(size=(7, 4))
+        got = layer(Tensor(p), Tensor(fa)).data
+
+        p1 = layer.attn_in(Tensor(p)).data
+        wq, wk, wv = layer.wq.data, layer.wk.data, layer.wv.data
+        weights = soft((p1 @ wq) @ (fa @ wk).T / 2.0)
+        if mode == "reliable":
+            scores = weights.sum(axis=0)
+            idx = sorted(range(7), key=lambda i: (-scores[i], i))[:3]
+            kr = fa[idx] @ wk
+            weights = soft((p1 @ wq) @ kr.T / 2.0) @ soft((fa @ wq) @ kr.T / 2.0).T
+            if renormalize:
+                weights = weights / weights.sum(axis=1, keepdims=True)
+        upd = (weights @ (fa @ wv)) @ layer.out_proj.w.data + layer.out_proj.b.data
+        p2 = layer.norm_cross(Tensor(p1 + upd))
+        want = layer.ffn(layer.attn_out(p2)).data
+        assert np.abs(got - want).max() < 1e-9
+
     def test_gradient_reaches_everything(self):
         rng = np.random.default_rng(23)
         layer = ReliableMatcherLayer(rng, 4, k=3)
@@ -237,10 +224,10 @@ class TestMatcherLayer:
         assert grad_check(f_fa, Tensor(fa0.copy())) < 1e-4
 
         def f_wq(t):
-            layer.proj.wq = t
+            layer.wq = t
             return T.tsum(T.mul(layer(Tensor(p0), Tensor(fa0)), head))
 
-        assert grad_check(f_wq, Tensor(layer.proj.wq.data.copy())) < 1e-4
+        assert grad_check(f_wq, Tensor(layer.wq.data.copy())) < 1e-4
 
     def test_vanilla_uniform_sim_gives_mean_value(self):
         rng = np.random.default_rng(28)
@@ -249,11 +236,10 @@ class TestMatcherLayer:
         # so the cross update is the mean of the value rows
         fa = rng.normal(size=(6, 4))
         p1 = layer.attn_in(Tensor(np.zeros((3, 4))))
-        from nightseg.matcher import cross_similarity as cs
-        sim = cs(p1, Tensor(fa), layer.proj)
+        sim = cross_similarity(p1, Tensor(fa), layer.wq, layer.wk)
         if np.abs(sim.data - 1 / 6).max() < 1e-9:
-            upd = sim.data @ (fa @ layer.proj.wv.data)
-            want = (fa @ layer.proj.wv.data).mean(axis=0)
+            upd = sim.data @ (fa @ layer.wv.data)
+            want = (fa @ layer.wv.data).mean(axis=0)
             assert np.abs(upd - want).max() < 1e-9
 
     def test_bad_mode_rejected(self):

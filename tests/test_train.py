@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from nightseg.config import build, parse_config
-from nightseg.model import ModelConfig, NightSegModel
-from nightseg.scenes import SceneConfig, gen_dataset
+from nightseg.model import ModelConfig, NightSegModel, majority_pool
+from nightseg.netpbm import read_pgm
+from nightseg.scenes import SceneConfig, gen_dataset, parse_manifest
 from nightseg.train import (AdamW, TrainConfig, TrainingDiverged, evaluate,
                             load_checkpoint, load_dataset, render_report,
                             save_checkpoint, train)
@@ -165,8 +166,12 @@ class TestLoadDataset:
         ds = load_dataset(tiny_data, "phase")
         assert len(ds.train_idx) == 8 and len(ds.val_idx) == 2
         assert ds.textures is not None and len(ds.textures) == 10
-        assert ds.masks[0].shape == (8, 16)
-        assert ds.full_masks[0].shape == (32, 64)
+        # the pooled quarter-resolution masks, in manifest order
+        _, entries = parse_manifest(tiny_data / "manifest.txt")
+        for i, (_, mask_name, _) in enumerate(entries):
+            full = read_pgm((tiny_data / mask_name).read_bytes())
+            assert full.shape == (32, 64)
+            assert np.array_equal(ds.masks[i], majority_pool(full, 4))
 
     def test_enhance_none_skips_textures(self, tiny_data):
         ds = load_dataset(tiny_data, "none")
