@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .tensor import Tensor
+from .tensor import Tensor, attention_weights
 
 __all__ = [
     "glorot_uniform",
@@ -44,12 +44,6 @@ class Pyramid:
 def glorot_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int, dtype) -> Tensor:
     a = math.sqrt(6.0 / (fan_in + fan_out))
     return Tensor(rng.uniform(-a, a, size=shape).astype(dtype), requires_grad=True)
-
-
-def attention_weights(q: Tensor, k: Tensor) -> Tensor:
-    """Scaled dot-product weights softmax(q k^T / sqrt(C)); row i of q [M, C]
-    is a distribution over the rows of k [L, C]."""
-    return T.softmax(T.scale(T.matmul(q, T.transpose2d(k)), 1.0 / math.sqrt(q.shape[1])), axis=1)
 
 
 class Conv2dLayer:

@@ -8,7 +8,7 @@ import numpy as np
 
 from . import tensor as T
 from .config import check_options, option
-from .decoder import HierarchicalAmplifiedDecoder
+from .decoder import ATTENTION_TOKEN_BUDGET, HierarchicalAmplifiedDecoder
 from .layers import Conv2dLayer, Linear, Params, Pyramid
 from .losses import class_and_mask_probs
 from .matcher import ReliableMatcher
@@ -39,7 +39,7 @@ class ModelConfig:
     enhance_op: str = option("enhance.op", "phase", choices=("phase", "sobel", "none"))
     prototypes: int = option("matcher.prototypes", 8)
     reliable_k: int = option("matcher.reliable_k", 16)
-    matcher_layers: int = option("matcher.layers", 3)
+    matcher_layers: int = option("matcher.layers", 3, at_least=1)
     matcher_mode: str = option("matcher.mode", "reliable", choices=("reliable", "vanilla"))
     renormalize: bool = option("reliable.renormalize", False)
     seed: int = 0
@@ -55,6 +55,12 @@ class ModelConfig:
         """Reject image extents this model cannot run on, before any image is read."""
         if height % 32 or width % 32:
             raise ValueError(f"image extents {(height, width)} must be divisible by 32")
+        scale = 2 ** (self.decoder_depth - 1)
+        tokens = (height // 32 * scale) * (width // 32 * scale)
+        if tokens > ATTENTION_TOKEN_BUDGET:
+            raise ValueError(f"decoder.depth = {self.decoder_depth} attends over {tokens} tokens at "
+                             f"its finest stage for {height}x{width} images, over the budget of "
+                             f"{ATTENTION_TOKEN_BUDGET}; lower decoder.depth or the image extents")
         pixels = (height // 4) * (width // 4)
         if self.matcher_mode == "reliable" and not 1 <= self.reliable_k <= pixels:
             raise ValueError(f"matcher.reliable_k must be in 1..{pixels} for {height}x{width} "

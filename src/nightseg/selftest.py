@@ -213,6 +213,28 @@ def check_matching_invariants():
         assert sim_qk.min() >= 0.0 and sim_qk.max() <= 1.0 + 1e-9
 
 
+def _composed_attention(q: Tensor, k: Tensor) -> Tensor:
+    return T.softmax(T.scale(T.matmul(q, T.transpose2d(k)), 1.0 / math.sqrt(q.shape[1])), axis=1)
+
+
+def _attention_pass(weights_fn, q0: np.ndarray, k0: np.ndarray, head: np.ndarray):
+    q, k = Tensor(q0.copy(), requires_grad=True), Tensor(k0.copy(), requires_grad=True)
+    with T.Tape():
+        y = weights_fn(q, k)
+        T.backward(T.tsum(T.mul(y, Tensor(head))))
+    return y.data, q.grad, k.grad
+
+
+def check_attention_weights_composed():
+    rng = _rng(13)
+    for dtype in (np.float32, np.float64):
+        for m, l, c in ((5, 9, 3), (8, 2048, 64), (2048, 16, 64)):
+            q, k, head = (rng.normal(size=s).astype(dtype) for s in ((m, c), (l, c), (m, l)))
+            fused = _attention_pass(T.attention_weights, q, k, head)
+            for a, b in zip(fused, _attention_pass(_composed_attention, q, k, head)):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
 def check_hungarian_oracle():
     rng = _rng(14)
     for _ in range(1000):
@@ -310,6 +332,14 @@ def run_grad_suite() -> list[tuple[str, float]]:
     results.append(("total loss (class logits)", grad_check(
         lambda c: total_loss(m0, c, gt, 3, LossWeights()), Tensor(rng.normal(size=(5, 4))))))
 
+    k0 = Tensor(rng.normal(size=(6, 4)))
+    h7 = Tensor(rng.normal(size=(3, 6)))
+    results.append(("attention weights (queries)", grad_check(
+        lambda q: T.tsum(T.mul(T.attention_weights(q, k0), h7)), Tensor(rng.normal(size=(3, 4))))))
+    q0 = Tensor(rng.normal(size=(3, 4)))
+    results.append(("attention weights (keys)", grad_check(
+        lambda k: T.tsum(T.mul(T.attention_weights(q0, k), h7)), Tensor(rng.normal(size=(6, 4))))))
+
     return results
 
 
@@ -382,6 +412,7 @@ CHECKS = [
     ("sobel map: zero on constants, 4 on unit step", check_sobel),
     ("amplified map matches per-pixel loop and is nonnegative", check_amplified_map_oracle),
     ("self-attention is permutation-equivariant", check_attention_permutation),
+    ("fused attention weights equal the composed ops bit for bit", check_attention_weights_composed),
     ("similarity invariants hold on 1000 random instances", check_matching_invariants),
     ("assignment matches exhaustive enumeration (1000 cases)", check_hungarian_oracle),
     ("mIoU hand example and self-comparison", check_miou),

@@ -47,6 +47,7 @@ __all__ = [
     "relu",
     "sigmoid",
     "softmax",
+    "attention_weights",
     "layer_norm",
     "add_channel_bias",
     "scale_pixels",
@@ -442,6 +443,42 @@ def softmax(x: Tensor, axis: int) -> Tensor:
             return
         dot = np.sum(g * y, axis=axis, keepdims=True)
         _accumulate(x, y * (g - dot))
+
+    return _put(out, bwd)
+
+
+def attention_weights(q: Tensor, k: Tensor) -> Tensor:
+    """Scaled dot-product weights softmax(q k^T / sqrt(C)); row i of q [M, C]
+    is a distribution over the rows of k [L, C].
+
+    One node in place of matmul, transpose2d, scale and softmax: the forward
+    applies their ufuncs in their order to one [M, L] buffer, and the
+    backward replays their rules, so values and gradients equal the composed
+    ops bit for bit.
+    """
+    if q.data.ndim != 2 or k.data.ndim != 2:
+        raise ValueError(f"attention_weights: expects 2-D operands, got {q.shape} and {k.shape}")
+    if q.shape[1] != k.shape[1]:
+        raise ValueError(f"attention_weights: inner extents differ, {q.shape} x {k.shape[::-1]}")
+    c = 1.0 / math.sqrt(q.shape[1])
+    y = q.data @ k.data.T
+    y *= c
+    y -= np.max(y, axis=1, keepdims=True)
+    np.exp(y, out=y)
+    y /= np.sum(y, axis=1, keepdims=True)
+    out = _out(y, q, k)
+
+    def bwd():
+        g = out.grad
+        if g is None:
+            return
+        ds = g * y
+        dot = np.sum(ds, axis=1, keepdims=True)
+        np.subtract(g, dot, out=ds)
+        ds *= y
+        ds *= c
+        _accumulate(q, ds @ k.data)
+        _accumulate(k, (q.data.T @ ds).T)
 
     return _put(out, bwd)
 

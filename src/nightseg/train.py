@@ -39,9 +39,9 @@ __all__ = [
 
 
 class TrainingDiverged(RuntimeError):
-    def __init__(self, iteration: int, ckpt: Path | None):
+    def __init__(self, iteration: int, ckpt: Path | None, what: str = "loss"):
         saved = f"; weights at divergence saved to {ckpt}" if ckpt is not None else ""
-        super().__init__(f"non-finite loss at iteration {iteration}{saved}")
+        super().__init__(f"non-finite {what} at iteration {iteration}{saved}")
         self.iteration = iteration
         self.checkpoint = ckpt
 
@@ -208,6 +208,10 @@ def train(model: NightSegModel, ds: LoadedDataset, tc: TrainConfig,
             if not np.isfinite(loss_val):
                 raise TrainingDiverged(it, ckpt_dir and save_checkpoint(ckpt_dir, params))
             backward(loss)
+        for name, p in params:
+            if p.grad is not None and not np.isfinite(p.grad).all():
+                raise TrainingDiverged(it, ckpt_dir and save_checkpoint(ckpt_dir, params),
+                                       f"gradient of {name}")
         opt.step()
         if it % tc.log_every == 0 or it == tc.iters - 1:
             log.append(f"iter {it} loss {loss_val:.6f} lr {opt.lr:.6g}")

@@ -113,6 +113,14 @@ def dataset_48x64(tmp_path_factory):
     return root
 
 
+@pytest.fixture(scope="module")
+def dataset_256x512(tmp_path_factory):
+    root = tmp_path_factory.mktemp("cli_data_256x512")
+    assert main(["gen-data", "--out", str(root), "--count", "1", "--seed", "5",
+                 "--height", "256", "--width", "512"]) == 0
+    return root
+
+
 @pytest.fixture
 def no_data_load(monkeypatch):
     def fail(*args, **kwargs):
@@ -141,6 +149,7 @@ class TestBadConfigExit2:
         ("decoder.channels = 0", "decoder.channels"),
         ("backbone.widths = 4 5 6 0", "backbone.widths"),
         ("phase_enc.widths = 0 4 5 6", "phase_enc.widths"),
+        ("matcher.layers = 0", "matcher.layers"),
     ])
     def test_bad_value_rejected_before_data_loads(self, dataset, tiny_cfg, tmp_path, capsys,
                                                   line, key):
@@ -157,6 +166,17 @@ class TestBadConfigExit2:
         rc = main(["train", "--config", str(tiny_cfg), "--data", str(dataset_48x64),
                    "--out", str(tmp_path / "run")])
         _assert_one_line_exit_2(rc, capsys, "(48, 64)", "divisible by 32")
+
+    def test_attention_token_budget_checked(self, dataset_256x512, tiny_cfg, tmp_path, capsys):
+        # depth 4 attends over 64x128 = 8192 tokens at 256x512, over the 4096 budget
+        rc = main(["train", "--config", str(tiny_cfg), "--data", str(dataset_256x512),
+                   "--out", str(tmp_path / "run")])
+        _assert_one_line_exit_2(rc, capsys, "decoder.depth", "256x512", "8192")
+        cfg = tmp_path / "depth3.cfg"
+        cfg.write_text(tiny_cfg.read_text() + "decoder.depth = 3\n", encoding="utf-8")
+        with pytest.raises(AssertionError, match="load_dataset called"):
+            main(["train", "--config", str(cfg), "--data", str(dataset_256x512),
+                  "--out", str(tmp_path / "run")])
 
     def test_eval_and_ablate_share_the_checks(self, dataset, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

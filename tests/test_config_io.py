@@ -79,6 +79,8 @@ class TestConfig:
         (ModelConfig, "matcher.mode", "hard", "matcher.mode must be one of reliable, vanilla"),
         (ModelConfig, "matcher.prototypes", "3",
          "matcher.prototypes must be at least the class count 4"),
+        (ModelConfig, "matcher.layers", "0", "matcher.layers must be >= 1, got 0"),
+        (ModelConfig, "matcher.layers", "-1", "matcher.layers must be >= 1, got -1"),
         (TrainConfig, "train.lr1", "fast", "train.lr1: expected a number"),
         (TrainConfig, "phase.c_a", "mean", "phase.c_a: expected a number"),
         (TrainConfig, "train.dtype", "float16", "train.dtype must be one of float32, float64"),

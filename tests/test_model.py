@@ -10,6 +10,22 @@ from nightseg.model import (BackboneStub, ModelConfig, NightSegModel, SegOutput,
 from nightseg.tensor import Tensor
 
 
+class TestCheckImageSize:
+    # the finest attended decoder stage has (H/32 * 2^(depth-1)) x (W/32 * 2^(depth-1)) tokens
+    @pytest.mark.parametrize("depth,h,w,tokens", [
+        (4, 128, 256, 2048), (4, 256, 256, 4096), (3, 256, 512, 2048), (1, 2048, 2048, 4096),
+        (4, 256, 288, 4608), (4, 256, 512, 8192), (1, 2048, 2080, 4160),
+    ])
+    def test_attention_token_budget(self, depth, h, w, tokens):
+        cfg = ModelConfig(decoder_depth=depth)
+        if tokens <= 4096:
+            cfg.check_image_size(h, w)
+        else:
+            with pytest.raises(ValueError, match=f"decoder.depth = {depth} attends over {tokens} "
+                                                 f"tokens .* {h}x{w} images"):
+                cfg.check_image_size(h, w)
+
+
 class TestBackbone:
     def test_stride_schedule(self):
         bb = BackboneStub(np.random.default_rng(0), (4, 5, 6, 7))

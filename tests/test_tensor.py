@@ -1,5 +1,7 @@
 """Tensor engine: forward oracles, tape semantics, gradient rules."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,104 @@ class TestSoftmax:
             assert (y >= 0).all()
 
 
+def composed_attention(q, k):
+    """softmax(q k^T / sqrt(C)) from the separate primitives: the oracle."""
+    return T.softmax(T.scale(T.matmul(q, T.transpose2d(k)), 1.0 / math.sqrt(q.shape[1])), axis=1)
+
+
+def attention_run(f, qd, kd, head):
+    """Weights and gradients of sum(f(q, k) * head) for fresh q and k."""
+    q = Tensor(qd.copy(), requires_grad=True)
+    k = Tensor(kd.copy(), requires_grad=True)
+    with Tape():
+        y = f(q, k)
+        backward(T.tsum(T.mul(y, Tensor(head))))
+    return y.data, q.grad, k.grad
+
+
+class TestAttentionWeights:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("m,l,c", [(6, 6, 4), (64, 64, 64), (5, 9, 3), (8, 2048, 64),
+                                       (2048, 16, 64)])
+    def test_equals_composed_ops_bit_for_bit(self, dtype, m, l, c):
+        rng = np.random.default_rng(m * 7 + l + c)
+        qd = (rng.normal(size=(m, c)) * 3.0).astype(dtype)
+        kd = (rng.normal(size=(l, c)) * 3.0).astype(dtype)
+        head = rng.normal(size=(m, l)).astype(dtype)
+        got = attention_run(T.attention_weights, qd, kd, head)
+        want = attention_run(composed_attention, qd, kd, head)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype == dtype
+            assert np.array_equal(a, b)
+
+    def test_self_attention_shares_one_tensor(self):
+        rng = np.random.default_rng(3)
+        xd, head = rng.normal(size=(7, 4)), rng.normal(size=(7, 7))
+        grads = []
+        for f in (T.attention_weights, composed_attention):
+            x = Tensor(xd.copy(), requires_grad=True)
+            with Tape():
+                backward(T.tsum(T.mul(f(x, x), Tensor(head))))
+            grads.append(x.grad)
+        assert np.array_equal(grads[0], grads[1])
+
+    def test_shared_key_accumulates_both_gradients(self):
+        # the reliable bridge soft-assigns prototypes and pixels over one key set
+        rng = np.random.default_rng(4)
+        q1d, q2d, krd = rng.normal(size=(3, 4)), rng.normal(size=(9, 4)), rng.normal(size=(5, 4))
+        h1, h2 = Tensor(rng.normal(size=(3, 5))), Tensor(rng.normal(size=(9, 5)))
+        grads = []
+        for f in (T.attention_weights, composed_attention):
+            q1, q2 = Tensor(q1d), Tensor(q2d)
+            kr = Tensor(krd.copy(), requires_grad=True)
+            with Tape():
+                backward(T.add(T.tsum(T.mul(f(q1, kr), h1)), T.tsum(T.mul(f(q2, kr), h2))))
+            grads.append(kr.grad)
+        assert np.array_equal(grads[0], grads[1])
+        single = attention_run(T.attention_weights, q1d, krd, h1.data)[2]
+        assert np.abs(grads[0] - single).max() > 1e-6
+
+    @pytest.mark.parametrize("wrt", ["queries", "keys"])
+    def test_gradient_matches_finite_differences(self, wrt):
+        rng = np.random.default_rng(5)
+        other = Tensor(rng.normal(size=(6, 4)))
+        head = Tensor(rng.normal(size=(3, 6) if wrt == "queries" else (6, 3)))
+        x = Tensor(rng.normal(size=(3, 4)))
+        if wrt == "queries":
+            err = grad_check(lambda q: T.tsum(T.mul(T.attention_weights(q, other), head)), x)
+        else:
+            err = grad_check(lambda k: T.tsum(T.mul(T.attention_weights(other, k), head)), x)
+        assert err < 1e-4
+
+    def test_no_downstream_gradient_leaves_grads_unset(self):
+        # reliable mode: the first weights only choose the top-K points
+        q = Tensor(np.ones((2, 3)), requires_grad=True)
+        k = Tensor(np.ones((4, 3)), requires_grad=True)
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        with Tape():
+            T.attention_weights(q, k)
+            backward(T.tsum(x))
+        assert q.grad is None and k.grad is None
+
+    def test_records_one_tape_node(self):
+        q = Tensor(np.ones((2, 3)), requires_grad=True)
+        k = Tensor(np.ones((4, 3)), requires_grad=True)
+        with Tape() as tape:
+            T.attention_weights(q, k)
+            assert len(tape) == 1
+            composed_attention(q, k)
+            assert len(tape) == 5
+
+    @pytest.mark.parametrize("qs,ks,msg", [
+        ((2, 5), (4, 4), "inner extents differ"),
+        ((2, 3, 1), (4, 3), "expects 2-D operands"),
+        ((2, 3), (3,), "expects 2-D operands"),
+    ])
+    def test_bad_shapes_rejected(self, qs, ks, msg):
+        with pytest.raises(ValueError, match=msg):
+            T.attention_weights(Tensor(np.zeros(qs)), Tensor(np.zeros(ks)))
+
+
 def conv_oracle(x, w, stride, pad):
     """Six-nested-loop cross-correlation with zero padding."""
     xp = np.pad(x, ((pad, pad), (pad, pad), (0, 0)))
@@ -120,7 +220,6 @@ class TestUpsample:
         assert np.abs(out - 2.5).max() == 0.0
 
     def test_matches_per_pixel_formula_oracle(self):
-        import math
         rng = np.random.default_rng(5)
         x = rng.normal(size=(4, 4, 2))
         got = T.upsample_bilinear2x(Tensor(x)).data

@@ -10,7 +10,7 @@ from nightseg.scenes import SceneConfig, gen_dataset, parse_manifest
 from nightseg.train import (AdamW, TrainConfig, TrainingDiverged, evaluate,
                             load_checkpoint, load_dataset, render_report,
                             save_checkpoint, train)
-from nightseg.tensor import Tensor
+from nightseg.tensor import Tensor, backward
 
 
 @pytest.fixture(scope="module")
@@ -108,6 +108,29 @@ class TestTrainLoop:
         assert exc.value.checkpoint is None
         assert "saved" not in str(exc.value)
         assert list(tmp_path.iterdir()) == []
+
+    def test_non_finite_gradient_aborts_before_the_step(self, tiny_data, tmp_path, monkeypatch):
+        ds = load_dataset(tiny_data, "phase")
+        model = NightSegModel(small_model_cfg(ds))
+        params = dict(model.parameters())
+        before = {n: p.data.copy() for n, p in params.items()}
+
+        def poisoned_backward(loss):
+            backward(loss)
+            g = params["matcher.prototypes"].grad.copy()
+            g.flat[0] = np.nan
+            params["matcher.prototypes"].grad = g
+
+        monkeypatch.setattr("nightseg.train.backward", poisoned_backward)
+        with pytest.raises(TrainingDiverged, match="non-finite gradient of matcher.prototypes at "
+                                                   "iteration 0; weights at divergence saved"):
+            train(model, ds, TrainConfig(iters=2, batch=1, seed=0), out_dir=tmp_path / "run")
+        for name, p in params.items():
+            assert np.array_equal(p.data, before[name]), name
+        saved = NightSegModel(small_model_cfg(ds, seed=1))
+        load_checkpoint(tmp_path / "run" / "checkpoint", saved)
+        for name, p in saved.parameters():
+            assert np.array_equal(p.data, before[name]), name
 
     def test_evaluate_and_report_format(self, tiny_data):
         ds = load_dataset(tiny_data, "phase")
