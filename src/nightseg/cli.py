@@ -81,21 +81,25 @@ def _cmd_phase_extract(args) -> int:
     return 0
 
 
-def _build(config_path: str, data_dir: str, overrides: dict[str, str] | None = None):
-    """Train config and model for a dataset, validated against its manifest
-    header; reads no image, so a bad config fails before the data loads."""
+def _build(args, overrides: dict[str, str] | None = None):
+    """Train config and model for the command's dataset, validated against its
+    manifest; reads no image, so a bad config or a missing split fails before
+    the data loads."""
     from .config import build, parse_config
     from .model import ModelConfig, NightSegModel
     from .scenes import parse_manifest
     from .train import TrainConfig
 
-    manifest = Path(data_dir) / "manifest.txt"
-    meta, _ = parse_manifest(manifest)
+    manifest = Path(args.data) / "manifest.txt"
+    meta, entries = parse_manifest(manifest)
     try:
         num_classes, height, width = (int(meta[k]) for k in ("num_classes", "height", "width"))
     except (KeyError, ValueError):
         raise ValueError(f"{manifest}: header needs integer num_classes, height and width") from None
-    values = {**parse_config(config_path), **(overrides or {})}
+    for split in {"train": ["train"], "eval": ["val"], "ablate": ["train", "val"]}[args.command]:
+        if all(entry[2] != split for entry in entries):
+            raise ValueError(f"{manifest} lists no {split} samples, which {args.command} reads")
+    values = {**parse_config(args.config), **(overrides or {})}
     tc = build(TrainConfig, values)
     mc = build(ModelConfig, values, num_classes=num_classes, seed=tc.seed, dtype=tc.dtype)
     mc.check_image_size(height, width)
@@ -105,7 +109,7 @@ def _build(config_path: str, data_dir: str, overrides: dict[str, str] | None = N
 def _cmd_train(args) -> int:
     from .train import TrainingDiverged, load_dataset, train
 
-    tc, model = _build(args.config, args.data)
+    tc, model = _build(args)
     ds = load_dataset(args.data, model.cfg.enhance_op, tc.c_a)
     try:
         log = train(model, ds, tc, out_dir=args.out)
@@ -120,7 +124,7 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     from .train import evaluate, load_checkpoint, load_dataset, render_report
 
-    tc, model = _build(args.config, args.data)
+    tc, model = _build(args)
     load_checkpoint(args.ckpt, model)
     ds = load_dataset(args.data, model.cfg.enhance_op, tc.c_a)
     report = render_report(evaluate(model, ds, tc.dtype))
@@ -144,7 +148,7 @@ _ABLATION_ROWS = {
 def _cmd_ablate(args) -> int:
     from .train import evaluate, load_dataset, train
 
-    rows = [(label, *_build(args.config, args.data, overrides))
+    rows = [(label, *_build(args, overrides))
             for label, overrides in _ABLATION_ROWS[args.axis]]
     lines = [f"axis {args.axis}", "setting miou"]
     for label, tc, model in rows:

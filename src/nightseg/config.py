@@ -95,13 +95,12 @@ def build(cls, values: dict[str, str], **given):
     return cls(**kwargs, **given)
 
 
-def parse_config(source: str | Path, from_text: bool = False) -> dict[str, str]:
-    """Parse a config file (or literal text) into its key/value strings;
-    unknown keys are rejected."""
-    text = source if from_text else Path(source).read_text(encoding="utf-8")
+def parse_config(path: str | Path) -> dict[str, str]:
+    """Parse a config file into its key/value strings; unknown keys are rejected."""
+    text = Path(path).read_text(encoding="utf-8")
     keys = known_keys()
     values: dict[str, str] = {}
-    for lineno, raw in enumerate(str(text).splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -16,21 +16,10 @@ from .layers import Linear, Params, Pyramid, TokenSelfAttention
 from .tensor import Tensor
 
 __all__ = [
-    "ATTENTION_TOKEN_BUDGET",
     "amplified_map",
     "amplify_stage",
-    "SelfAttentionBlock",
     "HierarchicalAmplifiedDecoder",
 ]
-
-ATTENTION_TOKEN_BUDGET = 4096
-
-
-def _project(x: Tensor, lin: Linear) -> Tensor:
-    """Apply a per-pixel linear map to an [h, w, C] map."""
-    h, w, c = x.shape
-    return T.reshape(lin(T.reshape(x, (h * w, c))), (h, w, lin.w.shape[1]))
-
 
 def amplified_map(fbar: Tensor, pbar: Tensor, normalize: bool = True) -> Tensor:
     """Per-pixel channel sum of (fbar + pbar)^2, optionally scaled to mean 1."""
@@ -48,25 +37,6 @@ def amplify_stage(fbar: Tensor, pbar: Tensor, normalize: bool = True) -> Tensor:
     """One amplification step: scale every channel of pixel (i, j) of fbar by
     the amplified map of (fbar, pbar) at (i, j)."""
     return T.scale_pixels(fbar, amplified_map(fbar, pbar, normalize=normalize))
-
-
-class SelfAttentionBlock:
-    """Spatial wrapper around token self-attention with a hard size budget."""
-
-    def __init__(self, rng: np.random.Generator, width: int, dtype=np.float64):
-        self.attn = TokenSelfAttention(rng, width, dtype)
-        self.width = width
-
-    def __call__(self, x: Tensor) -> Tensor:
-        h, w, c = x.shape
-        if h * w > ATTENTION_TOKEN_BUDGET:
-            raise ValueError(
-                f"self-attention: {h}x{w} = {h * w} tokens exceeds the budget of {ATTENTION_TOKEN_BUDGET}"
-            )
-        return T.reshape(self.attn(T.reshape(x, (h * w, c))), (h, w, c))
-
-    def parameters(self) -> Params:
-        return self.attn.parameters()
 
 
 class HierarchicalAmplifiedDecoder:
@@ -91,7 +61,7 @@ class HierarchicalAmplifiedDecoder:
         for c_feat, c_phase in zip(feat_widths, phase_widths):
             self.proj_f.append(Linear(rng, c_feat, width, dtype=dtype))
             self.proj_p.append(Linear(rng, c_phase, width, dtype=dtype))
-        self.attention = [SelfAttentionBlock(rng, width, dtype) for _ in range(4)]
+        self.attention = [TokenSelfAttention(rng, width, dtype) for _ in range(4)]
         self.width = width
         self.depth = depth
         self.normalize_amp_map = normalize_amp_map
@@ -111,14 +81,15 @@ class HierarchicalAmplifiedDecoder:
             if s >= self.depth:
                 x = T.upsample_bilinear2x(x)  # finer stages excluded from fusion
                 continue
-            fbar = _project(fp.stages[s], self.proj_f[s])
+            fbar = self.proj_f[s](fp.stages[s])
             if x is not None:
                 x = T.upsample_bilinear2x(x)
                 fbar = T.add(x, fbar)
             if pp is not None:
-                pbar = _project(pp.stages[s], self.proj_p[s])
+                pbar = self.proj_p[s](pp.stages[s])
                 fbar = amplify_stage(fbar, pbar, self.normalize_amp_map)
-            x = self.attention[s](fbar)
+            h, w, c = fbar.shape
+            x = T.reshape(self.attention[s](T.reshape(fbar, (h * w, c))), (h, w, c))
         return x
 
     def parameters(self) -> Params:

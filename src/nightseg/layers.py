@@ -16,6 +16,7 @@ from . import tensor as T
 from .tensor import Tensor, attention_weights
 
 __all__ = [
+    "ATTENTION_TOKEN_BUDGET",
     "glorot_uniform",
     "attention_weights",
     "Conv2dLayer",
@@ -27,6 +28,9 @@ __all__ = [
 ]
 
 Params = list[tuple[str, Tensor]]
+
+# self-attention weights are [M, M]; at this many tokens they take 64 MiB in float32
+ATTENTION_TOKEN_BUDGET = 4096
 
 
 @dataclass
@@ -58,30 +62,28 @@ class Conv2dLayer:
         self.padding = padding
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.add_channel_bias(T.conv2d(x, self.w, self.stride, self.padding), self.b)
+        return T.conv2d(x, self.w, self.stride, self.padding, self.b)
 
     def parameters(self) -> Params:
         return [("w", self.w), ("b", self.b)]
 
 
 class Linear:
+    """Biased linear map over the last axis of x[..., Cin]."""
+
     def __init__(self, rng: np.random.Generator, cin: int, cout: int,
-                 bias: bool = True, dtype=np.float64, zero_init: bool = False):
+                 dtype=np.float64, zero_init: bool = False):
         if zero_init:
             self.w = Tensor(np.zeros((cin, cout), dtype=dtype), requires_grad=True)
         else:
             self.w = glorot_uniform(rng, (cin, cout), cin, cout, dtype)
-        self.b = Tensor(np.zeros(cout, dtype=dtype), requires_grad=True) if bias else None
+        self.b = Tensor(np.zeros(cout, dtype=dtype), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        y = T.matmul(x, self.w)
-        return T.add_channel_bias(y, self.b) if self.b is not None else y
+        return T.matmul(x, self.w, self.b)
 
     def parameters(self) -> Params:
-        out: Params = [("w", self.w)]
-        if self.b is not None:
-            out.append(("b", self.b))
-        return out
+        return [("w", self.w), ("b", self.b)]
 
 
 class LayerNorm:
@@ -105,6 +107,7 @@ class TokenSelfAttention:
     identity (modulo normalization) at init; otherwise the attention
     context, which is nearly identical across tokens before training,
     drowns the between-token differences that downstream blocks need.
+    At most ATTENTION_TOKEN_BUDGET tokens, since the weights are [M, M].
     """
 
     def __init__(self, rng: np.random.Generator, width: int, dtype=np.float64):
@@ -118,6 +121,9 @@ class TokenSelfAttention:
     def __call__(self, x: Tensor) -> Tensor:
         if x.data.ndim != 2 or x.shape[1] != self.width:
             raise ValueError(f"attention: expected tokens [M,{self.width}], got {x.shape}")
+        if x.shape[0] > ATTENTION_TOKEN_BUDGET:
+            raise ValueError(f"self-attention: {x.shape[0]} tokens exceed the budget of "
+                             f"{ATTENTION_TOKEN_BUDGET}")
         q = T.matmul(x, self.wq)
         k = T.matmul(x, self.wk)
         v = T.matmul(x, self.wv)
@@ -137,11 +143,9 @@ class FeedForward:
     attention output projection.
     """
 
-    def __init__(self, rng: np.random.Generator, width: int, hidden: int | None = None,
-                 dtype=np.float64):
-        hidden = hidden or 2 * width
-        self.fc1 = Linear(rng, width, hidden, dtype=dtype)
-        self.fc2 = Linear(rng, hidden, width, dtype=dtype, zero_init=True)
+    def __init__(self, rng: np.random.Generator, width: int, dtype=np.float64):
+        self.fc1 = Linear(rng, width, 2 * width, dtype=dtype)
+        self.fc2 = Linear(rng, 2 * width, width, dtype=dtype, zero_init=True)
         self.norm = LayerNorm(width, dtype)
 
     def __call__(self, x: Tensor) -> Tensor:

@@ -8,8 +8,8 @@ import numpy as np
 
 from . import tensor as T
 from .config import check_options, option
-from .decoder import ATTENTION_TOKEN_BUDGET, HierarchicalAmplifiedDecoder
-from .layers import Conv2dLayer, Linear, Params, Pyramid
+from .decoder import HierarchicalAmplifiedDecoder
+from .layers import ATTENTION_TOKEN_BUDGET, Conv2dLayer, Linear, Params, Pyramid
 from .losses import class_and_mask_probs
 from .matcher import ReliableMatcher
 from .phase import PhaseEncoder
@@ -114,13 +114,11 @@ class BackboneStub:
 
 def segmentation_logits(e: Tensor, prototypes: Tensor) -> Tensor:
     """Per-pixel dot product of the feature map with every prototype."""
-    h, w, c = e.shape
-    if prototypes.shape[1] != c:
+    if prototypes.shape[1] != e.shape[2]:
         raise ValueError(
-            f"segmentation_logits: feature width {c} != prototype width {prototypes.shape[1]}"
+            f"segmentation_logits: feature width {e.shape[2]} != prototype width {prototypes.shape[1]}"
         )
-    flat = T.matmul(T.reshape(e, (h * w, c)), T.transpose2d(prototypes))
-    return T.reshape(flat, (h, w, prototypes.shape[0]))
+    return T.matmul(e, T.transpose2d(prototypes))
 
 
 class NightSegModel:

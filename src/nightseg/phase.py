@@ -146,11 +146,9 @@ class PhaseEncoder:
     """
 
     def __init__(self, rng: np.random.Generator, in_channels: int,
-                 widths: tuple[int, int, int, int], stem_width: int | None = None,
-                 dtype=np.float64):
-        stem_width = stem_width or widths[0]
-        self.stem = Conv2dLayer(rng, in_channels, stem_width, 3, 2, 1, dtype)
-        w_in = [stem_width, widths[0], widths[1], widths[2]]
+                 widths: tuple[int, int, int, int], dtype=np.float64):
+        self.stem = Conv2dLayer(rng, in_channels, widths[0], 3, 2, 1, dtype)
+        w_in = [widths[0], widths[0], widths[1], widths[2]]
         self.stages = [Conv2dLayer(rng, w_in[i], widths[i], 3, 2, 1, dtype) for i in range(4)]
         self.widths = widths
 

@@ -187,6 +187,8 @@ def gen_dataset(cfg: SceneConfig, count: int, seed: int, out_dir: str | Path) ->
     produce identical files; the split is drawn from the seed, not from
     file order.
     """
+    if count < 1:
+        raise ValueError(f"sample count must be at least 1, got {count}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 

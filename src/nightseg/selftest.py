@@ -14,10 +14,10 @@ import math
 import numpy as np
 
 from . import tensor as T
-from .decoder import SelfAttentionBlock, amplified_map, amplify_stage
+from .decoder import amplified_map, amplify_stage
 from .fourier import dft2d_bruteforce, fft2d, ifft2d
 from .gradcheck import grad_check
-from .layers import attention_weights, glorot_uniform
+from .layers import TokenSelfAttention, attention_weights, glorot_uniform
 from .losses import LossWeights, hungarian_match, row_dice_loss, total_loss
 from .matcher import bridged_similarity, select_reliable
 from .metrics import miou
@@ -169,11 +169,11 @@ def check_amplified_map_oracle():
 
 def check_attention_permutation():
     rng = _rng(11)
-    blk = SelfAttentionBlock(np.random.default_rng(1), 6)
-    x = rng.normal(size=(2, 3, 6))
-    y = blk(Tensor(x)).data.reshape(6, 6)
+    attn = TokenSelfAttention(np.random.default_rng(1), 6)
+    x = rng.normal(size=(6, 6))
+    y = attn(Tensor(x)).data
     perm = np.array([3, 1, 4, 0, 5, 2])
-    yp = blk(Tensor(x.reshape(6, 6)[perm].reshape(2, 3, 6))).data.reshape(6, 6)
+    yp = attn(Tensor(x[perm])).data
     assert np.abs(yp - y[perm]).max() < 1e-9
 
 
@@ -289,10 +289,10 @@ def run_grad_suite() -> list[tuple[str, float]]:
     results.append(("softmax", grad_check(
         lambda x: T.tsum(T.mul(T.softmax(x, axis=1), h3)), Tensor(rng.normal(size=(3, 6))))))
 
-    blk = SelfAttentionBlock(np.random.default_rng(2), 4)
-    h4 = Tensor(rng.normal(size=(2, 2, 4)))
-    results.append(("self-attention block", grad_check(
-        lambda x: T.tsum(T.mul(blk(x), h4)), Tensor(rng.normal(size=(2, 2, 4))))))
+    attn = TokenSelfAttention(np.random.default_rng(2), 4)
+    h4 = Tensor(rng.normal(size=(4, 4)))
+    results.append(("token self-attention", grad_check(
+        lambda x: T.tsum(T.mul(attn(x), h4)), Tensor(rng.normal(size=(4, 4))))))
 
     phi = Tensor(rng.normal(size=(2, 3, 4)))
     h5 = Tensor(rng.normal(size=(2, 3, 4)))
@@ -339,6 +339,15 @@ def run_grad_suite() -> list[tuple[str, float]]:
     q0 = Tensor(rng.normal(size=(3, 4)))
     results.append(("attention weights (keys)", grad_check(
         lambda k: T.tsum(T.mul(T.attention_weights(q0, k), h7)), Tensor(rng.normal(size=(6, 4))))))
+
+    mm = [rng.normal(size=s) for s in ((2, 3, 4), (4, 5), (5,))]   # input, weight, bias
+    h8 = Tensor(rng.normal(size=(2, 3, 5)))
+    for i, part in enumerate(("input", "weight", "bias")):
+        ops = [Tensor(m) for m in mm]
+        results.append((f"matmul over [h,w,C] with bias ({part})", grad_check(
+            lambda t: T.tsum(T.mul(T.matmul(*ops[:i], t, *ops[i + 1:]), h8)), ops[i])))
+    results.append(("conv2d (bias)", grad_check(
+        lambda b: T.tsum(T.mul(T.conv2d(x0, w, 2, 1, b), h2)), Tensor(rng.normal(size=4)))))
 
     return results
 

@@ -13,7 +13,8 @@ Conventions:
 - gradient buffers are write-once per accumulation (``grad = grad + g``),
   never mutated in place, so views may be stored safely
 - binary ops require exact shape and dtype agreement; the only broadcasts
-  are the dedicated per-pixel / per-row / last-axis-bias ops below
+  are the per-pixel and per-row scalings and the optional per-channel
+  ``bias`` that ``matmul`` and ``conv2d`` add inside their own node
 """
 
 from __future__ import annotations
@@ -27,12 +28,8 @@ __all__ = [
     "Tensor",
     "Tape",
     "active_tape",
-    "tensor",
-    "zeros",
-    "ones",
     "backward",
     "add",
-    "sub",
     "neg",
     "mul",
     "scale",
@@ -49,7 +46,6 @@ __all__ = [
     "softmax",
     "attention_weights",
     "layer_norm",
-    "add_channel_bias",
     "scale_pixels",
     "scale_rows",
     "conv2d",
@@ -93,24 +89,12 @@ class Tensor:
             raise ValueError(f"item() needs a single-element tensor, got shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def detach(self) -> "Tensor":
-        """Same storage, no gradient tracking, off any tape."""
-        return Tensor(self.data)
-
-    def assert_finite(self, what: str = "tensor") -> "Tensor":
-        if not np.all(np.isfinite(self.data)):
-            raise FloatingPointError(f"{what} contains non-finite values")
-        return self
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
     # Small amount of sugar; everything routes through the functional ops.
     def __add__(self, other: "Tensor") -> "Tensor":
         return add(self, other)
-
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        return sub(self, other)
 
     def __neg__(self) -> "Tensor":
         return neg(self)
@@ -181,20 +165,9 @@ def backward(loss: Tensor) -> None:
     loss.tape.run(loss)
 
 
-def tensor(data, requires_grad: bool = False, dtype=None) -> Tensor:
-    return Tensor(data, requires_grad=requires_grad, dtype=dtype)
-
-
-def zeros(shape, requires_grad: bool = False, dtype=np.float64) -> Tensor:
-    return Tensor(np.zeros(shape, dtype=dtype), requires_grad=requires_grad)
-
-
-def ones(shape, requires_grad: bool = False, dtype=np.float64) -> Tensor:
-    return Tensor(np.ones(shape, dtype=dtype), requires_grad=requires_grad)
-
-
-def _out(data: np.ndarray, *parents: Tensor) -> Tensor:
-    return Tensor(data, requires_grad=any(p.requires_grad for p in parents))
+def _out(data: np.ndarray, *parents: Tensor | None) -> Tensor:
+    """An op's result; a None parent (an absent bias) is skipped."""
+    return Tensor(data, requires_grad=any(p is not None and p.requires_grad for p in parents))
 
 
 def _put(out: Tensor, backward_fn: Callable[[], None]) -> Tensor:
@@ -216,6 +189,11 @@ def _check_same_shape(op: str, a: Tensor, b: Tensor) -> None:
         raise ValueError(f"{op}: shape mismatch {a.shape} vs {b.shape}")
 
 
+def _check_bias(op: str, bias: Tensor | None, n: int) -> None:
+    if bias is not None and bias.shape != (n,):
+        raise ValueError(f"{op}: bias {bias.shape} does not match {n} output channels")
+
+
 # ---------------------------------------------------------------------------
 # elementwise / scalar ops
 # ---------------------------------------------------------------------------
@@ -230,20 +208,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
             return
         _accumulate(a, g)
         _accumulate(b, g)
-
-    return _put(out, bwd)
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_shape("sub", a, b)
-    out = _out(a.data - b.data, a, b)
-
-    def bwd():
-        g = out.grad
-        if g is None:
-            return
-        _accumulate(a, g)
-        _accumulate(b, -g)
 
     return _put(out, bwd)
 
@@ -324,19 +288,30 @@ def mul_scalar_t(x: Tensor, s: Tensor) -> Tensor:
 # linear algebra / structure
 # ---------------------------------------------------------------------------
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ValueError(f"matmul: expects 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
+def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
+    """a[..., K] @ b[K, N], plus bias[N] if given; the leading axes of a are
+    flattened into the rows of one 2-D product."""
+    if a.data.ndim < 1 or b.data.ndim != 2:
+        raise ValueError(f"matmul: expects a[..., K] and a 2-D b[K, N], got {a.shape} and {b.shape}")
+    k, n = b.shape
+    if a.shape[-1] != k:
         raise ValueError(f"matmul: inner extents differ, {a.shape} x {b.shape}")
-    out = _out(a.data @ b.data, a, b)
+    _check_bias("matmul", bias, n)
+    a2 = a.data.reshape(-1, k)
+    y = a2 @ b.data
+    if bias is not None:
+        y = y + bias.data
+    out = _out(y.reshape(a.shape[:-1] + (n,)), a, b, bias)
 
     def bwd():
         g = out.grad
         if g is None:
             return
-        _accumulate(a, g @ b.data.T)
-        _accumulate(b, a.data.T @ g)
+        g2 = g.reshape(-1, n)
+        if bias is not None:
+            _accumulate(bias, np.sum(g2, axis=(0,)))
+        _accumulate(a, (g2 @ b.data.T).reshape(a.shape))
+        _accumulate(b, a2.T @ g2)
 
     return _put(out, bwd)
 
@@ -513,22 +488,6 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
 # dedicated broadcasts
 # ---------------------------------------------------------------------------
 
-def add_channel_bias(x: Tensor, b: Tensor) -> Tensor:
-    """Add a [C] bias along the last axis of x[..., C]."""
-    if b.data.ndim != 1 or x.shape[-1] != b.shape[0]:
-        raise ValueError(f"add_channel_bias: bias {b.shape} does not match last axis of {x.shape}")
-    out = _out(x.data + b.data, x, b)
-
-    def bwd():
-        g = out.grad
-        if g is None:
-            return
-        _accumulate(x, g)
-        _accumulate(b, np.sum(g, axis=tuple(range(x.data.ndim - 1))))
-
-    return _put(out, bwd)
-
-
 def scale_pixels(x: Tensor, s: Tensor) -> Tensor:
     """Scale every channel of pixel (i,j) in x[h,w,c] by s[i,j]."""
     if x.data.ndim != 3 or s.data.ndim != 2 or x.shape[:2] != s.shape:
@@ -565,8 +524,10 @@ def scale_rows(x: Tensor, s: Tensor) -> Tensor:
 # convolution / resampling / gather
 # ---------------------------------------------------------------------------
 
-def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    """Cross-correlate x[H,W,Cin] with w[kh,kw,Cin,Cout], zero padding."""
+def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0,
+           bias: Tensor | None = None) -> Tensor:
+    """Cross-correlate x[H,W,Cin] with w[kh,kw,Cin,Cout], zero padding, then
+    add bias[Cout] if given."""
     if x.data.ndim != 3 or w.data.ndim != 4:
         raise ValueError(f"conv2d: expects x[H,W,Cin] and w[kh,kw,Cin,Cout], got {x.shape} and {w.shape}")
     h, wd, cin = x.shape
@@ -575,6 +536,7 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
         raise ValueError(f"conv2d: channel mismatch, input {x.shape} vs kernel {w.shape}")
     if stride < 1:
         raise ValueError(f"conv2d: stride must be >= 1, got {stride}")
+    _check_bias("conv2d", bias, cout)
     hp, wp = h + 2 * padding, wd + 2 * padding
     if kh > hp or kw > wp:
         raise ValueError(
@@ -592,12 +554,17 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
                                      j : j + (wo - 1) * stride + 1 : stride, :]
     cols2 = cols.reshape(ho * wo, kh * kw * cin)
     w2 = w.data.reshape(kh * kw * cin, cout)
-    out = _out((cols2 @ w2).reshape(ho, wo, cout), x, w)
+    y = (cols2 @ w2).reshape(ho, wo, cout)
+    if bias is not None:
+        y = y + bias.data
+    out = _out(y, x, w, bias)
 
     def bwd():
         g = out.grad
         if g is None:
             return
+        if bias is not None:
+            _accumulate(bias, np.sum(g, axis=(0, 1)))
         g2 = g.reshape(ho * wo, cout)
         _accumulate(w, (cols2.T @ g2).reshape(w.shape))
         if x.requires_grad:

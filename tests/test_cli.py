@@ -121,6 +121,14 @@ def dataset_256x512(tmp_path_factory):
     return root
 
 
+@pytest.fixture(scope="module")
+def dataset_no_val(tmp_path_factory):
+    # an 80/20 split of 4 samples puts all 4 in train
+    root = tmp_path_factory.mktemp("cli_data_no_val")
+    assert main(["gen-data", "--out", str(root), "--count", "4", "--seed", "5"]) == 0
+    return root
+
+
 @pytest.fixture
 def no_data_load(monkeypatch):
     def fail(*args, **kwargs):
@@ -198,6 +206,31 @@ class TestBadConfigExit2:
         rc = main(["train", "--config", str(tiny_cfg), "--data", str(tmp_path / "absent"),
                    "--out", str(tmp_path / "run")])
         _assert_one_line_exit_2(rc, capsys, "absent")
+
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_gen_data_count_below_one_rejected(self, tmp_path, capsys, count):
+        rc = main(["gen-data", "--out", str(tmp_path / "data"), "--count", count])
+        _assert_one_line_exit_2(rc, capsys, "count", count)
+        assert not (tmp_path / "data").exists()
+
+    def test_train_without_train_split_rejected(self, dataset, tiny_cfg, tmp_path, capsys):
+        lines = (dataset / "manifest.txt").read_text(encoding="utf-8").splitlines()
+        (tmp_path / "manifest.txt").write_text(
+            "\n".join(ln.replace(" train", " val") for ln in lines) + "\n", encoding="utf-8")
+        rc = main(["train", "--config", str(tiny_cfg), "--data", str(tmp_path),
+                   "--out", str(tmp_path / "run")])
+        _assert_one_line_exit_2(rc, capsys, "no train samples", "train reads")
+        assert not (tmp_path / "run").exists()
+
+    def test_eval_and_ablate_without_val_split_rejected(self, dataset_no_val, tiny_cfg,
+                                                        tmp_path, capsys):
+        rc = main(["eval", "--ckpt", str(tmp_path), "--config", str(tiny_cfg),
+                   "--data", str(dataset_no_val), "--report", str(tmp_path / "r.txt")])
+        _assert_one_line_exit_2(rc, capsys, "no val samples", "eval reads")
+        assert not (tmp_path / "r.txt").exists()
+        rc = main(["ablate", "--axis", "matcher", "--config", str(tiny_cfg),
+                   "--data", str(dataset_no_val)])
+        _assert_one_line_exit_2(rc, capsys, "no val samples", "ablate reads")
 
     def test_phase_extract_bad_c_a(self, dataset, tmp_path, capsys):
         rc = main(["phase-extract", "--in", str(dataset / "img_00000.ppm"),

@@ -15,23 +15,30 @@ from nightseg.train import TrainConfig
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
+def parse_text(tmp_path, text: str) -> dict[str, str]:
+    """Parse config text the way the command line does: from a file."""
+    path = tmp_path / "test.cfg"
+    path.write_text(text, encoding="utf-8")
+    return parse_config(path)
+
+
 class TestConfig:
-    def test_parse_values_and_comments(self):
-        cfg = parse_config(
+    def test_parse_values_and_comments(self, tmp_path):
+        cfg = parse_text(
+            tmp_path,
             "# comment line\n"
             "decoder.depth = 2\n"
             "matcher.mode = vanilla  # trailing comment\n"
             "\n"
             "train.lr1 = 0.002\n",
-            from_text=True,
         )
         mc = build(ModelConfig, cfg)
         assert mc.decoder_depth == 2
         assert mc.matcher_mode == "vanilla"
         assert build(TrainConfig, cfg).lr1 == pytest.approx(0.002)
 
-    def test_defaults_when_absent(self):
-        cfg = parse_config("", from_text=True)
+    def test_defaults_when_absent(self, tmp_path):
+        cfg = parse_text(tmp_path, "")
         assert build(ModelConfig, cfg, num_classes=3) == ModelConfig(num_classes=3)
         assert build(TrainConfig, cfg) == TrainConfig()
         mc = build(ModelConfig, cfg)
@@ -39,22 +46,22 @@ class TestConfig:
         assert mc.normalize_amp_map is True
         assert mc.backbone_widths == (16, 32, 48, 64)
 
-    def test_unknown_key_rejected(self):
+    def test_unknown_key_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="unknown key"):
-            parse_config("decoder.depht = 2\n", from_text=True)
+            parse_text(tmp_path, "decoder.depht = 2\n")
 
-    def test_duplicate_key_rejected(self):
+    def test_duplicate_key_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="duplicate"):
-            parse_config("decoder.depth = 1\ndecoder.depth = 2\n", from_text=True)
+            parse_text(tmp_path, "decoder.depth = 1\ndecoder.depth = 2\n")
 
-    def test_missing_equals_rejected(self):
+    def test_missing_equals_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="key = value"):
-            parse_config("decoder.depth 2\n", from_text=True)
+            parse_text(tmp_path, "decoder.depth 2\n")
 
-    def test_bool_and_ints_parsing(self):
-        cfg = parse_config(
+    def test_bool_and_ints_parsing(self, tmp_path):
+        cfg = parse_text(
+            tmp_path,
             "decoder.normalize_amp_map = false\nbackbone.widths = 8,16, 24 32\n",
-            from_text=True,
         )
         mc = build(ModelConfig, cfg)
         assert mc.normalize_amp_map is False
@@ -63,8 +70,8 @@ class TestConfig:
                                 ("False", False), ("0", False), ("no", False)]:
             assert build(ModelConfig, {"reliable.renormalize": spelling}).renormalize is value
 
-    def test_bad_bool_rejected(self):
-        cfg = parse_config("decoder.normalize_amp_map = maybe\n", from_text=True)
+    def test_bad_bool_rejected(self, tmp_path):
+        cfg = parse_text(tmp_path, "decoder.normalize_amp_map = maybe\n")
         with pytest.raises(ValueError, match="decoder.normalize_amp_map: expected a boolean"):
             build(ModelConfig, cfg)
 

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from nightseg import tensor as T
-from nightseg.decoder import (HierarchicalAmplifiedDecoder, SelfAttentionBlock,
-                              amplified_map, amplify_stage)
+from nightseg.decoder import HierarchicalAmplifiedDecoder, amplified_map, amplify_stage
 from nightseg.gradcheck import grad_check
-from nightseg.layers import Pyramid
+from nightseg.layers import Pyramid, TokenSelfAttention
 from nightseg.tensor import Tensor
 
 
@@ -158,36 +157,34 @@ class TestAmplify:
 
 
 class TestSelfAttention:
+    """The attention layer the decoder applies to each stage's h*w pixel tokens."""
+
     def test_single_token_weight_is_one(self):
         rng = np.random.default_rng(8)
-        blk = SelfAttentionBlock(rng, 5)
-        x = rng.normal(size=(1, 1, 5))
-        got = blk(Tensor(x)).data
-        # softmax over one element is exactly 1: block reduces to the
+        attn = TokenSelfAttention(rng, 5)
+        x = rng.normal(size=(1, 5))
+        got = attn(Tensor(x)).data
+        # softmax over one element is exactly 1: the layer reduces to the
         # normalized residual path LN(x + (V)Wo)
-        attn = blk.attn
-        v = x.reshape(1, 5) @ attn.wv.data
-        pre = x.reshape(1, 5) + v @ attn.wo.data
+        v = x @ attn.wv.data
+        pre = x + v @ attn.wo.data
         mu, var = pre.mean(), pre.var()
         want = (pre - mu) / np.sqrt(var + 1e-5)
-        assert np.abs(got.reshape(1, 5) - want).max() < 1e-12
+        assert np.abs(got - want).max() < 1e-12
 
     def test_identical_tokens_identical_outputs(self):
         rng = np.random.default_rng(9)
-        blk = SelfAttentionBlock(rng, 4)
+        attn = TokenSelfAttention(rng, 4)
         row = rng.normal(size=4)
-        x = np.tile(row, (2, 1)).reshape(1, 2, 4)
-        out = blk(Tensor(x)).data
-        assert np.abs(out[0, 0] - out[0, 1]).max() < 1e-12
+        out = attn(Tensor(np.tile(row, (2, 1)))).data
+        assert np.abs(out[0] - out[1]).max() < 1e-12
 
     def test_matches_composed_oracle(self):
         rng = np.random.default_rng(10)
-        blk = SelfAttentionBlock(rng, 4)
-        blk.attn.wo.data = rng.normal(size=(4, 4))  # exercise a nonzero output proj
-        x = rng.normal(size=(2, 2, 4))
-        got = blk(Tensor(x)).data.reshape(4, 4)
-        t = x.reshape(4, 4)
-        a = blk.attn
+        a = TokenSelfAttention(rng, 4)
+        a.wo.data = rng.normal(size=(4, 4))  # exercise a nonzero output proj
+        t = rng.normal(size=(4, 4))
+        got = a(Tensor(t)).data
         logits = (t @ a.wq.data) @ (t @ a.wk.data).T / 2.0
         e = np.exp(logits - logits.max(axis=1, keepdims=True))
         att = e / e.sum(axis=1, keepdims=True)
@@ -199,18 +196,18 @@ class TestSelfAttention:
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(11)
-        blk = SelfAttentionBlock(rng, 6)
+        attn = TokenSelfAttention(rng, 6)
         x = rng.normal(size=(12, 6))
         perm = rng.permutation(12)
-        y = blk(Tensor(x.reshape(3, 4, 6))).data.reshape(12, 6)
-        yp = blk(Tensor(x[perm].reshape(3, 4, 6))).data.reshape(12, 6)
+        y = attn(Tensor(x)).data
+        yp = attn(Tensor(x[perm])).data
         assert np.abs(yp - y[perm]).max() < 1e-9
 
     def test_token_budget_enforced(self):
         rng = np.random.default_rng(12)
-        blk = SelfAttentionBlock(rng, 2)
+        attn = TokenSelfAttention(rng, 2)
         with pytest.raises(ValueError, match="4096"):
-            blk(Tensor(np.zeros((65, 64, 2))))
+            attn(Tensor(np.zeros((65 * 64, 2))))
 
 
 class TestHierarchicalDecode:

@@ -143,35 +143,42 @@ class TestTrainLoop:
         float(lines[-1].split()[1])  # parses
 
 
+def parse_text(tmp_path, text: str) -> dict[str, str]:
+    """Parse config text the way the command line does: from a file."""
+    path = tmp_path / "test.cfg"
+    path.write_text(text, encoding="utf-8")
+    return parse_config(path)
+
+
 class TestTrainConfig:
     def test_phase_rate_ordering_enforced(self):
         with pytest.raises(ValueError, match="below"):
             TrainConfig(lr1=1e-4, lr2=1e-3)
 
-    def test_from_config_defaults_and_overrides(self):
-        cfg = parse_config("train.iters = 12\ntrain.lr1 = 0.005\n", from_text=True)
+    def test_from_config_defaults_and_overrides(self, tmp_path):
+        cfg = parse_text(tmp_path, "train.iters = 12\ntrain.lr1 = 0.005\n")
         tc = build(TrainConfig, cfg)
         assert tc.iters == 12
         assert tc.lr1 == pytest.approx(0.005)
         assert tc.phase1_iters == 9  # 80% default
         assert tc.dtype == np.float32
 
-    def test_loss_weights_from_config(self):
-        cfg = parse_config("train.lambda_cls = 3\ntrain.lambda_bce = 1\n", from_text=True)
+    def test_loss_weights_from_config(self, tmp_path):
+        cfg = parse_text(tmp_path, "train.lambda_cls = 3\ntrain.lambda_bce = 1\n")
         tc = build(TrainConfig, cfg)
         assert tc.weights.cls == 3.0
         assert tc.weights.bce == 1.0
         assert tc.weights.dice == 5.0
 
     @pytest.mark.parametrize("value", ["-1", "0"])
-    def test_nonpositive_c_a_rejected(self, value):
-        cfg = parse_config(f"phase.c_a = {value}\n", from_text=True)
+    def test_nonpositive_c_a_rejected(self, tmp_path, value):
+        cfg = parse_text(tmp_path, f"phase.c_a = {value}\n")
         with pytest.raises(ValueError, match=r"phase\.c_a"):
             build(TrainConfig, cfg)
 
-    def test_c_a_absent_means_mean_amplitude(self):
+    def test_c_a_absent_means_mean_amplitude(self, tmp_path):
         assert build(TrainConfig, {}).c_a is None
-        cfg = parse_config("phase.c_a = 2.5\n", from_text=True)
+        cfg = parse_text(tmp_path, "phase.c_a = 2.5\n")
         assert build(TrainConfig, cfg).c_a == 2.5
 
     def test_two_phase_schedule_applied(self, tiny_data):
