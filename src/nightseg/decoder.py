@@ -1,10 +1,12 @@
 """Pixel-level texture amplification and coarse-to-fine feature fusion.
 
-Backbone and phase features are projected to a shared width, a per-pixel
-amplification map (channel sum of squared feature sums) reweights the
-projected features, a self-attention layer aggregates context, and the
-result is upsampled and fused additively with the next finer stage until
-the output sits at 1/4 resolution.
+Backbone and phase features are projected to a shared width. At each stage
+``amplify_stage`` (one tape node, from ``tensor``) reweights the projected
+features by the per-pixel amplification map, the channel sum of squared
+feature sums, scaled to mean 1 unless ``normalize_amp_map`` is off. A
+self-attention layer then aggregates context, and the result is upsampled
+and fused additively with the next finer stage until the output sits at
+1/4 resolution.
 """
 
 from __future__ import annotations
@@ -13,30 +15,9 @@ import numpy as np
 
 from . import tensor as T
 from .layers import Linear, Params, Pyramid, TokenSelfAttention
-from .tensor import Tensor
+from .tensor import Tensor, amplify_stage
 
-__all__ = [
-    "amplified_map",
-    "amplify_stage",
-    "HierarchicalAmplifiedDecoder",
-]
-
-def amplified_map(fbar: Tensor, pbar: Tensor, normalize: bool = True) -> Tensor:
-    """Per-pixel channel sum of (fbar + pbar)^2, optionally scaled to mean 1."""
-    if fbar.shape != pbar.shape:
-        raise ValueError(f"amplified_map: shape mismatch {fbar.shape} vs {pbar.shape}")
-    s = T.add(fbar, pbar)
-    raw = T.tsum(T.mul(s, s), axis=2)
-    if not normalize:
-        return raw
-    # tiny epsilon keeps the all-zero map finite; mean-1 holds to ~1e-9 otherwise
-    return T.mul_scalar_t(raw, T.recip(T.add_scalar(T.tmean(raw), 1e-12)))
-
-
-def amplify_stage(fbar: Tensor, pbar: Tensor, normalize: bool = True) -> Tensor:
-    """One amplification step: scale every channel of pixel (i, j) of fbar by
-    the amplified map of (fbar, pbar) at (i, j)."""
-    return T.scale_pixels(fbar, amplified_map(fbar, pbar, normalize=normalize))
+__all__ = ["HierarchicalAmplifiedDecoder"]
 
 
 class HierarchicalAmplifiedDecoder:

@@ -20,7 +20,6 @@ from .tensor import Tensor
 __all__ = [
     "LossWeights",
     "hungarian_match",
-    "row_dice_loss",
     "decompose_gt",
     "class_and_mask_probs",
     "matching_costs",
@@ -35,13 +34,13 @@ class LossWeights:
     dice: float = option("train.lambda_dice", 5.0)
 
 
-def hungarian_match(cost) -> np.ndarray:
+def hungarian_match(cost: np.ndarray) -> np.ndarray:
     """Min-cost one-to-one assignment of G columns to distinct rows of cost[N, G].
 
     Returns proto_for_segment[G]. Shortest-augmenting-path form with row
     and column potentials; requires N >= G.
     """
-    c = cost.data if isinstance(cost, Tensor) else np.asarray(cost, dtype=np.float64)
+    c = np.asarray(cost, dtype=np.float64)
     if c.ndim != 2:
         raise ValueError(f"hungarian_match: expects a 2-D cost matrix, got shape {c.shape}")
     n, g = c.shape
@@ -95,18 +94,6 @@ def hungarian_match(cost) -> np.ndarray:
         if p[j]:
             proto_for_segment[p[j] - 1] = j - 1
     return proto_for_segment
-
-
-def row_dice_loss(logits: Tensor, targets: np.ndarray) -> Tensor:
-    """Per-row 1 - (2*sum(p*t)+1) / (sum(p)+sum(t)+1) of p = sigmoid(logits)
-    against targets, both [G, M]; returns [G]."""
-    probs = T.sigmoid(logits)
-    inter = T.tsum(T.mul(probs, Tensor(targets)), axis=1)
-    denom = T.add(T.tsum(probs, axis=1), Tensor(targets.sum(axis=1)))
-    return T.add_scalar(
-        T.neg(T.mul(T.add_scalar(T.scale(inter, 2.0), 1.0), T.recip(T.add_scalar(denom, 1.0)))),
-        1.0,
-    )
 
 
 def decompose_gt(mask: np.ndarray, num_classes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -175,10 +162,5 @@ def total_loss(mask_logits: Tensor, class_logits: Tensor, gt_mask: np.ndarray,
 
     planes = T.transpose2d(T.reshape(mask_logits, (h * w, n)))   # [N, hw]
     matched = T.gather_rows(planes, proto_for_segment)           # [G, hw]
-    tt = targets.astype(mask_logits.data.dtype)
-
-    bce_per_seg = T.tmean(T.bce_with_logits(matched, tt), axis=1)          # [G]
-    dice_per_seg = row_dice_loss(matched, tt)                              # [G]
-    mask_term = T.add(T.scale(T.tsum(bce_per_seg), weights.bce),
-                      T.scale(T.tsum(dice_per_seg), weights.dice))
+    mask_term = T.bce_dice_loss(matched, targets, weights.bce, weights.dice)
     return T.add(mask_term, T.scale(T.ce_logits(class_logits, ce_targets), weights.cls))

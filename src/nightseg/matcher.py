@@ -50,7 +50,7 @@ def bridged_similarity(q: Tensor, q_pix: Tensor, kr: Tensor, renormalize: bool =
         raise ValueError("bridged_similarity: empty reliable set")
     sim_qk = T.matmul(attention_weights(q, kr), T.transpose2d(attention_weights(q_pix, kr)))
     if renormalize:
-        sim_qk = T.scale_rows(sim_qk, T.recip(T.tsum(sim_qk, axis=1)))
+        sim_qk = T.normalize_rows(sim_qk)
     return sim_qk
 
 

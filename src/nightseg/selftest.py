@@ -14,11 +14,10 @@ import math
 import numpy as np
 
 from . import tensor as T
-from .decoder import amplified_map, amplify_stage
 from .fourier import dft2d_bruteforce, fft2d, ifft2d
 from .gradcheck import grad_check
 from .layers import TokenSelfAttention, attention_weights, glorot_uniform
-from .losses import LossWeights, hungarian_match, row_dice_loss, total_loss
+from .losses import LossWeights, hungarian_match, total_loss
 from .matcher import bridged_similarity, select_reliable
 from .metrics import miou
 from .model import ModelConfig, NightSegModel
@@ -155,16 +154,20 @@ def check_sobel():
     assert np.abs(mag[2:6, 4] - 4.0).max() < 1e-12
 
 
-def check_amplified_map_oracle():
+def check_amplify_oracle():
     rng = _rng(10)
     f = rng.normal(size=(3, 4, 5))
     p = rng.normal(size=(3, 4, 5))
-    got = amplified_map(Tensor(f), Tensor(p), normalize=False).data
-    want = ((f + p) ** 2).sum(axis=2)
-    assert np.abs(got - want).max() < 1e-10 and (got >= 0).all()
-    ones = np.ones((3, 4))
-    out = T.scale_pixels(Tensor(f), Tensor(ones)).data
-    assert np.array_equal(out, f)
+    amap = np.zeros((3, 4))
+    for i, j, c in itertools.product(range(3), range(4), range(5)):
+        amap[i, j] += (f[i, j, c] + p[i, j, c]) ** 2
+    assert (amap >= 0).all()
+    for normalize, a in ((False, amap), (True, amap / (amap.mean() + 1e-12))):
+        got = T.amplify_stage(Tensor(f), Tensor(p), normalize).data
+        want = np.zeros_like(f)
+        for i, j, c in itertools.product(range(3), range(4), range(5)):
+            want[i, j, c] = f[i, j, c] * a[i, j]
+        assert np.abs(got - want).max() < 1e-10
 
 
 def check_attention_permutation():
@@ -183,11 +186,13 @@ def _random_projections(rng, c):
     return [glorot_uniform(init, (c, c), c, c, np.float64) for _ in range(3)]
 
 
-def _bridge(p: Tensor, fa: Tensor, wq: Tensor, wk: Tensor, k: int) -> Tensor:
+def _bridge(p: Tensor, fa: Tensor, wq: Tensor, wk: Tensor, k: int,
+            renormalize: bool = False) -> Tensor:
     """The reliable bridge of a matcher layer, from its query and key weights."""
     q = T.matmul(p, wq)
     idx = select_reliable(attention_weights(q, T.matmul(fa, wk)), k)
-    return bridged_similarity(q, T.matmul(fa, wq), T.matmul(T.gather_rows(fa, idx), wk))
+    return bridged_similarity(q, T.matmul(fa, wq), T.matmul(T.gather_rows(fa, idx), wk),
+                              renormalize)
 
 
 def check_matching_invariants():
@@ -296,10 +301,13 @@ def run_grad_suite() -> list[tuple[str, float]]:
 
     phi = Tensor(rng.normal(size=(2, 3, 4)))
     h5 = Tensor(rng.normal(size=(2, 3, 4)))
-
-    results.append(("amplified map + amplify", grad_check(
-        lambda x: T.tsum(T.mul(amplify_stage(x, phi, normalize=True), h5)),
-        Tensor(rng.normal(size=(2, 3, 4))))))
+    f0 = Tensor(rng.normal(size=(2, 3, 4)))
+    for normalize in (True, False):
+        tag = "normalized" if normalize else "raw"
+        results.append((f"amplify stage (features, {tag})", grad_check(
+            lambda x: T.tsum(T.mul(T.amplify_stage(x, phi, normalize), h5)), Tensor(f0.data.copy()))))
+        results.append((f"amplify stage (phase, {tag})", grad_check(
+            lambda x: T.tsum(T.mul(T.amplify_stage(f0, x, normalize), h5)), Tensor(phi.data.copy()))))
 
     wq, wk, wv = _random_projections(_rng(161), 4)
     fa0 = Tensor(rng.normal(size=(7, 4)))
@@ -318,9 +326,9 @@ def run_grad_suite() -> list[tuple[str, float]]:
 
     tgt = (rng.random((4, 4)) > 0.5).astype(np.float64)
     results.append(("dice", grad_check(
-        lambda x: T.tsum(row_dice_loss(x, tgt)), Tensor(rng.normal(size=(4, 4))))))
+        lambda x: T.bce_dice_loss(x, tgt, 0.0, 1.0), Tensor(rng.normal(size=(4, 4))))))
     results.append(("bce", grad_check(
-        lambda x: T.tmean(T.bce_with_logits(x, tgt)), Tensor(rng.normal(size=(4, 4))))))
+        lambda x: T.bce_dice_loss(x, tgt, 1.0, 0.0), Tensor(rng.normal(size=(4, 4))))))
     results.append(("ce", grad_check(
         lambda x: T.ce_logits(x, np.array([1, 0, 2])), Tensor(rng.normal(size=(3, 4))))))
 
@@ -348,6 +356,18 @@ def run_grad_suite() -> list[tuple[str, float]]:
             lambda t: T.tsum(T.mul(T.matmul(*ops[:i], t, *ops[i + 1:]), h8)), ops[i])))
     results.append(("conv2d (bias)", grad_check(
         lambda b: T.tsum(T.mul(T.conv2d(x0, w, 2, 1, b), h2)), Tensor(rng.normal(size=4)))))
+
+    # a generator of their own keeps the draws of the entries above unchanged
+    rng = _rng(162)
+    h9 = Tensor(rng.normal(size=(3, 5)))
+    results.append(("normalize rows", grad_check(
+        lambda x: T.tsum(T.mul(T.normalize_rows(x), h9)), Tensor(rng.uniform(0.5, 1.5, (3, 5))))))
+    results.append(("bridged similarity renormalized (prototypes)", grad_check(
+        lambda p: T.tsum(T.mul(T.matmul(_bridge(p, fa0, wq, wk, 3, True), v0), h6)),
+        Tensor(rng.normal(size=(3, 4))))))
+    tgt2 = (rng.random((3, 6)) > 0.5).astype(np.float64)
+    results.append(("bce + dice loss", grad_check(
+        lambda x: T.bce_dice_loss(x, tgt2, 1.5, 2.5), Tensor(rng.normal(size=(3, 6))))))
 
     return results
 
@@ -419,7 +439,7 @@ CHECKS = [
     ("constant-amplitude reconstruction keeps modulus c_a", check_phase_amplitude_invariant),
     ("amplitude plane invariant to circular shifts", check_amplitude_shift_invariance),
     ("sobel map: zero on constants, 4 on unit step", check_sobel),
-    ("amplified map matches per-pixel loop and is nonnegative", check_amplified_map_oracle),
+    ("amplification matches per-pixel loop oracle, raw and normalized", check_amplify_oracle),
     ("self-attention is permutation-equivariant", check_attention_permutation),
     ("fused attention weights equal the composed ops bit for bit", check_attention_weights_composed),
     ("similarity invariants hold on 1000 random instances", check_matching_invariants),

@@ -13,8 +13,10 @@ Conventions:
 - gradient buffers are write-once per accumulation (``grad = grad + g``),
   never mutated in place, so views may be stored safely
 - binary ops require exact shape and dtype agreement; the only broadcasts
-  are the per-pixel and per-row scalings and the optional per-channel
-  ``bias`` that ``matmul`` and ``conv2d`` add inside their own node
+  happen inside single nodes: the optional per-channel ``bias`` of
+  ``matmul`` and ``conv2d``, the per-pixel scaling of ``amplify_stage``, the
+  per-row scaling of ``normalize_rows`` and the per-row reductions of
+  ``attention_weights``, ``softmax`` and ``bce_dice_loss``
 """
 
 from __future__ import annotations
@@ -30,28 +32,22 @@ __all__ = [
     "active_tape",
     "backward",
     "add",
-    "neg",
     "mul",
     "scale",
-    "add_scalar",
-    "recip",
-    "mul_scalar_t",
     "matmul",
     "transpose2d",
     "reshape",
     "tsum",
-    "tmean",
     "relu",
-    "sigmoid",
     "softmax",
     "attention_weights",
     "layer_norm",
-    "scale_pixels",
-    "scale_rows",
+    "amplify_stage",
+    "normalize_rows",
     "conv2d",
     "upsample_bilinear2x",
     "gather_rows",
-    "bce_with_logits",
+    "bce_dice_loss",
     "ce_logits",
 ]
 
@@ -95,9 +91,6 @@ class Tensor:
     # Small amount of sugar; everything routes through the functional ops.
     def __add__(self, other: "Tensor") -> "Tensor":
         return add(self, other)
-
-    def __neg__(self) -> "Tensor":
-        return neg(self)
 
     def __mul__(self, other) -> "Tensor":
         if isinstance(other, Tensor):
@@ -212,10 +205,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _put(out, bwd)
 
 
-def neg(x: Tensor) -> Tensor:
-    return scale(x, -1.0)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape("mul", a, b)
     out = _out(a.data * b.data, a, b)
@@ -238,48 +227,6 @@ def scale(x: Tensor, c: float) -> Tensor:
         if g is None:
             return
         _accumulate(x, g * c)
-
-    return _put(out, bwd)
-
-
-def add_scalar(x: Tensor, c: float) -> Tensor:
-    out = _out(x.data + c, x)
-
-    def bwd():
-        g = out.grad
-        if g is None:
-            return
-        _accumulate(x, g)
-
-    return _put(out, bwd)
-
-
-def recip(x: Tensor) -> Tensor:
-    """Elementwise 1/x."""
-    out = _out(1.0 / x.data, x)
-    inv = out.data
-
-    def bwd():
-        g = out.grad
-        if g is None:
-            return
-        _accumulate(x, -g * inv * inv)
-
-    return _put(out, bwd)
-
-
-def mul_scalar_t(x: Tensor, s: Tensor) -> Tensor:
-    """Multiply every element of x by a single-element tensor s."""
-    if s.data.size != 1:
-        raise ValueError(f"mul_scalar_t: scalar operand must be single-element, got shape {s.shape}")
-    out = _out(x.data * s.data.reshape(()), x, s)
-
-    def bwd():
-        g = out.grad
-        if g is None:
-            return
-        _accumulate(x, g * s.data.reshape(()))
-        _accumulate(s, np.asarray(np.sum(g * x.data)).reshape(s.shape))
 
     return _put(out, bwd)
 
@@ -359,11 +306,6 @@ def tsum(x: Tensor, axis: int | None = None) -> Tensor:
     return _put(out, bwd)
 
 
-def tmean(x: Tensor, axis: int | None = None) -> Tensor:
-    n = x.data.size if axis is None else x.shape[axis]
-    return scale(tsum(x, axis=axis), 1.0 / n)
-
-
 # ---------------------------------------------------------------------------
 # nonlinearities
 # ---------------------------------------------------------------------------
@@ -376,29 +318,6 @@ def relu(x: Tensor) -> Tensor:
         if g is None:
             return
         _accumulate(x, g * (x.data > 0))
-
-    return _put(out, bwd)
-
-
-def _sigmoid_np(z: np.ndarray) -> np.ndarray:
-    # Piecewise form avoids exp overflow on large |z|.
-    pos = z >= 0
-    r = np.empty_like(z)
-    r[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    r[~pos] = ez / (1.0 + ez)
-    return r
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    y = _sigmoid_np(x.data)
-    out = _out(y, x)
-
-    def bwd():
-        g = out.grad
-        if g is None:
-            return
-        _accumulate(x, g * y * (1.0 - y))
 
     return _put(out, bwd)
 
@@ -485,37 +404,63 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
 
 
 # ---------------------------------------------------------------------------
-# dedicated broadcasts
+# paper mechanisms as single nodes
+#
+# Each replaces a chain of small ops: the forward applies the chain's ufuncs
+# in its order, and the backward replays the chain's rules and hands each
+# input its contributions in the order the chain's nodes did, so values and
+# gradients equal the composed ops bit for bit.
 # ---------------------------------------------------------------------------
 
-def scale_pixels(x: Tensor, s: Tensor) -> Tensor:
-    """Scale every channel of pixel (i,j) in x[h,w,c] by s[i,j]."""
-    if x.data.ndim != 3 or s.data.ndim != 2 or x.shape[:2] != s.shape:
-        raise ValueError(f"scale_pixels: incompatible shapes {x.shape} and {s.shape}")
-    out = _out(x.data * s.data[:, :, None], x, s)
+def amplify_stage(fbar: Tensor, pbar: Tensor, normalize: bool = True) -> Tensor:
+    """Scale every channel of pixel (i, j) of fbar[h, w, C] by the amplified
+    map a[i, j] = sum_c (fbar + pbar)[i, j, c]^2.
+
+    With ``normalize`` the map is first divided by its mean plus 1e-12, so it
+    has mean 1 and an all-zero map stays finite.
+    """
+    _check_same_shape("amplify_stage", fbar, pbar)
+    if fbar.data.ndim != 3:
+        raise ValueError(f"amplify_stage: expects [h, w, C] maps, got {fbar.shape}")
+    s = fbar.data + pbar.data
+    raw = np.sum(s * s, axis=2)
+    a = raw
+    if normalize:
+        r = 1.0 / (np.sum(raw) * (1.0 / raw.size) + 1e-12)
+        a = raw * r
+    out = _out(fbar.data * a[:, :, None], fbar, pbar)
 
     def bwd():
         g = out.grad
         if g is None:
             return
-        _accumulate(x, g * s.data[:, :, None])
-        _accumulate(s, np.sum(g * x.data, axis=2))
+        _accumulate(fbar, g * a[:, :, None])
+        graw = np.sum(g * fbar.data, axis=2)
+        if normalize:
+            gr = np.sum(graw * raw)
+            graw = graw * r + -gr * r * r * (1.0 / raw.size)
+        ds = graw[:, :, None] * s
+        ds += ds
+        _accumulate(fbar, ds)
+        _accumulate(pbar, ds)
 
     return _put(out, bwd)
 
 
-def scale_rows(x: Tensor, s: Tensor) -> Tensor:
-    """Scale row i of x[n, m] by s[i]."""
-    if x.data.ndim != 2 or s.data.ndim != 1 or x.shape[0] != s.shape[0]:
-        raise ValueError(f"scale_rows: incompatible shapes {x.shape} and {s.shape}")
-    out = _out(x.data * s.data[:, None], x, s)
+def normalize_rows(x: Tensor) -> Tensor:
+    """Scale row i of x[n, m] by 1 / sum_j x[i, j], so every row sums to one."""
+    if x.data.ndim != 2:
+        raise ValueError(f"normalize_rows: expects a 2-D tensor, got {x.shape}")
+    inv = 1.0 / np.sum(x.data, axis=1)
+    out = _out(x.data * inv[:, None], x)
 
     def bwd():
         g = out.grad
         if g is None:
             return
-        _accumulate(x, g * s.data[:, None])
-        _accumulate(s, np.sum(g * x.data, axis=1))
+        _accumulate(x, g * inv[:, None])
+        ginv = np.sum(g * x.data, axis=1)
+        _accumulate(x, np.broadcast_to((-ginv * inv * inv)[:, None], x.shape))
 
     return _put(out, bwd)
 
@@ -650,20 +595,47 @@ def gather_rows(x: Tensor, indices) -> Tensor:
 # classification losses (kept as primitives for numerical stability)
 # ---------------------------------------------------------------------------
 
-def bce_with_logits(logits: Tensor, targets) -> Tensor:
-    """Elementwise binary cross-entropy on logits, log-sum-exp stable."""
-    t = targets.data if isinstance(targets, Tensor) else np.asarray(targets, dtype=logits.data.dtype)
-    if t.shape != logits.shape:
-        raise ValueError(f"bce_with_logits: target shape {t.shape} != logits shape {logits.shape}")
+def _sigmoid_np(z: np.ndarray) -> np.ndarray:
+    # Piecewise form avoids exp overflow on large |z|.
+    pos = z >= 0
+    r = np.empty_like(z)
+    r[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    r[~pos] = ez / (1.0 + ez)
+    return r
+
+
+def bce_dice_loss(logits: Tensor, targets, bce_weight: float, dice_weight: float) -> Tensor:
+    """bce_weight * sum_g mean_m BCE + dice_weight * sum_g dice_g of mask
+    logits against binary targets, both [G, M].
+
+    BCE is taken on the logits, log-sum-exp stable; dice_g is
+    1 - (2 sum_m p t + 1) / (sum_m p + sum_m t + 1) with p = sigmoid(logits).
+    One node, replayed bit for bit like the paper-mechanism nodes above.
+    """
+    t = np.asarray(targets, dtype=logits.data.dtype)
+    if logits.data.ndim != 2 or t.shape != logits.shape:
+        raise ValueError(f"bce_dice_loss: expects logits[G, M] and targets of the same shape, "
+                         f"got {logits.shape} and {t.shape}")
     z = logits.data
-    loss = np.maximum(z, 0.0) - z * t + np.log1p(np.exp(-np.abs(z)))
-    out = _out(loss, logits)
+    c = 1.0 / z.shape[1]
+    bce = np.sum(np.maximum(z, 0.0) - z * t + np.log1p(np.exp(-np.abs(z))), axis=1) * c
+    p = _sigmoid_np(z)
+    num = np.sum(p * t, axis=1) * 2.0 + 1.0
+    rden = 1.0 / (np.sum(p, axis=1) + np.sum(t, axis=1) + 1.0)
+    q = num * rden
+    dice = q * -1.0 + 1.0
+    out = _out(np.sum(bce) * bce_weight + np.sum(dice) * dice_weight, logits)
 
     def bwd():
         g = out.grad
         if g is None:
             return
-        _accumulate(logits, g * (_sigmoid_np(z) - t))
+        gq = g * dice_weight * -1.0
+        ginter = gq * rden * 2.0
+        gden = -(gq * num) * rden * rden
+        _accumulate(logits, (gden[:, None] + ginter[:, None] * t) * p * (1.0 - p))
+        _accumulate(logits, g * bce_weight * c * (p - t))
 
     return _put(out, bwd)
 

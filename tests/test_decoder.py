@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nightseg import tensor as T
-from nightseg.decoder import HierarchicalAmplifiedDecoder, amplified_map, amplify_stage
+from nightseg.decoder import HierarchicalAmplifiedDecoder
 from nightseg.gradcheck import grad_check
 from nightseg.layers import Pyramid, TokenSelfAttention
 from nightseg.tensor import Tensor
@@ -81,36 +81,52 @@ class TestProjection:
             dec(fp, pp)
 
 
+def amplify_loop_oracle(f, p):
+    """The amplified map a[i, j] = sum_c (f + p)^2 and f reweighted by it,
+    by nested loops."""
+    h, w, c = f.shape
+    amap = np.zeros((h, w))
+    for i in range(h):
+        for j in range(w):
+            for k in range(c):
+                amap[i, j] += (f[i, j, k] + p[i, j, k]) ** 2
+    out = np.zeros_like(f)
+    for i in range(h):
+        for j in range(w):
+            for k in range(c):
+                out[i, j, k] = f[i, j, k] * amap[i, j]
+    return amap, out
+
+
 class TestAmplifiedMap:
+    """The map itself, read off as amplify_stage's per-pixel gain out / fbar."""
+
     def test_zero_inputs_zero_raw_map(self):
-        out = amplified_map(Tensor(np.zeros((2, 2, 3))), Tensor(np.zeros((2, 2, 3))),
-                            normalize=False)
+        out = T.amplify_stage(Tensor(np.zeros((2, 2, 3))), Tensor(np.zeros((2, 2, 3))),
+                              normalize=False)
         assert np.abs(out.data).max() == 0.0
 
     def test_single_channel_hand_value(self):
         f = np.full((1, 1, 1), 1.0)
         p = np.full((1, 1, 1), 2.0)
-        out = amplified_map(Tensor(f), Tensor(p), normalize=False)
-        assert out.data[0, 0] == pytest.approx(9.0)  # (1+2)^2
+        out = T.amplify_stage(Tensor(f), Tensor(p), normalize=False)
+        assert out.data[0, 0, 0] == pytest.approx(9.0)  # 1 * (1+2)^2
 
     def test_matches_loop_oracle_and_nonnegative(self):
         rng = np.random.default_rng(4)
         f = rng.normal(size=(3, 4, 5))
         p = rng.normal(size=(3, 4, 5))
-        got = amplified_map(Tensor(f), Tensor(p), normalize=False).data
-        want = np.zeros((3, 4))
-        for i in range(3):
-            for j in range(4):
-                for c in range(5):
-                    want[i, j] += (f[i, j, c] + p[i, j, c]) ** 2
+        amap, want = amplify_loop_oracle(f, p)
+        got = T.amplify_stage(Tensor(f), Tensor(p), normalize=False).data
         assert np.abs(got - want).max() < 1e-10
-        assert (got >= 0).all()
+        assert np.abs(got / f - amap[:, :, None]).max() < 1e-8
+        assert (amap >= 0).all()
 
     def test_normalized_map_has_mean_one(self):
         rng = np.random.default_rng(5)
-        out = amplified_map(Tensor(rng.normal(size=(4, 4, 6))),
-                            Tensor(rng.normal(size=(4, 4, 6))), normalize=True)
-        assert out.data.mean() == pytest.approx(1.0, abs=1e-6)
+        f = rng.normal(size=(4, 4, 6))
+        out = T.amplify_stage(Tensor(f), Tensor(rng.normal(size=(4, 4, 6))), normalize=True)
+        assert (out.data / f).mean() == pytest.approx(1.0, abs=1e-6)
 
 
 class TestAmplifyStage:
@@ -118,15 +134,13 @@ class TestAmplifyStage:
         rng = np.random.default_rng(30)
         f = rng.normal(size=(3, 4, 5))
         p = rng.normal(size=(3, 4, 5))
-        amap = amplified_map(Tensor(f), Tensor(p), normalize=False).data
-        out = amplify_stage(Tensor(f), Tensor(p), normalize=False)
-        assert (amap >= 0).all()
-        want = f * amap[:, :, None]
-        assert np.abs(out.data - want).max() < 1e-12
+        amap, want = amplify_loop_oracle(f, p)
+        normalized = T.amplify_stage(Tensor(f), Tensor(p), normalize=True).data
+        assert np.abs(normalized - want / (amap.mean() + 1e-12)).max() < 1e-12
 
     def test_mismatched_bundle_rejected(self):
         with pytest.raises(ValueError, match="mismatch"):
-            amplify_stage(Tensor(np.zeros((2, 2, 3))), Tensor(np.zeros((2, 3, 3))))
+            T.amplify_stage(Tensor(np.zeros((2, 2, 3))), Tensor(np.zeros((2, 3, 3))))
 
 
 class TestAmplify:
@@ -134,26 +148,24 @@ class TestAmplify:
 
     def test_ones_map_is_identity(self):
         rng = np.random.default_rng(6)
-        f = rng.normal(size=(3, 4, 2))
-        out = T.scale_pixels(Tensor(f), Tensor(np.ones((3, 4))))
+        f = rng.integers(-8, 8, size=(3, 4, 2)) / 4.0
+        unit = np.zeros((3, 4, 2))
+        unit[:, :, 0] = 1.0
+        # f + (unit - f) is exactly the unit vector, so the map is exactly 1
+        out = T.amplify_stage(Tensor(f), Tensor(unit - f), normalize=False)
         assert np.array_equal(out.data, f)
 
     def test_hand_value(self):
         f = np.array([[[1.0, 2.0]]])
-        out = T.scale_pixels(Tensor(f), Tensor(np.full((1, 1), 3.0)))
-        assert out.data.tolist() == [[[3.0, 6.0]]]
+        out = T.amplify_stage(Tensor(f), Tensor(np.array([[[1.0, 0.0]]])), normalize=False)
+        assert out.data.tolist() == [[[8.0, 16.0]]]  # map 2^2 + 2^2
 
     def test_matches_broadcast_loop_oracle(self):
         rng = np.random.default_rng(7)
         f = rng.normal(size=(4, 3, 5))
-        a = rng.normal(size=(4, 3))
-        got = T.scale_pixels(Tensor(f), Tensor(a)).data
-        want = np.zeros_like(f)
-        for i in range(4):
-            for j in range(3):
-                for c in range(5):
-                    want[i, j, c] = f[i, j, c] * a[i, j]
-        assert np.abs(got - want).max() < 1e-12
+        p = rng.normal(size=(4, 3, 5))
+        got = T.amplify_stage(Tensor(f), Tensor(p), normalize=False).data
+        assert np.abs(got - amplify_loop_oracle(f, p)[1]).max() < 1e-12
 
 
 class TestSelfAttention:

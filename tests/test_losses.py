@@ -9,7 +9,7 @@ import pytest
 from nightseg import tensor as T
 from nightseg.gradcheck import grad_check
 from nightseg.losses import (LossWeights, decompose_gt, hungarian_match,
-                             matching_costs, row_dice_loss, total_loss)
+                             matching_costs, total_loss)
 from nightseg.tensor import Tensor
 
 
@@ -79,8 +79,9 @@ def _logit(p):
 
 
 def dice(p, t):
-    """Whole-array dice of probabilities p against t, through the row dice."""
-    return row_dice_loss(Tensor(_logit(p).reshape(1, -1)), t.reshape(1, -1))
+    """Whole-array dice of probabilities p against t: the matched-mask loss
+    with the BCE weight at 0."""
+    return T.bce_dice_loss(Tensor(_logit(p).reshape(1, -1)), t.reshape(1, -1), 0.0, 1.0)
 
 
 class TestDice:
@@ -100,18 +101,21 @@ class TestDice:
     def test_gradient(self):
         rng = np.random.default_rng(4)
         t = (rng.random(12) > 0.5).astype(np.float64)
-        assert grad_check(lambda x: T.tsum(row_dice_loss(T.reshape(x, (1, 12)), t[None])),
+        assert grad_check(lambda x: T.bce_dice_loss(T.reshape(x, (1, 12)), t[None], 0.0, 1.0),
                           Tensor(rng.normal(size=12))) < 1e-4
 
     def test_rows_are_independent(self):
         rng = np.random.default_rng(9)
         z = rng.normal(size=(3, 10))
         t = (rng.random((3, 10)) > 0.5).astype(np.float64)
-        rows = row_dice_loss(Tensor(z), t).data
+        want = 0.0
         for g in range(3):
             p = 1.0 / (1.0 + np.exp(-z[g]))
-            want = 1.0 - (2.0 * (p * t[g]).sum() + 1.0) / (p.sum() + t[g].sum() + 1.0)
-            assert rows[g] == pytest.approx(want, abs=1e-12)
+            want += 1.0 - (2.0 * (p * t[g]).sum() + 1.0) / (p.sum() + t[g].sum() + 1.0)
+        assert T.bce_dice_loss(Tensor(z), t, 0.0, 1.0).item() == pytest.approx(want, abs=1e-12)
+        singles = sum(T.bce_dice_loss(Tensor(z[g:g + 1]), t[g:g + 1], 0.0, 1.0).item()
+                      for g in range(3))
+        assert singles == pytest.approx(want, abs=1e-12)
 
     def test_nonnegative(self):
         rng = np.random.default_rng(5)
@@ -122,7 +126,9 @@ class TestDice:
 
 
 def bce(z, t):
-    return T.tmean(T.bce_with_logits(z, t))
+    """Mean BCE over all elements: the matched-mask loss of one row with the
+    dice weight at 0."""
+    return T.bce_dice_loss(T.reshape(z, (1, z.size)), np.reshape(t, (1, -1)), 1.0, 0.0)
 
 
 class TestBceCe:

@@ -5,6 +5,7 @@ import pytest
 
 from nightseg import tensor as T
 from nightseg.gradcheck import grad_check
+from nightseg.losses import total_loss
 from nightseg.model import (BackboneStub, ModelConfig, NightSegModel, SegOutput,
                             majority_pool, predict, segmentation_logits)
 from nightseg.tensor import Tensor
@@ -182,3 +183,16 @@ class TestFullModel:
         rng = np.random.default_rng(14)
         out = model(Tensor(rng.uniform(size=(32, 32, 3))), Tensor(rng.uniform(size=(32, 32, 3))))
         assert np.isfinite(out.mask_logits.data).all()
+
+    def test_tape_nodes_per_sample(self):
+        # one default-config float32 sample at the 32x64 desk size: each
+        # amplification stage and the matched-mask loss are one node apiece
+        model = NightSegModel(ModelConfig(dtype=np.float32))
+        rng = np.random.default_rng(15)
+        image, texture = (Tensor(rng.uniform(size=(32, 64, 3)).astype(np.float32)) for _ in range(2))
+        with T.Tape() as tape:
+            out = model(image, texture)
+            forward = len(tape)
+            total_loss(out.mask_logits, out.class_logits, rng.integers(0, 4, size=(8, 16)), 4)
+            loss = len(tape) - forward
+        assert forward <= 188 and loss <= 7, (forward, loss)
