@@ -52,10 +52,9 @@ class HierarchicalAmplifiedDecoder:
             raise ValueError(f"decoder expects a 4-stage pyramid, got {len(fp.stages)}")
         if pp is not None:
             for f, p in zip(fp.stages, pp.stages):
-                if f.shape[:2] != p.shape[:2]:
-                    raise ValueError(
-                        f"decoder: backbone stage {f.shape[:2]} misaligned with phase stage {p.shape[:2]}"
-                    )
+                if f.shape[:-1] != p.shape[:-1]:
+                    raise ValueError(f"decoder: backbone stage {f.shape[:-1]} misaligned with "
+                                     f"phase stage {p.shape[:-1]}")
 
         x: Tensor | None = None
         for s in range(4):
@@ -69,8 +68,9 @@ class HierarchicalAmplifiedDecoder:
             if pp is not None:
                 pbar = self.proj_p[s](pp.stages[s])
                 fbar = amplify_stage(fbar, pbar, self.normalize_amp_map)
-            h, w, c = fbar.shape
-            x = T.reshape(self.attention[s](T.reshape(fbar, (h * w, c))), (h, w, c))
+            *lead, h, w, c = fbar.shape
+            tokens = T.reshape(fbar, (*lead, h * w, c))
+            x = T.reshape(self.attention[s](tokens), fbar.shape)
         return x
 
     def parameters(self) -> Params:

@@ -35,14 +35,14 @@ ATTENTION_TOKEN_BUDGET = 4096
 
 @dataclass
 class Pyramid:
-    """[h, w, C] stage maps ordered coarse to fine; extents double per stage."""
+    """[..., h, w, C] stage maps ordered coarse to fine; extents double per stage."""
 
     stages: list[Tensor]
 
     def __post_init__(self):
         for a, b in zip(self.stages, self.stages[1:]):
-            if b.shape[0] != 2 * a.shape[0] or b.shape[1] != 2 * a.shape[1]:
-                raise ValueError(f"Pyramid: stage extents {b.shape[:2]} are not 2x {a.shape[:2]}")
+            if b.shape[-3] != 2 * a.shape[-3] or b.shape[-2] != 2 * a.shape[-2]:
+                raise ValueError(f"Pyramid: stage extents {b.shape[-3:-1]} are not 2x {a.shape[-3:-1]}")
 
 
 def glorot_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int, dtype) -> Tensor:
@@ -99,7 +99,8 @@ class LayerNorm:
 
 
 class TokenSelfAttention:
-    """Single-head scaled dot-product self-attention over tokens [M, C].
+    """Single-head scaled dot-product self-attention over tokens [..., M, C];
+    every leading index attends only among its own M tokens.
 
     Post-norm residual block: out = LN(x + (softmax(QK^T/sqrt(C)) V) W_O).
     No positional encodings, so the block is equivariant under any
@@ -119,10 +120,10 @@ class TokenSelfAttention:
         self.width = width
 
     def __call__(self, x: Tensor) -> Tensor:
-        if x.data.ndim != 2 or x.shape[1] != self.width:
-            raise ValueError(f"attention: expected tokens [M,{self.width}], got {x.shape}")
-        if x.shape[0] > ATTENTION_TOKEN_BUDGET:
-            raise ValueError(f"self-attention: {x.shape[0]} tokens exceed the budget of "
+        if x.data.ndim < 2 or x.shape[-1] != self.width:
+            raise ValueError(f"attention: expected tokens [..., M, {self.width}], got {x.shape}")
+        if x.shape[-2] > ATTENTION_TOKEN_BUDGET:
+            raise ValueError(f"self-attention: {x.shape[-2]} tokens exceed the budget of "
                              f"{ATTENTION_TOKEN_BUDGET}")
         q = T.matmul(x, self.wq)
         k = T.matmul(x, self.wk)

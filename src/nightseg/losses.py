@@ -5,10 +5,13 @@ Each segment is assigned to a distinct prototype by minimum-cost matching
 (class probability + BCE + dice costs); matched prototypes are supervised
 with dice and BCE on their mask plane, and all prototypes receive a
 cross-entropy target (matched -> segment class, unmatched -> "no object").
+A batch runs the network once, but each image is decomposed and matched on
+its own, as in Mask2Former; the losses then average over the batch.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,36 +134,57 @@ def matching_costs(mask_logits: np.ndarray, class_logits: np.ndarray,
     z = mask_logits.reshape(-1, n).T.astype(np.float64)          # [N, hw]
     probs, sig = class_and_mask_probs(z, class_logits)
 
+    # the segment-independent parts of the BCE and dice costs, formed once
+    mz = np.maximum(z, 0)
+    lz = np.log1p(np.exp(-np.abs(z)))
+    sig_sum = sig.sum(axis=1)
     g = targets.shape[0]
     cost = np.empty((n, g))
     for j in range(g):
         t = targets[j][None, :]
-        bce = np.mean(np.maximum(z, 0) - z * t + np.log1p(np.exp(-np.abs(z))), axis=1)
+        bce = np.mean(mz - z * t + lz, axis=1)
         inter = (sig * t).sum(axis=1)
-        dice = 1.0 - (2.0 * inter + 1.0) / (sig.sum(axis=1) + t.sum() + 1.0)
+        dice = 1.0 - (2.0 * inter + 1.0) / (sig_sum + t.sum() + 1.0)
         cost[:, j] = weights.cls * (-probs[:, labels[j]]) + weights.bce * bce + weights.dice * dice
     return cost
 
 
 def total_loss(mask_logits: Tensor, class_logits: Tensor, gt_mask: np.ndarray,
                num_classes: int, weights: LossWeights = LossWeights()) -> Tensor:
-    """Matched dice+BCE mask supervision plus weighted CE over all prototypes."""
-    h, w, n = mask_logits.shape
-    if class_logits.shape[0] != n:
+    """Matched dice+BCE mask supervision plus weighted CE over all prototypes,
+    averaged over the batch.
+
+    mask_logits [..., h, w, N], class_logits [..., N, K + 1] and gt_mask
+    [..., h, w] share their leading (batch) axes, if any. Each image's
+    ground truth is decomposed and matched on its own; then one dice+BCE
+    node takes the matched rows of every image and one CE node all B·N
+    prototypes, each scaled to the mean over the batch.
+    """
+    *lead, h, w, n = mask_logits.shape
+    if class_logits.shape[:-1] != (*lead, n):
         raise ValueError(
-            f"total_loss: {n} mask planes vs {class_logits.shape[0]} class rows"
+            f"total_loss: {mask_logits.shape} mask planes vs {class_logits.shape} class rows"
         )
-    labels, targets = decompose_gt(gt_mask, num_classes)
-    if gt_mask.shape != (h, w):
-        raise ValueError(f"total_loss: ground truth {gt_mask.shape} != mask extents {(h, w)}")
+    gt = np.asarray(gt_mask)
+    if gt.shape != (*lead, h, w):
+        raise ValueError(f"total_loss: ground truth {gt.shape} != mask extents {(*lead, h, w)}")
+    batch = math.prod(lead)
+    logits = mask_logits.data.reshape(batch, h * w, n)
+    cls_logits = class_logits.data.reshape(batch, n, -1)
 
-    cost = matching_costs(mask_logits.data, class_logits.data, targets, labels, weights)
-    proto_for_segment = hungarian_match(cost)
+    rows, targets = [], []
+    ce_targets = np.full((batch, n), num_classes, dtype=np.int64)  # final slot = "no object"
+    for b, gt_b in enumerate(gt.reshape(batch, h, w)):
+        labels, targets_b = decompose_gt(gt_b, num_classes)
+        cost = matching_costs(logits[b], cls_logits[b], targets_b, labels, weights)
+        proto_for_segment = hungarian_match(cost)
+        ce_targets[b, proto_for_segment] = labels
+        rows.append(proto_for_segment + b * n)
+        targets.append(targets_b)
 
-    ce_targets = np.full(n, num_classes, dtype=np.int64)  # final slot = "no object"
-    ce_targets[proto_for_segment] = labels
-
-    planes = T.transpose2d(T.reshape(mask_logits, (h * w, n)))   # [N, hw]
-    matched = T.gather_rows(planes, proto_for_segment)           # [G, hw]
-    mask_term = T.bce_dice_loss(matched, targets, weights.bce, weights.dice)
-    return T.add(mask_term, T.scale(T.ce_logits(class_logits, ce_targets), weights.cls))
+    planes = T.transpose2d(T.reshape(mask_logits, (batch, h * w, n)))       # [B, N, hw]
+    matched = T.gather_rows(T.reshape(planes, (batch * n, h * w)), np.concatenate(rows))
+    mask_term = T.bce_dice_loss(matched, np.concatenate(targets),
+                                weights.bce / batch, weights.dice / batch)
+    class_rows = T.reshape(class_logits, (batch * n, class_logits.shape[-1]))
+    return T.add(mask_term, T.scale(T.ce_logits(class_rows, ce_targets.reshape(-1)), weights.cls))

@@ -27,26 +27,28 @@ __all__ = [
 
 
 def select_reliable(sim: Tensor, k: int) -> np.ndarray:
-    """Indices of the K pixels with the largest aggregate similarity (the
-    column sums of sim [N, hw]), best first; ties go to the lower pixel index.
+    """Indices [..., K] of the K pixels with the largest aggregate similarity
+    (the column sums of sim [..., N, hw]), best first, chosen for each
+    leading index on its own; ties go to the lower pixel index.
 
     The index choice carries no gradient.
     """
-    scores = np.sum(sim.data, axis=0)
-    hw = scores.shape[0]
+    scores = np.sum(sim.data, axis=-2)
+    hw = scores.shape[-1]
     if not 1 <= k <= hw:
         raise ValueError(f"select_reliable: K={k} outside 1..{hw}")
-    return np.lexsort((np.arange(hw), -scores))[:k].copy()
+    # a stable sort of the negated scores keeps tied pixels in index order
+    return np.argsort(-scores, axis=-1, kind="stable")[..., :k].copy()
 
 
 def bridged_similarity(q: Tensor, q_pix: Tensor, kr: Tensor, renormalize: bool = False) -> Tensor:
-    """Prototype-to-pixel weights [N, hw] routed through the reliable keys kr [K, C].
+    """Prototype-to-pixel weights [..., N, hw] routed through the reliable keys kr [..., K, C].
 
     Prototype queries q and pixel queries q_pix are each soft-assigned over
     the reliable points; the product of the two distributions has entries
     in [0, 1], and ``renormalize`` scales each row to sum to one.
     """
-    if kr.shape[0] == 0:
+    if kr.shape[-2] == 0:
         raise ValueError("bridged_similarity: empty reliable set")
     sim_qk = T.matmul(attention_weights(q, kr), T.transpose2d(attention_weights(q_pix, kr)))
     if renormalize:
@@ -56,7 +58,12 @@ def bridged_similarity(q: Tensor, q_pix: Tensor, kr: Tensor, renormalize: bool =
 
 class ReliableMatcherLayer:
     """One matching layer: prototype self-attention, (reliable|vanilla)
-    cross-attention with residual projection, self-attention, FFN."""
+    cross-attention with residual projection, self-attention, FFN.
+
+    Pixels fa are [..., hw, C]; prototypes p are [..., N, C], or [N, C]
+    shared by every sample (the first layer), in which case their
+    self-attention runs once and its output is expanded over the batch.
+    """
 
     def __init__(self, rng: np.random.Generator, width: int, k: int,
                  mode: str = "reliable", renormalize: bool = False, dtype=np.float64):
@@ -79,10 +86,13 @@ class ReliableMatcherLayer:
 
     def __call__(self, p: Tensor, fa: Tensor) -> Tensor:
         p1 = self.attn_in(p)
+        if p1.data.ndim < fa.data.ndim:
+            p1 = T.expand(p1, fa.shape[:-2])
         q = T.matmul(p1, self.wq)
-        weights = attention_weights(q, T.matmul(fa, self.wk))
+        keys = T.matmul(fa, self.wk)
+        weights = attention_weights(q, keys)
         if self.mode == "reliable":
-            kr = T.matmul(T.gather_rows(fa, select_reliable(weights, self.k)), self.wk)
+            kr = T.gather_rows(keys, select_reliable(weights, self.k))
             weights = bridged_similarity(q, T.matmul(fa, self.wq), kr, self.renormalize)
         upd = T.matmul(weights, T.matmul(fa, self.wv))
         p2 = self.norm_cross(T.add(p1, self.out_proj(upd)))
@@ -120,6 +130,7 @@ class ReliableMatcher:
         self.num_prototypes = num_prototypes
 
     def __call__(self, fa: Tensor) -> Tensor:
+        """Refined prototypes [..., N, C] for pixels fa [..., hw, C]."""
         p = self.prototypes
         for layer in self.layers:
             p = layer(p, fa)

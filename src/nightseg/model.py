@@ -70,16 +70,17 @@ class ModelConfig:
 @dataclass
 class SegOutput:
     """Per-pixel mask logits (one plane per prototype) and per-prototype
-    class logits whose final slot means "no object"."""
+    class logits whose final slot means "no object"; a batch adds the same
+    leading axes to both."""
 
-    mask_logits: Tensor    # [H/4, W/4, N]
-    class_logits: Tensor   # [N, num_classes + 1]
+    mask_logits: Tensor    # [..., H/4, W/4, N]
+    class_logits: Tensor   # [..., N, num_classes + 1]
 
     def __post_init__(self):
-        if self.mask_logits.shape[2] != self.class_logits.shape[0]:
+        if self.mask_logits.shape[-1] != self.class_logits.shape[-2]:
             raise ValueError(
-                f"SegOutput: {self.mask_logits.shape[2]} mask planes vs "
-                f"{self.class_logits.shape[0]} class rows"
+                f"SegOutput: {self.mask_logits.shape[-1]} mask planes vs "
+                f"{self.class_logits.shape[-2]} class rows"
             )
 
 
@@ -96,7 +97,7 @@ class BackboneStub:
         self.widths = widths
 
     def __call__(self, image: Tensor) -> Pyramid:
-        h, w = image.shape[:2]
+        h, w = image.shape[-3:-1]
         if h % 32 or w % 32:
             raise ValueError(f"backbone: extents {(h, w)} must be divisible by 32")
         f2 = relu(self.stage1(image))
@@ -113,16 +114,21 @@ class BackboneStub:
 
 
 def segmentation_logits(e: Tensor, prototypes: Tensor) -> Tensor:
-    """Per-pixel dot product of the feature map with every prototype."""
-    if prototypes.shape[1] != e.shape[2]:
+    """Per-pixel dot product of the feature map e[..., h, w, C] with every
+    prototype of prototypes[..., N, C]."""
+    if prototypes.shape[-1] != e.shape[-1]:
         raise ValueError(
-            f"segmentation_logits: feature width {e.shape[2]} != prototype width {prototypes.shape[1]}"
+            f"segmentation_logits: feature width {e.shape[-1]} != prototype width {prototypes.shape[-1]}"
         )
     return T.matmul(e, T.transpose2d(prototypes))
 
 
 class NightSegModel:
-    """Backbone + phase encoder + amplified decoder + reliable matcher + heads."""
+    """Backbone + phase encoder + amplified decoder + reliable matcher + heads.
+
+    Takes one image [H, W, 3] or a batch [B, H, W, 3] (texture alike); a
+    batch runs every layer once over all of its samples.
+    """
 
     def __init__(self, cfg: ModelConfig):
         self.cfg = cfg
@@ -161,8 +167,8 @@ class NightSegModel:
                 raise ValueError(f"enhance_op={self.cfg.enhance_op!r} requires a texture map")
             pp = self.phase_encoder(texture)
         e = self.decoder(fp, pp)
-        h, w, c = e.shape
-        fa = T.reshape(e, (h * w, c))
+        *lead, h, w, c = e.shape
+        fa = T.reshape(e, (*lead, h * w, c))
         p_tilde = self.matcher(fa)
         return SegOutput(
             mask_logits=segmentation_logits(e, p_tilde),

@@ -153,7 +153,7 @@ class PhaseEncoder:
         self.widths = widths
 
     def __call__(self, texture: Tensor) -> Pyramid:
-        h, w = texture.shape[:2]
+        h, w = texture.shape[-3:-1]
         if h % 32 or w % 32:
             raise ValueError(f"phase encoder: extents {(h, w)} must be divisible by 32")
         x = relu(self.stem(texture))

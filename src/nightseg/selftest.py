@@ -190,9 +190,9 @@ def _bridge(p: Tensor, fa: Tensor, wq: Tensor, wk: Tensor, k: int,
             renormalize: bool = False) -> Tensor:
     """The reliable bridge of a matcher layer, from its query and key weights."""
     q = T.matmul(p, wq)
-    idx = select_reliable(attention_weights(q, T.matmul(fa, wk)), k)
-    return bridged_similarity(q, T.matmul(fa, wq), T.matmul(T.gather_rows(fa, idx), wk),
-                              renormalize)
+    keys = T.matmul(fa, wk)
+    idx = select_reliable(attention_weights(q, keys), k)
+    return bridged_similarity(q, T.matmul(fa, wq), T.gather_rows(keys, idx), renormalize)
 
 
 def check_matching_invariants():
@@ -369,12 +369,54 @@ def run_grad_suite() -> list[tuple[str, float]]:
     results.append(("bce + dice loss", grad_check(
         lambda x: T.bce_dice_loss(x, tgt2, 1.5, 2.5), Tensor(rng.normal(size=(3, 6))))))
 
+    # ops over a leading batch axis of 2
+    rng = _rng(163)
+    wb = Tensor(rng.normal(size=(3, 3, 2, 4)))
+    hb1 = Tensor(rng.normal(size=(2, 2, 2, 4)))
+    xb = Tensor(rng.normal(size=(2, 4, 4, 2)))
+    results.append(("conv2d over a batch (input)", grad_check(
+        lambda x: T.tsum(T.mul(T.conv2d(x, wb, 2, 1), hb1)), Tensor(xb.data.copy()))))
+    results.append(("conv2d over a batch (kernel)", grad_check(
+        lambda k: T.tsum(T.mul(T.conv2d(xb, k, 2, 1), hb1)), Tensor(wb.data.copy()))))
+    hb2 = Tensor(rng.normal(size=(2, 4, 6, 2)))
+    results.append(("upsample over a batch", grad_check(
+        lambda x: T.tsum(T.mul(T.upsample_bilinear2x(x), hb2)), Tensor(rng.normal(size=(2, 2, 3, 2))))))
+    fb, pb, hb3 = (Tensor(rng.normal(size=(2, 2, 3, 4))) for _ in range(3))
+    results.append(("amplify stage over a batch (features, normalized)", grad_check(
+        lambda x: T.tsum(T.mul(T.amplify_stage(x, pb, True), hb3)), Tensor(fb.data.copy()))))
+    results.append(("amplify stage over a batch (phase, normalized)", grad_check(
+        lambda x: T.tsum(T.mul(T.amplify_stage(fb, x, True), hb3)), Tensor(pb.data.copy()))))
+    qb, kb = Tensor(rng.normal(size=(2, 3, 4))), Tensor(rng.normal(size=(2, 6, 4)))
+    hb4 = Tensor(rng.normal(size=(2, 3, 6)))
+    results.append(("attention weights over a batch (queries)", grad_check(
+        lambda q: T.tsum(T.mul(T.attention_weights(q, kb), hb4)), Tensor(qb.data.copy()))))
+    results.append(("attention weights over a batch (keys)", grad_check(
+        lambda k: T.tsum(T.mul(T.attention_weights(qb, k), hb4)), Tensor(kb.data.copy()))))
+    rows = np.array([[4, 0, 4], [1, 2, 3]])   # a repeated row scatter-adds twice
+    hb5 = Tensor(rng.normal(size=(2, 3, 3)))
+    results.append(("gather rows over a batch", grad_check(
+        lambda x: T.tsum(T.mul(T.gather_rows(x, rows), hb5)), Tensor(rng.normal(size=(2, 5, 3))))))
+
     return results
 
 
 def check_gradients():
     for name, err in run_grad_suite():
         assert err < 1e-4, f"{name}: max relative error {err}"
+
+
+def check_batched_forward_matches_per_sample():
+    rng = _rng(18)
+    cfg = ModelConfig(num_classes=3, backbone_widths=(4, 5, 6, 7), phase_widths=(3, 4, 5, 6),
+                      decoder_channels=8, prototypes=4, reliable_k=4, matcher_layers=2, seed=6)
+    model = NightSegModel(cfg)
+    images, textures = rng.uniform(size=(2, 3, 32, 64, 3))
+    out = model(Tensor(images), Tensor(textures))
+    for b in range(3):
+        one = model(Tensor(images[b]), Tensor(textures[b]))
+        for got, want in ((out.mask_logits.data[b], one.mask_logits.data),
+                          (out.class_logits.data[b], one.class_logits.data)):
+            assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
 
 def check_end_to_end_gradient():
@@ -447,6 +489,7 @@ CHECKS = [
     ("mIoU hand example and self-comparison", check_miou),
     ("per-op gradients match finite differences", check_gradients),
     ("end-to-end loss gradients reach all parameter groups", check_end_to_end_gradient),
+    ("a batch of 3 gives the logits of 3 single-image forwards", check_batched_forward_matches_per_sample),
 ]
 
 

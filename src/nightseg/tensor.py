@@ -15,8 +15,21 @@ Conventions:
 - binary ops require exact shape and dtype agreement; the only broadcasts
   happen inside single nodes: the optional per-channel ``bias`` of
   ``matmul`` and ``conv2d``, the per-pixel scaling of ``amplify_stage``, the
-  per-row scaling of ``normalize_rows`` and the per-row reductions of
-  ``attention_weights``, ``softmax`` and ``bce_dice_loss``
+  per-row scaling of ``normalize_rows``, the per-row reductions of
+  ``attention_weights``, ``softmax`` and ``bce_dice_loss``, and ``expand``
+- leading axes: every op except the two losses accepts any number of
+  leading (batch) axes in front of the axes it names, e.g. x[..., H, W, C]
+  or tokens [..., M, C], and treats each leading index as its own sample.
+  ``matmul`` with a 2-D right operand (a weight) flattens a's leading axes
+  into the rows of one GEMM; a right operand with leading axes pairs them
+  with a's (np.matmul on stacks). ``expand`` adds leading axes to a tensor
+  shared by every sample; ``bce_dice_loss`` and ``ce_logits`` take 2-D row
+  sets, so callers flatten a batch into rows
+- reductions are per sample: softmax and attention rows, the normalized
+  rows, layer_norm's features, conv2d windows and ``amplify_stage``'s map
+  mean over each map's own (h, w). Only gradients with respect to operands
+  without the leading axes (weights, biases, ``expand`` inputs) sum over
+  them
 """
 
 from __future__ import annotations
@@ -35,6 +48,7 @@ __all__ = [
     "mul",
     "scale",
     "matmul",
+    "expand",
     "transpose2d",
     "reshape",
     "tsum",
@@ -236,15 +250,23 @@ def scale(x: Tensor, c: float) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
-    """a[..., K] @ b[K, N], plus bias[N] if given; the leading axes of a are
-    flattened into the rows of one 2-D product."""
-    if a.data.ndim < 1 or b.data.ndim != 2:
-        raise ValueError(f"matmul: expects a[..., K] and a 2-D b[K, N], got {a.shape} and {b.shape}")
-    k, n = b.shape
+    """a[..., K] @ b[..., K, N], plus bias[N] if given.
+
+    The leading axes of b are batch axes that a starts with. A 2-D b (a
+    weight) has none, so every leading axis of a is flattened into the rows
+    of one 2-D product; with b[B..., K, N] the axes of a between its batch
+    axes and K are flattened into the rows of one product per batch entry.
+    """
+    nb = b.data.ndim - 2
+    if nb < 0 or a.data.ndim < nb + 1 or a.shape[:nb] != b.shape[:nb]:
+        raise ValueError(f"matmul: expects a[..., K] and a 2-D b[K, N], or b[B..., K, N] whose "
+                         f"batch axes lead a, got {a.shape} and {b.shape}")
+    k, n = b.shape[-2:]
     if a.shape[-1] != k:
         raise ValueError(f"matmul: inner extents differ, {a.shape} x {b.shape}")
     _check_bias("matmul", bias, n)
-    a2 = a.data.reshape(-1, k)
+    lead = b.shape[:nb]
+    a2 = a.data.reshape(lead + (-1, k))
     y = a2 @ b.data
     if bias is not None:
         y = y + bias.data
@@ -254,25 +276,41 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
         g = out.grad
         if g is None:
             return
-        g2 = g.reshape(-1, n)
+        g2 = g.reshape(lead + (-1, n))
         if bias is not None:
-            _accumulate(bias, np.sum(g2, axis=(0,)))
-        _accumulate(a, (g2 @ b.data.T).reshape(a.shape))
-        _accumulate(b, a2.T @ g2)
+            _accumulate(bias, np.sum(g2.reshape(-1, n), axis=(0,)))
+        _accumulate(a, (g2 @ np.swapaxes(b.data, -1, -2)).reshape(a.shape))
+        _accumulate(b, np.swapaxes(a2, -1, -2) @ g2)
 
     return _put(out, bwd)
 
 
-def transpose2d(x: Tensor) -> Tensor:
-    if x.data.ndim != 2:
-        raise ValueError(f"transpose2d: expects a 2-D tensor, got {x.shape}")
-    out = _out(x.data.T, x)
+def expand(x: Tensor, lead: Sequence[int]) -> Tensor:
+    """x broadcast along new leading axes ``lead``, one copy per sample of a
+    batch; its gradient is the sum over those axes."""
+    lead = tuple(int(s) for s in lead)
+    out = _out(np.broadcast_to(x.data, lead + x.shape), x)
 
     def bwd():
         g = out.grad
         if g is None:
             return
-        _accumulate(x, g.T)
+        _accumulate(x, np.sum(g, axis=tuple(range(len(lead)))))
+
+    return _put(out, bwd)
+
+
+def transpose2d(x: Tensor) -> Tensor:
+    """Swap the last two axes of x[..., m, n]."""
+    if x.data.ndim < 2:
+        raise ValueError(f"transpose2d: expects a 2-D tensor or a stack of them, got {x.shape}")
+    out = _out(np.swapaxes(x.data, -1, -2), x)
+
+    def bwd():
+        g = out.grad
+        if g is None:
+            return
+        _accumulate(x, np.swapaxes(g, -1, -2))
 
     return _put(out, bwd)
 
@@ -342,24 +380,25 @@ def softmax(x: Tensor, axis: int) -> Tensor:
 
 
 def attention_weights(q: Tensor, k: Tensor) -> Tensor:
-    """Scaled dot-product weights softmax(q k^T / sqrt(C)); row i of q [M, C]
-    is a distribution over the rows of k [L, C].
+    """Scaled dot-product weights softmax(q k^T / sqrt(C)); row i of q [..., M, C]
+    is a distribution over the rows of k [..., L, C] with the same leading axes.
 
     One node in place of matmul, transpose2d, scale and softmax: the forward
-    applies their ufuncs in their order to one [M, L] buffer, and the
+    applies their ufuncs in their order to one [..., M, L] buffer, and the
     backward replays their rules, so values and gradients equal the composed
     ops bit for bit.
     """
-    if q.data.ndim != 2 or k.data.ndim != 2:
-        raise ValueError(f"attention_weights: expects 2-D operands, got {q.shape} and {k.shape}")
-    if q.shape[1] != k.shape[1]:
+    if q.data.ndim < 2 or k.data.ndim != q.data.ndim or q.shape[:-2] != k.shape[:-2]:
+        raise ValueError(f"attention_weights: expects 2-D operands or stacks of them with the same "
+                         f"leading axes, got {q.shape} and {k.shape}")
+    if q.shape[-1] != k.shape[-1]:
         raise ValueError(f"attention_weights: inner extents differ, {q.shape} x {k.shape[::-1]}")
-    c = 1.0 / math.sqrt(q.shape[1])
-    y = q.data @ k.data.T
+    c = 1.0 / math.sqrt(q.shape[-1])
+    y = q.data @ np.swapaxes(k.data, -1, -2)
     y *= c
-    y -= np.max(y, axis=1, keepdims=True)
+    y -= np.max(y, axis=-1, keepdims=True)
     np.exp(y, out=y)
-    y /= np.sum(y, axis=1, keepdims=True)
+    y /= np.sum(y, axis=-1, keepdims=True)
     out = _out(y, q, k)
 
     def bwd():
@@ -367,12 +406,12 @@ def attention_weights(q: Tensor, k: Tensor) -> Tensor:
         if g is None:
             return
         ds = g * y
-        dot = np.sum(ds, axis=1, keepdims=True)
+        dot = np.sum(ds, axis=-1, keepdims=True)
         np.subtract(g, dot, out=ds)
         ds *= y
         ds *= c
         _accumulate(q, ds @ k.data)
-        _accumulate(k, (q.data.T @ ds).T)
+        _accumulate(k, np.swapaxes(np.swapaxes(q.data, -1, -2) @ ds, -1, -2))
 
     return _put(out, bwd)
 
@@ -413,33 +452,35 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
 # ---------------------------------------------------------------------------
 
 def amplify_stage(fbar: Tensor, pbar: Tensor, normalize: bool = True) -> Tensor:
-    """Scale every channel of pixel (i, j) of fbar[h, w, C] by the amplified
-    map a[i, j] = sum_c (fbar + pbar)[i, j, c]^2.
+    """Scale every channel of pixel (i, j) of fbar[..., h, w, C] by the
+    amplified map a[..., i, j] = sum_c (fbar + pbar)[..., i, j, c]^2.
 
-    With ``normalize`` the map is first divided by its mean plus 1e-12, so it
-    has mean 1 and an all-zero map stays finite.
+    With ``normalize`` each map is first divided by its own mean over (h, w)
+    plus 1e-12, so it has mean 1 and an all-zero map stays finite.
     """
     _check_same_shape("amplify_stage", fbar, pbar)
-    if fbar.data.ndim != 3:
-        raise ValueError(f"amplify_stage: expects [h, w, C] maps, got {fbar.shape}")
+    if fbar.data.ndim < 3:
+        raise ValueError(f"amplify_stage: expects [h, w, C] maps, with any leading axes, "
+                         f"got {fbar.shape}")
     s = fbar.data + pbar.data
-    raw = np.sum(s * s, axis=2)
+    raw = np.sum(s * s, axis=-1)
+    hw = raw.shape[-2] * raw.shape[-1]
     a = raw
     if normalize:
-        r = 1.0 / (np.sum(raw) * (1.0 / raw.size) + 1e-12)
+        r = 1.0 / (np.sum(raw, axis=(-2, -1), keepdims=True) * (1.0 / hw) + 1e-12)
         a = raw * r
-    out = _out(fbar.data * a[:, :, None], fbar, pbar)
+    out = _out(fbar.data * a[..., None], fbar, pbar)
 
     def bwd():
         g = out.grad
         if g is None:
             return
-        _accumulate(fbar, g * a[:, :, None])
-        graw = np.sum(g * fbar.data, axis=2)
+        _accumulate(fbar, g * a[..., None])
+        graw = np.sum(g * fbar.data, axis=-1)
         if normalize:
-            gr = np.sum(graw * raw)
-            graw = graw * r + -gr * r * r * (1.0 / raw.size)
-        ds = graw[:, :, None] * s
+            gr = np.sum(graw * raw, axis=(-2, -1), keepdims=True)
+            graw = graw * r + -gr * r * r * (1.0 / hw)
+        ds = graw[..., None] * s
         ds += ds
         _accumulate(fbar, ds)
         _accumulate(pbar, ds)
@@ -448,19 +489,19 @@ def amplify_stage(fbar: Tensor, pbar: Tensor, normalize: bool = True) -> Tensor:
 
 
 def normalize_rows(x: Tensor) -> Tensor:
-    """Scale row i of x[n, m] by 1 / sum_j x[i, j], so every row sums to one."""
-    if x.data.ndim != 2:
-        raise ValueError(f"normalize_rows: expects a 2-D tensor, got {x.shape}")
-    inv = 1.0 / np.sum(x.data, axis=1)
-    out = _out(x.data * inv[:, None], x)
+    """Scale row i of x[..., n, m] by 1 / sum_j x[..., i, j], so every row sums to one."""
+    if x.data.ndim < 2:
+        raise ValueError(f"normalize_rows: expects a 2-D tensor or a stack of them, got {x.shape}")
+    inv = 1.0 / np.sum(x.data, axis=-1)
+    out = _out(x.data * inv[..., None], x)
 
     def bwd():
         g = out.grad
         if g is None:
             return
-        _accumulate(x, g * inv[:, None])
-        ginv = np.sum(g * x.data, axis=1)
-        _accumulate(x, np.broadcast_to((-ginv * inv * inv)[:, None], x.shape))
+        _accumulate(x, g * inv[..., None])
+        ginv = np.sum(g * x.data, axis=-1)
+        _accumulate(x, np.broadcast_to((-ginv * inv * inv)[..., None], x.shape))
 
     return _put(out, bwd)
 
@@ -471,11 +512,14 @@ def normalize_rows(x: Tensor) -> Tensor:
 
 def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0,
            bias: Tensor | None = None) -> Tensor:
-    """Cross-correlate x[H,W,Cin] with w[kh,kw,Cin,Cout], zero padding, then
-    add bias[Cout] if given."""
-    if x.data.ndim != 3 or w.data.ndim != 4:
-        raise ValueError(f"conv2d: expects x[H,W,Cin] and w[kh,kw,Cin,Cout], got {x.shape} and {w.shape}")
-    h, wd, cin = x.shape
+    """Cross-correlate x[..., H, W, Cin] with w[kh, kw, Cin, Cout], zero
+    padding, then add bias[Cout] if given; the windows of every leading
+    index form the rows of one im2col product."""
+    if x.data.ndim < 3 or w.data.ndim != 4:
+        raise ValueError(f"conv2d: expects x[..., H, W, Cin] and w[kh, kw, Cin, Cout], "
+                         f"got {x.shape} and {w.shape}")
+    *lead, h, wd, cin = x.shape
+    lead = tuple(lead)
     kh, kw, wcin, cout = w.shape
     if cin != wcin:
         raise ValueError(f"conv2d: channel mismatch, input {x.shape} vs kernel {w.shape}")
@@ -491,15 +535,15 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0,
     ho = (hp - kh) // stride + 1
     wo = (wp - kw) // stride + 1
 
-    xp = np.pad(x.data, ((padding, padding), (padding, padding), (0, 0)))
-    cols = np.empty((ho, wo, kh, kw, cin), dtype=x.data.dtype)
+    xp = np.pad(x.data, ((0, 0),) * len(lead) + ((padding, padding), (padding, padding), (0, 0)))
+    cols = np.empty(lead + (ho, wo, kh, kw, cin), dtype=x.data.dtype)
     for i in range(kh):
         for j in range(kw):
-            cols[:, :, i, j, :] = xp[i : i + (ho - 1) * stride + 1 : stride,
-                                     j : j + (wo - 1) * stride + 1 : stride, :]
-    cols2 = cols.reshape(ho * wo, kh * kw * cin)
+            cols[..., i, j, :] = xp[..., i : i + (ho - 1) * stride + 1 : stride,
+                                    j : j + (wo - 1) * stride + 1 : stride, :]
+    cols2 = cols.reshape(-1, kh * kw * cin)
     w2 = w.data.reshape(kh * kw * cin, cout)
-    y = (cols2 @ w2).reshape(ho, wo, cout)
+    y = (cols2 @ w2).reshape(lead + (ho, wo, cout))
     if bias is not None:
         y = y + bias.data
     out = _out(y, x, w, bias)
@@ -509,18 +553,18 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0,
         if g is None:
             return
         if bias is not None:
-            _accumulate(bias, np.sum(g, axis=(0, 1)))
-        g2 = g.reshape(ho * wo, cout)
+            _accumulate(bias, np.sum(g, axis=tuple(range(g.ndim - 1))))
+        g2 = g.reshape(-1, cout)
         _accumulate(w, (cols2.T @ g2).reshape(w.shape))
         if x.requires_grad:
-            dcols = (g2 @ w2.T).reshape(ho, wo, kh, kw, cin)
+            dcols = (g2 @ w2.T).reshape(lead + (ho, wo, kh, kw, cin))
             dxp = np.zeros_like(xp)
             for i in range(kh):
                 for j in range(kw):
-                    dxp[i : i + (ho - 1) * stride + 1 : stride,
-                        j : j + (wo - 1) * stride + 1 : stride, :] += dcols[:, :, i, j, :]
+                    dxp[..., i : i + (ho - 1) * stride + 1 : stride,
+                        j : j + (wo - 1) * stride + 1 : stride, :] += dcols[..., i, j, :]
             if padding:
-                dxp = dxp[padding : padding + h, padding : padding + wd, :]
+                dxp = dxp[..., padding : padding + h, padding : padding + wd, :]
             _accumulate(x, dxp)
 
     return _put(out, bwd)
@@ -546,19 +590,22 @@ def _lerp2x_matrix(n: int, dtype) -> np.ndarray:
 
 
 def upsample_bilinear2x(x: Tensor) -> Tensor:
-    """Double both spatial extents of x[H,W,C] by bilinear interpolation."""
-    if x.data.ndim != 3:
-        raise ValueError(f"upsample_bilinear2x: expects x[H,W,C], got {x.shape}")
-    h, w, c = x.shape
-    rm = _lerp2x_matrix(h, x.data.dtype)
-    cm = _lerp2x_matrix(w, x.data.dtype)
+    """Double both spatial extents of x[..., H, W, C] by bilinear interpolation."""
+    if x.data.ndim < 3:
+        raise ValueError(f"upsample_bilinear2x: expects x[..., H, W, C], got {x.shape}")
+    nl = x.data.ndim - 3
+    rm = _lerp2x_matrix(x.shape[-3], x.data.dtype)
+    cm = _lerp2x_matrix(x.shape[-2], x.data.dtype)
+    # [2W, 2H, lead..., C] back to [lead..., 2H, 2W, C]
+    back = tuple(range(2, 2 + nl)) + (1, 0, 2 + nl)
 
     def _apply(a: np.ndarray, row: np.ndarray, col: np.ndarray) -> np.ndarray:
-        hh, ww = row.shape[0], col.shape[0]
-        t = (row @ a.reshape(a.shape[0], -1)).reshape(hh, a.shape[1], c)
-        t = t.transpose(1, 0, 2)
-        t = (col @ t.reshape(t.shape[0], -1)).reshape(ww, hh, c)
-        return t.transpose(1, 0, 2)
+        # one product per spatial axis, with that axis moved to the front
+        t = np.moveaxis(a, -3, 0)
+        t = (row @ t.reshape(t.shape[0], -1)).reshape((row.shape[0],) + t.shape[1:])
+        t = np.moveaxis(t, -2, 0)
+        t = (col @ t.reshape(t.shape[0], -1)).reshape((col.shape[0],) + t.shape[1:])
+        return t.transpose(back)
 
     out = _out(_apply(x.data, rm, cm), x)
 
@@ -572,20 +619,26 @@ def upsample_bilinear2x(x: Tensor) -> Tensor:
 
 
 def gather_rows(x: Tensor, indices) -> Tensor:
-    """Select rows of x[M, C]; gradients scatter-add back to the source rows."""
+    """Select rows of x[..., M, C] by indices[..., K] with the same leading
+    axes (each leading index picks from its own rows); gradients scatter-add
+    back to the source rows."""
     idx = np.asarray(indices, dtype=np.int64)
-    if x.data.ndim != 2 or idx.ndim != 1:
-        raise ValueError(f"gather_rows: expects x[M,C] and 1-D indices, got {x.shape} and {idx.shape}")
-    if idx.size and (idx.min() < 0 or idx.max() >= x.shape[0]):
-        raise ValueError(f"gather_rows: index out of range for {x.shape[0]} rows")
-    out = _out(x.data[idx], x)
+    if x.data.ndim < 2 or idx.ndim != x.data.ndim - 1 or idx.shape[:-1] != x.shape[:-2]:
+        raise ValueError(f"gather_rows: expects x[..., M, C] and indices[..., K] with the same "
+                         f"leading axes, got {x.shape} and {idx.shape}")
+    m, c = x.shape[-2:]
+    if idx.size and (idx.min() < 0 or idx.max() >= m):
+        raise ValueError(f"gather_rows: index out of range for {m} rows")
+    offsets = (np.arange(math.prod(idx.shape[:-1])) * m).reshape(idx.shape[:-1] + (1,))
+    flat = (idx + offsets).reshape(-1)
+    out = _out(x.data.reshape(-1, c)[flat].reshape(idx.shape + (c,)), x)
 
     def bwd():
         g = out.grad
         if g is None:
             return
-        dx = np.zeros_like(x.data)
-        np.add.at(dx, idx, g)
+        dx = np.zeros(x.shape, dtype=x.data.dtype)
+        np.add.at(dx.reshape(-1, c), flat, g.reshape(-1, c))
         _accumulate(x, dx)
 
     return _put(out, bwd)

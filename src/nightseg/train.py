@@ -48,7 +48,7 @@ class TrainingDiverged(RuntimeError):
 
 @dataclass
 class TrainConfig:
-    iters: int = option("train.iters", 3000, at_least=1)
+    iters: int = option("train.iters", 5000, at_least=1)
     phase1_iters: int | None = option("train.phase1_iters", None, at_least=0)  # None: 80% of iters
     lr1: float = option("train.lr1", 1e-3)
     lr2: float = option("train.lr2", 1e-4)
@@ -169,17 +169,22 @@ def load_checkpoint(ckpt_dir: str | Path, model: NightSegModel) -> None:
         p.data = arr.astype(p.data.dtype)
 
 
-def _forward_sample(model: NightSegModel, ds: LoadedDataset, idx: int, dtype) -> SegOutput:
-    image = Tensor(ds.images[idx].astype(dtype))
-    texture = None
-    if ds.textures is not None:
-        texture = Tensor(ds.textures[idx].astype(dtype))
-    return model(image, texture)
+def _forward(model: NightSegModel, ds: LoadedDataset, idx: int | list[int], dtype) -> SegOutput:
+    """The model on sample ``idx``, or on the samples of a list stacked into one batch."""
+    def pick(arrays: list[np.ndarray]) -> Tensor:
+        a = arrays[idx] if isinstance(idx, int) else np.stack([arrays[i] for i in idx])
+        return Tensor(a.astype(dtype))
+
+    return model(pick(ds.images), None if ds.textures is None else pick(ds.textures))
 
 
 def train(model: NightSegModel, ds: LoadedDataset, tc: TrainConfig,
           out_dir: str | Path | None = None) -> list[str]:
-    """Optimize the model; returns the per-logged-iteration loss lines."""
+    """Optimize the model; returns the per-logged-iteration loss lines.
+
+    Each step runs its batch through the model as one [B, ...] stack on one
+    tape; the loss matches every image separately and averages over them.
+    """
     params = model.parameters()
     opt = AdamW(params, lr=tc.lr1, weight_decay=tc.weight_decay)
     batch_rng = np.random.default_rng([tc.seed, 0xBA7C4])
@@ -191,19 +196,15 @@ def train(model: NightSegModel, ds: LoadedDataset, tc: TrainConfig,
         opt.lr = tc.lr1 if it < tc.phase1_iters else tc.lr2
         idxs = batch_rng.choice(len(ds.train_idx), size=min(tc.batch, len(ds.train_idx)),
                                 replace=False)
+        batch = [ds.train_idx[int(j)] for j in idxs]
         opt.zero_grad()
         with Tape():
-            loss = None
-            for j in idxs:
-                sample = ds.train_idx[int(j)]
-                out = _forward_sample(model, ds, sample, dtype)
-                if not (np.isfinite(out.mask_logits.data).all()
-                        and np.isfinite(out.class_logits.data).all()):
-                    raise TrainingDiverged(it, ckpt_dir and save_checkpoint(ckpt_dir, params))
-                term = total_loss(out.mask_logits, out.class_logits,
-                                  ds.masks[sample], ds.num_classes, tc.weights)
-                loss = term if loss is None else loss + term
-            loss = loss * (1.0 / len(idxs))
+            out = _forward(model, ds, batch, dtype)
+            if not (np.isfinite(out.mask_logits.data).all()
+                    and np.isfinite(out.class_logits.data).all()):
+                raise TrainingDiverged(it, ckpt_dir and save_checkpoint(ckpt_dir, params))
+            loss = total_loss(out.mask_logits, out.class_logits,
+                              np.stack([ds.masks[i] for i in batch]), ds.num_classes, tc.weights)
             loss_val = loss.item()
             if not np.isfinite(loss_val):
                 raise TrainingDiverged(it, ckpt_dir and save_checkpoint(ckpt_dir, params))
@@ -226,7 +227,7 @@ def train(model: NightSegModel, ds: LoadedDataset, tc: TrainConfig,
 def evaluate(model: NightSegModel, ds: LoadedDataset, dtype) -> ConfusionMatrix:
     cm = ConfusionMatrix(ds.num_classes)
     for idx in ds.val_idx:
-        out = _forward_sample(model, ds, idx, dtype)
+        out = _forward(model, ds, idx, dtype)
         cm.update(predict(out, ds.num_classes), ds.masks[idx])
     return cm
 

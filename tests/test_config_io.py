@@ -95,7 +95,7 @@ class TestConfig:
         (TrainConfig, "train.batch", "0", "train.batch must be >= 1"),
         (TrainConfig, "train.log_every", "0", "train.log_every must be >= 1"),
         (TrainConfig, "train.phase1_iters", "-1", "train.phase1_iters must be >= 0"),
-        (TrainConfig, "train.phase1_iters", "3001",
+        (TrainConfig, "train.phase1_iters", "5001",
          "train.phase1_iters must be at most train.iters"),
     ])
     def test_bad_value_names_its_key(self, cls, key, raw, msg):

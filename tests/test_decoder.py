@@ -142,6 +142,17 @@ class TestAmplifyStage:
         with pytest.raises(ValueError, match="mismatch"):
             T.amplify_stage(Tensor(np.zeros((2, 2, 3))), Tensor(np.zeros((2, 3, 3))))
 
+    @pytest.mark.parametrize("normalize", [True, False])
+    def test_batch_equals_each_map_alone(self, normalize):
+        # each map is scaled by its own mean, never by the batch's
+        rng = np.random.default_rng(31)
+        f = rng.normal(size=(2, 3, 4, 5)) * np.array([1.0, 10.0])[:, None, None, None]
+        p = rng.normal(size=(2, 3, 4, 5))
+        got = T.amplify_stage(Tensor(f), Tensor(p), normalize).data
+        for b in range(2):
+            want = T.amplify_stage(Tensor(f[b]), Tensor(p[b]), normalize).data
+            assert np.abs(got[b] - want).max() <= 1e-12 * np.abs(want).max()
+
 
 class TestAmplify:
     """Per-pixel reweighting: every channel of pixel (i, j) scaled by a[i, j]."""

@@ -252,6 +252,63 @@ class TestTotalLoss:
         _, want_total = brute_force_assignment(cost)
         assert sum(cost[match[i], i] for i in range(len(labels))) == pytest.approx(want_total, abs=1e-9)
 
+    def test_batch_is_the_mean_of_per_image_losses(self):
+        rng = np.random.default_rng(13)
+        parts = [self._fabricate(rng) for _ in range(3)]
+        # one image with a single segment, so G differs across the batch
+        parts[1][2][:] = 2
+        m = np.stack([m.data for m, _, _ in parts])
+        c = np.stack([c.data for _, c, _ in parts])
+        masks = np.stack([mask for _, _, mask in parts])
+        mt, ct = Tensor(m, requires_grad=True), Tensor(c, requires_grad=True)
+        with T.Tape():
+            loss = total_loss(mt, ct, masks, 3)
+            T.backward(loss)
+        singles = []
+        for b in range(3):
+            mb, cb = Tensor(m[b], requires_grad=True), Tensor(c[b], requires_grad=True)
+            with T.Tape():
+                lb = total_loss(mb, cb, masks[b], 3)
+                T.backward(lb)
+            singles.append((lb.item(), mb.grad, cb.grad))
+        assert loss.item() == pytest.approx(np.mean([s[0] for s in singles]), rel=1e-12)
+        for b, (_, gm, gc) in enumerate(singles):
+            assert np.abs(mt.grad[b] * 3 - gm).max() < 1e-12
+            assert np.abs(ct.grad[b] * 3 - gc).max() < 1e-12
+
     def test_mask_plane_head_count_mismatch_rejected(self):
         with pytest.raises(ValueError, match="planes"):
             total_loss(Tensor(np.zeros((2, 2, 3))), Tensor(np.zeros((4, 3))), np.zeros((2, 2), dtype=int), 2)
+
+
+def inline_matching_costs(mask_logits, class_logits, targets, labels, weights):
+    """The assignment cost with every term formed inside the per-segment loop."""
+    n = class_logits.shape[0]
+    z = mask_logits.reshape(-1, n).T.astype(np.float64)
+    cz = class_logits.astype(np.float64)
+    probs = np.exp(cz - cz.max(axis=1, keepdims=True))
+    probs /= probs.sum(axis=1, keepdims=True)
+    sig = 1.0 / (1.0 + np.exp(-np.clip(z, -60, 60)))
+    cost = np.empty((n, targets.shape[0]))
+    for j in range(targets.shape[0]):
+        t = targets[j][None, :]
+        bce = np.mean(np.maximum(z, 0) - z * t + np.log1p(np.exp(-np.abs(z))), axis=1)
+        inter = (sig * t).sum(axis=1)
+        dice = 1.0 - (2.0 * inter + 1.0) / (sig.sum(axis=1) + t.sum() + 1.0)
+        cost[:, j] = weights.cls * (-probs[:, labels[j]]) + weights.bce * bce + weights.dice * dice
+    return cost
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("g", [1, 4])
+def test_matching_costs_equal_the_inline_formula_bit_for_bit(dtype, g):
+    rng = np.random.default_rng(50 + g)
+    weights = LossWeights()
+    for _ in range(5):
+        mask = rng.integers(0, g, size=(8, 16))
+        mask.flat[:g] = np.arange(g)          # every class present
+        labels, targets = decompose_gt(mask, g)
+        m = (rng.normal(size=(8, 16, 6)) * 4.0).astype(dtype)
+        c = rng.normal(size=(6, g + 1)).astype(dtype)
+        assert np.array_equal(matching_costs(m, c, targets, labels, weights),
+                              inline_matching_costs(m, c, targets, labels, weights))

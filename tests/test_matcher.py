@@ -103,6 +103,15 @@ class TestSelectReliable:
         sim = rng.uniform(0.1, 1.0, size=(2, 6))
         assert sorted(select_reliable(Tensor(sim), 6).tolist()) == list(range(6))
 
+    def test_batch_rows_choose_alone_with_the_same_tie_break(self):
+        sim = np.array([[[1.0, 1.0, 1.0, 1.0]],
+                        [[0.5, 2.0, 2.0, 0.5]],
+                        [[3.0, 1.0, 3.0, 3.0]]])
+        got = select_reliable(Tensor(sim), 2)
+        assert got.tolist() == [[0, 1], [1, 2], [0, 2]]
+        for b in range(3):
+            assert np.array_equal(got[b], select_reliable(Tensor(sim[b]), 2))
+
     def test_deterministic(self):
         rng = np.random.default_rng(9)
         sim = rng.normal(size=(4, 30))

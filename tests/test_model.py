@@ -5,10 +5,11 @@ import pytest
 
 from nightseg import tensor as T
 from nightseg.gradcheck import grad_check
-from nightseg.losses import total_loss
 from nightseg.model import (BackboneStub, ModelConfig, NightSegModel, SegOutput,
                             majority_pool, predict, segmentation_logits)
-from nightseg.tensor import Tensor
+from nightseg.scenes import SceneConfig, gen_dataset
+from nightseg.tensor import Tensor, backward
+from nightseg.train import TrainConfig, load_dataset, train
 
 
 class TestCheckImageSize:
@@ -135,36 +136,37 @@ class TestMajorityPool:
             majority_pool(np.zeros((6, 8), dtype=int), 4)
 
 
-class TestFullModel:
-    def _small_cfg(self, **kw):
-        base = dict(num_classes=3, backbone_widths=(4, 5, 6, 7), phase_widths=(3, 4, 5, 6),
-                    decoder_channels=8, prototypes=4, reliable_k=4, matcher_layers=1, seed=0)
-        base.update(kw)
-        return ModelConfig(**base)
+def small_cfg(**kw):
+    base = dict(num_classes=3, backbone_widths=(4, 5, 6, 7), phase_widths=(3, 4, 5, 6),
+                decoder_channels=8, prototypes=4, reliable_k=4, matcher_layers=1, seed=0)
+    base.update(kw)
+    return ModelConfig(**base)
 
+
+class TestFullModel:
     def test_output_contract(self):
-        model = NightSegModel(self._small_cfg())
+        model = NightSegModel(small_cfg())
         rng = np.random.default_rng(11)
         out = model(Tensor(rng.uniform(size=(32, 64, 3))), Tensor(rng.uniform(size=(32, 64, 3))))
         assert out.mask_logits.shape == (8, 16, 4)
         assert out.class_logits.shape == (4, 4)  # classes + no-object
 
     def test_enhance_none_needs_no_texture(self):
-        model = NightSegModel(self._small_cfg(enhance_op="none"))
+        model = NightSegModel(small_cfg(enhance_op="none"))
         out = model(Tensor(np.random.default_rng(12).uniform(size=(32, 32, 3))), None)
         assert out.mask_logits.shape == (8, 8, 4)
 
     def test_texture_required_for_phase_mode(self):
-        model = NightSegModel(self._small_cfg())
+        model = NightSegModel(small_cfg())
         with pytest.raises(ValueError, match="texture"):
             model(Tensor(np.zeros((32, 32, 3))), None)
 
     def test_too_few_prototypes_rejected(self):
         with pytest.raises(ValueError, match="prototypes"):
-            NightSegModel(self._small_cfg(prototypes=2))
+            NightSegModel(small_cfg(prototypes=2))
 
     def test_parameter_names_unique_and_dtype(self):
-        model = NightSegModel(self._small_cfg(dtype=np.float32))
+        model = NightSegModel(small_cfg(dtype=np.float32))
         params = model.parameters()
         names = [n for n, _ in params]
         assert len(names) == len(set(names))
@@ -173,26 +175,89 @@ class TestFullModel:
 
     @pytest.mark.parametrize("depth", [1, 4])
     def test_depth_variants_run(self, depth):
-        model = NightSegModel(self._small_cfg(decoder_depth=depth))
+        model = NightSegModel(small_cfg(decoder_depth=depth))
         rng = np.random.default_rng(13)
         out = model(Tensor(rng.uniform(size=(32, 32, 3))), Tensor(rng.uniform(size=(32, 32, 3))))
         assert out.mask_logits.shape == (8, 8, 4)
 
     def test_vanilla_mode_runs(self):
-        model = NightSegModel(self._small_cfg(matcher_mode="vanilla"))
+        model = NightSegModel(small_cfg(matcher_mode="vanilla"))
         rng = np.random.default_rng(14)
         out = model(Tensor(rng.uniform(size=(32, 32, 3))), Tensor(rng.uniform(size=(32, 32, 3))))
         assert np.isfinite(out.mask_logits.data).all()
 
-    def test_tape_nodes_per_sample(self):
-        # one default-config float32 sample at the 32x64 desk size: each
-        # amplification stage and the matched-mask loss are one node apiece
-        model = NightSegModel(ModelConfig(dtype=np.float32))
-        rng = np.random.default_rng(15)
-        image, texture = (Tensor(rng.uniform(size=(32, 64, 3)).astype(np.float32)) for _ in range(2))
-        with T.Tape() as tape:
-            out = model(image, texture)
-            forward = len(tape)
-            total_loss(out.mask_logits, out.class_logits, rng.integers(0, 4, size=(8, 16)), 4)
-            loss = len(tape) - forward
-        assert forward <= 188 and loss <= 7, (forward, loss)
+    def test_tape_nodes_per_step_independent_of_batch(self, tmp_path, monkeypatch):
+        # train records one forward and one loss per step over the whole
+        # [B, ...] batch, so a default-config step has as many nodes at batch
+        # 4 as at batch 1
+        gen_dataset(SceneConfig(), 10, 15, tmp_path)
+        ds = load_dataset(tmp_path, "phase")
+        counts = {}
+
+        def counting_backward(loss):
+            counts.setdefault(batch, []).append(len(loss.tape))
+            backward(loss)
+
+        monkeypatch.setattr("nightseg.train.backward", counting_backward)
+        for batch in (1, 4):
+            model = NightSegModel(ModelConfig(num_classes=ds.num_classes, dtype=np.float32))
+            train(model, ds, TrainConfig(iters=2, batch=batch, seed=1))
+        assert counts[1] == counts[4] == [counts[1][0]] * 2, counts
+        assert counts[1][0] <= 210, counts
+
+
+def _weighted_output_loss(out: SegOutput, heads) -> Tensor:
+    """A loss linear in both outputs, so its gradient over a batch is the
+    sum of the per-sample gradients."""
+    return T.add(T.tsum(T.mul(out.mask_logits, Tensor(heads[0]))),
+                 T.tsum(T.mul(out.class_logits, Tensor(heads[1]))))
+
+
+def _close(got, want, rtol=1e-10):
+    assert np.abs(got - want).max() <= rtol * np.abs(want).max()
+
+
+class TestBatchedModel:
+    """A [B, H, W, 3] batch runs every layer once and equals B single-image runs."""
+
+    @pytest.mark.parametrize("mode,renormalize,depth", [
+        ("reliable", False, 4), ("reliable", True, 2), ("vanilla", False, 4)])
+    def test_batch_of_3_gives_the_logits_of_3_single_forwards(self, mode, renormalize, depth):
+        model = NightSegModel(small_cfg(
+            matcher_mode=mode, renormalize=renormalize, decoder_depth=depth, matcher_layers=2))
+        rng = np.random.default_rng(16)
+        images, textures = rng.uniform(size=(2, 3, 32, 64, 3))
+        out = model(Tensor(images), Tensor(textures))
+        assert out.mask_logits.shape == (3, 8, 16, 4) and out.class_logits.shape == (3, 4, 4)
+        for b in range(3):
+            one = model(Tensor(images[b]), Tensor(textures[b]))
+            _close(out.mask_logits.data[b], one.mask_logits.data)
+            _close(out.class_logits.data[b], one.class_logits.data)
+
+    def test_parameter_gradients_are_the_sum_of_per_sample_gradients(self):
+        model = NightSegModel(small_cfg(matcher_layers=2))
+        params = model.parameters()
+        rng = np.random.default_rng(17)
+        images, textures = rng.uniform(size=(2, 3, 32, 64, 3))
+        heads = rng.normal(size=(3, 8, 16, 4)), rng.normal(size=(3, 4, 4))
+
+        def grads(image, texture, hs):
+            for _, p in params:
+                p.grad = None
+            with T.Tape():
+                T.backward(_weighted_output_loss(model(Tensor(image), Tensor(texture)), hs))
+            return [p.grad for _, p in params]
+
+        batched = grads(images, textures, heads)
+        per_sample = [grads(images[b], textures[b], (heads[0][b], heads[1][b])) for b in range(3)]
+        for (name, _), got, *each in zip(params, batched, *per_sample):
+            want = sum(each)
+            if np.any(want):
+                _close(got, want)
+            else:
+                assert not np.any(got), name
+
+    def test_texture_must_match_the_image_batch(self):
+        model = NightSegModel(small_cfg())
+        with pytest.raises(ValueError, match="misaligned"):
+            model(Tensor(np.zeros((2, 32, 32, 3))), Tensor(np.zeros((3, 32, 32, 3))))

@@ -612,3 +612,82 @@ def test_dtype_preserved_float32():
     x = Tensor(np.ones((2, 2), dtype=np.float32))
     y = T.add(x, x)
     assert y.data.dtype == np.float32
+
+
+def _weighted_run(f, arrays, head):
+    """f's value and the gradient of sum(f * head) w.r.t. each operand."""
+    ts = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+    with Tape():
+        y = f(*ts)
+        backward(T.tsum(T.mul(y, Tensor(head))))
+    return y.data, [t.grad for t in ts]
+
+
+def _close(got, want):
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-12 * max(np.abs(want).max(), 1.0)
+
+
+LEADING_AXIS_CASES = {
+    # name: (op, per-sample operand shapes, shapes of operands every sample shares)
+    "conv2d": (lambda x, w, b: T.conv2d(x, w, 2, 1, b), [(6, 8, 2)], [(3, 3, 2, 4), (4,)]),
+    "conv2d 4x4 stride 4": (lambda x, w: T.conv2d(x, w, 4, 0), [(8, 8, 3)], [(4, 4, 3, 2)]),
+    "upsample": (T.upsample_bilinear2x, [(2, 3, 2)], []),
+    "amplify normalized": (lambda f, p: T.amplify_stage(f, p, True), [(2, 3, 4), (2, 3, 4)], []),
+    "amplify raw": (lambda f, p: T.amplify_stage(f, p, False), [(2, 3, 4), (2, 3, 4)], []),
+    "attention weights": (T.attention_weights, [(4, 5), (6, 5)], []),
+    "matmul of stacks": (lambda a, b, c: T.matmul(a, b, c), [(4, 5), (5, 2)], [(2,)]),
+    "matmul by a weight": (lambda a, w: T.matmul(a, w), [(2, 4, 5)], [(5, 2)]),
+    "transpose2d": (T.transpose2d, [(4, 5)], []),
+    "normalize rows": (T.normalize_rows, [(4, 5)], []),
+    "softmax": (lambda x: T.softmax(x, axis=-1), [(4, 5)], []),
+    "layer norm": (T.layer_norm, [(4, 5)], [(5,), (5,)]),
+}
+
+
+class TestLeadingAxes:
+    """A batch of 3 through one op equals the op on each sample alone: values
+    and per-sample gradients per sample, shared-operand gradients summed."""
+
+    @pytest.mark.parametrize("name", sorted(LEADING_AXIS_CASES))
+    def test_batch_equals_per_sample(self, name):
+        f, batched, shared = LEADING_AXIS_CASES[name]
+        rng = np.random.default_rng(sum(map(ord, name)))
+        xb = [rng.uniform(0.5, 1.5, size=(3, *s)) for s in batched]
+        xs = [rng.uniform(0.5, 1.5, size=s) for s in shared]
+        y_shape = f(*(Tensor(a) for a in (*xb, *xs))).shape
+        head = rng.normal(size=y_shape)
+        y, grads = _weighted_run(f, [*xb, *xs], head)
+        ones = [_weighted_run(f, [*(a[b] for a in xb), *xs], head[b]) for b in range(3)]
+        for b, (y_b, grads_b) in enumerate(ones):
+            _close(y[b], y_b)
+            for g, g_b in zip(grads[:len(xb)], grads_b):
+                _close(g[b], g_b)
+        for i in range(len(xb), len(xb) + len(xs)):
+            _close(grads[i], sum(g_b[i] for _, g_b in ones))
+
+    def test_gather_rows_picks_per_row(self):
+        rng = np.random.default_rng(40)
+        x = rng.normal(size=(3, 5, 2))
+        idx = np.array([[4, 0, 4], [1, 2, 3], [0, 0, 0]])
+        head = rng.normal(size=(3, 3, 2))
+        y, (g,) = _weighted_run(lambda t: T.gather_rows(t, idx), [x], head)
+        for b in range(3):
+            y_b, (g_b,) = _weighted_run(lambda t: T.gather_rows(t, idx[b]), [x[b]], head[b])
+            assert np.array_equal(y[b], y_b) and np.array_equal(g[b], g_b)
+
+    def test_expand_shares_one_tensor_and_sums_its_gradient(self):
+        rng = np.random.default_rng(41)
+        x = rng.normal(size=(4, 5))
+        head = rng.normal(size=(3, 2, 4, 5))
+        y, (g,) = _weighted_run(lambda t: T.expand(t, (3, 2)), [x], head)
+        assert np.array_equal(y, np.broadcast_to(x, (3, 2, 4, 5)))
+        assert np.array_equal(g, head.sum(axis=(0, 1)))
+
+    def test_mismatched_leading_axes_rejected(self):
+        with pytest.raises(ValueError, match="batch axes lead a"):
+            T.matmul(Tensor(np.zeros((2, 4, 5))), Tensor(np.zeros((3, 5, 2))))
+        with pytest.raises(ValueError, match="same leading axes"):
+            T.attention_weights(Tensor(np.zeros((2, 4, 5))), Tensor(np.zeros((3, 6, 5))))
+        with pytest.raises(ValueError, match="same leading axes"):
+            T.gather_rows(Tensor(np.zeros((2, 4, 5))), np.zeros((3, 1), dtype=np.int64))

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from nightseg.config import build, parse_config
-from nightseg.model import ModelConfig, NightSegModel, majority_pool
+from nightseg.metrics import ConfusionMatrix
+from nightseg.model import ModelConfig, NightSegModel, majority_pool, predict
 from nightseg.netpbm import read_pgm
 from nightseg.scenes import SceneConfig, gen_dataset, parse_manifest
 from nightseg.train import (AdamW, TrainConfig, TrainingDiverged, evaluate,
@@ -141,6 +142,21 @@ class TestTrainLoop:
         assert len(lines) == ds.num_classes + 1
         assert lines[-1].startswith("miou ")
         float(lines[-1].split()[1])  # parses
+
+    def test_evaluate_equals_a_loop_of_single_image_predictions(self, tiny_data):
+        # the check the benchmark makes of evaluate(): a direct call of the
+        # model on each unbatched float32 val sample, then predict
+        ds = load_dataset(tiny_data, "phase")
+        model = NightSegModel(small_model_cfg(ds))
+        train(model, ds, TrainConfig(iters=3, batch=2, seed=4))
+        cm = ConfusionMatrix(ds.num_classes)
+        for i in ds.val_idx:
+            out = model(Tensor(ds.images[i].astype(np.float32)),
+                        Tensor(ds.textures[i].astype(np.float32)))
+            pred = predict(out, ds.num_classes)
+            assert pred.shape == ds.masks[i].shape
+            cm.update(pred, ds.masks[i])
+        assert np.array_equal(evaluate(model, ds, np.float32).counts, cm.counts)
 
 
 def parse_text(tmp_path, text: str) -> dict[str, str]:
