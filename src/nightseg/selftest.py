@@ -23,6 +23,7 @@ from .metrics import miou
 from .model import ModelConfig, NightSegModel
 from .phase import choose_c_a, fourier_decompose, phase_reconstruct, sobel_texture_map
 from .tensor import Tensor
+from .train import AdamW
 
 __all__ = ["run_selftest", "run_grad_suite", "CHECKS"]
 
@@ -268,6 +269,63 @@ def check_miou():
         assert mm == 1.0
 
 
+class PerTensorAdamW:
+    """AdamW as a loop over the parameters, one set of numpy expressions per
+    tensor, rebinding each ``p.data``: the oracle for ``train.AdamW``'s
+    in-place pass over one flat vector."""
+
+    def __init__(self, params: list[tuple[str, Tensor]], lr: float,
+                 betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8,
+                 weight_decay: float = 0.0):
+        self.params = params
+        self.lr = lr
+        self.b1, self.b2 = betas
+        self.eps = eps
+        self.weight_decay = weight_decay
+        self.t = 0
+        self.m = {n: np.zeros_like(p.data) for n, p in params}
+        self.v = {n: np.zeros_like(p.data) for n, p in params}
+
+    def step(self) -> None:
+        self.t += 1
+        bc1 = 1.0 - self.b1 ** self.t
+        bc2 = 1.0 - self.b2 ** self.t
+        for name, p in self.params:
+            g = p.grad
+            if g is None:
+                continue
+            m = self.m[name] = self.b1 * self.m[name] + (1.0 - self.b1) * g
+            v = self.v[name] = self.b2 * self.v[name] + (1.0 - self.b2) * g * g
+            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            p.data = p.data - self.lr * (update + self.weight_decay * p.data)
+
+
+def check_adamw_matches_per_tensor():
+    # one parameter spans two update chunks; absent gradients sit at
+    # non-adjacent positions, at either end and in the middle; the rate
+    # drops after step 3 as at the phase-2 switch
+    shapes = [(3, 4), (5,), (257, 300), (2, 3, 2), (7,), (1,)]
+    absent = [set(), {1, 3}, set(), {0, 2, 5}, {4}]
+    for dtype in (np.float32, np.float64):
+        rng = _rng(19)
+        init = [rng.normal(size=s).astype(dtype) for s in shapes]
+        flat = [(f"p{i}", Tensor(a.copy())) for i, a in enumerate(init)]
+        ref = [(f"p{i}", Tensor(a.copy())) for i, a in enumerate(init)]
+        opt = AdamW(flat, lr=1e-2, weight_decay=0.05)
+        oracle = PerTensorAdamW(ref, lr=1e-2, weight_decay=0.05)
+        for step, skip in enumerate(absent):
+            if step == 3:
+                opt.lr = oracle.lr = 1e-3
+            for i, ((_, p), (_, q)) in enumerate(zip(flat, ref)):
+                p.grad = q.grad = None if i in skip else rng.normal(size=p.data.shape).astype(dtype)
+            opt.step()
+            oracle.step()
+        for (name, p), (_, q) in zip(flat, ref):
+            assert p.data.dtype == q.data.dtype and np.array_equal(p.data, q.data), name
+        for mine, theirs in ((opt.m, oracle.m), (opt.v, oracle.v)):
+            assert np.array_equal(mine, np.concatenate([a.reshape(-1) for a in theirs.values()]))
+
+
 def run_grad_suite() -> list[tuple[str, float]]:
     """Finite-difference errors for every differentiable composition.
 
@@ -490,6 +548,7 @@ CHECKS = [
     ("per-op gradients match finite differences", check_gradients),
     ("end-to-end loss gradients reach all parameter groups", check_end_to_end_gradient),
     ("a batch of 3 gives the logits of 3 single-image forwards", check_batched_forward_matches_per_sample),
+    ("flat AdamW equals the per-tensor loop bit for bit", check_adamw_matches_per_tensor),
 ]
 
 

@@ -9,7 +9,10 @@ the tape itself is the topological order.
 
 Conventions:
 - tensors are immutable once written by an operation; the only sanctioned
-  mutation is an optimizer updating parameter ``.data`` between tapes
+  mutation is an optimizer updating parameter ``.data`` between tapes.
+  Under ``train.AdamW`` each parameter's ``.data`` is a view into the
+  optimizer's one flat weight vector, updated in place; rebinding
+  ``p.data`` detaches that parameter from the vector
 - gradient buffers are write-once per accumulation (``grad = grad + g``),
   never mutated in place, so views may be stored safely
 - binary ops require exact shape and dtype agreement; the only broadcasts

@@ -1,32 +1,49 @@
-"""Binary tensor files: magic "NFT1", u32 LE rank, u32 LE extents, f32 LE data."""
+"""Binary tensor files: a 4-byte magic, u32 LE rank, u32 LE extents, then the
+row-major data: "NFT1" stores little-endian f32, "NFT8" little-endian f8.
+
+float64 arrays are written as NFT8 and every other array as NFT1, so a
+float64 tensor round-trips exactly; ``decode_tensor`` returns the stored
+dtype.
+"""
 
 from __future__ import annotations
 
 import struct
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
 from .tensor import Tensor
 
-__all__ = ["MAGIC", "write_tensor", "read_tensor", "encode_tensor", "decode_tensor"]
+__all__ = ["MAGIC", "MAGIC_F8", "write_tensor", "write_flat", "read_tensor", "encode_tensor",
+           "decode_tensor"]
 
 MAGIC = b"NFT1"
+MAGIC_F8 = b"NFT8"
+_STORED = {MAGIC: np.dtype("<f4"), MAGIC_F8: np.dtype("<f8")}
+
+
+def _header(shape: tuple[int, ...], dtype) -> tuple[bytes, np.dtype]:
+    """The header of a tensor of ``shape`` holding ``dtype`` values, and the
+    dtype its payload is stored in."""
+    if any(s <= 0 for s in shape):
+        raise ValueError(f"tensor extents must be positive, got {shape}")
+    magic = MAGIC_F8 if np.dtype(dtype) == np.float64 else MAGIC
+    head = magic + struct.pack("<I", len(shape)) + struct.pack(f"<{len(shape)}I", *shape)
+    return head, _STORED[magic]
 
 
 def encode_tensor(t: Tensor | np.ndarray) -> bytes:
     arr = t.data if isinstance(t, Tensor) else np.asarray(t)
-    shape = arr.shape
-    if any(s <= 0 for s in shape):
-        raise ValueError(f"tensor extents must be positive, got {shape}")
-    head = MAGIC + struct.pack("<I", len(shape)) + struct.pack(f"<{len(shape)}I", *shape)
-    payload = np.ascontiguousarray(arr, dtype="<f4").tobytes()
-    return head + payload
+    head, stored = _header(arr.shape, arr.dtype)
+    return head + np.ascontiguousarray(arr, dtype=stored).tobytes()
 
 
 def decode_tensor(blob: bytes) -> np.ndarray:
-    if blob[:4] != MAGIC:
-        raise ValueError(f"bad magic {blob[:4]!r} at byte 0, expected {MAGIC!r}")
+    stored = _STORED.get(bytes(blob[:4]))
+    if stored is None:
+        raise ValueError(f"bad magic {blob[:4]!r} at byte 0, expected {MAGIC!r} or {MAGIC_F8!r}")
     if len(blob) < 8:
         raise ValueError("truncated header: missing rank at byte 4")
     (rank,) = struct.unpack_from("<I", blob, 4)
@@ -39,16 +56,31 @@ def decode_tensor(blob: bytes) -> np.ndarray:
     if any(s == 0 for s in shape):
         raise ValueError(f"zero extent in shape {shape}")
     count = int(np.prod(shape))
-    if len(blob) != need + 4 * count:
-        raise ValueError(
-            f"payload length mismatch at byte {need}: have {len(blob) - need} bytes, need {4 * count}"
-        )
-    data = np.frombuffer(blob, dtype="<f4", offset=need, count=count)
-    return data.reshape(shape).astype(np.float32)
+    if len(blob) != need + stored.itemsize * count:
+        raise ValueError(f"payload length mismatch at byte {need}: have {len(blob) - need} bytes, "
+                         f"need {stored.itemsize * count}")
+    data = np.frombuffer(blob, dtype=stored, offset=need, count=count)
+    return data.reshape(shape).astype(stored.newbyteorder("="))
 
 
 def write_tensor(path: str | Path, t: Tensor | np.ndarray) -> None:
     Path(path).write_bytes(encode_tensor(t))
+
+
+def write_flat(path: str | Path, arrays: Sequence[np.ndarray]) -> None:
+    """Write the arrays' elements, in order, as one rank-1 tensor.
+
+    The arrays share one dtype and are streamed one at a time, so no joined
+    copy of them is built.
+    """
+    dtypes = {a.dtype for a in arrays}
+    if len(dtypes) != 1:
+        raise ValueError(f"write_flat needs arrays of one dtype, got {sorted(map(str, dtypes))}")
+    head, stored = _header((sum(a.size for a in arrays),), dtypes.pop())
+    with open(path, "wb") as f:
+        f.write(head)
+        for a in arrays:
+            f.write(np.ascontiguousarray(a, dtype=stored).data)
 
 
 def read_tensor(path: str | Path) -> np.ndarray:

@@ -22,7 +22,7 @@ from .netpbm import read_pgm, read_ppm
 from .phase import image_texture_stack
 from .scenes import parse_manifest
 from .tensor import Tape, Tensor, backward
-from .tensor_io import read_tensor, write_tensor
+from .tensor_io import read_tensor, write_flat
 
 __all__ = [
     "TrainConfig",
@@ -35,6 +35,7 @@ __all__ = [
     "evaluate",
     "render_report",
     "TrainingDiverged",
+    "NonFiniteGradient",
 ]
 
 
@@ -76,36 +77,113 @@ class TrainConfig:
 
 
 class AdamW:
-    """Adaptive moments with decoupled weight decay."""
+    """Adaptive moments with decoupled weight decay (Loshchilov & Hutter),
+    over one contiguous weight vector.
+
+    The constructor concatenates every parameter, in the given order, into
+    ``flat`` and rebinds each ``p.data`` to a view of its slice, so ``step``
+    updates all weights in place with a few ufuncs per chunk. ``m`` and ``v``
+    are flat vectors of the same layout. A parameter whose ``grad`` is None
+    keeps its weight, ``m`` and ``v`` bit for bit and gets no decay.
+    Rebinding a ``p.data`` afterwards detaches it: the optimizer keeps
+    updating its slice of ``flat``, which the parameter no longer shows.
+    """
 
     def __init__(self, params: list[tuple[str, Tensor]], lr: float,
                  betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8,
                  weight_decay: float = 0.0):
+        dtypes = {p.data.dtype for _, p in params}
+        if len(dtypes) != 1:
+            raise ValueError(f"AdamW needs parameters of one dtype, got {sorted(map(str, dtypes))}")
+        seen: dict[int, str] = {}
+        for name, p in params:
+            if id(p) in seen:
+                raise ValueError(f"AdamW: parameter {name} is the tensor already listed as "
+                                 f"{seen[id(p)]}")
+            seen[id(p)] = name
         self.params = params
         self.lr = lr
         self.b1, self.b2 = betas
         self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
-        self.m = {n: np.zeros_like(p.data) for n, p in params}
-        self.v = {n: np.zeros_like(p.data) for n, p in params}
+        self.flat = np.concatenate([p.data.reshape(-1) for _, p in params])
+        bounds = np.cumsum([0] + [p.data.size for _, p in params]).tolist()
+        self._slices = list(zip(params, bounds, bounds[1:]))   # ((name, p), lo, hi)
+        for (_, p), lo, hi in self._slices:
+            p.data = self.flat[lo:hi].reshape(p.data.shape)
+        self.m = np.zeros_like(self.flat)
+        self.v = np.zeros_like(self.flat)
 
     def step(self) -> None:
+        """One update of every parameter that has a gradient.
+
+        Raises NonFiniteGradient, before any state changes, if a gradient
+        holds NaN or inf.
+        """
+        # the gradients, 0 where None, gathered into a vector that lives only
+        # for this step and is then overwritten chunk by chunk with the update
+        g = np.concatenate([np.zeros_like(p.data) if p.grad is None else p.grad
+                            for _, p in self.params], axis=None, out=np.empty_like(self.flat))
+        if not np.isfinite(g).all():
+            name = next(n for (n, _), lo, hi in self._slices if not np.isfinite(g[lo:hi]).all())
+            raise NonFiniteGradient(name)
         self.t += 1
         bc1 = 1.0 - self.b1 ** self.t
         bc2 = 1.0 - self.b2 ** self.t
-        for name, p in self.params:
-            g = p.grad
-            if g is None:
+        scratch = np.empty(min(_CHUNK, self.flat.size), self.flat.dtype)
+        for lo, hi in self._runs_with_grad():
+            for a in range(lo, hi, _CHUNK):
+                b = min(a + _CHUNK, hi)
+                w, m, v, gc, s = (self.flat[a:b], self.m[a:b], self.v[a:b], g[a:b],
+                                  scratch[:b - a])
+                # the per-tensor expressions, operand for operand:
+                # m = b1*m + (1-b1)*g; v = b2*v + ((1-b2)*g)*g;
+                # u = (m/bc1) / (sqrt(v/bc2) + eps); w = w - lr*(u + wd*w)
+                np.multiply(gc, 1.0 - self.b1, out=s)
+                m *= self.b1
+                m += s
+                np.multiply(gc, 1.0 - self.b2, out=s)
+                s *= gc
+                v *= self.b2
+                v += s
+                np.divide(v, bc2, out=s)
+                np.sqrt(s, out=s)
+                s += self.eps
+                np.divide(m, bc1, out=gc)
+                gc /= s
+                np.multiply(w, self.weight_decay, out=s)
+                gc += s
+                gc *= self.lr
+                w -= gc
+
+    def _runs_with_grad(self) -> list[tuple[int, int]]:
+        """The [lo, hi) ranges of ``flat`` covered by adjacent parameters
+        that have a gradient."""
+        runs: list[tuple[int, int]] = []
+        for (_, p), lo, hi in self._slices:
+            if p.grad is None:
                 continue
-            m = self.m[name] = self.b1 * self.m[name] + (1.0 - self.b1) * g
-            v = self.v[name] = self.b2 * self.v[name] + (1.0 - self.b2) * g * g
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-            p.data = p.data - self.lr * (update + self.weight_decay * p.data)
+            if runs and runs[-1][1] == lo:
+                runs[-1] = (runs[-1][0], hi)
+            else:
+                runs.append((lo, hi))
+        return runs
 
     def zero_grad(self) -> None:
         for _, p in self.params:
             p.grad = None
+
+
+_CHUNK = 1 << 16   # elements per pass of AdamW's update: bounds its scratch
+
+
+class NonFiniteGradient(FloatingPointError):
+    """A NaN or inf gradient, found by ``AdamW.step`` before it changed anything."""
+
+    def __init__(self, name: str):
+        super().__init__(f"non-finite gradient of {name}")
+        self.name = name
 
 
 @dataclass
@@ -143,30 +221,59 @@ def load_dataset(data_dir: str | Path, enhance_op: str, c_a: float | None = None
 
 
 def save_checkpoint(out_dir: str | Path, params: list[tuple[str, Tensor]]) -> Path:
+    """Write ``params.txt``, one ``name d0 d1 ...`` line per parameter, and
+    ``params.nft``, every parameter's values in that order as one rank-1
+    tensor (f8 for a float64 model, f32 otherwise)."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    names = []
-    for name, p in params:
-        write_tensor(out / f"{name}.nft", p)
-        names.append(name)
-    (out / "params.txt").write_text("\n".join(names) + "\n", encoding="utf-8")
+    write_flat(out / "params.nft", [p.data for _, p in params])
+    lines = [" ".join([name, *map(str, p.data.shape)]) for name, p in params]
+    (out / "params.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
     return out
 
 
 def load_checkpoint(ckpt_dir: str | Path, model: NightSegModel) -> None:
+    """Copy a checkpoint's weights into the model's parameter arrays.
+
+    Names, shapes and the payload length are all checked before any
+    parameter is written. An f32 payload loads into a float64 model as an
+    exact upcast; an f8 payload is refused by a float32 model, which would
+    have to round it.
+    """
     ckpt = Path(ckpt_dir)
-    listed = (ckpt / "params.txt").read_text(encoding="utf-8").split()
+    listed: dict[str, tuple[int, ...]] = {}
+    for i, line in enumerate((ckpt / "params.txt").read_text(encoding="utf-8").splitlines(), 1):
+        try:
+            name, *dims = line.split()
+            shape = tuple(map(int, dims))
+        except ValueError:
+            name, shape = "", ()
+        if not shape or min(shape) < 1 or name in listed:
+            raise ValueError(f"{ckpt / 'params.txt'} line {i}: expected a new name and its "
+                             f"positive extents, got {line!r}")
+        listed[name] = shape
     params = dict(model.parameters())
     if set(listed) != set(params):
         missing = sorted(set(params) - set(listed))
         extra = sorted(set(listed) - set(params))
         raise ValueError(f"checkpoint mismatch; missing {missing}, unexpected {extra}")
-    for name in listed:
-        arr = read_tensor(ckpt / f"{name}.nft")
+    for name, shape in listed.items():
+        if shape != params[name].data.shape:
+            raise ValueError(f"checkpoint tensor {name}: shape {shape} != model "
+                             f"{params[name].data.shape}")
+    flat = read_tensor(ckpt / "params.nft")
+    need = sum(p.data.size for p in params.values())
+    if flat.ndim != 1 or flat.size != need:
+        raise ValueError(f"checkpoint payload {ckpt / 'params.nft'} holds shape {flat.shape}; "
+                         f"params.txt lists {need} values")
+    dtype = next(iter(params.values())).data.dtype
+    if not np.can_cast(flat.dtype, dtype, "safe"):
+        raise ValueError(f"checkpoint holds {flat.dtype} weights; a {dtype} model would round them")
+    lo = 0
+    for name, shape in listed.items():
         p = params[name]
-        if arr.shape != p.data.shape:
-            raise ValueError(f"checkpoint tensor {name}: shape {arr.shape} != model {p.data.shape}")
-        p.data = arr.astype(p.data.dtype)
+        p.data[...] = flat[lo:lo + p.data.size].reshape(shape)
+        lo += p.data.size
 
 
 def _forward(model: NightSegModel, ds: LoadedDataset, idx: int | list[int], dtype) -> SegOutput:
@@ -209,11 +316,11 @@ def train(model: NightSegModel, ds: LoadedDataset, tc: TrainConfig,
             if not np.isfinite(loss_val):
                 raise TrainingDiverged(it, ckpt_dir and save_checkpoint(ckpt_dir, params))
             backward(loss)
-        for name, p in params:
-            if p.grad is not None and not np.isfinite(p.grad).all():
-                raise TrainingDiverged(it, ckpt_dir and save_checkpoint(ckpt_dir, params),
-                                       f"gradient of {name}")
-        opt.step()
+        try:
+            opt.step()
+        except NonFiniteGradient as exc:
+            raise TrainingDiverged(it, ckpt_dir and save_checkpoint(ckpt_dir, params),
+                                   f"gradient of {exc.name}") from None
         if it % tc.log_every == 0 or it == tc.iters - 1:
             log.append(f"iter {it} loss {loss_val:.6f} lr {opt.lr:.6g}")
 

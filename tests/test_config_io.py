@@ -9,7 +9,8 @@ import pytest
 from nightseg.config import build, known_keys, parse_config
 from nightseg.model import ModelConfig
 from nightseg.tensor import Tensor
-from nightseg.tensor_io import decode_tensor, encode_tensor, read_tensor, write_tensor
+from nightseg.tensor_io import (decode_tensor, encode_tensor, read_tensor, write_flat,
+                                write_tensor)
 from nightseg.train import TrainConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -137,11 +138,33 @@ class TestTensorFile:
         write_tensor(tmp_path / "t.nft", t)
         assert np.array_equal(read_tensor(tmp_path / "t.nft"), t.data)
 
-    def test_float64_written_as_f32(self):
-        arr = np.array([1.0, np.pi], dtype=np.float64)
-        back = decode_tensor(encode_tensor(arr))
+    def test_float64_roundtrips_exactly(self):
+        arr = np.random.default_rng(1).normal(size=(3, 5))
+        blob = encode_tensor(arr)
+        assert blob[:4] == b"NFT8"
+        assert len(blob) == 16 + 8 * 15
+        back = decode_tensor(blob)
+        assert back.dtype == np.float64
+        assert np.array_equal(back, arr)
+
+    def test_float32_stays_f32(self):
+        back = decode_tensor(encode_tensor(np.array([np.pi], dtype=np.float32)))
         assert back.dtype == np.float32
-        assert back[1] == np.float32(np.pi)
+        assert back[0] == np.float32(np.pi)
+
+    @pytest.mark.parametrize("dtype,magic", [(np.float32, b"NFT1"), (np.float64, b"NFT8")])
+    def test_write_flat_is_one_rank1_tensor(self, tmp_path, dtype, magic):
+        parts = [np.arange(6, dtype=dtype).reshape(2, 3), np.array([7.5], dtype=dtype)]
+        write_flat(tmp_path / "f.nft", parts)
+        assert (tmp_path / "f.nft").read_bytes()[:4] == magic
+        back = read_tensor(tmp_path / "f.nft")
+        assert back.dtype == dtype
+        assert np.array_equal(back, [0, 1, 2, 3, 4, 5, 7.5])
+
+    def test_write_flat_rejects_mixed_dtypes(self, tmp_path):
+        with pytest.raises(ValueError, match="one dtype"):
+            write_flat(tmp_path / "f.nft", [np.zeros(2, np.float32), np.zeros(2)])
+        assert not (tmp_path / "f.nft").exists()
 
     @pytest.mark.parametrize("blob,msg", [
         (b"XXXX" + bytes(8), "magic"),
@@ -150,6 +173,7 @@ class TestTensorFile:
         (b"NFT1" + (2).to_bytes(4, "little") + (2).to_bytes(4, "little"), "extents"),
         (b"NFT1" + (1).to_bytes(4, "little") + (0).to_bytes(4, "little"), "zero extent"),
         (b"NFT1" + (1).to_bytes(4, "little") + (2).to_bytes(4, "little") + bytes(4), "length mismatch"),
+        (b"NFT8" + (1).to_bytes(4, "little") + (2).to_bytes(4, "little") + bytes(8), "length mismatch"),
     ])
     def test_malformed_rejected(self, blob, msg):
         with pytest.raises(ValueError, match=msg):

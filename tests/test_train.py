@@ -3,15 +3,18 @@
 import numpy as np
 import pytest
 
+from nightseg.cli import main
 from nightseg.config import build, parse_config
 from nightseg.metrics import ConfusionMatrix
 from nightseg.model import ModelConfig, NightSegModel, majority_pool, predict
 from nightseg.netpbm import read_pgm
 from nightseg.scenes import SceneConfig, gen_dataset, parse_manifest
+from nightseg.selftest import PerTensorAdamW
 from nightseg.train import (AdamW, TrainConfig, TrainingDiverged, evaluate,
                             load_checkpoint, load_dataset, render_report,
                             save_checkpoint, train)
 from nightseg.tensor import Tensor, backward
+from nightseg.tensor_io import read_tensor, write_tensor
 
 
 @pytest.fixture(scope="module")
@@ -21,11 +24,16 @@ def tiny_data(tmp_path_factory):
     return root
 
 
+SMALL = dict(backbone_widths=(4, 5, 6, 7), phase_widths=(3, 4, 5, 6), decoder_channels=8,
+             prototypes=4, reliable_k=4, matcher_layers=1)
+# the same model as a config file, for the command line
+SMALL_CFG = ("backbone.widths = 4 5 6 7\nphase_enc.widths = 3 4 5 6\ndecoder.channels = 8\n"
+             "matcher.prototypes = 4\nmatcher.reliable_k = 4\nmatcher.layers = 1\n")
+
+
 def small_model_cfg(ds, seed=0, dtype=np.float32, **overrides):
-    small = dict(backbone_widths=(4, 5, 6, 7), phase_widths=(3, 4, 5, 6), decoder_channels=8,
-                 prototypes=4, reliable_k=4, matcher_layers=1)
     return ModelConfig(num_classes=ds.num_classes, seed=seed, dtype=dtype,
-                       **{**small, **overrides})
+                       **{**SMALL, **overrides})
 
 
 class TestAdamW:
@@ -49,6 +57,55 @@ class TestAdamW:
         opt = AdamW([("p", p)], lr=0.1)
         opt.step()
         assert p.data[0] == 1.0
+
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bit_identical_to_per_tensor_loop(self, dtype):
+        params = NightSegModel(ModelConfig(num_classes=3, seed=2, dtype=dtype, **SMALL)).parameters()
+        ref = [(n, Tensor(p.data.copy())) for n, p in params]
+        opt = AdamW(params, lr=1e-3, weight_decay=1e-4)
+        oracle = PerTensorAdamW(ref, lr=1e-3, weight_decay=1e-4)
+        rng = np.random.default_rng(8)
+        for step in range(5):
+            if step == 3:  # the phase-2 rate switch
+                opt.lr = oracle.lr = 1e-4
+            for i, ((_, p), (_, q)) in enumerate(zip(params, ref)):
+                # odd steps leave parameters 0, 3, 7, 10, ... without a gradient
+                absent = step % 2 == 1 and i % 7 in (0, 3)
+                p.grad = q.grad = None if absent else rng.normal(size=p.data.shape).astype(dtype)
+            opt.step()
+            oracle.step()
+        for (name, p), (_, q) in zip(params, ref):
+            assert p.data.dtype == dtype and np.array_equal(p.data, q.data), name
+        for mine, theirs in ((opt.m, oracle.m), (opt.v, oracle.v)):
+            assert np.array_equal(mine, np.concatenate([a.reshape(-1) for a in theirs.values()]))
+
+    def test_parameters_become_views_of_the_flat_vector(self):
+        params = NightSegModel(ModelConfig(num_classes=3, dtype=np.float32, **SMALL)).parameters()
+        before = [p.data.copy() for _, p in params]
+        opt = AdamW(params, lr=1e-3)
+        assert opt.flat.dtype == np.float32
+        assert np.array_equal(opt.flat, np.concatenate([b.reshape(-1) for b in before]))
+        for (name, p), b in zip(params, before):
+            assert np.shares_memory(p.data, opt.flat), name
+            assert np.array_equal(p.data, b), name
+        for _, p in params:
+            p.grad = np.ones_like(p.data)
+        opt.step()
+        assert all(np.shares_memory(p.data, opt.flat) for _, p in params)
+        assert not np.array_equal(params[0][1].data, before[0])
+
+    def test_mixed_dtypes_rejected(self):
+        params = [("a", Tensor(np.zeros(2, np.float32))), ("b", Tensor(np.zeros(2)))]
+        with pytest.raises(ValueError, match="one dtype") as exc:
+            AdamW(params, lr=0.1)
+        assert "\n" not in str(exc.value)
+
+    def test_tensor_listed_twice_rejected(self):
+        p = Tensor(np.zeros(3))
+        with pytest.raises(ValueError, match="parameter b is the tensor already listed as a") as exc:
+            AdamW([("a", p), ("c", Tensor(np.zeros(1))), ("b", p)], lr=0.1)
+        assert "\n" not in str(exc.value)
 
 
 class TestTrainLoop:
@@ -91,6 +148,52 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match="mismatch"):
             load_checkpoint(tmp_path / "ckpt", other)
 
+    def test_checkpoint_is_one_payload_and_byte_identical_across_runs(self, tiny_data, tmp_path):
+        ds = load_dataset(tiny_data, "phase")
+        for run in ("run1", "run2"):
+            model = NightSegModel(small_model_cfg(ds, seed=3))
+            train(model, ds, TrainConfig(iters=3, batch=2, seed=3), out_dir=tmp_path / run)
+        one, two = (tmp_path / run / "checkpoint" for run in ("run1", "run2"))
+        assert sorted(f.name for f in one.iterdir()) == ["params.nft", "params.txt"]
+        assert sorted(f.name for f in two.iterdir()) == ["params.nft", "params.txt"]
+        for name in ("params.nft", "params.txt"):
+            assert (one / name).read_bytes() == (two / name).read_bytes(), name
+        lines = (one / "params.txt").read_text(encoding="utf-8").splitlines()
+        assert [line.split()[0] for line in lines] == [n for n, _ in model.parameters()]
+        assert [tuple(map(int, line.split()[1:])) for line in lines] == \
+            [p.data.shape for _, p in model.parameters()]
+        flat = read_tensor(one / "params.nft")
+        assert flat.dtype == np.float32
+        assert np.array_equal(flat, np.concatenate([p.data.reshape(-1)
+                                                    for _, p in model.parameters()]))
+
+    def test_float64_checkpoint_roundtrips_exactly(self, tiny_data, tmp_path):
+        ds = load_dataset(tiny_data, "phase")
+        model = NightSegModel(small_model_cfg(ds, dtype=np.float64))
+        save_checkpoint(tmp_path / "ckpt", model.parameters())
+        assert (tmp_path / "ckpt" / "params.nft").read_bytes()[:4] == b"NFT8"
+        other = NightSegModel(small_model_cfg(ds, seed=1, dtype=np.float64))
+        load_checkpoint(tmp_path / "ckpt", other)
+        for (name, p), (_, q) in zip(model.parameters(), other.parameters()):
+            assert q.data.dtype == np.float64 and np.array_equal(p.data, q.data), name
+
+    def test_f32_checkpoint_upcast_into_float64_model(self, tiny_data, tmp_path):
+        ds = load_dataset(tiny_data, "phase")
+        model = NightSegModel(small_model_cfg(ds))
+        save_checkpoint(tmp_path / "ckpt", model.parameters())
+        wide = NightSegModel(small_model_cfg(ds, seed=1, dtype=np.float64))
+        load_checkpoint(tmp_path / "ckpt", wide)
+        for (name, p), (_, q) in zip(model.parameters(), wide.parameters()):
+            assert q.data.dtype == np.float64
+            assert np.array_equal(p.data.astype(np.float64), q.data), name
+
+    def test_f8_checkpoint_refused_by_float32_model(self, tiny_data, tmp_path):
+        ds = load_dataset(tiny_data, "phase")
+        save_checkpoint(tmp_path / "ckpt",
+                        NightSegModel(small_model_cfg(ds, dtype=np.float64)).parameters())
+        with pytest.raises(ValueError, match="float64 weights; a float32 model would round"):
+            load_checkpoint(tmp_path / "ckpt", NightSegModel(small_model_cfg(ds)))
+
     def test_divergence_aborts_with_checkpoint(self, tiny_data, tmp_path):
         ds = load_dataset(tiny_data, "phase")
         model = NightSegModel(small_model_cfg(ds))
@@ -132,6 +235,54 @@ class TestTrainLoop:
         load_checkpoint(tmp_path / "run" / "checkpoint", saved)
         for name, p in saved.parameters():
             assert np.array_equal(p.data, before[name]), name
+
+    @pytest.mark.parametrize("case,msg", [
+        ("short payload", r"holds shape \(\d+,\); params.txt lists \d+ values"),
+        ("no extents", "line 2: expected a new name and its positive extents"),
+        ("non-integer extent", "line 2: expected"),
+        ("zero extent", "line 2: expected"),
+        ("repeated name", "line 3: expected"),
+        ("blank line", "line 2: expected"),
+        ("shape", r"checkpoint tensor backbone.stage1.w: shape \(4, 3, 4, 4\) != model "
+                  r"\(4, 4, 3, 4\)"),
+        ("name set", r"checkpoint mismatch; missing \['backbone.stage1.w'\], "
+                     r"unexpected \['backbone.renamed'\]"),
+    ])
+    def test_bad_checkpoint_rejected_before_any_weight_changes(self, tiny_data, tmp_path,
+                                                               capsys, case, msg):
+        ds = load_dataset(tiny_data, "phase")
+        ckpt = save_checkpoint(tmp_path / "ckpt", NightSegModel(small_model_cfg(ds)).parameters())
+        lines = (ckpt / "params.txt").read_text(encoding="utf-8").splitlines()
+        name, *dims = lines[0].split()
+        if case == "short payload":
+            write_tensor(ckpt / "params.nft", read_tensor(ckpt / "params.nft")[:-1])
+        else:
+            edits = {"no extents": (1, lines[1].split()[0]),
+                     "non-integer extent": (1, lines[1] + " x"),
+                     "zero extent": (1, lines[1] + " 0"),
+                     "repeated name": (2, lines[1]),
+                     "blank line": (1, ""),
+                     "shape": (0, " ".join([name, *reversed(dims)])),
+                     "name set": (0, " ".join(["backbone.renamed", *dims]))}
+            at, text = edits[case]
+            lines[at] = text
+            (ckpt / "params.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        model = NightSegModel(small_model_cfg(ds, seed=1))
+        before = [p.data.copy() for _, p in model.parameters()]
+        with pytest.raises(ValueError, match=msg) as exc:
+            load_checkpoint(ckpt, model)
+        assert "\n" not in str(exc.value)
+        for (n, p), b in zip(model.parameters(), before):
+            assert np.array_equal(p.data, b), n
+
+        cfg = tmp_path / "small.cfg"
+        cfg.write_text(SMALL_CFG, encoding="utf-8")
+        capsys.readouterr()
+        assert main(["eval", "--ckpt", str(ckpt), "--config", str(cfg), "--data", str(tiny_data),
+                     "--report", str(tmp_path / "report.txt")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("nightseg: ") and err.count("\n") == 1
+        assert not (tmp_path / "report.txt").exists()
 
     def test_evaluate_and_report_format(self, tiny_data):
         ds = load_dataset(tiny_data, "phase")
