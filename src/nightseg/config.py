@@ -7,6 +7,7 @@ file's strings by those fields' declared types.
 
 from __future__ import annotations
 
+import math
 import typing
 from collections.abc import Mapping
 from dataclasses import field, fields, is_dataclass
@@ -22,14 +23,17 @@ def option(key: str, default, *, choices=None, at_least=None):
     """A dataclass field set by config ``key``. ``choices`` lists the accepted
     values, or maps each accepted spelling to its value; ``at_least`` is an
     inclusive lower bound, on every entry of a tuple. ``check_options``
-    enforces both."""
+    enforces both, and rejects a non-finite float."""
     return field(default=default, metadata={"key": key, "choices": choices, "at_least": at_least})
 
 
 def check_options(obj) -> None:
-    """Reject a field of ``obj`` outside its declared choices or bound."""
+    """Reject a keyed field of ``obj`` that is a non-finite float or lies
+    outside its declared choices or bound."""
     for f in fields(obj):
         value = getattr(obj, f.name)
+        if "key" in f.metadata and isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{f.metadata['key']} must be finite, got {value}")
         choices, least = f.metadata.get("choices"), f.metadata.get("at_least")
         allowed = choices.values() if isinstance(choices, Mapping) else choices
         if choices is not None and value not in allowed:

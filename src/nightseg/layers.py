@@ -18,7 +18,6 @@ from .tensor import Tensor, attention_weights
 __all__ = [
     "ATTENTION_TOKEN_BUDGET",
     "glorot_uniform",
-    "attention_weights",
     "Conv2dLayer",
     "Linear",
     "LayerNorm",

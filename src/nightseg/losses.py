@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .config import option
+from .config import check_options, option
 from .tensor import Tensor
 
 __all__ = [
@@ -32,9 +32,12 @@ __all__ = [
 
 @dataclass
 class LossWeights:
-    cls: float = option("train.lambda_cls", 2.0)
-    bce: float = option("train.lambda_bce", 5.0)
-    dice: float = option("train.lambda_dice", 5.0)
+    cls: float = option("train.lambda_cls", 2.0, at_least=0)
+    bce: float = option("train.lambda_bce", 5.0, at_least=0)
+    dice: float = option("train.lambda_dice", 5.0, at_least=0)
+
+    def __post_init__(self):
+        check_options(self)
 
 
 def hungarian_match(cost: np.ndarray) -> np.ndarray:

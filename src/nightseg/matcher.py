@@ -14,9 +14,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
-from .layers import (FeedForward, LayerNorm, Linear, Params, TokenSelfAttention,
-                     attention_weights, glorot_uniform)
-from .tensor import Tensor
+from .layers import FeedForward, LayerNorm, Linear, Params, TokenSelfAttention, glorot_uniform
+from .tensor import Tensor, attention_weights
 
 __all__ = [
     "select_reliable",

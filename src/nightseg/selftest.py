@@ -16,13 +16,13 @@ import numpy as np
 from . import tensor as T
 from .fourier import dft2d_bruteforce, fft2d, ifft2d
 from .gradcheck import grad_check
-from .layers import TokenSelfAttention, attention_weights, glorot_uniform
+from .layers import TokenSelfAttention, glorot_uniform
 from .losses import LossWeights, hungarian_match, total_loss
 from .matcher import bridged_similarity, select_reliable
 from .metrics import miou
 from .model import ModelConfig, NightSegModel
 from .phase import choose_c_a, fourier_decompose, phase_reconstruct, sobel_texture_map
-from .tensor import Tensor
+from .tensor import Tensor, attention_weights
 from .train import AdamW
 
 __all__ = ["run_selftest", "run_grad_suite", "CHECKS"]

@@ -3,11 +3,14 @@
 Storage is a numpy array (float64 for verification work, float32 for
 training). Differentiable operations are module-level functions that
 compute the forward value eagerly and, when a tape is active and the
-result requires gradients, append a backward closure to that tape.
-``Tape.run`` replays the closures in exact reverse execution order, so
-the tape itself is the topological order.
+result requires gradients, record the result with its backward closure on
+that tape (``_node``). ``Tape.run`` replays the closures in exact reverse
+execution order, so the tape itself is the topological order.
 
 Conventions:
+- a backward closure ``bwd(g)`` receives its node's gradient g and hands
+  each input its share with ``_accumulate``. ``Tape.run`` alone skips a
+  node that no gradient reached (its result is not on a path to the loss)
 - tensors are immutable once written by an operation; the only sanctioned
   mutation is an optimizer updating parameter ``.data`` between tapes.
   Under ``train.AdamW`` each parameter's ``.data`` is a view into the
@@ -105,32 +108,17 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
-    # Small amount of sugar; everything routes through the functional ops.
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return add(self, other)
-
-    def __mul__(self, other) -> "Tensor":
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return scale(self, float(other))
-
-    def __rmul__(self, other) -> "Tensor":
-        return scale(self, float(other))
-
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
-
 
 class Tape:
     """Execution-ordered record of differentiable operations.
 
     Used as a context manager around a forward pass; ``run`` (usually via
-    the free function :func:`backward`) replays backward rules in reverse
-    execution order and then consumes the tape.
+    :func:`backward`) calls each node's ``fn(g)`` with the gradient g of its
+    result ``out``, in reverse execution order, and then consumes the tape.
     """
 
     def __init__(self):
-        self._backward_fns: list[Callable[[], None]] = []
+        self._nodes: list[tuple[Tensor, Callable[[np.ndarray], None]]] = []
         self._consumed = False
 
     def __enter__(self) -> "Tape":
@@ -141,21 +129,22 @@ class Tape:
         popped = _TAPE_STACK.pop()
         assert popped is self, "tape stack corrupted"
 
-    def record(self, fn: Callable[[], None]) -> None:
+    def record(self, out: Tensor, fn: Callable[[np.ndarray], None]) -> None:
         if self._consumed:
             raise RuntimeError("tape already consumed by backward()")
-        self._backward_fns.append(fn)
+        self._nodes.append((out, fn))
 
     def __len__(self) -> int:
-        return len(self._backward_fns)
+        return len(self._nodes)
 
     def run(self, loss: "Tensor") -> None:
         if self._consumed:
             raise RuntimeError("tape already consumed by backward()")
         loss.grad = np.ones_like(loss.data)
-        for fn in reversed(self._backward_fns):
-            fn()
-        self._backward_fns.clear()
+        for out, fn in reversed(self._nodes):
+            if out.grad is not None:   # else no path from this node reaches the loss
+                fn(out.grad)
+        self._nodes.clear()
         self._consumed = True
 
 
@@ -175,15 +164,13 @@ def backward(loss: Tensor) -> None:
     loss.tape.run(loss)
 
 
-def _out(data: np.ndarray, *parents: Tensor | None) -> Tensor:
-    """An op's result; a None parent (an absent bias) is skipped."""
-    return Tensor(data, requires_grad=any(p is not None and p.requires_grad for p in parents))
-
-
-def _put(out: Tensor, backward_fn: Callable[[], None]) -> Tensor:
+def _node(data: np.ndarray, bwd: Callable[[np.ndarray], None], *parents: Tensor | None) -> Tensor:
+    """An op's result, recorded with ``bwd`` on the active tape if a parent
+    requires gradients; a None parent (an absent bias) is skipped."""
+    out = Tensor(data, requires_grad=any(p is not None and p.requires_grad for p in parents))
     tape = active_tape()
     if tape is not None and out.requires_grad:
-        tape.record(backward_fn)
+        tape.record(out, bwd)
         out.tape = tape
     return out
 
@@ -210,42 +197,29 @@ def _check_bias(op: str, bias: Tensor | None, n: int) -> None:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape("add", a, b)
-    out = _out(a.data + b.data, a, b)
 
-    def bwd():
-        g = out.grad
-        if g is None:
-            return
+    def bwd(g):
         _accumulate(a, g)
         _accumulate(b, g)
 
-    return _put(out, bwd)
+    return _node(a.data + b.data, bwd, a, b)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape("mul", a, b)
-    out = _out(a.data * b.data, a, b)
 
-    def bwd():
-        g = out.grad
-        if g is None:
-            return
+    def bwd(g):
         _accumulate(a, g * b.data)
         _accumulate(b, g * a.data)
 
-    return _put(out, bwd)
+    return _node(a.data * b.data, bwd, a, b)
 
 
 def scale(x: Tensor, c: float) -> Tensor:
-    out = _out(x.data * c, x)
-
-    def bwd():
-        g = out.grad
-        if g is None:
-            return
+    def bwd(g):
         _accumulate(x, g * c)
 
-    return _put(out, bwd)
+    return _node(x.data * c, bwd, x)
 
 
 # ---------------------------------------------------------------------------
@@ -273,78 +247,58 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
     y = a2 @ b.data
     if bias is not None:
         y = y + bias.data
-    out = _out(y.reshape(a.shape[:-1] + (n,)), a, b, bias)
 
-    def bwd():
-        g = out.grad
-        if g is None:
-            return
+    def bwd(g):
         g2 = g.reshape(lead + (-1, n))
         if bias is not None:
             _accumulate(bias, np.sum(g2.reshape(-1, n), axis=(0,)))
         _accumulate(a, (g2 @ np.swapaxes(b.data, -1, -2)).reshape(a.shape))
         _accumulate(b, np.swapaxes(a2, -1, -2) @ g2)
 
-    return _put(out, bwd)
+    return _node(y.reshape(a.shape[:-1] + (n,)), bwd, a, b, bias)
 
 
 def expand(x: Tensor, lead: Sequence[int]) -> Tensor:
     """x broadcast along new leading axes ``lead``, one copy per sample of a
     batch; its gradient is the sum over those axes."""
     lead = tuple(int(s) for s in lead)
-    out = _out(np.broadcast_to(x.data, lead + x.shape), x)
 
-    def bwd():
-        g = out.grad
-        if g is None:
-            return
+    def bwd(g):
         _accumulate(x, np.sum(g, axis=tuple(range(len(lead)))))
 
-    return _put(out, bwd)
+    return _node(np.broadcast_to(x.data, lead + x.shape), bwd, x)
 
 
 def transpose2d(x: Tensor) -> Tensor:
     """Swap the last two axes of x[..., m, n]."""
     if x.data.ndim < 2:
         raise ValueError(f"transpose2d: expects a 2-D tensor or a stack of them, got {x.shape}")
-    out = _out(np.swapaxes(x.data, -1, -2), x)
 
-    def bwd():
-        g = out.grad
-        if g is None:
-            return
+    def bwd(g):
         _accumulate(x, np.swapaxes(g, -1, -2))
 
-    return _put(out, bwd)
+    return _node(np.swapaxes(x.data, -1, -2), bwd, x)
 
 
 def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
     shape = tuple(int(s) for s in shape)
-    out = _out(x.data.reshape(shape), x)
 
-    def bwd():
-        g = out.grad
-        if g is None:
-            return
+    def bwd(g):
         _accumulate(x, g.reshape(x.shape))
 
-    return _put(out, bwd)
+    return _node(x.data.reshape(shape), bwd, x)
 
 
 def tsum(x: Tensor, axis: int | None = None) -> Tensor:
     """Sum over one axis, or over everything (axis=None, scalar result)."""
-    out = _out(np.sum(x.data, axis=axis), x)
 
-    def bwd():
-        g = out.grad
-        if g is None:
-            return
+    def bwd(g):
         if axis is None:
             _accumulate(x, np.broadcast_to(g, x.shape).copy())
         else:
             _accumulate(x, np.broadcast_to(np.expand_dims(g, axis), x.shape).copy())
 
-    return _put(out, bwd)
+    return _node(np.sum(x.data, axis=axis), bwd, x)
 
 
 # ---------------------------------------------------------------------------
@@ -352,15 +306,10 @@ def tsum(x: Tensor, axis: int | None = None) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def relu(x: Tensor) -> Tensor:
-    out = _out(np.maximum(x.data, 0.0), x)
-
-    def bwd():
-        g = out.grad
-        if g is None:
-            return
+    def bwd(g):
         _accumulate(x, g * (x.data > 0))
 
-    return _put(out, bwd)
+    return _node(np.maximum(x.data, 0.0), bwd, x)
 
 
 def softmax(x: Tensor, axis: int) -> Tensor:
@@ -370,16 +319,12 @@ def softmax(x: Tensor, axis: int) -> Tensor:
     z = x.data - np.max(x.data, axis=axis, keepdims=True)
     e = np.exp(z)
     y = e / np.sum(e, axis=axis, keepdims=True)
-    out = _out(y, x)
 
-    def bwd():
-        g = out.grad
-        if g is None:
-            return
+    def bwd(g):
         dot = np.sum(g * y, axis=axis, keepdims=True)
         _accumulate(x, y * (g - dot))
 
-    return _put(out, bwd)
+    return _node(y, bwd, x)
 
 
 def attention_weights(q: Tensor, k: Tensor) -> Tensor:
@@ -402,12 +347,8 @@ def attention_weights(q: Tensor, k: Tensor) -> Tensor:
     y -= np.max(y, axis=-1, keepdims=True)
     np.exp(y, out=y)
     y /= np.sum(y, axis=-1, keepdims=True)
-    out = _out(y, q, k)
 
-    def bwd():
-        g = out.grad
-        if g is None:
-            return
+    def bwd(g):
         ds = g * y
         dot = np.sum(ds, axis=-1, keepdims=True)
         np.subtract(g, dot, out=ds)
@@ -416,7 +357,7 @@ def attention_weights(q: Tensor, k: Tensor) -> Tensor:
         _accumulate(q, ds @ k.data)
         _accumulate(k, np.swapaxes(np.swapaxes(q.data, -1, -2) @ ds, -1, -2))
 
-    return _put(out, bwd)
+    return _node(y, bwd, q, k)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
@@ -428,12 +369,8 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     var = np.mean((x.data - mu) ** 2, axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (x.data - mu) * inv
-    out = _out(xhat * gamma.data + beta.data, x, gamma, beta)
 
-    def bwd():
-        g = out.grad
-        if g is None:
-            return
+    def bwd(g):
         reduce_axes = tuple(range(x.data.ndim - 1))
         _accumulate(beta, np.sum(g, axis=reduce_axes))
         _accumulate(gamma, np.sum(g * xhat, axis=reduce_axes))
@@ -442,7 +379,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
         m2 = np.mean(gg * xhat, axis=-1, keepdims=True)
         _accumulate(x, inv * (gg - m1 - xhat * m2))
 
-    return _put(out, bwd)
+    return _node(xhat * gamma.data + beta.data, bwd, x, gamma, beta)
 
 
 # ---------------------------------------------------------------------------
@@ -472,12 +409,8 @@ def amplify_stage(fbar: Tensor, pbar: Tensor, normalize: bool = True) -> Tensor:
     if normalize:
         r = 1.0 / (np.sum(raw, axis=(-2, -1), keepdims=True) * (1.0 / hw) + 1e-12)
         a = raw * r
-    out = _out(fbar.data * a[..., None], fbar, pbar)
 
-    def bwd():
-        g = out.grad
-        if g is None:
-            return
+    def bwd(g):
         _accumulate(fbar, g * a[..., None])
         graw = np.sum(g * fbar.data, axis=-1)
         if normalize:
@@ -488,7 +421,7 @@ def amplify_stage(fbar: Tensor, pbar: Tensor, normalize: bool = True) -> Tensor:
         _accumulate(fbar, ds)
         _accumulate(pbar, ds)
 
-    return _put(out, bwd)
+    return _node(fbar.data * a[..., None], bwd, fbar, pbar)
 
 
 def normalize_rows(x: Tensor) -> Tensor:
@@ -496,17 +429,13 @@ def normalize_rows(x: Tensor) -> Tensor:
     if x.data.ndim < 2:
         raise ValueError(f"normalize_rows: expects a 2-D tensor or a stack of them, got {x.shape}")
     inv = 1.0 / np.sum(x.data, axis=-1)
-    out = _out(x.data * inv[..., None], x)
 
-    def bwd():
-        g = out.grad
-        if g is None:
-            return
+    def bwd(g):
         _accumulate(x, g * inv[..., None])
         ginv = np.sum(g * x.data, axis=-1)
         _accumulate(x, np.broadcast_to((-ginv * inv * inv)[..., None], x.shape))
 
-    return _put(out, bwd)
+    return _node(x.data * inv[..., None], bwd, x)
 
 
 # ---------------------------------------------------------------------------
@@ -549,12 +478,8 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0,
     y = (cols2 @ w2).reshape(lead + (ho, wo, cout))
     if bias is not None:
         y = y + bias.data
-    out = _out(y, x, w, bias)
 
-    def bwd():
-        g = out.grad
-        if g is None:
-            return
+    def bwd(g):
         if bias is not None:
             _accumulate(bias, np.sum(g, axis=tuple(range(g.ndim - 1))))
         g2 = g.reshape(-1, cout)
@@ -570,7 +495,7 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0,
                 dxp = dxp[..., padding : padding + h, padding : padding + wd, :]
             _accumulate(x, dxp)
 
-    return _put(out, bwd)
+    return _node(y, bwd, x, w, bias)
 
 
 _LERP_CACHE: dict[tuple[int, str], np.ndarray] = {}
@@ -610,15 +535,10 @@ def upsample_bilinear2x(x: Tensor) -> Tensor:
         t = (col @ t.reshape(t.shape[0], -1)).reshape((col.shape[0],) + t.shape[1:])
         return t.transpose(back)
 
-    out = _out(_apply(x.data, rm, cm), x)
-
-    def bwd():
-        g = out.grad
-        if g is None:
-            return
+    def bwd(g):
         _accumulate(x, _apply(g, rm.T.copy(), cm.T.copy()))
 
-    return _put(out, bwd)
+    return _node(_apply(x.data, rm, cm), bwd, x)
 
 
 def gather_rows(x: Tensor, indices) -> Tensor:
@@ -634,17 +554,13 @@ def gather_rows(x: Tensor, indices) -> Tensor:
         raise ValueError(f"gather_rows: index out of range for {m} rows")
     offsets = (np.arange(math.prod(idx.shape[:-1])) * m).reshape(idx.shape[:-1] + (1,))
     flat = (idx + offsets).reshape(-1)
-    out = _out(x.data.reshape(-1, c)[flat].reshape(idx.shape + (c,)), x)
 
-    def bwd():
-        g = out.grad
-        if g is None:
-            return
+    def bwd(g):
         dx = np.zeros(x.shape, dtype=x.data.dtype)
         np.add.at(dx.reshape(-1, c), flat, g.reshape(-1, c))
         _accumulate(x, dx)
 
-    return _put(out, bwd)
+    return _node(x.data.reshape(-1, c)[flat].reshape(idx.shape + (c,)), bwd, x)
 
 
 # ---------------------------------------------------------------------------
@@ -681,19 +597,15 @@ def bce_dice_loss(logits: Tensor, targets, bce_weight: float, dice_weight: float
     rden = 1.0 / (np.sum(p, axis=1) + np.sum(t, axis=1) + 1.0)
     q = num * rden
     dice = q * -1.0 + 1.0
-    out = _out(np.sum(bce) * bce_weight + np.sum(dice) * dice_weight, logits)
 
-    def bwd():
-        g = out.grad
-        if g is None:
-            return
+    def bwd(g):
         gq = g * dice_weight * -1.0
         ginter = gq * rden * 2.0
         gden = -(gq * num) * rden * rden
         _accumulate(logits, (gden[:, None] + ginter[:, None] * t) * p * (1.0 - p))
         _accumulate(logits, g * bce_weight * c * (p - t))
 
-    return _put(out, bwd)
+    return _node(np.sum(bce) * bce_weight + np.sum(dice) * dice_weight, bwd, logits)
 
 
 def ce_logits(logits: Tensor, class_indices) -> Tensor:
@@ -708,15 +620,11 @@ def ce_logits(logits: Tensor, class_indices) -> Tensor:
     lse = zmax[:, 0] + np.log(np.sum(np.exp(z - zmax), axis=1))
     n = z.shape[0]
     rows = np.arange(n)
-    out = _out(np.asarray(np.mean(lse - z[rows, idx])), logits)
 
-    def bwd():
-        g = out.grad
-        if g is None:
-            return
+    def bwd(g):
         p = np.exp(z - zmax)
         p /= np.sum(p, axis=1, keepdims=True)
         p[rows, idx] -= 1.0
         _accumulate(logits, p * (float(g.reshape(())) / n))
 
-    return _put(out, bwd)
+    return _node(np.asarray(np.mean(lse - z[rows, idx])), bwd, logits)

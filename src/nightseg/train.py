@@ -52,10 +52,10 @@ class TrainConfig:
     iters: int = option("train.iters", 5000, at_least=1)
     phase1_iters: int | None = option("train.phase1_iters", None, at_least=0)  # None: 80% of iters
     lr1: float = option("train.lr1", 1e-3)
-    lr2: float = option("train.lr2", 1e-4)
+    lr2: float = option("train.lr2", 1e-4, at_least=0)
     batch: int = option("train.batch", 4, at_least=1)
     seed: int = option("train.seed", 0)
-    weight_decay: float = option("train.weight_decay", 1e-4)
+    weight_decay: float = option("train.weight_decay", 1e-4, at_least=0)
     weights: LossWeights = field(default_factory=LossWeights)
     dtype: object = option("train.dtype", np.float32,
                            choices={"float32": np.float32, "float64": np.float64})

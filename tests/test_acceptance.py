@@ -2,8 +2,8 @@
 
 Criteria 1-7 are direct property/oracle checks; 8-10 drive the real CLI
 end to end (dataset generation, two identical training runs, evaluation,
-ablation tables) inside a session-scoped fixture. One line per criterion
-is printed so a `pytest -s` run reads as a checklist.
+ablation tables) inside a session-scoped fixture and are marked ``slow``.
+One line per criterion is printed so a `pytest -s` run reads as a checklist.
 """
 
 import itertools
@@ -18,13 +18,13 @@ import pytest
 from nightseg.cli import main
 from nightseg.fourier import dft2d_bruteforce, fft2d, ifft2d
 from nightseg import tensor as T
-from nightseg.layers import attention_weights, glorot_uniform
+from nightseg.layers import glorot_uniform
 from nightseg.losses import hungarian_match
 from nightseg.matcher import bridged_similarity, select_reliable
 from nightseg.metrics import miou
 from nightseg.phase import choose_c_a, fourier_decompose, phase_reconstruct
 from nightseg.selftest import run_grad_suite
-from nightseg.tensor import Tensor
+from nightseg.tensor import Tensor, attention_weights
 
 
 def _report(criterion: int, text: str) -> None:
@@ -215,6 +215,7 @@ def _parse_miou(report: str) -> float:
     return float(last.split()[1])
 
 
+@pytest.mark.slow
 def test_criterion_8_desk_run_reaches_070(desk_run):
     assert desk_run.iters <= 5000, "default schedule exceeds the iteration budget"
     assert desk_run.train_seconds <= 900, f"training took {desk_run.train_seconds:.0f}s"
@@ -224,6 +225,7 @@ def test_criterion_8_desk_run_reaches_070(desk_run):
                f"{desk_run.train_seconds:.0f}s, val mIoU {score:.3f} >= 0.70")
 
 
+@pytest.mark.slow
 @pytest.mark.parametrize("axis,rows", [
     ("matcher", ["vanilla_attention", "reliable_attention"]),
     ("phase", ["without_phase", "with_phase"]),
@@ -244,6 +246,7 @@ def test_criterion_9_ablation_tables(desk_run, axis, rows, capsys, tmp_path):
     _report(9, f"axis {axis}: {len(rows)} rows trained to completion ({', '.join(lines[2:])})")
 
 
+@pytest.mark.slow
 def test_criterion_10_byte_identical_reports(desk_run):
     assert desk_run.reports[0] == desk_run.reports[1]
     _report(10, "two identical-seed runs produced byte-identical metric reports")

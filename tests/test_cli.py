@@ -158,6 +158,14 @@ class TestBadConfigExit2:
         ("backbone.widths = 4 5 6 0", "backbone.widths"),
         ("phase_enc.widths = 0 4 5 6", "phase_enc.widths"),
         ("matcher.layers = 0", "matcher.layers"),
+        ("train.lr2 = -0.001", "train.lr2"),
+        ("train.weight_decay = -1", "train.weight_decay"),
+        ("train.lambda_cls = -2", "train.lambda_cls"),
+        ("train.lambda_bce = -1", "train.lambda_bce"),
+        ("train.lambda_dice = -1", "train.lambda_dice"),
+        ("train.lr1 = nan", "train.lr1"),
+        ("phase.c_a = inf", "phase.c_a"),
+        ("train.lambda_dice = nan", "train.lambda_dice"),
     ])
     def test_bad_value_rejected_before_data_loads(self, dataset, tiny_cfg, tmp_path, capsys,
                                                   line, key):

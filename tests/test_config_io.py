@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from nightseg.config import build, known_keys, parse_config
+from nightseg.losses import LossWeights
 from nightseg.model import ModelConfig
 from nightseg.tensor import Tensor
 from nightseg.tensor_io import (decode_tensor, encode_tensor, read_tensor, write_flat,
@@ -98,10 +99,26 @@ class TestConfig:
         (TrainConfig, "train.phase1_iters", "-1", "train.phase1_iters must be >= 0"),
         (TrainConfig, "train.phase1_iters", "5001",
          "train.phase1_iters must be at most train.iters"),
+        (TrainConfig, "train.lr2", "-0.001", "train.lr2 must be >= 0, got -0.001"),
+        (TrainConfig, "train.weight_decay", "-1", "train.weight_decay must be >= 0, got -1.0"),
+        (TrainConfig, "train.lambda_cls", "-2", "train.lambda_cls must be >= 0, got -2.0"),
+        (TrainConfig, "train.lambda_bce", "-1", "train.lambda_bce must be >= 0"),
+        (TrainConfig, "train.lambda_dice", "-1", "train.lambda_dice must be >= 0"),
+        (TrainConfig, "train.lr1", "nan", "train.lr1 must be finite, got nan"),
+        (TrainConfig, "train.lr2", "inf", "train.lr2 must be finite, got inf"),
+        (TrainConfig, "train.weight_decay", "-inf", "train.weight_decay must be finite"),
+        (TrainConfig, "phase.c_a", "inf", "phase.c_a must be finite, got inf"),
+        (TrainConfig, "train.lambda_dice", "nan", "train.lambda_dice must be finite, got nan"),
     ])
     def test_bad_value_names_its_key(self, cls, key, raw, msg):
         with pytest.raises(ValueError, match=re.escape(msg)):
             build(cls, {key: raw})
+
+    def test_loss_weights_checked_when_built_directly(self):
+        with pytest.raises(ValueError, match="train.lambda_bce must be >= 0"):
+            LossWeights(bce=-1.0)
+        with pytest.raises(ValueError, match="train.lambda_cls must be finite"):
+            LossWeights(cls=float("nan"))
 
     def test_readme_table_matches_schema(self):
         text = README.read_text(encoding="utf-8")

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from nightseg.gradcheck import grad_check
-from nightseg.layers import attention_weights, glorot_uniform
+from nightseg.layers import glorot_uniform
 from nightseg.matcher import (ReliableMatcher, ReliableMatcherLayer,
                               bridged_similarity, select_reliable)
-from nightseg.tensor import Tensor
+from nightseg.tensor import Tensor, attention_weights
 from nightseg import tensor as T
 
 

@@ -42,3 +42,14 @@ def test_every_exported_name_has_a_caller_in_the_package(module):
             used |= _names_used(path.read_text(encoding="utf-8"), defining.stem)
     unused = sorted(set(module.__all__) - used - USED_OUTSIDE_PACKAGE)
     assert not unused, f"{module.__name__} exports names nothing in the package uses: {unused}"
+
+
+def test_only_the_tape_decides_whether_a_node_runs():
+    """Backward closures receive their gradient; no op reads a ``.grad`` to
+    skip itself. Only ``Tape.run`` (the skip) and ``_accumulate`` (the sum)
+    read one."""
+    tree = ast.parse(Path(nightseg.tensor.__file__).read_text(encoding="utf-8"))
+    readers = {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+               and any(isinstance(n, ast.Attribute) and n.attr == "grad"
+                       and isinstance(n.ctx, ast.Load) for n in ast.walk(fn))}
+    assert readers == {"run", "_accumulate"}   # Tape.run and _accumulate

@@ -395,15 +395,15 @@ class TestBackward:
         order = []
         original = Tape.record
 
-        def spying_record(self, fn, _orig=original):
+        def spying_record(self, out, fn, _orig=original):
             tag = len(order)
             order.append(("fwd", tag))
 
-            def wrapped():
+            def wrapped(g):
                 order.append(("bwd", tag))
-                fn()
+                fn(g)
 
-            _orig(self, wrapped)
+            _orig(self, out, wrapped)
 
         x = Tensor([1.0, 2.0], requires_grad=True)
         Tape.record = spying_record
@@ -415,6 +415,31 @@ class TestBackward:
         fwd = [t for kind, t in order if kind == "fwd"]
         bwd = [t for kind, t in order if kind == "bwd"]
         assert bwd == list(reversed(fwd))
+
+    def test_branch_off_the_loss_path_is_never_replayed(self):
+        replayed = []
+        original = Tape.record
+
+        def spying_record(self, out, fn, _orig=original):
+            def wrapped(g):
+                replayed.append(out)
+                fn(g)
+
+            _orig(self, out, wrapped)
+
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        Tape.record = spying_record
+        try:
+            with Tape():
+                live = T.mul(x, x)
+                dead = T.relu(T.scale(x, 3.0))   # a second branch the loss does not use
+                loss = T.tsum(live)
+                backward(loss)
+        finally:
+            Tape.record = original
+        assert len(replayed) == 2 and replayed[0] is loss and replayed[1] is live
+        assert dead.grad is None
+        assert np.array_equal(x.grad, [2.0, 4.0])
 
 
 class TestGradCheckExamples:
