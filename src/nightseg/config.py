@@ -20,7 +20,8 @@ _EXPECTED = {bool: "a boolean", int: "an integer", float: "a number"}
 
 
 def option(key: str, default, *, choices=None, at_least=None):
-    """A dataclass field set by config ``key``. ``choices`` lists the accepted
+    """A dataclass field set by config ``key`` (for ``SceneConfig``, by the
+    ``gen-data`` flag it names). ``choices`` lists the accepted
     values, or maps each accepted spelling to its value; ``at_least`` is an
     inclusive lower bound, on every entry of a tuple. ``check_options``
     enforces both, and rejects a non-finite float."""

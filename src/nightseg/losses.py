@@ -190,4 +190,4 @@ def total_loss(mask_logits: Tensor, class_logits: Tensor, gt_mask: np.ndarray,
     mask_term = T.bce_dice_loss(matched, np.concatenate(targets),
                                 weights.bce / batch, weights.dice / batch)
     class_rows = T.reshape(class_logits, (batch * n, class_logits.shape[-1]))
-    return T.add(mask_term, T.scale(T.ce_logits(class_rows, ce_targets.reshape(-1)), weights.cls))
+    return T.add(mask_term, T.ce_logits(class_rows, ce_targets.reshape(-1), weights.cls))

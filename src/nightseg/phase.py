@@ -9,6 +9,7 @@ gradient-magnitude map is provided as the baseline enhancing operation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,8 +82,8 @@ def choose_c_a(s: Spectrum) -> float:
 
 def phase_reconstruct(s: Spectrum, c_a: float) -> PhaseTextureMap:
     """Invert a spectrum whose amplitude is forced to the constant c_a."""
-    if c_a <= 0:
-        raise ValueError(f"phase_reconstruct: c_a must be positive, got {c_a}")
+    if not (math.isfinite(c_a) and c_a > 0):
+        raise ValueError(f"phase_reconstruct: c_a must be positive and finite, got {c_a}")
     rec = ifft2d(c_a * np.exp(1j * s.phase.data))
     return PhaseTextureMap(Tensor(rec.real.copy()), c_a, float(np.max(np.abs(rec.imag))))
 

@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import check_options, option
 from .netpbm import write_pgm, write_ppm
 
 __all__ = ["SceneConfig", "SceneSample", "generate_scene", "gen_dataset",
@@ -26,24 +27,32 @@ __all__ = ["SceneConfig", "SceneSample", "generate_scene", "gen_dataset",
 
 @dataclass
 class SceneConfig:
-    height: int = 32
-    width: int = 64
-    num_classes: int = 4
+    """Scene parameters; the keyed ones are set by ``gen-data`` flags, and a
+    rejected value names its flag."""
+
+    # the smallest object footprint is 12x12 pixels
+    height: int = option("--height", 32, at_least=12)
+    width: int = option("--width", 64, at_least=12)
+    num_classes: int = option("--classes", 4)
     objects_min: int | None = None     # default: one object per foreground class
     objects_max: int | None = None
     ambient: tuple[float, float] = (0.05, 0.20)
-    contrast_gap: float = 0.06
+    contrast_gap: float = option("--contrast-gap", 0.06)
     texture_amp: float = 0.10
-    deceivers: tuple[int, int] = (1, 2)
-    noise_std: float = 0.01
+    deceivers: tuple[int, int] = option("--deceivers", (1, 2), at_least=0)
+    noise_std: float = option("--noise-std", 0.01, at_least=0)
 
     def __post_init__(self):
+        check_options(self)
         if not (0.0 <= self.ambient[0] <= self.ambient[1] <= 1.0):
             raise ValueError(f"ambient range {self.ambient} must sit inside [0,1]")
         if self.contrast_gap <= 0:
-            raise ValueError("contrast gap must be positive")
+            raise ValueError(f"--contrast-gap must be positive, got {self.contrast_gap}")
+        if self.deceivers[0] > self.deceivers[1]:
+            raise ValueError(f"--deceivers MIN must not exceed MAX, got {self.deceivers}")
         if self.num_classes < 2:
-            raise ValueError("need a background class and at least one foreground class")
+            raise ValueError(f"--classes {self.num_classes}: need a background class and "
+                             f"at least one foreground class")
         n_fg = self.num_classes - 1
         if self.objects_min is None:
             self.objects_min = n_fg

@@ -25,7 +25,7 @@ from .phase import choose_c_a, fourier_decompose, phase_reconstruct, sobel_textu
 from .tensor import Tensor, attention_weights
 from .train import AdamW
 
-__all__ = ["run_selftest", "run_grad_suite", "CHECKS"]
+__all__ = ["run_selftest", "run_grad_suite", "CHECKS", "attention_weights_replay"]
 
 
 def _rng(bump: int = 0) -> np.random.Generator:
@@ -68,21 +68,18 @@ def check_conv2d_oracle():
         assert np.abs(got - want).max() < 1e-10
 
 
-def check_softmax_oracle():
+def check_attention_softmax():
+    # a query [[1.0]] against one-feature keys x makes the logit row x itself
     rng = _rng(3)
     x = rng.normal(size=12)
-    got = T.softmax(Tensor(x), axis=0).data
-    want = np.exp(x) / np.sum(np.exp(x))
-    assert np.abs(got - want).max() < 1e-12
-    big = T.softmax(Tensor([1000.0, 0.0, 0.0]), axis=0).data
+    got = attention_weights(Tensor([[1.0]]), Tensor(x[:, None])).data[0]
+    assert np.abs(got - np.exp(x) / np.sum(np.exp(x))).max() < 1e-12
+    big = attention_weights(Tensor([[1.0]]), Tensor([[1000.0], [0.0], [0.0]])).data[0]
     assert np.isfinite(big).all() and abs(big[0] - 1.0) < 1e-12
-
-
-def check_softmax_rows_sum_to_one():
     rng = _rng(4)
     for _ in range(50):
-        x = rng.normal(size=(5, 9)) * rng.uniform(0.1, 50)
-        y = T.softmax(Tensor(x), axis=1).data
+        q = rng.normal(size=(5, 3)) * rng.uniform(0.1, 50)
+        y = attention_weights(Tensor(q), Tensor(rng.normal(size=(9, 3)))).data
         assert np.abs(y.sum(axis=1) - 1.0).max() < 1e-6 and (y >= 0).all()
 
 
@@ -219,25 +216,30 @@ def check_matching_invariants():
         assert sim_qk.min() >= 0.0 and sim_qk.max() <= 1.0 + 1e-9
 
 
-def _composed_attention(q: Tensor, k: Tensor) -> Tensor:
-    return T.softmax(T.scale(T.matmul(q, T.transpose2d(k)), 1.0 / math.sqrt(q.shape[1])), axis=1)
+def attention_weights_replay(q: np.ndarray, k: np.ndarray, head: np.ndarray):
+    """softmax(q kᵀ / sqrt(C)) and the gradients of sum(y * head) in plain
+    numpy, one step at a time: the product with kᵀ, the scaling, a
+    max-subtracted softmax, then their backward rules in reverse. The oracle
+    for the one ``attention_weights`` node, which runs these steps in place
+    on one buffer. Returns (y, d q, d k)."""
+    c = 1.0 / math.sqrt(q.shape[-1])
+    s = (q @ np.swapaxes(k, -1, -2)) * c
+    e = np.exp(s - np.max(s, axis=-1, keepdims=True))
+    y = e / np.sum(e, axis=-1, keepdims=True)
+    ds = y * (head - np.sum(head * y, axis=-1, keepdims=True)) * c
+    return y, ds @ k, np.swapaxes(np.swapaxes(q, -1, -2) @ ds, -1, -2)
 
 
-def _attention_pass(weights_fn, q0: np.ndarray, k0: np.ndarray, head: np.ndarray):
-    q, k = Tensor(q0.copy(), requires_grad=True), Tensor(k0.copy(), requires_grad=True)
-    with T.Tape():
-        y = weights_fn(q, k)
-        T.backward(T.tsum(T.mul(y, Tensor(head))))
-    return y.data, q.grad, k.grad
-
-
-def check_attention_weights_composed():
+def check_attention_weights_replay():
     rng = _rng(13)
     for dtype in (np.float32, np.float64):
         for m, l, c in ((5, 9, 3), (8, 2048, 64), (2048, 16, 64)):
-            q, k, head = (rng.normal(size=s).astype(dtype) for s in ((m, c), (l, c), (m, l)))
-            fused = _attention_pass(T.attention_weights, q, k, head)
-            for a, b in zip(fused, _attention_pass(_composed_attention, q, k, head)):
+            q0, k0, head = (rng.normal(size=s).astype(dtype) for s in ((m, c), (l, c), (m, l)))
+            q, k = Tensor(q0.copy(), requires_grad=True), Tensor(k0.copy(), requires_grad=True)
+            with T.Tape():
+                y = attention_weights(q, k)
+                T.backward(y, head)
+            for a, b in zip((y.data, q.grad, k.grad), attention_weights_replay(q0, k0, head)):
                 assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
@@ -329,58 +331,56 @@ def check_adamw_matches_per_tensor():
 def run_grad_suite() -> list[tuple[str, float]]:
     """Finite-difference errors for every differentiable composition.
 
-    Small random instances, 64-bit, h=1e-5; each entry reduces through a
-    fixed random weighting so no check degenerates to a constant.
+    Small random instances, 64-bit, h=1e-5; each non-scalar entry reduces
+    through a fixed random head, sum(f(x) * head), so no check degenerates
+    to a constant.
     """
     rng = _rng(16)
     results: list[tuple[str, float]] = []
 
     b = Tensor(rng.normal(size=(3, 5)))
-    h1 = Tensor(rng.normal(size=(4, 5)))
+    h1 = rng.normal(size=(4, 5))
     results.append(("matmul", grad_check(
-        lambda x: T.tsum(T.mul(T.matmul(x, b), h1)), Tensor(rng.normal(size=(4, 3))))))
+        lambda x: T.matmul(x, b), Tensor(rng.normal(size=(4, 3))), h1)))
 
     w = Tensor(rng.normal(size=(3, 3, 2, 4)))
-    h2 = Tensor(rng.normal(size=(2, 2, 4)))
+    h2 = rng.normal(size=(2, 2, 4))
     results.append(("conv2d (input)", grad_check(
-        lambda x: T.tsum(T.mul(T.conv2d(x, w, 2, 1), h2)), Tensor(rng.normal(size=(4, 4, 2))))))
+        lambda x: T.conv2d(x, w, 2, 1), Tensor(rng.normal(size=(4, 4, 2))), h2)))
     x0 = Tensor(rng.normal(size=(4, 4, 2)))
     results.append(("conv2d (kernel)", grad_check(
-        lambda k: T.tsum(T.mul(T.conv2d(x0, k, 2, 1), h2)), Tensor(rng.normal(size=(3, 3, 2, 4))))))
+        lambda k: T.conv2d(x0, k, 2, 1), Tensor(rng.normal(size=(3, 3, 2, 4))), h2)))
 
-    h3 = Tensor(rng.normal(size=(3, 6)))
-    results.append(("softmax", grad_check(
-        lambda x: T.tsum(T.mul(T.softmax(x, axis=1), h3)), Tensor(rng.normal(size=(3, 6))))))
+    rng.normal(size=(2, 3, 6))   # the draws of a retired entry, so later entries keep theirs
 
     attn = TokenSelfAttention(np.random.default_rng(2), 4)
-    h4 = Tensor(rng.normal(size=(4, 4)))
+    h4 = rng.normal(size=(4, 4))
     results.append(("token self-attention", grad_check(
-        lambda x: T.tsum(T.mul(attn(x), h4)), Tensor(rng.normal(size=(4, 4))))))
+        attn, Tensor(rng.normal(size=(4, 4))), h4)))
 
     phi = Tensor(rng.normal(size=(2, 3, 4)))
-    h5 = Tensor(rng.normal(size=(2, 3, 4)))
+    h5 = rng.normal(size=(2, 3, 4))
     f0 = Tensor(rng.normal(size=(2, 3, 4)))
     for normalize in (True, False):
         tag = "normalized" if normalize else "raw"
         results.append((f"amplify stage (features, {tag})", grad_check(
-            lambda x: T.tsum(T.mul(T.amplify_stage(x, phi, normalize), h5)), Tensor(f0.data.copy()))))
+            lambda x: T.amplify_stage(x, phi, normalize), Tensor(f0.data.copy()), h5)))
         results.append((f"amplify stage (phase, {tag})", grad_check(
-            lambda x: T.tsum(T.mul(T.amplify_stage(f0, x, normalize), h5)), Tensor(phi.data.copy()))))
+            lambda x: T.amplify_stage(f0, x, normalize), Tensor(phi.data.copy()), h5)))
 
     wq, wk, wv = _random_projections(_rng(161), 4)
     fa0 = Tensor(rng.normal(size=(7, 4)))
     v0 = Tensor(rng.normal(size=(7, 4)))
-    h6 = Tensor(rng.normal(size=(3, 4)))
+    h6 = rng.normal(size=(3, 4))
 
     results.append(("bridged similarity + update (prototypes)", grad_check(
-        lambda p: T.tsum(T.mul(T.matmul(_bridge(p, fa0, wq, wk, 3), v0), h6)),
-        Tensor(rng.normal(size=(3, 4))))))
+        lambda p: T.matmul(_bridge(p, fa0, wq, wk, 3), v0), Tensor(rng.normal(size=(3, 4))), h6)))
 
     p0 = Tensor(rng.normal(size=(3, 4)))
 
     results.append(("bridged similarity + update (pixels)", grad_check(
-        lambda fa: T.tsum(T.mul(T.matmul(_bridge(p0, fa, wq, wk, 3), T.matmul(fa, wv)), h6)),
-        Tensor(rng.normal(size=(7, 4))))))
+        lambda fa: T.matmul(_bridge(p0, fa, wq, wk, 3), T.matmul(fa, wv)),
+        Tensor(rng.normal(size=(7, 4))), h6)))
 
     tgt = (rng.random((4, 4)) > 0.5).astype(np.float64)
     results.append(("dice", grad_check(
@@ -388,7 +388,7 @@ def run_grad_suite() -> list[tuple[str, float]]:
     results.append(("bce", grad_check(
         lambda x: T.bce_dice_loss(x, tgt, 1.0, 0.0), Tensor(rng.normal(size=(4, 4))))))
     results.append(("ce", grad_check(
-        lambda x: T.ce_logits(x, np.array([1, 0, 2])), Tensor(rng.normal(size=(3, 4))))))
+        lambda x: T.ce_logits(x, np.array([1, 0, 2]), 1.0), Tensor(rng.normal(size=(3, 4))))))
 
     gt = rng.integers(0, 3, size=(4, 4))
     cls0 = Tensor(rng.normal(size=(5, 4)))
@@ -399,30 +399,29 @@ def run_grad_suite() -> list[tuple[str, float]]:
         lambda c: total_loss(m0, c, gt, 3, LossWeights()), Tensor(rng.normal(size=(5, 4))))))
 
     k0 = Tensor(rng.normal(size=(6, 4)))
-    h7 = Tensor(rng.normal(size=(3, 6)))
+    h7 = rng.normal(size=(3, 6))
     results.append(("attention weights (queries)", grad_check(
-        lambda q: T.tsum(T.mul(T.attention_weights(q, k0), h7)), Tensor(rng.normal(size=(3, 4))))))
+        lambda q: T.attention_weights(q, k0), Tensor(rng.normal(size=(3, 4))), h7)))
     q0 = Tensor(rng.normal(size=(3, 4)))
     results.append(("attention weights (keys)", grad_check(
-        lambda k: T.tsum(T.mul(T.attention_weights(q0, k), h7)), Tensor(rng.normal(size=(6, 4))))))
+        lambda k: T.attention_weights(q0, k), Tensor(rng.normal(size=(6, 4))), h7)))
 
     mm = [rng.normal(size=s) for s in ((2, 3, 4), (4, 5), (5,))]   # input, weight, bias
-    h8 = Tensor(rng.normal(size=(2, 3, 5)))
+    h8 = rng.normal(size=(2, 3, 5))
     for i, part in enumerate(("input", "weight", "bias")):
         ops = [Tensor(m) for m in mm]
         results.append((f"matmul over [h,w,C] with bias ({part})", grad_check(
-            lambda t: T.tsum(T.mul(T.matmul(*ops[:i], t, *ops[i + 1:]), h8)), ops[i])))
+            lambda t: T.matmul(*ops[:i], t, *ops[i + 1:]), ops[i], h8)))
     results.append(("conv2d (bias)", grad_check(
-        lambda b: T.tsum(T.mul(T.conv2d(x0, w, 2, 1, b), h2)), Tensor(rng.normal(size=4)))))
+        lambda b: T.conv2d(x0, w, 2, 1, b), Tensor(rng.normal(size=4)), h2)))
 
     # a generator of their own keeps the draws of the entries above unchanged
     rng = _rng(162)
-    h9 = Tensor(rng.normal(size=(3, 5)))
+    h9 = rng.normal(size=(3, 5))
     results.append(("normalize rows", grad_check(
-        lambda x: T.tsum(T.mul(T.normalize_rows(x), h9)), Tensor(rng.uniform(0.5, 1.5, (3, 5))))))
+        T.normalize_rows, Tensor(rng.uniform(0.5, 1.5, (3, 5))), h9)))
     results.append(("bridged similarity renormalized (prototypes)", grad_check(
-        lambda p: T.tsum(T.mul(T.matmul(_bridge(p, fa0, wq, wk, 3, True), v0), h6)),
-        Tensor(rng.normal(size=(3, 4))))))
+        lambda p: T.matmul(_bridge(p, fa0, wq, wk, 3, True), v0), Tensor(rng.normal(size=(3, 4))), h6)))
     tgt2 = (rng.random((3, 6)) > 0.5).astype(np.float64)
     results.append(("bce + dice loss", grad_check(
         lambda x: T.bce_dice_loss(x, tgt2, 1.5, 2.5), Tensor(rng.normal(size=(3, 6))))))
@@ -430,30 +429,30 @@ def run_grad_suite() -> list[tuple[str, float]]:
     # ops over a leading batch axis of 2
     rng = _rng(163)
     wb = Tensor(rng.normal(size=(3, 3, 2, 4)))
-    hb1 = Tensor(rng.normal(size=(2, 2, 2, 4)))
+    hb1 = rng.normal(size=(2, 2, 2, 4))
     xb = Tensor(rng.normal(size=(2, 4, 4, 2)))
     results.append(("conv2d over a batch (input)", grad_check(
-        lambda x: T.tsum(T.mul(T.conv2d(x, wb, 2, 1), hb1)), Tensor(xb.data.copy()))))
+        lambda x: T.conv2d(x, wb, 2, 1), Tensor(xb.data.copy()), hb1)))
     results.append(("conv2d over a batch (kernel)", grad_check(
-        lambda k: T.tsum(T.mul(T.conv2d(xb, k, 2, 1), hb1)), Tensor(wb.data.copy()))))
-    hb2 = Tensor(rng.normal(size=(2, 4, 6, 2)))
+        lambda k: T.conv2d(xb, k, 2, 1), Tensor(wb.data.copy()), hb1)))
+    hb2 = rng.normal(size=(2, 4, 6, 2))
     results.append(("upsample over a batch", grad_check(
-        lambda x: T.tsum(T.mul(T.upsample_bilinear2x(x), hb2)), Tensor(rng.normal(size=(2, 2, 3, 2))))))
+        T.upsample_bilinear2x, Tensor(rng.normal(size=(2, 2, 3, 2))), hb2)))
     fb, pb, hb3 = (Tensor(rng.normal(size=(2, 2, 3, 4))) for _ in range(3))
     results.append(("amplify stage over a batch (features, normalized)", grad_check(
-        lambda x: T.tsum(T.mul(T.amplify_stage(x, pb, True), hb3)), Tensor(fb.data.copy()))))
+        lambda x: T.amplify_stage(x, pb, True), Tensor(fb.data.copy()), hb3.data)))
     results.append(("amplify stage over a batch (phase, normalized)", grad_check(
-        lambda x: T.tsum(T.mul(T.amplify_stage(fb, x, True), hb3)), Tensor(pb.data.copy()))))
+        lambda x: T.amplify_stage(fb, x, True), Tensor(pb.data.copy()), hb3.data)))
     qb, kb = Tensor(rng.normal(size=(2, 3, 4))), Tensor(rng.normal(size=(2, 6, 4)))
-    hb4 = Tensor(rng.normal(size=(2, 3, 6)))
+    hb4 = rng.normal(size=(2, 3, 6))
     results.append(("attention weights over a batch (queries)", grad_check(
-        lambda q: T.tsum(T.mul(T.attention_weights(q, kb), hb4)), Tensor(qb.data.copy()))))
+        lambda q: T.attention_weights(q, kb), Tensor(qb.data.copy()), hb4)))
     results.append(("attention weights over a batch (keys)", grad_check(
-        lambda k: T.tsum(T.mul(T.attention_weights(qb, k), hb4)), Tensor(kb.data.copy()))))
+        lambda k: T.attention_weights(qb, k), Tensor(kb.data.copy()), hb4)))
     rows = np.array([[4, 0, 4], [1, 2, 3]])   # a repeated row scatter-adds twice
-    hb5 = Tensor(rng.normal(size=(2, 3, 3)))
+    hb5 = rng.normal(size=(2, 3, 3))
     results.append(("gather rows over a batch", grad_check(
-        lambda x: T.tsum(T.mul(T.gather_rows(x, rows), hb5)), Tensor(rng.normal(size=(2, 5, 3))))))
+        lambda x: T.gather_rows(x, rows), Tensor(rng.normal(size=(2, 5, 3))), hb5)))
 
     return results
 
@@ -531,8 +530,7 @@ def check_end_to_end_gradient():
 CHECKS = [
     ("matmul matches triple-loop oracle", check_matmul_oracle),
     ("conv2d matches nested-loop oracle", check_conv2d_oracle),
-    ("softmax matches direct formula and resists overflow", check_softmax_oracle),
-    ("softmax rows sum to one", check_softmax_rows_sum_to_one),
+    ("attention softmax: direct formula, no overflow, rows sum to one", check_attention_softmax),
     ("bilinear upsample matches per-pixel formula", check_upsample_oracle),
     ("fast transform matches brute-force sum (50x16x16, 6x10)", check_fft_oracle),
     ("inverse transform restores the input", check_fft_roundtrip),
@@ -541,7 +539,7 @@ CHECKS = [
     ("sobel map: zero on constants, 4 on unit step", check_sobel),
     ("amplification matches per-pixel loop oracle, raw and normalized", check_amplify_oracle),
     ("self-attention is permutation-equivariant", check_attention_permutation),
-    ("fused attention weights equal the composed ops bit for bit", check_attention_weights_composed),
+    ("attention weights equal the numpy replay bit for bit", check_attention_weights_replay),
     ("similarity invariants hold on 1000 random instances", check_matching_invariants),
     ("assignment matches exhaustive enumeration (1000 cases)", check_hungarian_oracle),
     ("mIoU hand example and self-comparison", check_miou),

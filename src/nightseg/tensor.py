@@ -11,6 +11,10 @@ Conventions:
 - a backward closure ``bwd(g)`` receives its node's gradient g and hands
   each input its share with ``_accumulate``. ``Tape.run`` alone skips a
   node that no gradient reached (its result is not on a path to the loss)
+- ``backward(y)`` starts from a scalar y with gradient one.
+  ``backward(y, seed=h)`` starts from any y with gradient h (a copy in y's
+  dtype, of y's shape), so it yields the gradients of sum(y * h); this is
+  how verification code projects a non-scalar output
 - tensors are immutable once written by an operation; the only sanctioned
   mutation is an optimizer updating parameter ``.data`` between tapes.
   Under ``train.AdamW`` each parameter's ``.data`` is a view into the
@@ -22,7 +26,7 @@ Conventions:
   happen inside single nodes: the optional per-channel ``bias`` of
   ``matmul`` and ``conv2d``, the per-pixel scaling of ``amplify_stage``, the
   per-row scaling of ``normalize_rows``, the per-row reductions of
-  ``attention_weights``, ``softmax`` and ``bce_dice_loss``, and ``expand``
+  ``attention_weights`` and ``bce_dice_loss``, and ``expand``
 - leading axes: every op except the two losses accepts any number of
   leading (batch) axes in front of the axes it names, e.g. x[..., H, W, C]
   or tokens [..., M, C], and treats each leading index as its own sample.
@@ -31,7 +35,7 @@ Conventions:
   with a's (np.matmul on stacks). ``expand`` adds leading axes to a tensor
   shared by every sample; ``bce_dice_loss`` and ``ce_logits`` take 2-D row
   sets, so callers flatten a batch into rows
-- reductions are per sample: softmax and attention rows, the normalized
+- reductions are per sample: attention rows, the normalized
   rows, layer_norm's features, conv2d windows and ``amplify_stage``'s map
   mean over each map's own (h, w). Only gradients with respect to operands
   without the leading axes (weights, biases, ``expand`` inputs) sum over
@@ -51,15 +55,11 @@ __all__ = [
     "active_tape",
     "backward",
     "add",
-    "mul",
-    "scale",
     "matmul",
     "expand",
     "transpose2d",
     "reshape",
-    "tsum",
     "relu",
-    "softmax",
     "attention_weights",
     "layer_norm",
     "amplify_stage",
@@ -137,10 +137,13 @@ class Tape:
     def __len__(self) -> int:
         return len(self._nodes)
 
-    def run(self, loss: "Tensor") -> None:
+    def run(self, loss: "Tensor", seed=None) -> None:
         if self._consumed:
             raise RuntimeError("tape already consumed by backward()")
-        loss.grad = np.ones_like(loss.data)
+        g = np.ones_like(loss.data) if seed is None else np.array(seed, dtype=loss.data.dtype)
+        if g.shape != loss.shape:
+            raise ValueError(f"backward: seed {g.shape} does not match output {loss.shape}")
+        loss.grad = g
         for out, fn in reversed(self._nodes):
             if out.grad is not None:   # else no path from this node reaches the loss
                 fn(out.grad)
@@ -155,13 +158,14 @@ def active_tape() -> Tape | None:
     return _TAPE_STACK[-1] if _TAPE_STACK else None
 
 
-def backward(loss: Tensor) -> None:
-    """Populate ``grad`` on every requires_grad ancestor of a scalar loss."""
-    if loss.data.size != 1:
-        raise ValueError(f"backward() needs a scalar loss, got shape {loss.shape}")
+def backward(loss: Tensor, seed=None) -> None:
+    """Populate ``grad`` on every requires_grad ancestor of a scalar loss, or,
+    given a ``seed`` of loss's shape, of sum(loss * seed)."""
+    if seed is None and loss.data.size != 1:
+        raise ValueError(f"backward() needs a scalar loss or a seed, got shape {loss.shape}")
     if loss.tape is None:
         raise ValueError("loss is not on a tape; run the forward pass inside `with Tape():`")
-    loss.tape.run(loss)
+    loss.tape.run(loss, seed)
 
 
 def _node(data: np.ndarray, bwd: Callable[[np.ndarray], None], *parents: Tensor | None) -> Tensor:
@@ -192,7 +196,7 @@ def _check_bias(op: str, bias: Tensor | None, n: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# elementwise / scalar ops
+# elementwise ops
 # ---------------------------------------------------------------------------
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -203,23 +207,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         _accumulate(b, g)
 
     return _node(a.data + b.data, bwd, a, b)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_shape("mul", a, b)
-
-    def bwd(g):
-        _accumulate(a, g * b.data)
-        _accumulate(b, g * a.data)
-
-    return _node(a.data * b.data, bwd, a, b)
-
-
-def scale(x: Tensor, c: float) -> Tensor:
-    def bwd(g):
-        _accumulate(x, g * c)
-
-    return _node(x.data * c, bwd, x)
 
 
 # ---------------------------------------------------------------------------
@@ -289,18 +276,6 @@ def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
     return _node(x.data.reshape(shape), bwd, x)
 
 
-def tsum(x: Tensor, axis: int | None = None) -> Tensor:
-    """Sum over one axis, or over everything (axis=None, scalar result)."""
-
-    def bwd(g):
-        if axis is None:
-            _accumulate(x, np.broadcast_to(g, x.shape).copy())
-        else:
-            _accumulate(x, np.broadcast_to(np.expand_dims(g, axis), x.shape).copy())
-
-    return _node(np.sum(x.data, axis=axis), bwd, x)
-
-
 # ---------------------------------------------------------------------------
 # nonlinearities
 # ---------------------------------------------------------------------------
@@ -310,21 +285,6 @@ def relu(x: Tensor) -> Tensor:
         _accumulate(x, g * (x.data > 0))
 
     return _node(np.maximum(x.data, 0.0), bwd, x)
-
-
-def softmax(x: Tensor, axis: int) -> Tensor:
-    """Max-subtracted softmax along ``axis``; slices sum to 1."""
-    if not -x.data.ndim <= axis < x.data.ndim:
-        raise ValueError(f"softmax: axis {axis} invalid for shape {x.shape}")
-    z = x.data - np.max(x.data, axis=axis, keepdims=True)
-    e = np.exp(z)
-    y = e / np.sum(e, axis=axis, keepdims=True)
-
-    def bwd(g):
-        dot = np.sum(g * y, axis=axis, keepdims=True)
-        _accumulate(x, y * (g - dot))
-
-    return _node(y, bwd, x)
 
 
 def attention_weights(q: Tensor, k: Tensor) -> Tensor:
@@ -608,8 +568,10 @@ def bce_dice_loss(logits: Tensor, targets, bce_weight: float, dice_weight: float
     return _node(np.sum(bce) * bce_weight + np.sum(dice) * dice_weight, bwd, logits)
 
 
-def ce_logits(logits: Tensor, class_indices) -> Tensor:
-    """Mean cross-entropy of logits[N, K] against integer class indices [N]."""
+def ce_logits(logits: Tensor, class_indices, weight: float) -> Tensor:
+    """weight * mean cross-entropy of logits[N, K] against integer class
+    indices [N]; the weight scales the mean and its gradient as one float
+    product each."""
     idx = np.asarray(class_indices, dtype=np.int64)
     if logits.data.ndim != 2 or idx.shape != (logits.shape[0],):
         raise ValueError(f"ce_logits: expects logits[N,K] and indices[N], got {logits.shape} and {idx.shape}")
@@ -625,6 +587,6 @@ def ce_logits(logits: Tensor, class_indices) -> Tensor:
         p = np.exp(z - zmax)
         p /= np.sum(p, axis=1, keepdims=True)
         p[rows, idx] -= 1.0
-        _accumulate(logits, p * (float(g.reshape(())) / n))
+        _accumulate(logits, p * (float(g * weight) / n))
 
-    return _node(np.asarray(np.mean(lse - z[rows, idx])), bwd, logits)
+    return _node(np.asarray(np.mean(lse - z[rows, idx])) * weight, bwd, logits)

@@ -245,6 +245,27 @@ class TestBadConfigExit2:
                    "--out", str(tmp_path / "t.ppm"), "--c-a", "0"])
         _assert_one_line_exit_2(rc, capsys, "c_a")
 
+    @pytest.mark.parametrize("c_a", ["nan", "inf"])
+    def test_phase_extract_non_finite_c_a(self, dataset, tmp_path, capsys, c_a):
+        rc = main(["phase-extract", "--in", str(dataset / "img_00000.ppm"),
+                   "--out", str(tmp_path / "t.ppm"), "--c-a", c_a])
+        _assert_one_line_exit_2(rc, capsys, "c_a", c_a)
+        assert not (tmp_path / "t.ppm").exists()
+
+    @pytest.mark.parametrize("flags,flag", [
+        (["--noise-std", "-1"], "--noise-std"),
+        (["--noise-std", "nan"], "--noise-std"),
+        (["--contrast-gap", "nan"], "--contrast-gap"),
+        (["--deceivers", "-2", "-1"], "--deceivers"),
+        (["--deceivers", "3", "1"], "--deceivers"),
+        (["--height", "0"], "--height"),
+        (["--width", "11"], "--width"),
+    ])
+    def test_gen_data_bad_scene_flag_rejected(self, tmp_path, capsys, flags, flag):
+        rc = main(["gen-data", "--out", str(tmp_path / "data"), "--count", "2", *flags])
+        _assert_one_line_exit_2(rc, capsys, flag)
+        assert not (tmp_path / "data").exists()
+
 
 class TestVerificationCli:
     def test_grad_check_exit_0(self, capsys):

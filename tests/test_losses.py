@@ -141,7 +141,7 @@ class TestBceCe:
         logits = np.full((2, 3), -50.0)
         logits[0, 1] = 50.0
         logits[1, 2] = 50.0
-        assert T.ce_logits(Tensor(logits), [1, 2]).item() < 1e-12
+        assert T.ce_logits(Tensor(logits), [1, 2], 1.0).item() < 1e-12
 
     def test_bce_matches_direct_formula(self):
         rng = np.random.default_rng(6)
@@ -156,14 +156,33 @@ class TestBceCe:
         idx = np.array([0, 3, 2, 4])
         p = np.exp(z) / np.exp(z).sum(axis=1, keepdims=True)
         want = -np.mean(np.log(p[np.arange(4), idx]))
-        assert T.ce_logits(Tensor(z), idx).item() == pytest.approx(want, abs=1e-10)
+        assert T.ce_logits(Tensor(z), idx, 1.0).item() == pytest.approx(want, abs=1e-10)
 
     def test_losses_nonnegative(self):
         rng = np.random.default_rng(8)
         z = rng.normal(size=(3, 4))
         t = (rng.random((3, 4)) > 0.5).astype(np.float64)
         assert bce(Tensor(z), t).item() >= 0.0
-        assert T.ce_logits(Tensor(z), [0, 1, 2]).item() >= 0.0
+        assert T.ce_logits(Tensor(z), [0, 1, 2], 1.0).item() >= 0.0
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_ce_weight_scales_value_and_gradient_bit_for_bit(self, dtype):
+        # the weight multiplies the mean once, and the gradient seed once in
+        # the loss dtype
+        rng = np.random.default_rng(9)
+        z = (rng.normal(size=(6, 5)) * 3.0).astype(dtype)
+        idx = np.array([0, 4, 2, 2, 1, 3])
+        w = 2.0 / 3.0
+        x = Tensor(z.copy(), requires_grad=True)
+        with T.Tape():
+            loss = T.ce_logits(x, idx, w)
+            T.backward(loss)
+        assert loss.dtype == dtype
+        assert np.array_equal(loss.data, T.ce_logits(Tensor(z), idx, 1.0).data * w)
+        p = np.exp(z - z.max(axis=1, keepdims=True))
+        p /= p.sum(axis=1, keepdims=True)
+        p[np.arange(6), idx] -= 1.0
+        assert np.array_equal(x.grad, p * (float(np.ones((), dtype) * w) / 6))
 
 
 class TestDecomposeGt:

@@ -52,13 +52,13 @@ class TestBackbone:
     def test_gradient_reaches_stem(self):
         bb = BackboneStub(np.random.default_rng(5), (2, 2, 2, 2))
         img = np.random.default_rng(6).uniform(size=(32, 32, 3))
-        head = Tensor(np.random.default_rng(7).normal(size=(1, 1, 2)))
+        head = np.random.default_rng(7).normal(size=(1, 1, 2))
 
         def f(t):
             bb.stage1.w = t
-            return T.tsum(T.mul(bb(Tensor(img)).stages[0], head))
+            return bb(Tensor(img)).stages[0]
 
-        assert grad_check(f, Tensor(bb.stage1.w.data.copy())) < 1e-4
+        assert grad_check(f, Tensor(bb.stage1.w.data.copy()), head) < 1e-4
 
 
 class TestSegmentationLogits:
@@ -207,10 +207,13 @@ class TestFullModel:
 
 
 def _weighted_output_loss(out: SegOutput, heads) -> Tensor:
-    """A loss linear in both outputs, so its gradient over a batch is the
-    sum of the per-sample gradients."""
-    return T.add(T.tsum(T.mul(out.mask_logits, Tensor(heads[0]))),
-                 T.tsum(T.mul(out.class_logits, Tensor(heads[1]))))
+    """sum(mask_logits * heads[0]) + sum(class_logits * heads[1]), each sum
+    a [1, n] @ [n, 1] product: a loss linear in both outputs, so its
+    gradient over a batch is the sum of the per-sample gradients."""
+    def project(y, head):
+        return T.matmul(T.reshape(y, (1, y.size)), Tensor(head.reshape(-1, 1)))
+
+    return T.add(project(out.mask_logits, heads[0]), project(out.class_logits, heads[1]))
 
 
 def _close(got, want, rtol=1e-10):
