@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .tensor import Tensor, attention_weights
+from .tensor import Tensor, attention
 
 __all__ = [
     "ATTENTION_TOKEN_BUDGET",
@@ -28,7 +28,9 @@ __all__ = [
 
 Params = list[tuple[str, Tensor]]
 
-# self-attention weights are [M, M]; at this many tokens they take 64 MiB in float32
+# self-attention weights are [M, M]: under a tape each attention block keeps
+# one such buffer until its backward has run, 64 MiB in float32 at this many
+# tokens; off a tape they exist one block of query rows at a time
 ATTENTION_TOKEN_BUDGET = 4096
 
 
@@ -127,7 +129,7 @@ class TokenSelfAttention:
         q = T.matmul(x, self.wq)
         k = T.matmul(x, self.wk)
         v = T.matmul(x, self.wv)
-        ctx = T.matmul(T.matmul(attention_weights(q, k), v), self.wo)
+        ctx = T.matmul(attention(q, k, v), self.wo)
         return self.norm(T.add(x, ctx))
 
     def parameters(self) -> Params:

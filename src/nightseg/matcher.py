@@ -89,11 +89,12 @@ class ReliableMatcherLayer:
             p1 = T.expand(p1, fa.shape[:-2])
         q = T.matmul(p1, self.wq)
         keys = T.matmul(fa, self.wk)
-        weights = attention_weights(q, keys)
         if self.mode == "reliable":
-            kr = T.gather_rows(keys, select_reliable(weights, self.k))
+            kr = T.gather_rows(keys, select_reliable(attention_weights(q, keys), self.k))
             weights = bridged_similarity(q, T.matmul(fa, self.wq), kr, self.renormalize)
-        upd = T.matmul(weights, T.matmul(fa, self.wv))
+            upd = T.matmul(weights, T.matmul(fa, self.wv))
+        else:
+            upd = T.attention(q, keys, T.matmul(fa, self.wv))
         p2 = self.norm_cross(T.add(p1, self.out_proj(upd)))
         p3 = self.attn_out(p2)
         return self.ffn(p3)

@@ -11,7 +11,6 @@ therefore ambiguous; texture is what separates the classes.
 from __future__ import annotations
 
 import os
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -95,8 +94,9 @@ def _class_texture(cls: int, ii: np.ndarray, jj: np.ndarray, phase: float,
     return amp * np.sin(w * (ii + jj) / np.sqrt(2.0) + phase)
 
 
-def _shape_region(rng: np.random.Generator, h: int, w: int) -> np.ndarray | None:
-    """Boolean footprint of a random rectangle / ellipse / horizontal band."""
+def _shape_region(rng: np.random.Generator, h: int, w: int) -> np.ndarray:
+    """Boolean footprint of a random rectangle / ellipse / horizontal band;
+    it fits any image of at least 12x12 pixels."""
     kind = rng.choice(["rect", "ellipse", "band"])
     ii, jj = np.mgrid[0:h, 0:w]
     if kind == "band":
@@ -105,8 +105,6 @@ def _shape_region(rng: np.random.Generator, h: int, w: int) -> np.ndarray | None
         return (ii >= top) & (ii < top + bh)
     oh = int(rng.integers(12, min(22, h) + 1))
     ow = int(rng.integers(12, min(28, w) + 1))
-    if oh > h or ow > w:
-        return None
     top = int(rng.integers(0, h - oh + 1))
     left = int(rng.integers(0, w - ow + 1))
     if kind == "rect":
@@ -132,15 +130,7 @@ def generate_scene(cfg: SceneConfig, seed: int) -> SceneSample:
     # deceivers first, underneath real objects; intensity-matched, untextured
     n_dec = int(rng.integers(cfg.deceivers[0], cfg.deceivers[1] + 1))
     for _ in range(n_dec):
-        region = None
-        for _ in range(100):
-            region = _shape_region(rng, h, w)
-            if region is not None:
-                break
-        if region is None:
-            warnings.warn("deceiver placement failed after 100 tries; skipped")
-            continue
-        image[region] = fg_level * tint[None, :]
+        image[_shape_region(rng, h, w)] = fg_level * tint[None, :]
 
     n_obj = int(rng.integers(cfg.objects_min, cfg.objects_max + 1))
     classes = list(rng.permutation(np.arange(1, cfg.num_classes)))
@@ -148,21 +138,13 @@ def generate_scene(cfg: SceneConfig, seed: int) -> SceneSample:
         classes.append(int(rng.integers(1, cfg.num_classes)))
     classes = classes[:n_obj]
 
-    def draw_object(cls: int) -> bool:
-        region = None
-        for _ in range(100):
-            region = _shape_region(rng, h, w)
-            if region is not None:
-                break
-        if region is None:
-            warnings.warn(f"object of class {cls} could not be placed; skipped")
-            return False
+    def draw_object(cls: int) -> None:
+        region = _shape_region(rng, h, w)
         phase = rng.uniform(0.0, 2.0 * np.pi)
         tex = _class_texture(int(cls), ii, jj, phase, cfg.texture_amp)
         level = (fg_level + tex)[:, :, None] * tint[None, None, :]
         image[region] = level[region]
         mask[region] = int(cls)
-        return True
 
     for cls in classes:
         draw_object(int(cls))

@@ -243,6 +243,25 @@ def check_attention_weights_replay():
                 assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
+def check_attention_composed():
+    """attention equals matmul(attention_weights(q, k), v), value and every
+    gradient, bit for bit, in one row block and over the 2048 tokens of a
+    128x256 image's finest decoder stage (eight blocks)."""
+    rng = _rng(20)
+    for dtype in (np.float32, np.float64):
+        for shape in ((7, 4), (2, 5, 3), (2048, 64)):
+            arrays = [rng.normal(size=shape).astype(dtype) for _ in range(4)]
+            runs = []
+            for f in (T.attention, lambda q, k, v: T.matmul(attention_weights(q, k), v)):
+                ts = [Tensor(a.copy(), requires_grad=True) for a in arrays[:3]]
+                with T.Tape():
+                    y = f(*ts)
+                    T.backward(y, arrays[3])
+                runs.append([y.data] + [t.grad for t in ts])
+            for a, b in zip(*runs):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
 def check_hungarian_oracle():
     rng = _rng(14)
     for _ in range(1000):
@@ -454,6 +473,14 @@ def run_grad_suite() -> list[tuple[str, float]]:
     results.append(("gather rows over a batch", grad_check(
         lambda x: T.gather_rows(x, rows), Tensor(rng.normal(size=(2, 5, 3))), hb5)))
 
+    # attention's three operands over a batch of 2, from a generator of their own
+    rng = _rng(164)
+    ops = [Tensor(rng.normal(size=s)) for s in ((2, 3, 4), (2, 5, 4), (2, 5, 3))]
+    hb6 = rng.normal(size=(2, 3, 3))
+    for i, part in enumerate(("queries", "keys", "values")):
+        results.append((f"attention ({part})", grad_check(
+            lambda t: T.attention(*ops[:i], t, *ops[i + 1:]), Tensor(ops[i].data.copy()), hb6)))
+
     return results
 
 
@@ -540,6 +567,7 @@ CHECKS = [
     ("amplification matches per-pixel loop oracle, raw and normalized", check_amplify_oracle),
     ("self-attention is permutation-equivariant", check_attention_permutation),
     ("attention weights equal the numpy replay bit for bit", check_attention_weights_replay),
+    ("attention equals the composed weights·V bit for bit", check_attention_composed),
     ("similarity invariants hold on 1000 random instances", check_matching_invariants),
     ("assignment matches exhaustive enumeration (1000 cases)", check_hungarian_oracle),
     ("mIoU hand example and self-comparison", check_miou),

@@ -5,7 +5,9 @@ training). Differentiable operations are module-level functions that
 compute the forward value eagerly and, when a tape is active and the
 result requires gradients, record the result with its backward closure on
 that tape (``_node``). ``Tape.run`` replays the closures in exact reverse
-execution order, so the tape itself is the topological order.
+execution order, so the tape itself is the topological order, and pops each
+node as it runs it: a closure, and every forward array only it holds, is
+freed once its backward is done.
 
 Conventions:
 - a backward closure ``bwd(g)`` receives its node's gradient g and hands
@@ -19,14 +21,17 @@ Conventions:
   mutation is an optimizer updating parameter ``.data`` between tapes.
   Under ``train.AdamW`` each parameter's ``.data`` is a view into the
   optimizer's one flat weight vector, updated in place; rebinding
-  ``p.data`` detaches that parameter from the vector
+  ``p.data`` detaches that parameter from the vector. A backward closure
+  may overwrite a forward array only it holds: ``attention``'s writes its
+  logit gradient over its private weight buffer, which nothing reads
+  again once the tape is consumed
 - gradient buffers are write-once per accumulation (``grad = grad + g``),
   never mutated in place, so views may be stored safely
 - binary ops require exact shape and dtype agreement; the only broadcasts
   happen inside single nodes: the optional per-channel ``bias`` of
   ``matmul`` and ``conv2d``, the per-pixel scaling of ``amplify_stage``, the
   per-row scaling of ``normalize_rows``, the per-row reductions of
-  ``attention_weights`` and ``bce_dice_loss``, and ``expand``
+  ``attention_weights``, ``attention`` and ``bce_dice_loss``, and ``expand``
 - leading axes: every op except the two losses accepts any number of
   leading (batch) axes in front of the axes it names, e.g. x[..., H, W, C]
   or tokens [..., M, C], and treats each leading index as its own sample.
@@ -35,11 +40,11 @@ Conventions:
   with a's (np.matmul on stacks). ``expand`` adds leading axes to a tensor
   shared by every sample; ``bce_dice_loss`` and ``ce_logits`` take 2-D row
   sets, so callers flatten a batch into rows
-- reductions are per sample: attention rows, the normalized
-  rows, layer_norm's features, conv2d windows and ``amplify_stage``'s map
-  mean over each map's own (h, w). Only gradients with respect to operands
-  without the leading axes (weights, biases, ``expand`` inputs) sum over
-  them
+- reductions are per sample: the rows of ``attention_weights`` and
+  ``attention``, the normalized rows, layer_norm's features, conv2d
+  windows and ``amplify_stage``'s map mean over each map's own (h, w).
+  Only gradients with respect to operands without the leading axes
+  (weights, biases, ``expand`` inputs) sum over them
 """
 
 from __future__ import annotations
@@ -61,6 +66,7 @@ __all__ = [
     "reshape",
     "relu",
     "attention_weights",
+    "attention",
     "layer_norm",
     "amplify_stage",
     "normalize_rows",
@@ -113,8 +119,9 @@ class Tape:
     """Execution-ordered record of differentiable operations.
 
     Used as a context manager around a forward pass; ``run`` (usually via
-    :func:`backward`) calls each node's ``fn(g)`` with the gradient g of its
-    result ``out``, in reverse execution order, and then consumes the tape.
+    :func:`backward`) consumes the tape: it pops the nodes in reverse
+    execution order and calls each ``fn(g)`` with the gradient g of its
+    result ``out``, so a node's closure is released once it has run.
     """
 
     def __init__(self):
@@ -144,11 +151,12 @@ class Tape:
         if g.shape != loss.shape:
             raise ValueError(f"backward: seed {g.shape} does not match output {loss.shape}")
         loss.grad = g
-        for out, fn in reversed(self._nodes):
+        self._consumed = True
+        nodes = self._nodes
+        while nodes:
+            out, fn = nodes.pop()
             if out.grad is not None:   # else no path from this node reaches the loss
                 fn(out.grad)
-        self._nodes.clear()
-        self._consumed = True
 
 
 _TAPE_STACK: list[Tape] = []
@@ -287,6 +295,24 @@ def relu(x: Tensor) -> Tensor:
     return _node(np.maximum(x.data, 0.0), bwd, x)
 
 
+def _attention_scale(op: str, q: Tensor, k: Tensor) -> float:
+    """1 / sqrt(C) for queries q [..., M, C] and keys k [..., L, C] with the same leading axes."""
+    if q.data.ndim < 2 or k.data.ndim != q.data.ndim or q.shape[:-2] != k.shape[:-2]:
+        raise ValueError(f"{op}: expects 2-D operands or stacks of them with the same "
+                         f"leading axes, got {q.shape} and {k.shape}")
+    if q.shape[-1] != k.shape[-1]:
+        raise ValueError(f"{op}: inner extents differ, {q.shape} x {k.shape[::-1]}")
+    return 1.0 / math.sqrt(q.shape[-1])
+
+
+def _scaled_softmax(s: np.ndarray, c: float) -> None:
+    """In place: s becomes the row softmax of s * c, max-subtracted."""
+    s *= c
+    s -= np.max(s, axis=-1, keepdims=True)
+    np.exp(s, out=s)
+    s /= np.sum(s, axis=-1, keepdims=True)
+
+
 def attention_weights(q: Tensor, k: Tensor) -> Tensor:
     """Scaled dot-product weights softmax(q k^T / sqrt(C)); row i of q [..., M, C]
     is a distribution over the rows of k [..., L, C] with the same leading axes.
@@ -296,17 +322,9 @@ def attention_weights(q: Tensor, k: Tensor) -> Tensor:
     backward replays their rules, so values and gradients equal the composed
     ops bit for bit.
     """
-    if q.data.ndim < 2 or k.data.ndim != q.data.ndim or q.shape[:-2] != k.shape[:-2]:
-        raise ValueError(f"attention_weights: expects 2-D operands or stacks of them with the same "
-                         f"leading axes, got {q.shape} and {k.shape}")
-    if q.shape[-1] != k.shape[-1]:
-        raise ValueError(f"attention_weights: inner extents differ, {q.shape} x {k.shape[::-1]}")
-    c = 1.0 / math.sqrt(q.shape[-1])
+    c = _attention_scale("attention_weights", q, k)
     y = q.data @ np.swapaxes(k.data, -1, -2)
-    y *= c
-    y -= np.max(y, axis=-1, keepdims=True)
-    np.exp(y, out=y)
-    y /= np.sum(y, axis=-1, keepdims=True)
+    _scaled_softmax(y, c)
 
     def bwd(g):
         ds = g * y
@@ -318,6 +336,57 @@ def attention_weights(q: Tensor, k: Tensor) -> Tensor:
         _accumulate(k, np.swapaxes(np.swapaxes(q.data, -1, -2) @ ds, -1, -2))
 
     return _node(y, bwd, q, k)
+
+
+# query rows per block of ``attention``
+_ATTENTION_ROWS = 256
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
+    """softmax(q k^T / sqrt(C)) v for queries q [..., M, C], keys k [..., L, C]
+    and values v [..., L, D] with the same leading axes.
+
+    One node in place of attention_weights and its matmul with v. The
+    forward runs their ufuncs in their order on blocks of _ATTENTION_ROWS
+    query rows. When the node is recorded, the blocks fill one [..., M, L]
+    weight buffer that only its backward holds, and the backward writes the
+    softmax's logit gradient over it block by block; off a tape the weights
+    exist one block at a time. Values and gradients equal the composed ops
+    bit for bit wherever the BLAS computes a block's rows as it computes
+    those rows of the whole product; OpenBLAS may give a short last block or
+    a narrow product to another kernel, whose rows differ in the last bits.
+    """
+    c = _attention_scale("attention", q, k)
+    if v.data.ndim != k.data.ndim or v.shape[:-1] != k.shape[:-1]:
+        raise ValueError(f"attention: values {v.shape} do not match keys {k.shape}")
+    *lead, m, _ = q.shape
+    lead, n = tuple(lead), k.shape[-2]
+    kt = np.swapaxes(k.data, -1, -2)
+    recorded = active_tape() is not None and (q.requires_grad or k.requires_grad or v.requires_grad)
+    wdtype = np.result_type(q.data, k.data)
+    y = np.empty(lead + ((m if recorded else min(m, _ATTENTION_ROWS)), n), wdtype)
+    out = np.empty(lead + (m, v.shape[-1]), np.result_type(wdtype, v.data))
+    for r0 in range(0, m, _ATTENTION_ROWS):
+        rows = slice(r0, r0 + _ATTENTION_ROWS)
+        w = y[..., rows, :] if recorded else y[..., : min(m - r0, _ATTENTION_ROWS), :]
+        np.matmul(q.data[..., rows, :], kt, out=w)
+        _scaled_softmax(w, c)
+        np.matmul(w, v.data, out=out[..., rows, :])
+
+    def bwd(g):
+        _accumulate(v, np.swapaxes(y, -1, -2) @ g)
+        vt = np.swapaxes(v.data, -1, -2)
+        for r0 in range(0, m, _ATTENTION_ROWS):
+            rows = slice(r0, r0 + _ATTENTION_ROWS)
+            yb = y[..., rows, :]
+            gw = g[..., rows, :] @ vt
+            gw -= np.sum(gw * yb, axis=-1, keepdims=True)
+            np.multiply(gw, yb, out=yb)
+            yb *= c
+        _accumulate(q, y @ k.data)
+        _accumulate(k, np.swapaxes(np.swapaxes(q.data, -1, -2) @ y, -1, -2))
+
+    return _node(out, bwd, q, k, v)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:

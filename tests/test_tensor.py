@@ -1,6 +1,8 @@
 """Tensor engine: forward oracles, tape semantics, gradient rules."""
 
 import math
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -216,6 +218,93 @@ class TestAttentionWeights:
             T.attention_weights(Tensor(np.zeros(qs)), Tensor(np.zeros(ks)))
 
 
+def attention_pair(qd, kd, vd, head):
+    """attention(q, k, v) and matmul(attention_weights(q, k), v) of fresh
+    operands: each value and its gradients of sum(y * head) for q, k and v."""
+    runs = []
+    for f in (T.attention, lambda q, k, v: T.matmul(T.attention_weights(q, k), v)):
+        y, grads = _weighted_run(f, [qd, kd, vd], head)
+        runs.append((y, *grads))
+    return runs
+
+
+def attention_operands(seed, dtype, lead, m, l, c):
+    rng = np.random.default_rng(seed)
+    qd, kd = ((rng.normal(size=lead + s) * 3.0).astype(dtype) for s in ((m, c), (l, c)))
+    vd, head = (rng.normal(size=lead + s).astype(dtype) for s in ((l, c), (m, c)))
+    return qd, kd, vd, head
+
+
+class TestAttention:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    # one row block with and without batch axes; the 128x256 model's 1/8 stage
+    # (two blocks) over a batch of 2 and its 1/4 stage (eight blocks); eight
+    # prototype queries over 2048 pixel keys
+    @pytest.mark.parametrize("lead,m,l,c", [
+        ((), 5, 7, 3), ((3,), 5, 7, 3), ((2, 2), 6, 4, 3), ((2,), 512, 512, 64),
+        ((), 2048, 2048, 64), ((), 8, 2048, 64)])
+    def test_equals_composed_ops_bit_for_bit(self, dtype, lead, m, l, c):
+        qd, kd, vd, head = attention_operands(m + l + c, dtype, lead, m, l, c)
+        fused, composed = attention_pair(qd, kd, vd, head)
+        _same_bits(fused, composed, dtype)
+        off_tape = T.attention(Tensor(qd), Tensor(kd), Tensor(vd)).data
+        assert np.array_equal(off_tape, fused[0])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("lead", [(), (2,)])
+    def test_short_last_block(self, dtype, lead):
+        # 600 query rows: blocks of 256, 256 and 88. BLAS may evaluate the
+        # 88-row products with another kernel than the 600-row ones, so the
+        # rows are compared bit for bit with the composed ops taken one block
+        # at a time, and the gradients with the whole composed ops to rounding
+        qd, kd, vd, head = attention_operands(600, dtype, lead, 600, 600, 16)
+        fused, composed = attention_pair(qd, kd, vd, head)
+        k, v = Tensor(kd), Tensor(vd)
+        blocks = [T.matmul(T.attention_weights(Tensor(qd[..., r:r + 256, :]), k), v).data
+                  for r in range(0, 600, 256)]
+        assert np.array_equal(fused[0], np.concatenate(blocks, axis=-2))
+        assert np.array_equal(T.attention(Tensor(qd), k, v).data, fused[0])
+        tol = 1e-5 if dtype == np.float32 else 1e-13
+        for got, want in zip(fused, composed):
+            assert got.dtype == dtype
+            assert np.abs(got - want).max() <= tol * np.abs(want).max()
+
+    def test_off_tape_the_weights_exist_one_block_at_a_time(self):
+        # the [2048, 2048] float32 weights would take 16 MiB; a row block 2 MiB
+        rng = np.random.default_rng(9)
+        q, k, v = (Tensor(rng.normal(size=(2048, 8)).astype(np.float32)) for _ in range(3))
+        tracemalloc.start()
+        try:
+            T.attention(q, k, v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, peak
+
+    def test_self_attention_shares_one_tensor(self):
+        rng = np.random.default_rng(3)
+        xd, head = rng.normal(size=(7, 4)), rng.normal(size=(7, 4))
+        _, (g,) = _weighted_run(lambda x: T.attention(x, x, x), [xd], head)
+        _, dq, dk, dv = attention_pair(xd, xd, xd, head)[1]
+        assert np.array_equal(g, dv + dq + dk)
+
+    def test_records_one_tape_node(self):
+        x = Tensor(np.ones((2, 4, 3)), requires_grad=True)
+        with Tape() as tape:
+            T.attention(x, x, x)
+            assert len(tape) == 1
+
+    @pytest.mark.parametrize("qs,ks,vs,msg", [
+        ((2, 5), (4, 4), (4, 4), "inner extents differ"),
+        ((2, 3, 1), (4, 1), (4, 2), "expects 2-D operands"),
+        ((2, 3), (4, 3), (5, 2), "values .* do not match keys"),
+        ((2, 2, 3), (2, 4, 3), (4, 2), "values .* do not match keys"),
+    ])
+    def test_bad_shapes_rejected(self, qs, ks, vs, msg):
+        with pytest.raises(ValueError, match=msg):
+            T.attention(Tensor(np.zeros(qs)), Tensor(np.zeros(ks)), Tensor(np.zeros(vs)))
+
+
 def conv_oracle(x, w, stride, pad):
     """Six-nested-loop cross-correlation with zero padding."""
     xp = np.pad(x, ((pad, pad), (pad, pad), (0, 0)))
@@ -375,6 +464,28 @@ class TestBackward:
             assert len(tape) == 0
             with pytest.raises(RuntimeError, match="consumed"):
                 tape.run(y)
+
+    def test_each_node_is_released_once_it_has_run(self):
+        # an array only the last node's closure holds is freed before the
+        # node recorded ahead of it runs
+        x = Tensor([1.0, -2.0], requires_grad=True)
+        private = np.array([3.0, 4.0])
+        alive = weakref.ref(private)
+        seen = []
+        with Tape() as tape:
+            h = T.relu(x)
+            tape.record(h, lambda g: seen.append(alive() is None))
+            y = Tensor(h.data * private, requires_grad=True)
+
+            def bwd(g, w=private):
+                h.grad = g * w
+
+            tape.record(y, bwd)
+            y.tape = tape
+            del private, bwd
+            backward(y, np.ones(2))
+        assert seen == [True]
+        assert np.array_equal(x.grad, [3.0, 0.0])
 
     def test_every_requires_grad_ancestor_gets_grad(self):
         rng = np.random.default_rng(4)
@@ -692,6 +803,7 @@ LEADING_AXIS_CASES = {
     "amplify normalized": (lambda f, p: T.amplify_stage(f, p, True), [(2, 3, 4), (2, 3, 4)], []),
     "amplify raw": (lambda f, p: T.amplify_stage(f, p, False), [(2, 3, 4), (2, 3, 4)], []),
     "attention weights": (T.attention_weights, [(4, 5), (6, 5)], []),
+    "attention": (T.attention, [(4, 5), (6, 5), (6, 3)], []),
     "matmul of stacks": (lambda a, b, c: T.matmul(a, b, c), [(4, 5), (5, 2)], [(2,)]),
     "matmul by a weight": (lambda a, w: T.matmul(a, w), [(2, 4, 5)], [(5, 2)]),
     "transpose2d": (T.transpose2d, [(4, 5)], []),
