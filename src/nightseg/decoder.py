@@ -14,13 +14,13 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
-from .layers import Linear, Params, Pyramid, TokenSelfAttention
+from .layers import Linear, Module, Pyramid, TokenSelfAttention
 from .tensor import Tensor, amplify_stage
 
 __all__ = ["HierarchicalAmplifiedDecoder"]
 
 
-class HierarchicalAmplifiedDecoder:
+class HierarchicalAmplifiedDecoder(Module):
     """Fuse the selected coarse stages into one high-resolution feature map.
 
     depth selects how many stages take part, always starting at the
@@ -43,7 +43,6 @@ class HierarchicalAmplifiedDecoder:
             self.proj_f.append(Linear(rng, c_feat, width, dtype=dtype))
             self.proj_p.append(Linear(rng, c_phase, width, dtype=dtype))
         self.attention = [TokenSelfAttention(rng, width, dtype) for _ in range(4)]
-        self.width = width
         self.depth = depth
         self.normalize_amp_map = normalize_amp_map
 
@@ -72,12 +71,3 @@ class HierarchicalAmplifiedDecoder:
             tokens = T.reshape(fbar, (*lead, h * w, c))
             x = T.reshape(self.attention[s](tokens), fbar.shape)
         return x
-
-    def parameters(self) -> Params:
-        out: Params = []
-        for i, (lin_f, lin_p) in enumerate(zip(self.proj_f, self.proj_p)):
-            out += [(f"proj{i}.f." + n, p) for n, p in lin_f.parameters()]
-            out += [(f"proj{i}.p." + n, p) for n, p in lin_p.parameters()]
-        for i, attn in enumerate(self.attention):
-            out += [(f"attn{i}." + n, p) for n, p in attn.parameters()]
-        return out

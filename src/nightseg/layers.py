@@ -1,8 +1,13 @@
 """Parameterized building blocks: convolutions, linear maps, norms, attention.
 
-Each layer owns its parameter tensors and reports them through
-``parameters()`` as (name, tensor) pairs so optimizers and checkpoints
-can address every weight by a stable dotted name.
+Every layer derives from ``Module``, whose one ``parameters()`` lists the
+layer's weights as (name, tensor) pairs by walking its attributes in
+assignment order, so optimizers and checkpoints address every weight by
+its attribute path. A ``Tensor`` attribute is a parameter named by the
+attribute; a list entry adds its index as one name component; any other
+attribute with a ``parameters`` method contributes its own pairs under
+``<attribute>.``. A weight assigned to a layer is thus always trained
+and saved, e.g. ``decoder.attention.0.wq`` or ``matcher.layers.2.ffn.fc1.b``.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from .tensor import Tensor, attention
 __all__ = [
     "ATTENTION_TOKEN_BUDGET",
     "glorot_uniform",
+    "Module",
     "Conv2dLayer",
     "Linear",
     "LayerNorm",
@@ -25,8 +31,6 @@ __all__ = [
     "FeedForward",
     "Pyramid",
 ]
-
-Params = list[tuple[str, Tensor]]
 
 # self-attention weights are [M, M]: under a tape each attention block keeps
 # one such buffer until its backward has run, 64 MiB in float32 at this many
@@ -51,7 +55,26 @@ def glorot_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int, d
     return Tensor(rng.uniform(-a, a, size=shape).astype(dtype), requires_grad=True)
 
 
-class Conv2dLayer:
+class Module:
+    """A layer whose weights are found by walking its attributes."""
+
+    def parameters(self) -> list[tuple[str, Tensor]]:
+        return [pair for name, value in vars(self).items() for pair in _named(name, value)]
+
+
+def _named(name: str, value) -> list[tuple[str, Tensor]]:
+    if isinstance(value, Tensor):
+        return [(name, value)]
+    if isinstance(value, list):
+        return [pair for i, item in enumerate(value) for pair in _named(f"{name}.{i}", item)]
+    if hasattr(value, "parameters"):
+        # through the method, not vars(): a stand-in object that forwards
+        # attribute reads to the layer it wraps lists that layer's weights
+        return [(f"{name}.{n}", p) for n, p in value.parameters()]
+    return []
+
+
+class Conv2dLayer(Module):
     """conv2d with bias; kernel [kh,kw,Cin,Cout]."""
 
     def __init__(self, rng: np.random.Generator, cin: int, cout: int,
@@ -65,11 +88,8 @@ class Conv2dLayer:
     def __call__(self, x: Tensor) -> Tensor:
         return T.conv2d(x, self.w, self.stride, self.padding, self.b)
 
-    def parameters(self) -> Params:
-        return [("w", self.w), ("b", self.b)]
 
-
-class Linear:
+class Linear(Module):
     """Biased linear map over the last axis of x[..., Cin]."""
 
     def __init__(self, rng: np.random.Generator, cin: int, cout: int,
@@ -83,11 +103,8 @@ class Linear:
     def __call__(self, x: Tensor) -> Tensor:
         return T.matmul(x, self.w, self.b)
 
-    def parameters(self) -> Params:
-        return [("w", self.w), ("b", self.b)]
 
-
-class LayerNorm:
+class LayerNorm(Module):
     def __init__(self, width: int, dtype=np.float64):
         self.gamma = Tensor(np.ones(width, dtype=dtype), requires_grad=True)
         self.beta = Tensor(np.zeros(width, dtype=dtype), requires_grad=True)
@@ -95,11 +112,8 @@ class LayerNorm:
     def __call__(self, x: Tensor) -> Tensor:
         return T.layer_norm(x, self.gamma, self.beta)
 
-    def parameters(self) -> Params:
-        return [("gamma", self.gamma), ("beta", self.beta)]
 
-
-class TokenSelfAttention:
+class TokenSelfAttention(Module):
     """Single-head scaled dot-product self-attention over tokens [..., M, C];
     every leading index attends only among its own M tokens.
 
@@ -132,13 +146,8 @@ class TokenSelfAttention:
         ctx = T.matmul(attention(q, k, v), self.wo)
         return self.norm(T.add(x, ctx))
 
-    def parameters(self) -> Params:
-        out: Params = [("wq", self.wq), ("wk", self.wk), ("wv", self.wv), ("wo", self.wo)]
-        out += [("norm." + n, p) for n, p in self.norm.parameters()]
-        return out
 
-
-class FeedForward:
+class FeedForward(Module):
     """Two-layer MLP with a post-norm residual: out = LN(x + W2 relu(W1 x)).
 
     fc2 starts at zero for the same identity-at-init reason as the
@@ -153,10 +162,3 @@ class FeedForward:
     def __call__(self, x: Tensor) -> Tensor:
         y = self.fc2(T.relu(self.fc1(x)))
         return self.norm(T.add(x, y))
-
-    def parameters(self) -> Params:
-        out: Params = []
-        out += [("fc1." + n, p) for n, p in self.fc1.parameters()]
-        out += [("fc2." + n, p) for n, p in self.fc2.parameters()]
-        out += [("norm." + n, p) for n, p in self.norm.parameters()]
-        return out

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
-from .layers import FeedForward, LayerNorm, Linear, Params, TokenSelfAttention, glorot_uniform
+from .layers import FeedForward, LayerNorm, Linear, Module, TokenSelfAttention, glorot_uniform
 from .tensor import Tensor, attention_weights
 
 __all__ = [
@@ -55,7 +55,7 @@ def bridged_similarity(q: Tensor, q_pix: Tensor, kr: Tensor, renormalize: bool =
     return sim_qk
 
 
-class ReliableMatcherLayer:
+class ReliableMatcherLayer(Module):
     """One matching layer: prototype self-attention, (reliable|vanilla)
     cross-attention with residual projection, self-attention, FFN.
 
@@ -90,7 +90,9 @@ class ReliableMatcherLayer:
         q = T.matmul(p1, self.wq)
         keys = T.matmul(fa, self.wk)
         if self.mode == "reliable":
-            kr = T.gather_rows(keys, select_reliable(attention_weights(q, keys), self.k))
+            # the choice carries no gradient, so its weights stay off the tape
+            sim = attention_weights(Tensor(q.data), Tensor(keys.data))
+            kr = T.gather_rows(keys, select_reliable(sim, self.k))
             weights = bridged_similarity(q, T.matmul(fa, self.wq), kr, self.renormalize)
             upd = T.matmul(weights, T.matmul(fa, self.wv))
         else:
@@ -99,17 +101,8 @@ class ReliableMatcherLayer:
         p3 = self.attn_out(p2)
         return self.ffn(p3)
 
-    def parameters(self) -> Params:
-        out: Params = [("attn_in." + n, t) for n, t in self.attn_in.parameters()]
-        out += [("proj.wq", self.wq), ("proj.wk", self.wk), ("proj.wv", self.wv)]
-        out += [("out_proj." + n, t) for n, t in self.out_proj.parameters()]
-        out += [("norm_cross." + n, t) for n, t in self.norm_cross.parameters()]
-        out += [("attn_out." + n, t) for n, t in self.attn_out.parameters()]
-        out += [("ffn." + n, t) for n, t in self.ffn.parameters()]
-        return out
 
-
-class ReliableMatcher:
+class ReliableMatcher(Module):
     """Learnable prototypes refined by a stack of matching layers.
 
     Reliable points are re-selected in every layer. The prototype count
@@ -127,7 +120,6 @@ class ReliableMatcher:
         self.layers = [
             ReliableMatcherLayer(rng, width, k, mode, renormalize, dtype) for _ in range(num_layers)
         ]
-        self.num_prototypes = num_prototypes
 
     def __call__(self, fa: Tensor) -> Tensor:
         """Refined prototypes [..., N, C] for pixels fa [..., hw, C]."""
@@ -135,9 +127,3 @@ class ReliableMatcher:
         for layer in self.layers:
             p = layer(p, fa)
         return p
-
-    def parameters(self) -> Params:
-        out: Params = [("prototypes", self.prototypes)]
-        for i, layer in enumerate(self.layers):
-            out += [(f"layer{i}." + n, t) for n, t in layer.parameters()]
-        return out

@@ -9,7 +9,7 @@ import numpy as np
 from . import tensor as T
 from .config import check_options, option
 from .decoder import HierarchicalAmplifiedDecoder
-from .layers import ATTENTION_TOKEN_BUDGET, Conv2dLayer, Linear, Params, Pyramid
+from .layers import ATTENTION_TOKEN_BUDGET, Conv2dLayer, Linear, Module, Pyramid
 from .losses import class_and_mask_probs
 from .matcher import ReliableMatcher
 from .phase import PhaseEncoder
@@ -84,7 +84,7 @@ class SegOutput:
             )
 
 
-class BackboneStub:
+class BackboneStub(Module):
     """Four strided conv stages with schedule {4,2,2,2}: F2 at 1/4 .. F5 at 1/32."""
 
     def __init__(self, rng: np.random.Generator, widths: tuple[int, int, int, int],
@@ -94,7 +94,6 @@ class BackboneStub:
         self.stage2 = Conv2dLayer(rng, w2, w3, 3, 2, 1, dtype)
         self.stage3 = Conv2dLayer(rng, w3, w4, 3, 2, 1, dtype)
         self.stage4 = Conv2dLayer(rng, w4, w5, 3, 2, 1, dtype)
-        self.widths = widths
 
     def __call__(self, image: Tensor) -> Pyramid:
         h, w = image.shape[-3:-1]
@@ -105,12 +104,6 @@ class BackboneStub:
         f4 = relu(self.stage3(f3))
         f5 = relu(self.stage4(f4))
         return Pyramid(stages=[f5, f4, f3, f2])
-
-    def parameters(self) -> Params:
-        out: Params = []
-        for i, st in enumerate((self.stage1, self.stage2, self.stage3, self.stage4)):
-            out += [(f"stage{i + 1}." + n, p) for n, p in st.parameters()]
-        return out
 
 
 def segmentation_logits(e: Tensor, prototypes: Tensor) -> Tensor:
@@ -123,7 +116,7 @@ def segmentation_logits(e: Tensor, prototypes: Tensor) -> Tensor:
     return T.matmul(e, T.transpose2d(prototypes))
 
 
-class NightSegModel:
+class NightSegModel(Module):
     """Backbone + phase encoder + amplified decoder + reliable matcher + heads.
 
     Takes one image [H, W, 3] or a batch [B, H, W, 3] (texture alike); a
@@ -174,15 +167,6 @@ class NightSegModel:
             mask_logits=segmentation_logits(e, p_tilde),
             class_logits=self.class_head(p_tilde),
         )
-
-    def parameters(self) -> Params:
-        out: Params = [("backbone." + n, p) for n, p in self.backbone.parameters()]
-        if self.phase_encoder is not None:
-            out += [("phase_encoder." + n, p) for n, p in self.phase_encoder.parameters()]
-        out += [("decoder." + n, p) for n, p in self.decoder.parameters()]
-        out += [("matcher." + n, p) for n, p in self.matcher.parameters()]
-        out += [("class_head." + n, p) for n, p in self.class_head.parameters()]
-        return out
 
 
 def predict(out: SegOutput, num_classes: int) -> np.ndarray:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fourier import fft2d, ifft2d
-from .layers import Conv2dLayer, Params, Pyramid
+from .layers import Conv2dLayer, Module, Pyramid
 from .tensor import Tensor, relu
 
 __all__ = [
@@ -139,7 +139,7 @@ def image_texture_stack(image: np.ndarray, mode: str,
     return np.stack(chans, axis=2)
 
 
-class PhaseEncoder:
+class PhaseEncoder(Module):
     """Strided conv encoder for texture maps, tapping stages at 1/4 .. 1/32.
 
     A stride-2 stem followed by four stride-2 stages; the taps after
@@ -151,7 +151,6 @@ class PhaseEncoder:
         self.stem = Conv2dLayer(rng, in_channels, widths[0], 3, 2, 1, dtype)
         w_in = [widths[0], widths[0], widths[1], widths[2]]
         self.stages = [Conv2dLayer(rng, w_in[i], widths[i], 3, 2, 1, dtype) for i in range(4)]
-        self.widths = widths
 
     def __call__(self, texture: Tensor) -> Pyramid:
         h, w = texture.shape[-3:-1]
@@ -163,9 +162,3 @@ class PhaseEncoder:
             x = relu(stage(x))
             taps.append(x)
         return Pyramid(stages=list(reversed(taps)))  # [1/32, 1/16, 1/8, 1/4]
-
-    def parameters(self) -> Params:
-        out: Params = [("stem." + n, p) for n, p in self.stem.parameters()]
-        for i, stage in enumerate(self.stages):
-            out += [(f"stage{i + 1}." + n, p) for n, p in stage.parameters()]
-        return out

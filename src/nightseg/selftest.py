@@ -529,7 +529,7 @@ def check_end_to_end_gradient():
     missing = [n for n, p in params if p.grad is None]
     assert not missing, f"no gradient buffer for: {missing[:5]}"
     live = ("matcher.prototypes", "backbone.stage1.w", "phase_encoder.stem.w",
-            "class_head.w", "decoder.proj0.f.w")
+            "class_head.w", "decoder.proj_f.0.w")
     by_name = dict(params)
     dead = [n for n in live if not np.any(by_name[n].grad)]
     assert not dead, f"zero gradient on always-live group: {dead}"

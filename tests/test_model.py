@@ -205,6 +205,77 @@ class TestFullModel:
         assert counts[1] == counts[4] == [counts[1][0]] * 2, counts
         assert counts[1][0] <= 210, counts
 
+    @pytest.mark.parametrize("mode", ["reliable", "vanilla"])
+    def test_every_recorded_node_gets_a_gradient(self, tmp_path, monkeypatch, mode):
+        # a node no gradient reaches costs its forward and holds its arrays
+        # until backward for nothing
+        gen_dataset(SceneConfig(), 6, 15, tmp_path)
+        ds = load_dataset(tmp_path, "phase")
+        recorded = []
+        record = T.Tape.record
+
+        def keeping_record(tape, out, fn):
+            recorded.append(out)
+            record(tape, out, fn)
+
+        monkeypatch.setattr(T.Tape, "record", keeping_record)
+        model = NightSegModel(small_cfg(num_classes=ds.num_classes, matcher_mode=mode))
+        train(model, ds, TrainConfig(iters=1, batch=4, seed=1))
+        assert recorded
+        dead = [i for i, out in enumerate(recorded) if out.grad is None]
+        assert not dead, f"{len(dead)} of {len(recorded)} nodes got no gradient: {dead}"
+
+
+def _at_path(root, name: str):
+    """The object reached from root by a dotted parameter name; numeric parts index lists."""
+    obj = root
+    for part in name.split("."):
+        obj = obj[int(part)] if part.isdigit() else getattr(obj, part)
+    return obj
+
+
+class _Forwarding:
+    """Stands in for a layer, forwarding every attribute read to it."""
+
+    __slots__ = ("_target",)
+
+    def __init__(self, target):
+        self._target = target
+
+    def __getattr__(self, name):
+        return getattr(self._target, name)
+
+
+class TestParameterWalk:
+    """Every layer's weights are listed by walking its attributes."""
+
+    @pytest.mark.parametrize("enhance_op", ["phase", "none"])
+    def test_each_name_is_the_attribute_path_of_its_tensor(self, enhance_op):
+        model = NightSegModel(small_cfg(matcher_layers=2, enhance_op=enhance_op))
+        params = model.parameters()
+        assert any(n.startswith("phase_encoder.") for n, _ in params) == (enhance_op == "phase")
+        for name, p in params:
+            assert _at_path(model, name) is p, name
+
+    def test_forwarding_stand_ins_list_the_same_tensors(self):
+        model = NightSegModel(small_cfg(matcher_layers=2))
+        before = [(n, id(p)) for n, p in model.parameters()]
+        model.decoder.attention[1] = _Forwarding(model.decoder.attention[1])
+        model.matcher.layers[0] = _Forwarding(model.matcher.layers[0])
+        for attr in ("backbone", "phase_encoder", "decoder", "matcher"):
+            setattr(model, attr, _Forwarding(getattr(model, attr)))
+        assert [(n, id(p)) for n, p in model.parameters()] == before
+
+    def test_a_tensor_assigned_to_a_layer_is_a_parameter(self):
+        model = NightSegModel(small_cfg())
+        before = model.parameters()
+        extra = Tensor(np.zeros(3), requires_grad=True)
+        model.matcher.layers[0].ffn.scale = extra
+        after = model.parameters()
+        at = [n for n, _ in after].index("matcher.layers.0.ffn.norm.beta") + 1
+        assert after[at] == ("matcher.layers.0.ffn.scale", extra)
+        assert after[:at] + after[at + 1:] == before
+
 
 def _weighted_output_loss(out: SegOutput, heads) -> Tensor:
     """sum(mask_logits * heads[0]) + sum(class_logits * heads[1]), each sum

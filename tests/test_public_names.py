@@ -58,3 +58,16 @@ def test_only_the_tape_decides_whether_a_node_runs():
                and any(isinstance(n, ast.Attribute) and n.attr == "grad"
                        and isinstance(n.ctx, ast.Load) for n in ast.walk(fn))}
     assert readers == {"run", "_accumulate"}   # Tape.run and _accumulate
+
+
+def test_only_module_defines_parameters():
+    """One parameter protocol: every layer lists its weights through the
+    attribute walk of ``layers.Module``, never by a ``parameters`` of its own."""
+    definers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        definers |= {f"{path.stem}.{cls.name}" for cls in ast.walk(tree)
+                     if isinstance(cls, ast.ClassDef)
+                     and any(isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                             and fn.name == "parameters" for fn in cls.body)}
+    assert definers == {"layers.Module"}

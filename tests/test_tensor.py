@@ -192,7 +192,7 @@ class TestAttentionWeights:
         assert err < 1e-4
 
     def test_no_downstream_gradient_leaves_grads_unset(self):
-        # reliable mode: the first weights only choose the top-K points
+        # a node no gradient reaches is skipped
         q = Tensor(np.ones((2, 3)), requires_grad=True)
         k = Tensor(np.ones((4, 3)), requires_grad=True)
         x = Tensor([1.0, 2.0], requires_grad=True)
