@@ -32,7 +32,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("phase-extract", help="write a texture map for one image")
     p.add_argument("--in", dest="input", required=True, help="input PPM image")
     p.add_argument("--out", required=True, help="output PPM texture map")
-    p.add_argument("--c-a", type=float, default=None, help="amplitude constant (default: mean amplitude)")
+    p.add_argument("--c-a", type=float, default=None,
+                   help="amplitude constant (default: mean amplitude); the min-max "
+                        "scaling cancels it, so it changes the map by rounding only")
     p.add_argument("--mode", choices=("phase", "sobel"), default="phase")
 
     t = sub.add_parser("train", help="train a model on a generated dataset")

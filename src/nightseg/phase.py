@@ -1,9 +1,11 @@
 """Fourier phase texture extraction and the lightweight phase encoder.
 
-A plane is decomposed into amplitude and phase; forcing the amplitude to
-a constant and inverting the transform yields a texture map that keeps
-structure while discarding intensity statistics. Under low-light inputs
-this makes faint texture visible to the downstream encoder. A Sobel
+A plane's spectrum is split into amplitude and unit phasor z/|z|; forcing
+the amplitude to a constant and inverting the transform yields a texture
+map that keeps structure while discarding intensity statistics. Under
+low-light inputs this makes faint texture visible to the downstream
+encoder. A real plane's spectrum is Hermitian, so all of this runs on the
+half spectrum (columns 0..W//2), and no angle is ever formed. A Sobel
 gradient-magnitude map is provided as the baseline enhancing operation.
 """
 
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fourier import fft2d, ifft2d
+from .fourier import irfft2d, rfft2d
 from .layers import Conv2dLayer, Module, Pyramid
 from .tensor import Tensor, relu
 
@@ -33,18 +35,19 @@ __all__ = [
 
 @dataclass
 class Spectrum:
-    """Per-bin modulus and angle of a 2-D transform; phase in (-pi, pi]."""
+    """Half spectrum of a real plane of extents ``shape``, columns 0..W//2:
+    per-bin modulus and unit phasor z/|z|. Pinned bins have phasor 1."""
 
-    amplitude: Tensor
-    phase: Tensor
+    amplitude: np.ndarray   # [H, W//2+1] float64
+    phasor: np.ndarray      # [H, W//2+1] complex128
+    shape: tuple[int, int]  # the plane's [H, W]
 
     def __post_init__(self):
-        if self.amplitude.shape != self.phase.shape:
-            raise ValueError(f"Spectrum: amplitude {self.amplitude.shape} vs phase {self.phase.shape}")
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.amplitude.shape
+        h, w = self.shape
+        half = (h, w // 2 + 1)
+        if self.amplitude.shape != half or self.phasor.shape != half:
+            raise ValueError(f"Spectrum: a {h}x{w} plane has half spectra of shape {half}, got "
+                             f"amplitude {self.amplitude.shape} and phasor {self.phasor.shape}")
 
 
 @dataclass
@@ -53,39 +56,50 @@ class PhaseTextureMap:
 
     plane: Tensor
     c_a: float
-    imag_residue: float  # max |imaginary part| discarded by the reconstruction
 
 
 # Bins at most this fraction of the mean amplitude vanish up to rounding
 # (float64 transform noise sits orders of magnitude lower at image sizes):
-# their angle is noise, so they get phase 0.
+# their phase is noise, so they get phasor 1 (phase 0).
 ZERO_BIN_RTOL = 1e-9
 
 
+def _plane_mean(amp: np.ndarray, w: int) -> float:
+    """Mean amplitude over the full [H, W] plane, from its half spectrum.
+
+    Column v with 0 < v < W/2 stands for itself and its mirror W-v, so it
+    counts twice; column 0 and, for even W, column W/2 count once.
+    """
+    col = amp.sum(axis=0)
+    return float((col.sum() + col[1:(w + 1) // 2].sum()) / (amp.shape[0] * w))
+
+
 def fourier_decompose(x: Tensor) -> Spectrum:
-    """Split a real plane into amplitude and phase; (near-)zero bins get phase 0."""
+    """Half spectrum of a real plane as amplitude and unit phasor; bins that
+    vanish up to rounding get phasor 1."""
     if x.data.ndim != 2:
         raise ValueError(f"fourier_decompose: expects a single-channel plane, got {x.shape}")
     if not np.all(np.isfinite(x.data)):
         raise ValueError("fourier_decompose: input contains non-finite values")
-    z = fft2d(x)
+    z = rfft2d(x)
     amp = np.abs(z)
-    ph = np.where(amp <= ZERO_BIN_RTOL * amp.mean(), 0.0, np.angle(z))
-    ph = np.where(ph == -np.pi, np.pi, ph)
-    return Spectrum(Tensor(amp), Tensor(ph))
+    pinned = amp <= ZERO_BIN_RTOL * _plane_mean(amp, x.shape[1])
+    phasor = np.divide(z, amp, out=z, where=~pinned)
+    phasor[pinned] = 1.0
+    return Spectrum(amp, phasor, x.shape)
 
 
 def choose_c_a(s: Spectrum) -> float:
-    """The amplitude constant used for reconstruction: mean over all bins."""
-    return float(np.mean(s.amplitude.data))
+    """The amplitude constant used for reconstruction: mean over all bins of
+    the full plane."""
+    return _plane_mean(s.amplitude, s.shape[1])
 
 
 def phase_reconstruct(s: Spectrum, c_a: float) -> PhaseTextureMap:
     """Invert a spectrum whose amplitude is forced to the constant c_a."""
     if not (math.isfinite(c_a) and c_a > 0):
         raise ValueError(f"phase_reconstruct: c_a must be positive and finite, got {c_a}")
-    rec = ifft2d(c_a * np.exp(1j * s.phase.data))
-    return PhaseTextureMap(Tensor(rec.real.copy()), c_a, float(np.max(np.abs(rec.imag))))
+    return PhaseTextureMap(Tensor(irfft2d(c_a * s.phasor, s.shape)), c_a)
 
 
 def sobel_texture_map(x: Tensor) -> Tensor:
@@ -119,8 +133,9 @@ def image_texture_stack(image: np.ndarray, mode: str,
     """Per-channel texture maps of an [H,W,3] image, min-max scaled to [0,1].
 
     mode "phase": constant-amplitude phase reconstruction per channel, with
-    c_a defaulting to that channel's mean amplitude. mode "sobel": gradient
-    magnitude per channel.
+    c_a defaulting to that channel's mean amplitude. The reconstruction is
+    linear in c_a and the min-max scaling cancels it, so c_a moves the maps
+    by rounding only. mode "sobel": gradient magnitude per channel.
     """
     if image.ndim != 3:
         raise ValueError(f"image_texture_stack: expects [H,W,C], got {image.shape}")

@@ -94,23 +94,29 @@ def _class_texture(cls: int, ii: np.ndarray, jj: np.ndarray, phase: float,
     return amp * np.sin(w * (ii + jj) / np.sqrt(2.0) + phase)
 
 
-def _shape_region(rng: np.random.Generator, h: int, w: int) -> np.ndarray:
-    """Boolean footprint of a random rectangle / ellipse / horizontal band;
-    it fits any image of at least 12x12 pixels."""
+def _shape_region(rng: np.random.Generator, h: int, w: int) -> tuple[slice, slice, np.ndarray]:
+    """A random rectangle / ellipse / horizontal band: its bounding box as
+    row and column slices, and its boolean footprint inside that box. It
+    fits any image of at least 12x12 pixels."""
     kind = rng.choice(["rect", "ellipse", "band"])
-    ii, jj = np.mgrid[0:h, 0:w]
     if kind == "band":
         bh = int(rng.integers(8, max(9, h // 3 + 2) + 1))
         top = int(rng.integers(0, h - bh + 1))
-        return (ii >= top) & (ii < top + bh)
+        return slice(top, top + bh), slice(0, w), np.ones((bh, w), dtype=bool)
     oh = int(rng.integers(12, min(22, h) + 1))
     ow = int(rng.integers(12, min(28, w) + 1))
     top = int(rng.integers(0, h - oh + 1))
     left = int(rng.integers(0, w - ow + 1))
     if kind == "rect":
-        return (ii >= top) & (ii < top + oh) & (jj >= left) & (jj < left + ow)
+        return slice(top, top + oh), slice(left, left + ow), np.ones((oh, ow), dtype=bool)
+    # the test is closed, so row top+oh and column left+ow touch the ellipse
+    # where the other coordinate sits exactly on the centre
+    bottom, right = min(top + oh + 1, h), min(left + ow + 1, w)
+    ii = np.arange(top, bottom)[:, None]
+    jj = np.arange(left, right)[None, :]
     cy, cx = top + oh / 2.0, left + ow / 2.0
-    return ((ii - cy) / (oh / 2.0)) ** 2 + ((jj - cx) / (ow / 2.0)) ** 2 <= 1.0
+    inside = ((ii - cy) / (oh / 2.0)) ** 2 + ((jj - cx) / (ow / 2.0)) ** 2 <= 1.0
+    return slice(top, bottom), slice(left, right), inside
 
 
 def generate_scene(cfg: SceneConfig, seed: int) -> SceneSample:
@@ -130,7 +136,8 @@ def generate_scene(cfg: SceneConfig, seed: int) -> SceneSample:
     # deceivers first, underneath real objects; intensity-matched, untextured
     n_dec = int(rng.integers(cfg.deceivers[0], cfg.deceivers[1] + 1))
     for _ in range(n_dec):
-        image[_shape_region(rng, h, w)] = fg_level * tint[None, :]
+        rows, cols, inside = _shape_region(rng, h, w)
+        image[rows, cols][inside] = fg_level * tint[None, :]
 
     n_obj = int(rng.integers(cfg.objects_min, cfg.objects_max + 1))
     classes = list(rng.permutation(np.arange(1, cfg.num_classes)))
@@ -139,12 +146,12 @@ def generate_scene(cfg: SceneConfig, seed: int) -> SceneSample:
     classes = classes[:n_obj]
 
     def draw_object(cls: int) -> None:
-        region = _shape_region(rng, h, w)
+        rows, cols, inside = _shape_region(rng, h, w)
         phase = rng.uniform(0.0, 2.0 * np.pi)
-        tex = _class_texture(int(cls), ii, jj, phase, cfg.texture_amp)
+        tex = _class_texture(int(cls), ii[rows, cols], jj[rows, cols], phase, cfg.texture_amp)
         level = (fg_level + tex)[:, :, None] * tint[None, None, :]
-        image[region] = level[region]
-        mask[region] = int(cls)
+        image[rows, cols][inside] = level[inside]
+        mask[rows, cols][inside] = int(cls)
 
     for cls in classes:
         draw_object(int(cls))
@@ -158,8 +165,8 @@ def generate_scene(cfg: SceneConfig, seed: int) -> SceneSample:
             draw_object(int(missing[0]))
 
     if cfg.noise_std > 0:
-        image = image + rng.normal(0.0, cfg.noise_std, size=image.shape)
-    return SceneSample(np.clip(image, 0.0, 1.0), mask, seed)
+        image += rng.normal(0.0, cfg.noise_std, size=image.shape)
+    return SceneSample(np.clip(image, 0.0, 1.0, out=image), mask, seed)
 
 
 def worker_count() -> int:

@@ -256,7 +256,12 @@ def load_checkpoint(ckpt_dir: str | Path, model: NightSegModel) -> None:
     if set(listed) != set(params):
         missing = sorted(set(params) - set(listed))
         extra = sorted(set(listed) - set(params))
-        raise ValueError(f"checkpoint mismatch; missing {missing}, unexpected {extra}")
+
+        def first(names: list[str]) -> str:
+            return str(names[:3])[:-1] + (", ...]" if len(names) > 3 else "]")
+
+        raise ValueError(f"checkpoint mismatch; missing {first(missing)}, unexpected "
+                         f"{first(extra)} ({len(missing)} missing, {len(extra)} unexpected)")
     for name, shape in listed.items():
         if shape != params[name].data.shape:
             raise ValueError(f"checkpoint tensor {name}: shape {shape} != model "

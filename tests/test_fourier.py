@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from nightseg.fourier import dft2d_bruteforce, fft2d, idft2d_bruteforce, ifft2d
+from nightseg.fourier import dft2d_bruteforce, idft2d_bruteforce, irfft2d, rfft2d
 
 
 class TestBruteForce:
@@ -25,16 +25,21 @@ class TestBruteForce:
         assert np.abs(s.imag).max() < 1e-12
 
 
+def _half(z: np.ndarray) -> np.ndarray:
+    """The columns 0..W//2 of a full-plane spectrum."""
+    return z[:, : z.shape[1] // 2 + 1]
+
+
 class TestFastPath:
     def test_impulse_flat(self):
         z = np.zeros((2, 2))
         z[0, 0] = 1.0
-        s = fft2d(z)
+        s = rfft2d(z)
         assert np.abs(s.real - 1.0).max() < 1e-12
         assert np.abs(s.imag).max() < 1e-12
 
     def test_constant_only_dc(self):
-        s = fft2d(np.full((2, 2), 4.0))
+        s = rfft2d(np.full((2, 2), 4.0))
         assert s.real[0, 0] == pytest.approx(16.0)
         other = s.real.copy()
         other[0, 0] = 0.0
@@ -45,30 +50,46 @@ class TestFastPath:
         rng = np.random.default_rng(123)
         for _ in range(50):
             x = rng.normal(size=(16, 16))
-            fast = fft2d(x)
-            brute = dft2d_bruteforce(x)
+            fast = rfft2d(x)
+            brute = _half(dft2d_bruteforce(x))
             rel = np.abs(fast - brute).max() / max(1.0, np.abs(brute).max())
             assert rel < 1e-6
 
     def test_non_square_and_rect_sizes(self):
         rng = np.random.default_rng(5)
-        for h, w in ((4, 8), (8, 2), (1, 16), (3, 4), (6, 10), (5, 7)):
+        for h, w in ((4, 8), (8, 2), (1, 16), (3, 4), (6, 10), (5, 7), (16, 1), (4, 9)):
             x = rng.normal(size=(h, w))
-            fast = fft2d(x)
-            brute = dft2d_bruteforce(x)
+            fast = rfft2d(x)
+            assert fast.shape == (h, w // 2 + 1)
+            brute = _half(dft2d_bruteforce(x))
             assert np.abs(fast - brute).max() < 1e-9 * max(1.0, np.abs(brute).max())
+
+    @pytest.mark.parametrize("shape", [(4, 8), (5, 7), (6, 9), (3, 1)])
+    def test_inverse_matches_bruteforce_of_hermitian_spectrum(self, shape):
+        # the half spectrum of a real plane stands for the full one: the
+        # brute-force inverse of the full spectrum is the same real plane
+        x = np.random.default_rng(shape[0] * 10 + shape[1]).normal(size=shape)
+        full = dft2d_bruteforce(x)
+        got = irfft2d(_half(full), shape)
+        want = idft2d_bruteforce(full)
+        assert np.abs(got - want.real).max() < 1e-9
+        assert np.abs(want.imag).max() < 1e-9
+
+    def test_inverse_needs_the_matching_half_spectrum(self):
+        with pytest.raises(ValueError, match="half spectrum"):
+            irfft2d(np.zeros((4, 5), dtype=complex), (4, 10))
 
 
 class TestRoundTrip:
     @pytest.mark.parametrize("shape", [(2, 2), (4, 8), (16, 16), (32, 32), (64, 64),
-                                       (3, 4), (6, 10), (5, 7)])
+                                       (3, 4), (6, 10), (5, 7), (4, 9)])
     def test_inverse_restores_input(self, shape):
         rng = np.random.default_rng(shape[0] * 100 + shape[1])
         x = rng.normal(size=shape)
-        back = ifft2d(fft2d(x))
+        back = irfft2d(rfft2d(x), shape)
         scale = max(1.0, np.abs(x).max())
-        assert np.abs(back.real - x).max() / scale < 1e-9
-        assert np.abs(back.imag).max() / scale < 1e-9
+        assert back.dtype == np.float64
+        assert np.abs(back - x).max() / scale < 1e-9
 
     def test_bruteforce_roundtrip_odd_size(self):
         rng = np.random.default_rng(9)
@@ -80,4 +101,4 @@ class TestRoundTrip:
     def test_forward_unnormalized_inverse_scaled(self):
         # DC bin of the forward transform is the plain sum
         x = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert fft2d(x).real[0, 0] == pytest.approx(10.0)
+        assert rfft2d(x).real[0, 0] == pytest.approx(10.0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nightseg import fourier, phase
-from nightseg.fourier import dft2d_bruteforce, idft2d_bruteforce
+from nightseg.fourier import dft2d_bruteforce, idft2d_bruteforce, rfft2d
 from nightseg.gradcheck import grad_check
 from nightseg.phase import (PhaseEncoder, choose_c_a, fourier_decompose,
                             image_texture_stack, minmax_normalize,
@@ -12,43 +12,47 @@ from nightseg.phase import (PhaseEncoder, choose_c_a, fourier_decompose,
 from nightseg.tensor import Tensor
 
 
+def _half(z: np.ndarray) -> np.ndarray:
+    """The columns 0..W//2 of a full-plane spectrum."""
+    return z[:, : z.shape[1] // 2 + 1]
+
+
 class TestDecompose:
     def test_constant_image(self):
         s = fourier_decompose(Tensor(np.full((2, 2), 4.0)))
-        assert s.amplitude.data[0, 0] == pytest.approx(16.0)
-        rest = s.amplitude.data.copy()
+        assert s.amplitude[0, 0] == pytest.approx(16.0)
+        rest = s.amplitude.copy()
         rest[0, 0] = 0.0
         assert np.abs(rest).max() < 1e-12
-        assert np.abs(s.phase.data).max() == 0.0  # zero-amplitude bins pinned to 0
+        assert np.all(s.phasor == 1.0)  # zero-amplitude bins pinned to phase 0
 
     def test_impulse(self):
         z = np.zeros((4, 4))
         z[0, 0] = 1.0
         s = fourier_decompose(Tensor(z))
-        assert np.abs(s.amplitude.data - 1.0).max() < 1e-12
-        assert np.abs(s.phase.data).max() < 1e-12
+        assert np.abs(s.amplitude - 1.0).max() < 1e-12
+        assert np.abs(s.phasor - 1.0).max() < 1e-12
 
     def test_amplitude_squared_matches_bruteforce(self):
         rng = np.random.default_rng(2)
         x = rng.normal(size=(8, 8))
         s = fourier_decompose(Tensor(x))
-        b = dft2d_bruteforce(x)
-        want = np.abs(b) ** 2
-        assert np.abs(s.amplitude.data ** 2 - want).max() < 1e-10 * max(1.0, want.max())
+        want = np.abs(_half(dft2d_bruteforce(x))) ** 2
+        assert np.abs(s.amplitude ** 2 - want).max() < 1e-10 * max(1.0, want.max())
 
-    def test_phase_range(self):
+    def test_phasor_has_unit_modulus(self):
         rng = np.random.default_rng(3)
-        for _ in range(20):
-            s = fourier_decompose(Tensor(rng.normal(size=(8, 4))))
-            assert (s.phase.data > -np.pi).all()
-            assert (s.phase.data <= np.pi).all()
+        for shape in [(8, 4)] * 20 + [(7, 5), (6, 9)]:
+            s = fourier_decompose(Tensor(rng.normal(size=shape)))
+            assert s.phasor.shape == s.amplitude.shape == (shape[0], shape[1] // 2 + 1)
+            assert np.abs(np.abs(s.phasor) - 1.0).max() < 1e-15
 
     def test_reassembly_identity(self):
         rng = np.random.default_rng(4)
         x = rng.normal(size=(8, 8))
         s = fourier_decompose(Tensor(x))
-        plane = s.amplitude.data * np.exp(1j * s.phase.data)
-        b = dft2d_bruteforce(x)
+        plane = s.amplitude * s.phasor
+        b = _half(dft2d_bruteforce(x))
         scale = max(1.0, np.abs(b).max())
         assert np.abs(plane - b).max() / scale < 1e-9
 
@@ -58,8 +62,8 @@ class TestDecompose:
         img = np.random.default_rng(12).integers(0, 256, size=(16, 12)) / 255.0
         x = np.repeat(img, 2, axis=1)
         s = fourier_decompose(Tensor(x))
-        assert np.abs(s.amplitude.data[:, 12]).max() < 1e-9
-        assert np.abs(s.phase.data[:, 12]).max() == 0.0
+        assert np.abs(s.amplitude[:, 12]).max() < 1e-9
+        assert np.all(s.phasor[:, 12] == 1.0)
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
@@ -69,15 +73,15 @@ class TestDecompose:
         rng = np.random.default_rng(5)
         for _ in range(10):
             x = rng.normal(size=(8, 8))
-            a0 = fourier_decompose(Tensor(x)).amplitude.data
-            a1 = fourier_decompose(Tensor(np.roll(x, (2, 5), axis=(0, 1)))).amplitude.data
+            a0 = fourier_decompose(Tensor(x)).amplitude
+            a1 = fourier_decompose(Tensor(np.roll(x, (2, 5), axis=(0, 1)))).amplitude
             assert np.abs(a0 - a1).max() / max(1.0, a0.max()) < 1e-9
 
 
 class TestChooseCA:
     def test_constant_amplitude(self):
         s = fourier_decompose(Tensor(np.zeros((2, 2))))
-        s.amplitude.data[:] = 2.0
+        s.amplitude[:] = 2.0
         assert choose_c_a(s) == pytest.approx(2.0)
 
     def test_mean_of_dc_only(self):
@@ -85,39 +89,45 @@ class TestChooseCA:
         assert choose_c_a(s) == pytest.approx(4.0)  # (16+0+0+0)/4
 
     def test_matches_direct_mean(self):
+        # the mean over the full plane of the brute-force spectrum, although
+        # only its columns 0..W//2 are kept: odd W has no lone Nyquist column
         rng = np.random.default_rng(6)
-        s = fourier_decompose(Tensor(rng.normal(size=(8, 8))))
-        assert choose_c_a(s) == pytest.approx(s.amplitude.data.sum() / 64, abs=1e-12)
+        for shape in ((8, 8), (6, 10), (5, 7), (4, 9), (3, 2), (3, 1)):
+            x = rng.normal(size=shape)
+            want = np.abs(dft2d_bruteforce(x)).mean()
+            assert choose_c_a(fourier_decompose(Tensor(x))) == pytest.approx(want, abs=1e-12)
 
 
 class TestReconstruct:
     def test_zero_phase_gives_impulse(self):
         s = fourier_decompose(Tensor(np.zeros((2, 2))))
-        s.phase.data[:] = 0.0
+        s.phasor[:] = 1.0
         rec = phase_reconstruct(s, 1.0)
         want = np.zeros((2, 2))
         want[0, 0] = 1.0
         assert np.abs(rec.plane.data - want).max() < 1e-12
 
     def test_modulus_forced_to_c_a(self):
+        # the reconstructed plane's own spectrum has modulus c_a at every bin
         rng = np.random.default_rng(7)
-        for _ in range(20):
-            s = fourier_decompose(Tensor(rng.uniform(size=(8, 8))))
+        for shape in [(8, 8)] * 20 + [(7, 5), (6, 9)]:
+            s = fourier_decompose(Tensor(rng.uniform(size=shape)))
             c_a = choose_c_a(s)
-            p = s.phase.data
-            mod = np.hypot(c_a * np.cos(p), c_a * np.sin(p))
+            mod = np.abs(rfft2d(phase_reconstruct(s, c_a).plane))
             assert np.abs(mod - c_a).max() < 1e-6
 
     def test_matches_bruteforce_inverse_oracle(self):
         rng = np.random.default_rng(8)
-        x = rng.uniform(size=(8, 8))
-        s = fourier_decompose(Tensor(x))
-        c_a = 2.5
-        rec = phase_reconstruct(s, c_a)
-        p = s.phase.data
-        oracle = idft2d_bruteforce(c_a * np.exp(1j * p))
-        assert np.abs(rec.plane.data - oracle.real).max() < 1e-8
-        assert rec.imag_residue < 1e-9  # conjugate symmetry of real-input phases
+        for shape in ((8, 8), (7, 5)):
+            x = rng.uniform(size=shape)
+            s = fourier_decompose(Tensor(x))
+            c_a = 2.5
+            rec = phase_reconstruct(s, c_a)
+            b = dft2d_bruteforce(x)
+            oracle = idft2d_bruteforce(c_a * b / np.abs(b))
+            assert rec.plane.data.dtype == np.float64
+            assert np.abs(rec.plane.data - oracle.real).max() < 1e-8
+            assert np.abs(oracle.imag).max() < 1e-9  # conjugate symmetry of real-input phases
 
     def test_nonpositive_c_a_rejected(self):
         s = fourier_decompose(Tensor(np.ones((2, 2))))
@@ -206,16 +216,29 @@ class TestTextureStack:
         assert tex.shape == img.shape
 
     def test_matches_bruteforce_texture_with_vanishing_bins(self):
-        img = np.random.default_rng(13).integers(0, 256, size=(16, 12, 3)) / 255.0
-        img = np.repeat(img, 2, axis=1)  # 16x24, exact-zero Nyquist column
-        chans = []
-        for c in range(3):
-            b = dft2d_bruteforce(img[:, :, c])
-            amp = np.abs(b)
-            ph = np.where(amp <= 1e-9 * amp.mean(), 0.0, np.angle(b))
-            chans.append(minmax_normalize(idft2d_bruteforce(amp.mean() * np.exp(1j * ph)).real))
-        want = np.stack(chans, axis=2)
-        assert np.abs(image_texture_stack(img, mode="phase") - want).max() < 1e-9
+        rng = np.random.default_rng(13)
+        img = rng.integers(0, 256, size=(16, 12, 3)) / 255.0
+        images = [np.repeat(img, 2, axis=1),  # 16x24, exact-zero Nyquist column
+                  rng.integers(0, 256, size=(15, 9, 3)) / 255.0,    # odd H and W
+                  rng.integers(0, 256, size=(12, 13, 3)) / 255.0]   # odd W
+        for img in images:
+            chans = []
+            for c in range(3):
+                b = dft2d_bruteforce(img[:, :, c])
+                amp = np.abs(b)
+                ph = np.where(amp <= 1e-9 * amp.mean(), 0.0, np.angle(b))
+                rec = idft2d_bruteforce(amp.mean() * np.exp(1j * ph)).real
+                chans.append(minmax_normalize(rec))
+            want = np.stack(chans, axis=2)
+            assert np.abs(image_texture_stack(img, mode="phase") - want).max() < 1e-9, img.shape
+
+    def test_c_a_cancels_in_the_scaled_texture(self):
+        # the reconstruction is linear in c_a and min-max scaling divides it
+        # out, so phase.c_a / --c-a change the texture by rounding only
+        img = np.random.default_rng(15).integers(0, 256, size=(32, 96, 3)) / 255.0
+        default = image_texture_stack(img, mode="phase")
+        for c_a in (1e-3, 1e3):
+            assert np.abs(image_texture_stack(img, mode="phase", c_a=c_a) - default).max() < 1e-12
 
     def test_any_extent_avoids_bruteforce(self, monkeypatch):
         def boom(*args):

@@ -7,7 +7,8 @@ import pytest
 
 from nightseg.cli import main
 from nightseg.netpbm import read_pgm, read_ppm
-from nightseg.scenes import SceneConfig, gen_dataset, generate_scene, parse_manifest
+from nightseg.scenes import (SceneConfig, _shape_region, gen_dataset, generate_scene,
+                             parse_manifest)
 
 
 class TestGenerateScene:
@@ -53,6 +54,44 @@ class TestGenerateScene:
             SceneConfig(contrast_gap=0.0)
         with pytest.raises(ValueError, match="background"):
             SceneConfig(num_classes=1)
+
+
+def _full_image_footprint(rng, h, w):
+    """The footprint over the whole image, as the generator once computed
+    it; also the open box [top, top+oh) x [left, left+ow), None for a band."""
+    kind = rng.choice(["rect", "ellipse", "band"])
+    ii, jj = np.mgrid[0:h, 0:w]
+    if kind == "band":
+        bh = int(rng.integers(8, max(9, h // 3 + 2) + 1))
+        top = int(rng.integers(0, h - bh + 1))
+        return (ii >= top) & (ii < top + bh), None
+    oh = int(rng.integers(12, min(22, h) + 1))
+    ow = int(rng.integers(12, min(28, w) + 1))
+    top = int(rng.integers(0, h - oh + 1))
+    left = int(rng.integers(0, w - ow + 1))
+    box = (top, top + oh, left, left + ow)
+    if kind == "rect":
+        return (ii >= top) & (ii < top + oh) & (jj >= left) & (jj < left + ow), box
+    cy, cx = top + oh / 2.0, left + ow / 2.0
+    return ((ii - cy) / (oh / 2.0)) ** 2 + ((jj - cx) / (ow / 2.0)) ** 2 <= 1.0, box
+
+
+@pytest.mark.parametrize("height,width", [(12, 12), (32, 64), (128, 256)])
+def test_box_footprint_equals_full_image_footprint(height, width):
+    closing = 0   # footprints reaching row top+oh or column left+ow
+    for seed in range(200):
+        ours, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(4):   # successive draws from one stream, as in a scene
+            rows, cols, inside = _shape_region(ours, height, width)
+            want, box = _full_image_footprint(oracle, height, width)
+            got = np.zeros((height, width), dtype=bool)
+            got[rows, cols] = inside
+            assert np.array_equal(got, want), (seed, rows, cols)
+            if box is not None:
+                open_box = np.zeros_like(want)
+                open_box[box[0]:box[1], box[2]:box[3]] = True
+                closing += bool((want & ~open_box).any())
+    assert closing > 0 or (height, width) == (12, 12)   # a 12x12 box fills the image
 
 
 class TestGenDataset:
@@ -113,11 +152,13 @@ class TestGenDataset:
 @pytest.mark.parametrize("height,width,digest", [
     (12, 12, "cd75eecd35e667349974867074f15c1f93ed743715d28dbbb475eef5eb4c0094"),
     (32, 64, "f3d55af905b95e90e151bd2b193a005c664b3bcbab99921866067bf2ee0f90f8"),
+    (32, 96, "c76069299645ab35e5ca0fadc60a950a50c0c18cc2adf6eff9b85534f961a767"),
+    (128, 256, "fd7b83db06ab60379d1855e2ab6ce700b022f1162be450402b297c88aa2049e2"),
 ])
 def test_gen_data_output_is_pinned(tmp_path, height, width, digest):
     # the SHA-256 of every file gen-data writes (name and bytes, in name
     # order); it pins the generator's random stream at the smallest allowed
-    # extents and at the desk size
+    # extents, at the desk size and at the benchmark's two prep sizes
     assert main(["gen-data", "--out", str(tmp_path), "--count", "20", "--seed", "42",
                  "--height", str(height), "--width", str(width)]) == 0
     sha = hashlib.sha256()

@@ -148,6 +148,23 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match="mismatch"):
             load_checkpoint(tmp_path / "ckpt", other)
 
+    @pytest.mark.parametrize("renamed", ["one", "all"])
+    def test_checkpoint_mismatch_message_counts_names(self, tiny_data, tmp_path, renamed):
+        # a checkpoint from another naming scheme differs in every name; the
+        # message gives both counts and a few names, not all of them
+        ds = load_dataset(tiny_data, "phase")
+        model = NightSegModel(small_model_cfg(ds))
+        ckpt = save_checkpoint(tmp_path / "ckpt", model.parameters())
+        lines = (ckpt / "params.txt").read_text(encoding="utf-8").splitlines()
+        n = 1 if renamed == "one" else len(lines)
+        lines[:n] = [f"old.{line}" for line in lines[:n]]
+        (ckpt / "params.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="checkpoint mismatch") as exc:
+            load_checkpoint(ckpt, model)
+        msg = str(exc.value)
+        assert f"({n} missing, {n} unexpected)" in msg
+        assert len(msg) < 400 and "\n" not in msg
+
     def test_checkpoint_is_one_payload_and_byte_identical_across_runs(self, tiny_data, tmp_path):
         ds = load_dataset(tiny_data, "phase")
         for run in ("run1", "run2"):
