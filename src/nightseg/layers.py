@@ -32,9 +32,9 @@ __all__ = [
     "Pyramid",
 ]
 
-# self-attention weights are [M, M]: under a tape each attention block keeps
-# one such buffer until its backward has run, 64 MiB in float32 at this many
-# tokens; off a tape they exist one block of query rows at a time
+# self-attention weights are [M, M], but they exist one block of 256 query
+# rows at a time, on a tape or off it (4 MiB per sample in float32 at this
+# many tokens); time grows with M², and the backward recomputes each block
 ATTENTION_TOKEN_BUDGET = 4096
 
 
@@ -123,7 +123,7 @@ class TokenSelfAttention(Module):
     identity (modulo normalization) at init; otherwise the attention
     context, which is nearly identical across tokens before training,
     drowns the between-token differences that downstream blocks need.
-    At most ATTENTION_TOKEN_BUDGET tokens, since the weights are [M, M].
+    At most ATTENTION_TOKEN_BUDGET tokens, since its cost grows with M².
     """
 
     def __init__(self, rng: np.random.Generator, width: int, dtype=np.float64):

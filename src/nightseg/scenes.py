@@ -11,6 +11,7 @@ therefore ambiguous; texture is what separates the classes.
 from __future__ import annotations
 
 import os
+from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -183,38 +184,39 @@ def gen_dataset(cfg: SceneConfig, count: int, seed: int, out_dir: str | Path) ->
 
     Per-sample seeds are seed^index, so regeneration and parallel workers
     produce identical files; the split is drawn from the seed, not from
-    file order.
+    file order. Each sample is written, in index order, as soon as it is
+    generated, so memory does not grow with ``count``.
     """
     if count < 1:
         raise ValueError(f"sample count must be at least 1, got {count}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-
-    def build(i: int) -> SceneSample:
-        return generate_scene(cfg, seed ^ i)
-
-    workers = worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            samples = list(pool.map(build, range(count)))
-    else:
-        samples = [build(i) for i in range(count)]
-
     val_count = count // 5
     val_idx = set(
         np.random.default_rng([seed, 0x51A17]).choice(count, size=val_count, replace=False).tolist()
     )
-
     lines = ["# night-scene dataset manifest"]
     lines += [f"# count = {count}", f"# seed = {seed}"]
     lines += [f"# {ln}" for ln in cfg.to_lines()]
-    for i, s in enumerate(samples):
-        img_name = f"img_{i:05d}.ppm"
-        msk_name = f"msk_{i:05d}.pgm"
-        (out / img_name).write_bytes(write_ppm(s.image))
-        (out / msk_name).write_bytes(write_pgm(s.mask))
-        split = "val" if i in val_idx else "train"
-        lines.append(f"{img_name} {msk_name} {split}")
+
+    def build(i: int) -> SceneSample:
+        return generate_scene(cfg, seed ^ i)
+
+    def write(samples: Iterable[SceneSample]) -> None:
+        for i, s in enumerate(samples):
+            img_name = f"img_{i:05d}.ppm"
+            msk_name = f"msk_{i:05d}.pgm"
+            (out / img_name).write_bytes(write_ppm(s.image))
+            (out / msk_name).write_bytes(write_pgm(s.mask))
+            split = "val" if i in val_idx else "train"
+            lines.append(f"{img_name} {msk_name} {split}")
+
+    workers = worker_count()
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            write(pool.map(build, range(count)))
+    else:
+        write(map(build, range(count)))
     manifest = out / "manifest.txt"
     manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return manifest

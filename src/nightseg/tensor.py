@@ -346,15 +346,16 @@ def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     """softmax(q k^T / sqrt(C)) v for queries q [..., M, C], keys k [..., L, C]
     and values v [..., L, D] with the same leading axes.
 
-    One node in place of attention_weights and its matmul with v. The
-    forward runs their ufuncs in their order on blocks of _ATTENTION_ROWS
-    query rows. When the node is recorded, the blocks fill one [..., M, L]
-    weight buffer that only its backward holds, and the backward writes the
-    softmax's logit gradient over it block by block; off a tape the weights
-    exist one block at a time. Values and gradients equal the composed ops
-    bit for bit wherever the BLAS computes a block's rows as it computes
-    those rows of the whole product; OpenBLAS may give a short last block or
-    a narrow product to another kernel, whose rows differ in the last bits.
+    One node in place of attention_weights and its matmul with v, computed
+    on blocks of _ATTENTION_ROWS query rows: on a tape or off it, the weights
+    exist one [..., 256, L] block at a time. The forward runs the composed
+    ops' ufuncs in their order on each block. The backward walks the blocks
+    from last to first: it reuses the block the forward left in its scratch,
+    recomputes each earlier one with the same ufuncs, writes the softmax's
+    logit gradient over it, and sums the k and v gradients of the blocks from
+    the last to the first. So values and gradients equal the composed ops
+    taken one row block at a time, bit for bit, and the whole composed ops
+    bit for bit where M fits one block.
     """
     c = _attention_scale("attention", q, k)
     if v.data.ndim != k.data.ndim or v.shape[:-1] != k.shape[:-1]:
@@ -362,29 +363,40 @@ def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     *lead, m, _ = q.shape
     lead, n = tuple(lead), k.shape[-2]
     kt = np.swapaxes(k.data, -1, -2)
-    recorded = active_tape() is not None and (q.requires_grad or k.requires_grad or v.requires_grad)
     wdtype = np.result_type(q.data, k.data)
-    y = np.empty(lead + ((m if recorded else min(m, _ATTENTION_ROWS)), n), wdtype)
+    y = np.empty(lead + (min(m, _ATTENTION_ROWS), n), wdtype)
     out = np.empty(lead + (m, v.shape[-1]), np.result_type(wdtype, v.data))
-    for r0 in range(0, m, _ATTENTION_ROWS):
-        rows = slice(r0, r0 + _ATTENTION_ROWS)
-        w = y[..., rows, :] if recorded else y[..., : min(m - r0, _ATTENTION_ROWS), :]
-        np.matmul(q.data[..., rows, :], kt, out=w)
+    starts = range(0, m, _ATTENTION_ROWS)
+
+    def weights(r0: int) -> np.ndarray:
+        """The block of weights for the query rows from r0, computed into y."""
+        w = y[..., : min(m - r0, _ATTENTION_ROWS), :]
+        np.matmul(q.data[..., r0:r0 + _ATTENTION_ROWS, :], kt, out=w)
         _scaled_softmax(w, c)
-        np.matmul(w, v.data, out=out[..., rows, :])
+        return w
+
+    for r0 in starts:
+        np.matmul(weights(r0), v.data, out=out[..., r0:r0 + _ATTENTION_ROWS, :])
 
     def bwd(g):
-        _accumulate(v, np.swapaxes(y, -1, -2) @ g)
         vt = np.swapaxes(v.data, -1, -2)
-        for r0 in range(0, m, _ATTENTION_ROWS):
+        dq, dk, dv = np.empty(q.shape, wdtype), None, None
+        for r0 in reversed(starts):
             rows = slice(r0, r0 + _ATTENTION_ROWS)
-            yb = y[..., rows, :]
-            gw = g[..., rows, :] @ vt
-            gw -= np.sum(gw * yb, axis=-1, keepdims=True)
-            np.multiply(gw, yb, out=yb)
-            yb *= c
-        _accumulate(q, y @ k.data)
-        _accumulate(k, np.swapaxes(np.swapaxes(q.data, -1, -2) @ y, -1, -2))
+            # the forward left the last block in y
+            w = y[..., : m - r0, :] if r0 == starts[-1] else weights(r0)
+            gb = g[..., rows, :]
+            dvb = np.swapaxes(w, -1, -2) @ gb
+            gw = gb @ vt
+            gw -= np.sum(gw * w, axis=-1, keepdims=True)
+            np.multiply(gw, w, out=w)
+            w *= c
+            np.matmul(w, k.data, out=dq[..., rows, :])
+            dkb = np.swapaxes(np.swapaxes(q.data[..., rows, :], -1, -2) @ w, -1, -2)
+            dv, dk = (dvb, dkb) if dv is None else (dv + dvb, dk + dkb)
+        _accumulate(v, dv)
+        _accumulate(q, dq)
+        _accumulate(k, dk)
 
     return _node(out, bwd, q, k, v)
 

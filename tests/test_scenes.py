@@ -1,6 +1,7 @@
 """Scene generator and dataset writer: determinism, labels, splits."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -141,6 +142,20 @@ class TestGenDataset:
         for i in range(6):
             assert (tmp_path / "seq" / f"img_{i:05d}.ppm").read_bytes() == \
                    (tmp_path / "par" / f"img_{i:05d}.ppm").read_bytes()
+
+    def test_memory_does_not_grow_with_count(self, tmp_path):
+        # a 64x128 sample holds ~0.3 MiB; each is written before the next is made
+        cfg = SceneConfig(height=64, width=128)
+        gen_dataset(cfg, 1, 5, tmp_path / "warm")
+        peaks = []
+        for count in (5, 25):
+            tracemalloc.start()
+            try:
+                gen_dataset(cfg, count, 5, tmp_path / str(count))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < peaks[0] + 2**20, peaks
 
     def test_malformed_manifest_line_rejected(self, tmp_path):
         path = tmp_path / "manifest.txt"

@@ -10,7 +10,7 @@ import pytest
 from nightseg import tensor as T
 from nightseg.gradcheck import grad_check
 from nightseg.layers import Conv2dLayer, Linear
-from nightseg.selftest import attention_weights_replay
+from nightseg.selftest import attention_blocks_replay, attention_weights_replay
 from nightseg.tensor import Tape, Tensor, backward
 
 
@@ -235,6 +235,22 @@ def attention_operands(seed, dtype, lead, m, l, c):
     return qd, kd, vd, head
 
 
+def check_attention(qd, kd, vd, head):
+    """attention's value and gradients equal the composed ops taken one
+    256-row block at a time bit for bit; the whole composed ops bit for bit
+    in one block, and to rounding (1e-5 in float32, 1e-13 in float64,
+    relative) over several; off a tape it computes the same value."""
+    dtype = qd.dtype
+    fused, composed = attention_pair(qd, kd, vd, head)
+    _same_bits(fused, attention_blocks_replay(qd, kd, vd, head), dtype)
+    if qd.shape[-2] <= 256:
+        _same_bits(fused, composed, dtype)
+    tol = 1e-5 if dtype == np.float32 else 1e-13
+    for got, want in zip(fused, composed):
+        assert np.abs(got - want).max() <= tol * np.abs(want).max()
+    assert np.array_equal(T.attention(Tensor(qd), Tensor(kd), Tensor(vd)).data, fused[0])
+
+
 class TestAttention:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     # one row block with and without batch axes; the 128x256 model's 1/8 stage
@@ -244,30 +260,14 @@ class TestAttention:
         ((), 5, 7, 3), ((3,), 5, 7, 3), ((2, 2), 6, 4, 3), ((2,), 512, 512, 64),
         ((), 2048, 2048, 64), ((), 8, 2048, 64)])
     def test_equals_composed_ops_bit_for_bit(self, dtype, lead, m, l, c):
-        qd, kd, vd, head = attention_operands(m + l + c, dtype, lead, m, l, c)
-        fused, composed = attention_pair(qd, kd, vd, head)
-        _same_bits(fused, composed, dtype)
-        off_tape = T.attention(Tensor(qd), Tensor(kd), Tensor(vd)).data
-        assert np.array_equal(off_tape, fused[0])
+        check_attention(*attention_operands(m + l + c, dtype, lead, m, l, c))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("lead", [(), (2,)])
     def test_short_last_block(self, dtype, lead):
         # 600 query rows: blocks of 256, 256 and 88. BLAS may evaluate the
-        # 88-row products with another kernel than the 600-row ones, so the
-        # rows are compared bit for bit with the composed ops taken one block
-        # at a time, and the gradients with the whole composed ops to rounding
-        qd, kd, vd, head = attention_operands(600, dtype, lead, 600, 600, 16)
-        fused, composed = attention_pair(qd, kd, vd, head)
-        k, v = Tensor(kd), Tensor(vd)
-        blocks = [T.matmul(T.attention_weights(Tensor(qd[..., r:r + 256, :]), k), v).data
-                  for r in range(0, 600, 256)]
-        assert np.array_equal(fused[0], np.concatenate(blocks, axis=-2))
-        assert np.array_equal(T.attention(Tensor(qd), k, v).data, fused[0])
-        tol = 1e-5 if dtype == np.float32 else 1e-13
-        for got, want in zip(fused, composed):
-            assert got.dtype == dtype
-            assert np.abs(got - want).max() <= tol * np.abs(want).max()
+        # 88-row products with another kernel than the 600-row ones
+        check_attention(*attention_operands(600, dtype, lead, 600, 600, 16))
 
     def test_off_tape_the_weights_exist_one_block_at_a_time(self):
         # the [2048, 2048] float32 weights would take 16 MiB; a row block 2 MiB
@@ -280,6 +280,25 @@ class TestAttention:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20, peak
+
+    def test_on_a_tape_the_weights_exist_one_block_at_a_time(self):
+        # the backward recomputes each block's weights: the node holds one
+        # 2 MiB block, not the 16 MiB [2048, 2048] buffer, until it has run
+        rng = np.random.default_rng(9)
+        q, k, v = (Tensor(rng.normal(size=(2048, 8)).astype(np.float32), requires_grad=True)
+                   for _ in range(3))
+        head = rng.normal(size=(2048, 8)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            with Tape():
+                y = T.attention(q, k, v)
+                held = tracemalloc.get_traced_memory()[0]
+                backward(y, head)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert held < 4 * 2**20, held
+        assert peak < 8 * 2**20, peak
 
     def test_self_attention_shares_one_tensor(self):
         rng = np.random.default_rng(3)
