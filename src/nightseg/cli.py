@@ -32,9 +32,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("phase-extract", help="write a texture map for one image")
     p.add_argument("--in", dest="input", required=True, help="input PPM image")
     p.add_argument("--out", required=True, help="output PPM texture map")
-    p.add_argument("--c-a", type=float, default=None,
-                   help="amplitude constant (default: mean amplitude); the min-max "
-                        "scaling cancels it, so it changes the map by rounding only")
     p.add_argument("--mode", choices=("phase", "sobel"), default="phase")
 
     t = sub.add_parser("train", help="train a model on a generated dataset")
@@ -77,7 +74,7 @@ def _cmd_phase_extract(args) -> int:
     from .phase import image_texture_stack
 
     image = read_ppm(Path(args.input).read_bytes())
-    texture = image_texture_stack(image, mode=args.mode, c_a=args.c_a)
+    texture = image_texture_stack(image, mode=args.mode)
     Path(args.out).write_bytes(write_ppm(texture))
     print(f"wrote {args.out}")
     return 0
@@ -112,7 +109,7 @@ def _cmd_train(args) -> int:
     from .train import TrainingDiverged, load_dataset, train
 
     tc, model = _build(args)
-    ds = load_dataset(args.data, model.cfg.enhance_op, tc.c_a)
+    ds = load_dataset(args.data, model.cfg.enhance_op)
     try:
         log = train(model, ds, tc, out_dir=args.out)
     except TrainingDiverged as exc:
@@ -128,7 +125,7 @@ def _cmd_eval(args) -> int:
 
     tc, model = _build(args)
     load_checkpoint(args.ckpt, model)
-    ds = load_dataset(args.data, model.cfg.enhance_op, tc.c_a)
+    ds = load_dataset(args.data, model.cfg.enhance_op)
     report = render_report(evaluate(model, ds, tc.dtype))
     Path(args.report).write_text(report, encoding="utf-8")
     print(report, end="")
@@ -154,7 +151,7 @@ def _cmd_ablate(args) -> int:
             for label, overrides in _ABLATION_ROWS[args.axis]]
     lines = [f"axis {args.axis}", "setting miou"]
     for label, tc, model in rows:
-        ds = load_dataset(args.data, model.cfg.enhance_op, tc.c_a)
+        ds = load_dataset(args.data, model.cfg.enhance_op)
         train(model, ds, tc, out_dir=None)
         _, mean = evaluate(model, ds, tc.dtype).iou()
         lines.append(f"{label} {mean:.6f}")

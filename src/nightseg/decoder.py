@@ -3,10 +3,9 @@
 Backbone and phase features are projected to a shared width. At each stage
 ``amplify_stage`` (one tape node, from ``tensor``) reweights the projected
 features by the per-pixel amplification map, the channel sum of squared
-feature sums, scaled to mean 1 unless ``normalize_amp_map`` is off. A
-self-attention layer then aggregates context, and the result is upsampled
-and fused additively with the next finer stage until the output sits at
-1/4 resolution.
+feature sums, scaled to mean 1. A self-attention layer then aggregates
+context, and the result is upsampled and fused additively with the next
+finer stage until the output sits at 1/4 resolution.
 """
 
 from __future__ import annotations
@@ -29,8 +28,7 @@ class HierarchicalAmplifiedDecoder(Module):
     """
 
     def __init__(self, rng: np.random.Generator, feat_widths: list[int],
-                 phase_widths: list[int], width: int, depth: int = 4,
-                 normalize_amp_map: bool = True, dtype=np.float64):
+                 phase_widths: list[int], width: int, depth: int = 4, dtype=np.float64):
         if depth not in (1, 2, 3, 4):
             raise ValueError(f"decoder depth must be in 1..4, got {depth}")
         if len(feat_widths) != 4 or len(phase_widths) != 4:
@@ -44,7 +42,6 @@ class HierarchicalAmplifiedDecoder(Module):
             self.proj_p.append(Linear(rng, c_phase, width, dtype=dtype))
         self.attention = [TokenSelfAttention(rng, width, dtype) for _ in range(4)]
         self.depth = depth
-        self.normalize_amp_map = normalize_amp_map
 
     def __call__(self, fp: Pyramid, pp: Pyramid | None) -> Tensor:
         if len(fp.stages) != 4:
@@ -66,7 +63,7 @@ class HierarchicalAmplifiedDecoder(Module):
                 fbar = T.add(x, fbar)
             if pp is not None:
                 pbar = self.proj_p[s](pp.stages[s])
-                fbar = amplify_stage(fbar, pbar, self.normalize_amp_map)
+                fbar = amplify_stage(fbar, pbar)
             *lead, h, w, c = fbar.shape
             tokens = T.reshape(fbar, (*lead, h * w, c))
             x = T.reshape(self.attention[s](tokens), fbar.shape)

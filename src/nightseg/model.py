@@ -35,7 +35,6 @@ class ModelConfig:
         "phase_enc.widths", (8, 16, 24, 32), at_least=1)   # 1/4..1/32 (fine to coarse)
     decoder_channels: int = option("decoder.channels", 64, at_least=1)
     decoder_depth: int = option("decoder.depth", 4, choices=(1, 2, 3, 4))
-    normalize_amp_map: bool = option("decoder.normalize_amp_map", True)
     enhance_op: str = option("enhance.op", "phase", choices=("phase", "sobel", "none"))
     prototypes: int = option("matcher.prototypes", 8)
     reliable_k: int = option("matcher.reliable_k", 16)
@@ -137,7 +136,6 @@ class NightSegModel(Module):
             phase_widths=[pw[3], pw[2], pw[1], pw[0]],
             width=cfg.decoder_channels,
             depth=cfg.decoder_depth,
-            normalize_amp_map=cfg.normalize_amp_map,
             dtype=dtype,
         )
         self.matcher = ReliableMatcher(

@@ -128,14 +128,14 @@ def minmax_normalize(plane: np.ndarray) -> np.ndarray:
     return (plane - lo) / (hi - lo)
 
 
-def image_texture_stack(image: np.ndarray, mode: str,
-                        c_a: float | None = None) -> np.ndarray:
+def image_texture_stack(image: np.ndarray, mode: str) -> np.ndarray:
     """Per-channel texture maps of an [H,W,3] image, min-max scaled to [0,1].
 
-    mode "phase": constant-amplitude phase reconstruction per channel, with
-    c_a defaulting to that channel's mean amplitude. The reconstruction is
-    linear in c_a and the min-max scaling cancels it, so c_a moves the maps
-    by rounding only. mode "sobel": gradient magnitude per channel.
+    mode "phase": constant-amplitude phase reconstruction per channel, at
+    that channel's mean amplitude. The reconstruction is linear in the
+    constant and the min-max scaling cancels it, so no other constant would
+    change the maps beyond rounding. mode "sobel": gradient magnitude per
+    channel.
     """
     if image.ndim != 3:
         raise ValueError(f"image_texture_stack: expects [H,W,C], got {image.shape}")
@@ -144,8 +144,7 @@ def image_texture_stack(image: np.ndarray, mode: str,
         plane = Tensor(image[:, :, c])
         if mode == "phase":
             spectrum = fourier_decompose(plane)
-            const = c_a if c_a is not None else choose_c_a(spectrum)
-            tex = phase_reconstruct(spectrum, const).plane.data
+            tex = phase_reconstruct(spectrum, choose_c_a(spectrum)).plane.data
         elif mode == "sobel":
             tex = sobel_texture_map(plane).data
         else:

@@ -10,9 +10,6 @@ therefore ambiguous; texture is what separates the classes.
 
 from __future__ import annotations
 
-import os
-from collections.abc import Iterable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -21,8 +18,7 @@ import numpy as np
 from .config import check_options, option
 from .netpbm import write_pgm, write_ppm
 
-__all__ = ["SceneConfig", "SceneSample", "generate_scene", "gen_dataset",
-           "parse_manifest", "worker_count"]
+__all__ = ["SceneConfig", "SceneSample", "generate_scene", "gen_dataset", "parse_manifest"]
 
 
 @dataclass
@@ -124,7 +120,9 @@ def generate_scene(cfg: SceneConfig, seed: int) -> SceneSample:
     """Deterministic scene for (cfg, seed)."""
     rng = np.random.default_rng(seed)
     h, w = cfg.height, cfg.width
-    ii, jj = np.mgrid[0:h, 0:w].astype(np.float64)
+    # pixel coordinates as a column and a row; they broadcast to [h, w]
+    ii = np.arange(h, dtype=np.float64)[:, None]
+    jj = np.arange(w, dtype=np.float64)[None, :]
 
     ambient = rng.uniform(*cfg.ambient)
     gy, gx = rng.uniform(-0.03, 0.03, size=2)
@@ -149,8 +147,9 @@ def generate_scene(cfg: SceneConfig, seed: int) -> SceneSample:
     def draw_object(cls: int) -> None:
         rows, cols, inside = _shape_region(rng, h, w)
         phase = rng.uniform(0.0, 2.0 * np.pi)
-        tex = _class_texture(int(cls), ii[rows, cols], jj[rows, cols], phase, cfg.texture_amp)
-        level = (fg_level + tex)[:, :, None] * tint[None, None, :]
+        tex = _class_texture(int(cls), ii[rows], jj[:, cols], phase, cfg.texture_amp)
+        # row and column stripes vary along one axis only
+        level = np.broadcast_to((fg_level + tex)[:, :, None] * tint, inside.shape + (3,))
         image[rows, cols][inside] = level[inside]
         mask[rows, cols][inside] = int(cls)
 
@@ -170,22 +169,13 @@ def generate_scene(cfg: SceneConfig, seed: int) -> SceneSample:
     return SceneSample(np.clip(image, 0.0, 1.0, out=image), mask, seed)
 
 
-def worker_count() -> int:
-    """NF_THREADS bounds generation workers; 1 (the default) is sequential."""
-    try:
-        n = int(os.environ.get("NF_THREADS", "1"))
-    except ValueError:
-        return 1
-    return max(1, n)
-
-
 def gen_dataset(cfg: SceneConfig, count: int, seed: int, out_dir: str | Path) -> Path:
     """Write image/mask pairs and a manifest; 80/20 train/val split.
 
-    Per-sample seeds are seed^index, so regeneration and parallel workers
-    produce identical files; the split is drawn from the seed, not from
-    file order. Each sample is written, in index order, as soon as it is
-    generated, so memory does not grow with ``count``.
+    Per-sample seeds are seed^index, so regeneration produces identical
+    files; the split is drawn from the seed, not from file order. Each
+    sample is written, in index order, as soon as it is generated, so memory
+    does not grow with ``count``.
     """
     if count < 1:
         raise ValueError(f"sample count must be at least 1, got {count}")
@@ -198,25 +188,14 @@ def gen_dataset(cfg: SceneConfig, count: int, seed: int, out_dir: str | Path) ->
     lines = ["# night-scene dataset manifest"]
     lines += [f"# count = {count}", f"# seed = {seed}"]
     lines += [f"# {ln}" for ln in cfg.to_lines()]
-
-    def build(i: int) -> SceneSample:
-        return generate_scene(cfg, seed ^ i)
-
-    def write(samples: Iterable[SceneSample]) -> None:
-        for i, s in enumerate(samples):
-            img_name = f"img_{i:05d}.ppm"
-            msk_name = f"msk_{i:05d}.pgm"
-            (out / img_name).write_bytes(write_ppm(s.image))
-            (out / msk_name).write_bytes(write_pgm(s.mask))
-            split = "val" if i in val_idx else "train"
-            lines.append(f"{img_name} {msk_name} {split}")
-
-    workers = worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            write(pool.map(build, range(count)))
-    else:
-        write(map(build, range(count)))
+    for i in range(count):
+        sample = generate_scene(cfg, seed ^ i)
+        img_name = f"img_{i:05d}.ppm"
+        msk_name = f"msk_{i:05d}.pgm"
+        (out / img_name).write_bytes(write_ppm(sample.image))
+        (out / msk_name).write_bytes(write_pgm(sample.mask))
+        split = "val" if i in val_idx else "train"
+        lines.append(f"{img_name} {msk_name} {split}")
     manifest = out / "manifest.txt"
     manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return manifest

@@ -158,12 +158,12 @@ def check_amplify_oracle():
     for i, j, c in itertools.product(range(3), range(4), range(5)):
         amap[i, j] += (f[i, j, c] + p[i, j, c]) ** 2
     assert (amap >= 0).all()
-    for normalize, a in ((False, amap), (True, amap / (amap.mean() + 1e-12))):
-        got = T.amplify_stage(Tensor(f), Tensor(p), normalize).data
-        want = np.zeros_like(f)
-        for i, j, c in itertools.product(range(3), range(4), range(5)):
-            want[i, j, c] = f[i, j, c] * a[i, j]
-        assert np.abs(got - want).max() < 1e-10
+    a = amap / (amap.mean() + 1e-12)
+    got = T.amplify_stage(Tensor(f), Tensor(p)).data
+    want = np.zeros_like(f)
+    for i, j, c in itertools.product(range(3), range(4), range(5)):
+        want[i, j, c] = f[i, j, c] * a[i, j]
+    assert np.abs(got - want).max() < 1e-10
 
 
 def check_attention_permutation():
@@ -395,12 +395,10 @@ def run_grad_suite() -> list[tuple[str, float]]:
     phi = Tensor(rng.normal(size=(2, 3, 4)))
     h5 = rng.normal(size=(2, 3, 4))
     f0 = Tensor(rng.normal(size=(2, 3, 4)))
-    for normalize in (True, False):
-        tag = "normalized" if normalize else "raw"
-        results.append((f"amplify stage (features, {tag})", grad_check(
-            lambda x: T.amplify_stage(x, phi, normalize), Tensor(f0.data.copy()), h5)))
-        results.append((f"amplify stage (phase, {tag})", grad_check(
-            lambda x: T.amplify_stage(f0, x, normalize), Tensor(phi.data.copy()), h5)))
+    results.append(("amplify stage (features)", grad_check(
+        lambda x: T.amplify_stage(x, phi), Tensor(f0.data.copy()), h5)))
+    results.append(("amplify stage (phase)", grad_check(
+        lambda x: T.amplify_stage(f0, x), Tensor(phi.data.copy()), h5)))
 
     wq, wk, wv = _random_projections(_rng(161), 4)
     fa0 = Tensor(rng.normal(size=(7, 4)))
@@ -473,10 +471,10 @@ def run_grad_suite() -> list[tuple[str, float]]:
     results.append(("upsample over a batch", grad_check(
         T.upsample_bilinear2x, Tensor(rng.normal(size=(2, 2, 3, 2))), hb2)))
     fb, pb, hb3 = (Tensor(rng.normal(size=(2, 2, 3, 4))) for _ in range(3))
-    results.append(("amplify stage over a batch (features, normalized)", grad_check(
-        lambda x: T.amplify_stage(x, pb, True), Tensor(fb.data.copy()), hb3.data)))
-    results.append(("amplify stage over a batch (phase, normalized)", grad_check(
-        lambda x: T.amplify_stage(fb, x, True), Tensor(pb.data.copy()), hb3.data)))
+    results.append(("amplify stage over a batch (features)", grad_check(
+        lambda x: T.amplify_stage(x, pb), Tensor(fb.data.copy()), hb3.data)))
+    results.append(("amplify stage over a batch (phase)", grad_check(
+        lambda x: T.amplify_stage(fb, x), Tensor(pb.data.copy()), hb3.data)))
     qb, kb = Tensor(rng.normal(size=(2, 3, 4))), Tensor(rng.normal(size=(2, 6, 4)))
     hb4 = rng.normal(size=(2, 3, 6))
     results.append(("attention weights over a batch (queries)", grad_check(
@@ -579,7 +577,7 @@ CHECKS = [
     ("constant-amplitude reconstruction keeps modulus c_a", check_phase_amplitude_invariant),
     ("amplitude plane invariant to circular shifts", check_amplitude_shift_invariance),
     ("sobel map: zero on constants, 4 on unit step", check_sobel),
-    ("amplification matches per-pixel loop oracle, raw and normalized", check_amplify_oracle),
+    ("amplification matches per-pixel loop oracle", check_amplify_oracle),
     ("self-attention is permutation-equivariant", check_attention_permutation),
     ("attention weights equal the numpy replay bit for bit", check_attention_weights_replay),
     ("attention equals the composed weights·V block by block, bit for bit", check_attention_composed),

@@ -432,12 +432,11 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
 # gradients equal the composed ops bit for bit.
 # ---------------------------------------------------------------------------
 
-def amplify_stage(fbar: Tensor, pbar: Tensor, normalize: bool = True) -> Tensor:
+def amplify_stage(fbar: Tensor, pbar: Tensor) -> Tensor:
     """Scale every channel of pixel (i, j) of fbar[..., h, w, C] by the
-    amplified map a[..., i, j] = sum_c (fbar + pbar)[..., i, j, c]^2.
-
-    With ``normalize`` each map is first divided by its own mean over (h, w)
-    plus 1e-12, so it has mean 1 and an all-zero map stays finite.
+    amplified map a[..., i, j] = sum_c (fbar + pbar)[..., i, j, c]^2, divided
+    by its own mean over (h, w) plus 1e-12, so it has mean 1 and an all-zero
+    map stays finite.
     """
     _check_same_shape("amplify_stage", fbar, pbar)
     if fbar.data.ndim < 3:
@@ -446,17 +445,14 @@ def amplify_stage(fbar: Tensor, pbar: Tensor, normalize: bool = True) -> Tensor:
     s = fbar.data + pbar.data
     raw = np.sum(s * s, axis=-1)
     hw = raw.shape[-2] * raw.shape[-1]
-    a = raw
-    if normalize:
-        r = 1.0 / (np.sum(raw, axis=(-2, -1), keepdims=True) * (1.0 / hw) + 1e-12)
-        a = raw * r
+    r = 1.0 / (np.sum(raw, axis=(-2, -1), keepdims=True) * (1.0 / hw) + 1e-12)
+    a = raw * r
 
     def bwd(g):
         _accumulate(fbar, g * a[..., None])
         graw = np.sum(g * fbar.data, axis=-1)
-        if normalize:
-            gr = np.sum(graw * raw, axis=(-2, -1), keepdims=True)
-            graw = graw * r + -gr * r * r * (1.0 / hw)
+        gr = np.sum(graw * raw, axis=(-2, -1), keepdims=True)
+        graw = graw * r + -gr * r * r * (1.0 / hw)
         ds = graw[..., None] * s
         ds += ds
         _accumulate(fbar, ds)

@@ -60,7 +60,6 @@ class TrainConfig:
     dtype: object = option("train.dtype", np.float32,
                            choices={"float32": np.float32, "float64": np.float64})
     log_every: int = option("train.log_every", 1, at_least=1)
-    c_a: float | None = option("phase.c_a", None)              # None: mean amplitude
 
     def __post_init__(self):
         if self.phase1_iters is None:
@@ -72,8 +71,6 @@ class TrainConfig:
         if self.lr2 >= self.lr1:
             raise ValueError(f"second-phase rate train.lr2 = {self.lr2} must be below "
                              f"first-phase rate train.lr1 = {self.lr1}")
-        if self.c_a is not None and not self.c_a > 0:
-            raise ValueError(f"phase.c_a must be > 0, got {self.c_a}")
 
 
 class AdamW:
@@ -196,7 +193,7 @@ class LoadedDataset:
     num_classes: int
 
 
-def load_dataset(data_dir: str | Path, enhance_op: str, c_a: float | None = None) -> LoadedDataset:
+def load_dataset(data_dir: str | Path, enhance_op: str) -> LoadedDataset:
     """Read a generated dataset and precompute texture maps once per image."""
     data_dir = Path(data_dir)
     meta, entries = parse_manifest(data_dir / "manifest.txt")
@@ -208,7 +205,7 @@ def load_dataset(data_dir: str | Path, enhance_op: str, c_a: float | None = None
         images.append(img)
         masks.append(majority_pool(msk, 4))
         if enhance_op in ("phase", "sobel"):
-            textures.append(image_texture_stack(img, mode=enhance_op, c_a=c_a))
+            textures.append(image_texture_stack(img, mode=enhance_op))
         (train_idx if split == "train" else val_idx).append(i)
     return LoadedDataset(
         images=images,

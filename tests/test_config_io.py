@@ -45,7 +45,6 @@ class TestConfig:
         assert build(TrainConfig, cfg) == TrainConfig()
         mc = build(ModelConfig, cfg)
         assert mc.decoder_depth == 4
-        assert mc.normalize_amp_map is True
         assert mc.backbone_widths == (16, 32, 48, 64)
 
     def test_unknown_key_rejected(self, tmp_path):
@@ -63,18 +62,18 @@ class TestConfig:
     def test_bool_and_ints_parsing(self, tmp_path):
         cfg = parse_text(
             tmp_path,
-            "decoder.normalize_amp_map = false\nbackbone.widths = 8,16, 24 32\n",
+            "reliable.renormalize = true\nbackbone.widths = 8,16, 24 32\n",
         )
         mc = build(ModelConfig, cfg)
-        assert mc.normalize_amp_map is False
+        assert mc.renormalize is True
         assert mc.backbone_widths == (8, 16, 24, 32)
         for spelling, value in [("TRUE", True), ("1", True), ("yes", True),
                                 ("False", False), ("0", False), ("no", False)]:
             assert build(ModelConfig, {"reliable.renormalize": spelling}).renormalize is value
 
     def test_bad_bool_rejected(self, tmp_path):
-        cfg = parse_text(tmp_path, "decoder.normalize_amp_map = maybe\n")
-        with pytest.raises(ValueError, match="decoder.normalize_amp_map: expected a boolean"):
+        cfg = parse_text(tmp_path, "reliable.renormalize = maybe\n")
+        with pytest.raises(ValueError, match="reliable.renormalize: expected a boolean"):
             build(ModelConfig, cfg)
 
     @pytest.mark.parametrize("cls,key,raw,msg", [
@@ -91,7 +90,6 @@ class TestConfig:
         (ModelConfig, "matcher.layers", "0", "matcher.layers must be >= 1, got 0"),
         (ModelConfig, "matcher.layers", "-1", "matcher.layers must be >= 1, got -1"),
         (TrainConfig, "train.lr1", "fast", "train.lr1: expected a number"),
-        (TrainConfig, "phase.c_a", "mean", "phase.c_a: expected a number"),
         (TrainConfig, "train.dtype", "float16", "train.dtype must be one of float32, float64"),
         (TrainConfig, "train.iters", "0", "train.iters must be >= 1"),
         (TrainConfig, "train.batch", "0", "train.batch must be >= 1"),
@@ -107,7 +105,6 @@ class TestConfig:
         (TrainConfig, "train.lr1", "nan", "train.lr1 must be finite, got nan"),
         (TrainConfig, "train.lr2", "inf", "train.lr2 must be finite, got inf"),
         (TrainConfig, "train.weight_decay", "-inf", "train.weight_decay must be finite"),
-        (TrainConfig, "phase.c_a", "inf", "phase.c_a must be finite, got inf"),
         (TrainConfig, "train.lambda_dice", "nan", "train.lambda_dice must be finite, got nan"),
     ])
     def test_bad_value_names_its_key(self, cls, key, raw, msg):
@@ -126,7 +123,7 @@ class TestConfig:
         rows = re.findall(r"^\| `([^`]+)` \| ([^|]+?) \|", section, flags=re.M)
         assert sorted(k for k, _ in rows) == sorted(known_keys())
         for key, default in rows:
-            if default in ("80%", "mean amplitude"):
+            if default == "80%":
                 continue
             values = {key: default}
             assert build(ModelConfig, values) == ModelConfig(), key

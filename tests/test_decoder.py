@@ -82,14 +82,15 @@ class TestProjection:
 
 
 def amplify_loop_oracle(f, p):
-    """The amplified map a[i, j] = sum_c (f + p)^2 and f reweighted by it,
-    by nested loops."""
+    """The amplified map a[i, j] = sum_c (f + p)^2 over its mean plus 1e-12,
+    and f reweighted by it, by nested loops."""
     h, w, c = f.shape
     amap = np.zeros((h, w))
     for i in range(h):
         for j in range(w):
             for k in range(c):
                 amap[i, j] += (f[i, j, k] + p[i, j, k]) ** 2
+    amap = amap / (amap.mean() + 1e-12)
     out = np.zeros_like(f)
     for i in range(h):
         for j in range(w):
@@ -102,22 +103,23 @@ class TestAmplifiedMap:
     """The map itself, read off as amplify_stage's per-pixel gain out / fbar."""
 
     def test_zero_inputs_zero_raw_map(self):
-        out = T.amplify_stage(Tensor(np.zeros((2, 2, 3))), Tensor(np.zeros((2, 2, 3))),
-                              normalize=False)
+        # the 1e-12 keeps the all-zero map finite
+        out = T.amplify_stage(Tensor(np.zeros((2, 2, 3))), Tensor(np.zeros((2, 2, 3))))
         assert np.abs(out.data).max() == 0.0
 
     def test_single_channel_hand_value(self):
-        f = np.full((1, 1, 1), 1.0)
-        p = np.full((1, 1, 1), 2.0)
-        out = T.amplify_stage(Tensor(f), Tensor(p), normalize=False)
-        assert out.data[0, 0, 0] == pytest.approx(9.0)  # 1 * (1+2)^2
+        f = np.full((1, 2, 1), 1.0)
+        p = np.array([[[2.0], [0.0]]])
+        out = T.amplify_stage(Tensor(f), Tensor(p))
+        # raw map (1+2)^2 = 9 and (1+0)^2 = 1, mean 5
+        assert out.data[0, :, 0] == pytest.approx([1.8, 0.2])
 
     def test_matches_loop_oracle_and_nonnegative(self):
         rng = np.random.default_rng(4)
         f = rng.normal(size=(3, 4, 5))
         p = rng.normal(size=(3, 4, 5))
         amap, want = amplify_loop_oracle(f, p)
-        got = T.amplify_stage(Tensor(f), Tensor(p), normalize=False).data
+        got = T.amplify_stage(Tensor(f), Tensor(p)).data
         assert np.abs(got - want).max() < 1e-10
         assert np.abs(got / f - amap[:, :, None]).max() < 1e-8
         assert (amap >= 0).all()
@@ -125,7 +127,7 @@ class TestAmplifiedMap:
     def test_normalized_map_has_mean_one(self):
         rng = np.random.default_rng(5)
         f = rng.normal(size=(4, 4, 6))
-        out = T.amplify_stage(Tensor(f), Tensor(rng.normal(size=(4, 4, 6))), normalize=True)
+        out = T.amplify_stage(Tensor(f), Tensor(rng.normal(size=(4, 4, 6))))
         assert (out.data / f).mean() == pytest.approx(1.0, abs=1e-6)
 
 
@@ -135,22 +137,21 @@ class TestAmplifyStage:
         f = rng.normal(size=(3, 4, 5))
         p = rng.normal(size=(3, 4, 5))
         amap, want = amplify_loop_oracle(f, p)
-        normalized = T.amplify_stage(Tensor(f), Tensor(p), normalize=True).data
-        assert np.abs(normalized - want / (amap.mean() + 1e-12)).max() < 1e-12
+        got = T.amplify_stage(Tensor(f), Tensor(p)).data
+        assert np.abs(got - want).max() < 1e-12
 
     def test_mismatched_bundle_rejected(self):
         with pytest.raises(ValueError, match="mismatch"):
             T.amplify_stage(Tensor(np.zeros((2, 2, 3))), Tensor(np.zeros((2, 3, 3))))
 
-    @pytest.mark.parametrize("normalize", [True, False])
-    def test_batch_equals_each_map_alone(self, normalize):
+    def test_batch_equals_each_map_alone(self):
         # each map is scaled by its own mean, never by the batch's
         rng = np.random.default_rng(31)
         f = rng.normal(size=(2, 3, 4, 5)) * np.array([1.0, 10.0])[:, None, None, None]
         p = rng.normal(size=(2, 3, 4, 5))
-        got = T.amplify_stage(Tensor(f), Tensor(p), normalize).data
+        got = T.amplify_stage(Tensor(f), Tensor(p)).data
         for b in range(2):
-            want = T.amplify_stage(Tensor(f[b]), Tensor(p[b]), normalize).data
+            want = T.amplify_stage(Tensor(f[b]), Tensor(p[b])).data
             assert np.abs(got[b] - want).max() <= 1e-12 * np.abs(want).max()
 
 
@@ -162,20 +163,15 @@ class TestAmplify:
         f = rng.integers(-8, 8, size=(3, 4, 2)) / 4.0
         unit = np.zeros((3, 4, 2))
         unit[:, :, 0] = 1.0
-        # f + (unit - f) is exactly the unit vector, so the map is exactly 1
-        out = T.amplify_stage(Tensor(f), Tensor(unit - f), normalize=False)
-        assert np.array_equal(out.data, f)
-
-    def test_hand_value(self):
-        f = np.array([[[1.0, 2.0]]])
-        out = T.amplify_stage(Tensor(f), Tensor(np.array([[[1.0, 0.0]]])), normalize=False)
-        assert out.data.tolist() == [[[8.0, 16.0]]]  # map 2^2 + 2^2
-
+        # f + (unit - f) is exactly the unit vector, so the raw map is exactly
+        # 1 everywhere and its mean-scaled map is 1 / (1 + 1e-12)
+        out = T.amplify_stage(Tensor(f), Tensor(unit - f))
+        assert np.allclose(out.data, f, rtol=2e-12, atol=0.0)
     def test_matches_broadcast_loop_oracle(self):
         rng = np.random.default_rng(7)
         f = rng.normal(size=(4, 3, 5))
         p = rng.normal(size=(4, 3, 5))
-        got = T.amplify_stage(Tensor(f), Tensor(p), normalize=False).data
+        got = T.amplify_stage(Tensor(f), Tensor(p)).data
         assert np.abs(got - amplify_loop_oracle(f, p)[1]).max() < 1e-12
 
 

@@ -71,3 +71,17 @@ def test_only_module_defines_parameters():
                      and any(isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
                              and fn.name == "parameters" for fn in cls.body)}
     assert definers == {"layers.Module"}
+
+
+def test_no_module_reads_the_environment():
+    """Run settings live only in the config schema: no package module reads
+    ``os.environ`` or calls ``os.getenv``."""
+    env = {"environ", "getenv"}
+    readers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if ((isinstance(node, ast.Attribute) and node.attr in env)
+                    or (isinstance(node, ast.ImportFrom) and node.module == "os"
+                        and any(a.name in env for a in node.names))):
+                readers.add(path.name)
+    assert not readers, f"modules reading the environment: {sorted(readers)}"

@@ -658,31 +658,27 @@ def _sigmoid(z):
     return r
 
 
-def amplify_chain(f, p, head, normalize):
-    """The composed amplification in plain numpy: add, mul, tsum(axis=2), then,
-    if normalize, tsum, scale(1/n), add_scalar(1e-12), recip and
-    mul_scalar_t, then scale_pixels; the gradients of sum(y * head) replay
-    those ops' backward rules in reverse order and accumulate as they did.
+def amplify_chain(f, p, head):
+    """The composed amplification in plain numpy: add, mul, tsum(axis=2),
+    tsum, scale(1/n), add_scalar(1e-12), recip, mul_scalar_t, then
+    scale_pixels; the gradients of sum(y * head) replay those ops' backward
+    rules in reverse order and accumulate as they did.
     Returns (y, d fbar, d pbar)."""
     s = f + p
     sq = s * s
     raw = np.sum(sq, axis=2)
-    a = raw
-    if normalize:
-        total = np.asarray(np.sum(raw))
-        mean = np.asarray(total * (1.0 / raw.size))
-        r = np.asarray(1.0 / np.asarray(mean + 1e-12))
-        a = raw * r.reshape(())
+    total = np.asarray(np.sum(raw))
+    mean = np.asarray(total * (1.0 / raw.size))
+    r = np.asarray(1.0 / np.asarray(mean + 1e-12))
+    a = raw * r.reshape(())
     y = f * a[:, :, None]
     g = head  # the gradient sum(y * head) sends to y
     df = g * a[:, :, None]
     ga = np.sum(g * f, axis=2)
-    graw = ga
-    if normalize:
-        graw = ga * r.reshape(())
-        gr = np.asarray(np.sum(ga * raw)).reshape(r.shape)
-        gtotal = (-gr * r * r) * (1.0 / raw.size)
-        graw = graw + np.broadcast_to(gtotal, raw.shape).copy()
+    graw = ga * r.reshape(())
+    gr = np.asarray(np.sum(ga * raw)).reshape(r.shape)
+    gtotal = (-gr * r * r) * (1.0 / raw.size)
+    graw = graw + np.broadcast_to(gtotal, raw.shape).copy()
     gsq = np.broadcast_to(np.expand_dims(graw, 2), sq.shape).copy()
     ds = gsq * s
     ds = ds + gsq * s
@@ -742,15 +738,14 @@ class TestSingleNodeMechanisms:
     # the desk model's coarse and 64x128 fine stages, and a 96x160 image's
     # coarsest stage, whose pixel count is no power of two
     @pytest.mark.parametrize("shape", [(2, 4, 64), (16, 32, 64), (3, 5, 64)])
-    @pytest.mark.parametrize("normalize", [True, False])
-    def test_amplify_stage(self, dtype, shape, normalize):
-        rng = np.random.default_rng(shape[0] + normalize)
+    def test_amplify_stage(self, dtype, shape):
+        rng = np.random.default_rng(shape[0])
         fd, pd, head = (rng.normal(size=shape).astype(dtype) for _ in range(3))
         f, p = Tensor(fd, requires_grad=True), Tensor(pd, requires_grad=True)
         with Tape():
-            y = T.amplify_stage(f, p, normalize)
+            y = T.amplify_stage(f, p)
             backward(y, head)
-        _same_bits((y.data, f.grad, p.grad), amplify_chain(fd, pd, head, normalize), dtype)
+        _same_bits((y.data, f.grad, p.grad), amplify_chain(fd, pd, head), dtype)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_normalize_rows(self, dtype):
@@ -779,7 +774,7 @@ class TestSingleNodeMechanisms:
     def test_each_records_one_tape_node(self):
         x = Tensor(np.ones((2, 3, 4)), requires_grad=True)
         with Tape() as tape:
-            T.amplify_stage(x, x, True)
+            T.amplify_stage(x, x)
             T.normalize_rows(T.reshape(x, (6, 4)))
             T.bce_dice_loss(T.reshape(x, (6, 4)), np.ones((6, 4)), 1.0, 1.0)
             assert len(tape) == 5
@@ -819,8 +814,7 @@ LEADING_AXIS_CASES = {
     "conv2d": (lambda x, w, b: T.conv2d(x, w, 2, 1, b), [(6, 8, 2)], [(3, 3, 2, 4), (4,)]),
     "conv2d 4x4 stride 4": (lambda x, w: T.conv2d(x, w, 4, 0), [(8, 8, 3)], [(4, 4, 3, 2)]),
     "upsample": (T.upsample_bilinear2x, [(2, 3, 2)], []),
-    "amplify normalized": (lambda f, p: T.amplify_stage(f, p, True), [(2, 3, 4), (2, 3, 4)], []),
-    "amplify raw": (lambda f, p: T.amplify_stage(f, p, False), [(2, 3, 4), (2, 3, 4)], []),
+    "amplify normalized": (T.amplify_stage, [(2, 3, 4), (2, 3, 4)], []),
     "attention weights": (T.attention_weights, [(4, 5), (6, 5)], []),
     "attention": (T.attention, [(4, 5), (6, 5), (6, 3)], []),
     "matmul of stacks": (lambda a, b, c: T.matmul(a, b, c), [(4, 5), (5, 2)], [(2,)]),

@@ -354,17 +354,6 @@ class TestTrainConfig:
         assert tc.weights.bce == 1.0
         assert tc.weights.dice == 5.0
 
-    @pytest.mark.parametrize("value", ["-1", "0"])
-    def test_nonpositive_c_a_rejected(self, tmp_path, value):
-        cfg = parse_text(tmp_path, f"phase.c_a = {value}\n")
-        with pytest.raises(ValueError, match=r"phase\.c_a"):
-            build(TrainConfig, cfg)
-
-    def test_c_a_absent_means_mean_amplitude(self, tmp_path):
-        assert build(TrainConfig, {}).c_a is None
-        cfg = parse_text(tmp_path, "phase.c_a = 2.5\n")
-        assert build(TrainConfig, cfg).c_a == 2.5
-
     def test_two_phase_schedule_applied(self, tiny_data):
         ds = load_dataset(tiny_data, "phase")
         model = NightSegModel(small_model_cfg(ds))
