@@ -150,8 +150,12 @@ def _cmd_ablate(args) -> int:
     rows = [(label, *_build(args, overrides))
             for label, overrides in _ABLATION_ROWS[args.axis]]
     lines = [f"axis {args.axis}", "setting miou"]
+    ds = ds_op = None
     for label, tc, model in rows:
-        ds = load_dataset(args.data, model.cfg.enhance_op)
+        if model.cfg.enhance_op != ds_op:   # rows of one op share one load
+            ds = None   # free the last op's dataset before the next one loads
+            ds_op = model.cfg.enhance_op
+            ds = load_dataset(args.data, ds_op)
         train(model, ds, tc, out_dir=None)
         _, mean = evaluate(model, ds, tc.dtype).iou()
         lines.append(f"{label} {mean:.6f}")

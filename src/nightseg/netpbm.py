@@ -1,19 +1,30 @@
 """Binary PPM (P6) images and PGM (P5) masks, maxval 255, strict parsing.
 
-Images are float arrays in [0,1] quantized to 8 bits on write; masks store
-class indices directly. Malformed input is rejected with the byte offset
-of the violation.
+Images are float arrays in [0,1], quantized to 8 bits on write
+(``quantize8``) and decoded as value / 255 on read (``decode8``); masks
+store class indices directly. Malformed input is rejected with the byte
+offset of the violation.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["write_ppm", "read_ppm", "write_pgm", "read_pgm", "quantize8"]
+__all__ = ["write_ppm", "read_ppm", "read_ppm8", "write_pgm", "read_pgm", "quantize8",
+           "decode8"]
 
 
 def quantize8(image: np.ndarray) -> np.ndarray:
     return np.clip(np.rint(np.asarray(image) * 255.0), 0, 255).astype(np.uint8)
+
+
+def decode8(values: np.ndarray, dtype=np.float64) -> np.ndarray:
+    """8-bit values -> a new ``dtype`` array of value / 255, in [0,1].
+
+    The quotient is rounded once, in ``dtype``. For float32 that equals the
+    float64 quotient cast to float32, for all 256 values.
+    """
+    return np.divide(values, 255.0, dtype=dtype)
 
 
 def write_ppm(image: np.ndarray) -> bytes:
@@ -96,9 +107,14 @@ def _read_netpbm(blob: bytes, magic: bytes, channels: int) -> np.ndarray:
     return data.reshape(shape).copy()
 
 
+def read_ppm8(blob: bytes) -> np.ndarray:
+    """P6 bytes -> the file's 8-bit values [H,W,3], uint8."""
+    return _read_netpbm(blob, b"P6", 3)
+
+
 def read_ppm(blob: bytes) -> np.ndarray:
-    """P6 bytes -> float image [H,W,3] in [0,1]."""
-    return _read_netpbm(blob, b"P6", 3).astype(np.float64) / 255.0
+    """P6 bytes -> float64 image [H,W,3] in [0,1]: ``decode8(read_ppm8(blob))``."""
+    return decode8(read_ppm8(blob))
 
 
 def read_pgm(blob: bytes) -> np.ndarray:

@@ -515,6 +515,7 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0,
     y = (cols2 @ w2).reshape(lead + (ho, wo, cout))
     if bias is not None:
         y = y + bias.data
+    xp_shape = xp.shape   # the backward needs only this, so xp is not kept alive
 
     def bwd(g):
         if bias is not None:
@@ -523,7 +524,7 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0,
         _accumulate(w, (cols2.T @ g2).reshape(w.shape))
         if x.requires_grad:
             dcols = (g2 @ w2.T).reshape(lead + (ho, wo, kh, kw, cin))
-            dxp = np.zeros_like(xp)
+            dxp = np.zeros(xp_shape, x.data.dtype)
             for i in range(kh):
                 for j in range(kw):
                     dxp[..., i : i + (ho - 1) * stride + 1 : stride,

@@ -9,6 +9,7 @@ against majority-pooled ground truth.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -18,7 +19,7 @@ from .config import check_options, option
 from .losses import LossWeights, total_loss
 from .metrics import ConfusionMatrix
 from .model import NightSegModel, SegOutput, majority_pool, predict
-from .netpbm import read_pgm, read_ppm
+from .netpbm import decode8, read_pgm, read_ppm8
 from .phase import image_texture_stack
 from .scenes import parse_manifest
 from .tensor import Tape, Tensor, backward
@@ -27,6 +28,7 @@ from .tensor_io import read_tensor, write_flat
 __all__ = [
     "TrainConfig",
     "AdamW",
+    "EightBitImages",
     "LoadedDataset",
     "load_dataset",
     "save_checkpoint",
@@ -183,32 +185,59 @@ class NonFiniteGradient(FloatingPointError):
         self.name = name
 
 
+class EightBitImages(Sequence):
+    """A read-only sequence of images held as their PPM files' uint8 values.
+
+    ``images[i]`` decodes image i to a fresh float64 [H,W,3] array in [0,1],
+    bit for bit what ``read_ppm`` gives for its file. ``values`` holds the
+    8-bit arrays themselves, read-only.
+    """
+
+    def __init__(self, values: list[np.ndarray]):
+        for v in values:
+            v.flags.writeable = False
+        self.values = tuple(values)
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __getitem__(self, i: int) -> np.ndarray:
+        return decode8(self.values[i])
+
+
 @dataclass
 class LoadedDataset:
-    images: list[np.ndarray]
+    """A generated dataset in memory, in manifest order: the images as their
+    8-bit file values, the pooled masks and, unless the op is "none", the
+    float64 textures."""
+
+    images: EightBitImages
     masks: list[np.ndarray]       # quarter-resolution, majority pooled
-    textures: list[np.ndarray] | None
+    textures: list[np.ndarray] | None   # float64, one per image
     train_idx: list[int]
     val_idx: list[int]
     num_classes: int
 
 
 def load_dataset(data_dir: str | Path, enhance_op: str) -> LoadedDataset:
-    """Read a generated dataset and precompute texture maps once per image."""
+    """Read a generated dataset: every image as its 8-bit file values, every
+    mask majority pooled to the quarter grid and, for the ``phase`` and
+    ``sobel`` ops, every image's float64 texture, computed once from its
+    decoded values."""
     data_dir = Path(data_dir)
     meta, entries = parse_manifest(data_dir / "manifest.txt")
     images, masks, textures = [], [], []
     train_idx, val_idx = [], []
     for i, (img_name, msk_name, split) in enumerate(entries):
-        img = read_ppm((data_dir / img_name).read_bytes())
+        img = read_ppm8((data_dir / img_name).read_bytes())
         msk = read_pgm((data_dir / msk_name).read_bytes())
         images.append(img)
         masks.append(majority_pool(msk, 4))
         if enhance_op in ("phase", "sobel"):
-            textures.append(image_texture_stack(img, mode=enhance_op))
+            textures.append(image_texture_stack(decode8(img), mode=enhance_op))
         (train_idx if split == "train" else val_idx).append(i)
     return LoadedDataset(
-        images=images,
+        images=EightBitImages(images),
         masks=masks,
         textures=textures if enhance_op != "none" else None,
         train_idx=train_idx,
@@ -279,12 +308,13 @@ def load_checkpoint(ckpt_dir: str | Path, model: NightSegModel) -> None:
 
 
 def _forward(model: NightSegModel, ds: LoadedDataset, idx: int | list[int], dtype) -> SegOutput:
-    """The model on sample ``idx``, or on the samples of a list stacked into one batch."""
-    def pick(arrays: list[np.ndarray]) -> Tensor:
-        a = arrays[idx] if isinstance(idx, int) else np.stack([arrays[i] for i in idx])
-        return Tensor(a.astype(dtype))
+    """The model on sample ``idx``, or on the samples of a list stacked into one
+    batch. The 8-bit images are stacked first and decoded once, into ``dtype``."""
+    def pick(arrays: Sequence[np.ndarray]) -> np.ndarray:
+        return arrays[idx] if isinstance(idx, int) else np.stack([arrays[i] for i in idx])
 
-    return model(pick(ds.images), None if ds.textures is None else pick(ds.textures))
+    images = Tensor(decode8(pick(ds.images.values), dtype))
+    return model(images, None if ds.textures is None else Tensor(pick(ds.textures).astype(dtype)))
 
 
 def train(model: NightSegModel, ds: LoadedDataset, tc: TrainConfig,

@@ -7,7 +7,6 @@ One line per criterion is printed so a `pytest -s` run reads as a checklist.
 """
 
 import itertools
-import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -169,41 +168,33 @@ class DeskRun:
 def desk_run(tmp_path_factory) -> DeskRun:
     root = tmp_path_factory.mktemp("desk")
     data = root / "data"
-    old_threads = os.environ.get("NF_THREADS")
-    os.environ["NF_THREADS"] = "1"
-    try:
-        assert main(["gen-data", "--out", str(data), "--count", "250",
-                     "--height", "32", "--width", "64", "--classes", "4",
-                     "--seed", str(DESK_SEED)]) == 0
+    assert main(["gen-data", "--out", str(data), "--count", "250",
+                 "--height", "32", "--width", "64", "--classes", "4",
+                 "--seed", str(DESK_SEED)]) == 0
 
-        config = root / "desk.cfg"
-        config.write_text(f"train.seed = {TRAIN_SEED}\n", encoding="utf-8")
-        ablate_cfg = root / "ablate.cfg"
-        ablate_cfg.write_text(
-            f"train.seed = {TRAIN_SEED}\ntrain.iters = 700\n", encoding="utf-8")
+    config = root / "desk.cfg"
+    config.write_text(f"train.seed = {TRAIN_SEED}\n", encoding="utf-8")
+    ablate_cfg = root / "ablate.cfg"
+    ablate_cfg.write_text(
+        f"train.seed = {TRAIN_SEED}\ntrain.iters = 700\n", encoding="utf-8")
 
-        from nightseg.config import build, parse_config
-        from nightseg.train import TrainConfig
+    from nightseg.config import build, parse_config
+    from nightseg.train import TrainConfig
 
-        iters = build(TrainConfig, parse_config(config)).iters
+    iters = build(TrainConfig, parse_config(config)).iters
 
-        reports = []
-        train_seconds = 0.0
-        for run in ("run1", "run2"):
-            start = time.monotonic()
-            assert main(["train", "--config", str(config), "--data", str(data),
-                         "--out", str(root / run)]) == 0
-            train_seconds = max(train_seconds, time.monotonic() - start)
-            report = root / f"report_{run}.txt"
-            assert main(["eval", "--ckpt", str(root / run / "checkpoint"),
-                         "--config", str(config), "--data", str(data),
-                         "--report", str(report)]) == 0
-            reports.append(report.read_text(encoding="utf-8"))
-    finally:
-        if old_threads is None:
-            os.environ.pop("NF_THREADS", None)
-        else:
-            os.environ["NF_THREADS"] = old_threads
+    reports = []
+    train_seconds = 0.0
+    for run in ("run1", "run2"):
+        start = time.monotonic()
+        assert main(["train", "--config", str(config), "--data", str(data),
+                     "--out", str(root / run)]) == 0
+        train_seconds = max(train_seconds, time.monotonic() - start)
+        report = root / f"report_{run}.txt"
+        assert main(["eval", "--ckpt", str(root / run / "checkpoint"),
+                     "--config", str(config), "--data", str(data),
+                     "--report", str(report)]) == 0
+        reports.append(report.read_text(encoding="utf-8"))
     return DeskRun(data, config, ablate_cfg, train_seconds, iters, reports)
 
 

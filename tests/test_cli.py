@@ -102,6 +102,23 @@ class TestTrainEvalCli:
         for row in lines[2:]:
             float(row.split()[1])
 
+    @pytest.mark.parametrize("axis, ops", [("matcher", ["phase"]), ("depth", ["phase"]),
+                                           ("enhance-op", ["none", "sobel", "phase"])])
+    def test_ablate_loads_the_dataset_once_per_enhance_op(self, dataset, tiny_cfg, monkeypatch,
+                                                           axis, ops):
+        import nightseg.train
+
+        load, loads = nightseg.train.load_dataset, []
+
+        def counted(data, enhance_op):
+            loads.append(enhance_op)
+            return load(data, enhance_op)
+
+        monkeypatch.setattr("nightseg.train.load_dataset", counted)
+        assert main(["ablate", "--axis", axis, "--config", str(tiny_cfg),
+                     "--data", str(dataset)]) == 0
+        assert loads == ops
+
 
 @pytest.fixture(scope="module")
 def dataset_48x64(tmp_path_factory):

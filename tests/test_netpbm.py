@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from nightseg.netpbm import quantize8, read_pgm, read_ppm, write_pgm, write_ppm
+from nightseg.netpbm import (decode8, quantize8, read_pgm, read_ppm, read_ppm8, write_pgm,
+                             write_ppm)
 
 
 class TestWrite:
@@ -29,6 +30,13 @@ class TestRoundTrip:
             img = rng.uniform(size=(5, 7, 3))
             back = read_ppm(write_ppm(img))
             assert np.array_equal(back, quantize8(img).astype(np.float64) / 255.0)
+            assert np.array_equal(read_ppm8(write_ppm(img)), quantize8(img))
+
+    def test_decode8_rounds_once_in_either_dtype(self):
+        values = np.arange(256, dtype=np.uint8)
+        wide = values.astype(np.float64) / 255.0
+        assert decode8(values).tobytes() == wide.tobytes()
+        assert decode8(values, np.float32).tobytes() == wide.astype(np.float32).tobytes()
 
     def test_pgm_roundtrip_lossless(self):
         rng = np.random.default_rng(1)

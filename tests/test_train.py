@@ -1,5 +1,7 @@
 """Training loop: descent, determinism, checkpoints, divergence handling."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,12 +9,12 @@ from nightseg.cli import main
 from nightseg.config import build, parse_config
 from nightseg.metrics import ConfusionMatrix
 from nightseg.model import ModelConfig, NightSegModel, majority_pool, predict
-from nightseg.netpbm import read_pgm
+from nightseg.netpbm import read_pgm, read_ppm
 from nightseg.scenes import SceneConfig, gen_dataset, parse_manifest
 from nightseg.selftest import PerTensorAdamW
 from nightseg.train import (AdamW, TrainConfig, TrainingDiverged, evaluate,
                             load_checkpoint, load_dataset, render_report,
-                            save_checkpoint, train)
+                            save_checkpoint, train, _forward)
 from nightseg.tensor import Tensor, backward
 from nightseg.tensor_io import read_tensor, write_tensor
 
@@ -383,3 +385,58 @@ class TestLoadDataset:
     def test_sobel_textures(self, tiny_data):
         ds = load_dataset(tiny_data, "sobel")
         assert ds.textures[0].shape == (32, 64, 3)
+
+
+def _file_images(data_dir):
+    _, entries = parse_manifest(data_dir / "manifest.txt")
+    return [read_ppm((data_dir / name).read_bytes()) for name, _, _ in entries]
+
+
+class TestEightBitImages:
+    def test_each_image_is_read_ppm_of_its_file_bit_for_bit(self, tiny_data):
+        ds = load_dataset(tiny_data, "phase")
+        for i, expect in enumerate(_file_images(tiny_data)):
+            got = ds.images[i]
+            assert got.dtype == np.float64 and got.shape == expect.shape
+            assert got.tobytes() == expect.tobytes()
+
+    def test_len_and_iteration(self, tiny_data):
+        ds = load_dataset(tiny_data, "none")
+        expect = _file_images(tiny_data)
+        assert len(ds.images) == len(expect) == 10
+        assert [a.tobytes() for a in ds.images] == [a.tobytes() for a in expect]
+        assert all(v.dtype == np.uint8 and not v.flags.writeable for v in ds.images.values)
+
+    def test_a_changed_image_leaves_the_next_access_unchanged(self, tiny_data):
+        ds = load_dataset(tiny_data, "none")
+        first = ds.images[3]
+        expect = first.copy()
+        first[...] = -1.0
+        assert ds.images[3].tobytes() == expect.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("idx", [[3, 0, 7], [5], 6], ids=["batch3", "batch1", "single"])
+    def test_forward_input_equals_the_float64_stack_cast(self, tiny_data, dtype, idx):
+        ds = load_dataset(tiny_data, "phase")
+        floats = _file_images(tiny_data)
+        old = floats[idx] if isinstance(idx, int) else np.stack([floats[i] for i in idx])
+        seen = _forward(lambda images, textures: (images.data, textures.data), ds, idx, dtype)
+        expect = old.astype(dtype)
+        assert seen[0].dtype == dtype and seen[0].shape == expect.shape
+        assert seen[0].tobytes() == expect.tobytes()
+        tex = ds.textures[idx] if isinstance(idx, int) else np.stack([ds.textures[i] for i in idx])
+        assert seen[1].tobytes() == tex.astype(dtype).tobytes()
+
+    def test_retained_bytes_are_8bit_images_textures_and_masks(self, tiny_data):
+        load_dataset(tiny_data, "phase")   # transform caches are made once, outside the count
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            ds = load_dataset(tiny_data, "phase")
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        h, w = 32, 64
+        per_image = ds.textures[0].nbytes + h * w * 3 + ds.masks[0].nbytes
+        # a float64 image would add 7*h*w*3 = 43008 bytes per image
+        assert kept <= len(ds.images) * (per_image + 2048)
