@@ -24,28 +24,38 @@ class HierarchicalAmplifiedDecoder(Module):
 
     depth selects how many stages take part, always starting at the
     coarsest; the output always lands at the finest stage's extents
-    (upsampling continues without fusion when depth < 4).
+    (upsampling continues without fusion when depth < 4). The decoder holds
+    only the weights its forward reads: the projections and attention of
+    its ``depth`` stages, and phase projections only when ``phase`` is set,
+    in which case every call needs a phase pyramid and otherwise none.
     """
 
     def __init__(self, rng: np.random.Generator, feat_widths: list[int],
-                 phase_widths: list[int], width: int, depth: int = 4, dtype=np.float64):
+                 phase_widths: list[int], width: int, depth: int = 4, phase: bool = True,
+                 dtype=np.float64):
         if depth not in (1, 2, 3, 4):
             raise ValueError(f"decoder depth must be in 1..4, got {depth}")
         if len(feat_widths) != 4 or len(phase_widths) != 4:
             raise ValueError("decoder expects 4 stage widths, coarse to fine")
         # per stage the backbone projection draws before the phase one; this
         # draw order fixes which initial weights a seed gives
-        self.proj_f: list[Linear] = []
-        self.proj_p: list[Linear] = []
+        proj_f, proj_p = [], []
         for c_feat, c_phase in zip(feat_widths, phase_widths):
-            self.proj_f.append(Linear(rng, c_feat, width, dtype=dtype))
-            self.proj_p.append(Linear(rng, c_phase, width, dtype=dtype))
-        self.attention = [TokenSelfAttention(rng, width, dtype) for _ in range(4)]
-        self.depth = depth
+            proj_f.append(Linear(rng, c_feat, width, dtype=dtype))
+            proj_p.append(Linear(rng, c_phase, width, dtype=dtype))
+        attention = [TokenSelfAttention(rng, width, dtype) for _ in range(4)]
+        # all stages draw, then the unused drop out: each kept weight starts as in a full decoder
+        self.proj_f: list[Linear] = proj_f[:depth]
+        self.proj_p: list[Linear] | None = proj_p[:depth] if phase else None
+        self.attention: list[TokenSelfAttention] = attention[:depth]
 
     def __call__(self, fp: Pyramid, pp: Pyramid | None) -> Tensor:
         if len(fp.stages) != 4:
             raise ValueError(f"decoder expects a 4-stage pyramid, got {len(fp.stages)}")
+        if (pp is None) != (self.proj_p is None):
+            raise ValueError("decoder: built with phase projections, got no phase pyramid"
+                             if pp is None else
+                             "decoder: built without phase projections, got a phase pyramid")
         if pp is not None:
             for f, p in zip(fp.stages, pp.stages):
                 if f.shape[:-1] != p.shape[:-1]:
@@ -54,7 +64,7 @@ class HierarchicalAmplifiedDecoder(Module):
 
         x: Tensor | None = None
         for s in range(4):
-            if s >= self.depth:
+            if s >= len(self.attention):
                 x = T.upsample_bilinear2x(x)  # finer stages excluded from fusion
                 continue
             fbar = self.proj_f[s](fp.stages[s])

@@ -17,16 +17,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor
-
 __all__ = ["rfft2d", "irfft2d", "dft2d_bruteforce", "idft2d_bruteforce"]
 
 
 def _as_plane(x, dtype) -> np.ndarray:
-    arr = x.data if isinstance(x, Tensor) else np.asarray(x)
+    arr = np.asarray(x, dtype=dtype)
     if arr.ndim != 2:
         raise ValueError(f"expected a 2-D plane, got shape {arr.shape}")
-    return arr.astype(dtype, copy=False)
+    return arr
 
 
 def rfft2d(x) -> np.ndarray:

@@ -136,6 +136,7 @@ class NightSegModel(Module):
             phase_widths=[pw[3], pw[2], pw[1], pw[0]],
             width=cfg.decoder_channels,
             depth=cfg.decoder_depth,
+            phase=self.phase_encoder is not None,
             dtype=dtype,
         )
         self.matcher = ReliableMatcher(

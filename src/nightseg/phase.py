@@ -22,7 +22,6 @@ from .tensor import Tensor, relu
 
 __all__ = [
     "Spectrum",
-    "PhaseTextureMap",
     "fourier_decompose",
     "choose_c_a",
     "phase_reconstruct",
@@ -50,14 +49,6 @@ class Spectrum:
                              f"amplitude {self.amplitude.shape} and phasor {self.phasor.shape}")
 
 
-@dataclass
-class PhaseTextureMap:
-    """Real plane reconstructed from a constant-amplitude spectrum."""
-
-    plane: Tensor
-    c_a: float
-
-
 # Bins at most this fraction of the mean amplitude vanish up to rounding
 # (float64 transform noise sits orders of magnitude lower at image sizes):
 # their phase is noise, so they get phasor 1 (phase 0).
@@ -74,12 +65,12 @@ def _plane_mean(amp: np.ndarray, w: int) -> float:
     return float((col.sum() + col[1:(w + 1) // 2].sum()) / (amp.shape[0] * w))
 
 
-def fourier_decompose(x: Tensor) -> Spectrum:
+def fourier_decompose(x: np.ndarray) -> Spectrum:
     """Half spectrum of a real plane as amplitude and unit phasor; bins that
     vanish up to rounding get phasor 1."""
-    if x.data.ndim != 2:
+    if x.ndim != 2:
         raise ValueError(f"fourier_decompose: expects a single-channel plane, got {x.shape}")
-    if not np.all(np.isfinite(x.data)):
+    if not np.all(np.isfinite(x)):
         raise ValueError("fourier_decompose: input contains non-finite values")
     z = rfft2d(x)
     amp = np.abs(z)
@@ -95,30 +86,31 @@ def choose_c_a(s: Spectrum) -> float:
     return _plane_mean(s.amplitude, s.shape[1])
 
 
-def phase_reconstruct(s: Spectrum, c_a: float) -> PhaseTextureMap:
-    """Invert a spectrum whose amplitude is forced to the constant c_a."""
+def phase_reconstruct(s: Spectrum, c_a: float) -> np.ndarray:
+    """The real plane whose spectrum has the phases of s and the constant
+    amplitude c_a."""
     if not (math.isfinite(c_a) and c_a > 0):
         raise ValueError(f"phase_reconstruct: c_a must be positive and finite, got {c_a}")
-    return PhaseTextureMap(Tensor(irfft2d(c_a * s.phasor, s.shape)), c_a)
+    return irfft2d(c_a * s.phasor, s.shape)
 
 
-def sobel_texture_map(x: Tensor) -> Tensor:
+def sobel_texture_map(x: np.ndarray) -> np.ndarray:
     """Gradient magnitude sqrt(Gx^2 + Gy^2) with the standard 3x3 pair.
 
     Edge padding plus the separable (smooth, then difference) form make
     constant inputs map to exactly zero: the differenced values are
     bitwise identical, so they cancel regardless of rounding.
     """
-    if x.data.ndim != 2:
+    if x.ndim != 2:
         raise ValueError(f"sobel_texture_map: expects a single-channel plane, got {x.shape}")
     h, w = x.shape
-    xp = np.pad(x.data, 1, mode="edge")
+    xp = np.pad(x, 1, mode="edge")
     col_smooth = xp[:-2, :] + 2.0 * xp[1:-1, :] + xp[2:, :]   # (1,2,1) down columns
     row_smooth = xp[:, :-2] + 2.0 * xp[:, 1:-1] + xp[:, 2:]   # (1,2,1) along rows
     gx = col_smooth[:, 2:] - col_smooth[:, :-2]
     gy = row_smooth[2:, :] - row_smooth[:-2, :]
     assert gx.shape == (h, w) and gy.shape == (h, w)
-    return Tensor(np.hypot(gx, gy))
+    return np.hypot(gx, gy)
 
 
 def minmax_normalize(plane: np.ndarray) -> np.ndarray:
@@ -141,12 +133,12 @@ def image_texture_stack(image: np.ndarray, mode: str) -> np.ndarray:
         raise ValueError(f"image_texture_stack: expects [H,W,C], got {image.shape}")
     chans = []
     for c in range(image.shape[2]):
-        plane = Tensor(image[:, :, c])
+        plane = image[:, :, c]
         if mode == "phase":
             spectrum = fourier_decompose(plane)
-            tex = phase_reconstruct(spectrum, choose_c_a(spectrum)).plane.data
+            tex = phase_reconstruct(spectrum, choose_c_a(spectrum))
         elif mode == "sobel":
-            tex = sobel_texture_map(plane).data
+            tex = sobel_texture_map(plane)
         else:
             raise ValueError(f"image_texture_stack: unknown mode {mode!r}")
         chans.append(minmax_normalize(tex))

@@ -82,10 +82,9 @@ class AdamW:
     The constructor concatenates every parameter, in the given order, into
     ``flat`` and rebinds each ``p.data`` to a view of its slice, so ``step``
     updates all weights in place with a few ufuncs per chunk. ``m`` and ``v``
-    are flat vectors of the same layout. A parameter whose ``grad`` is None
-    keeps its weight, ``m`` and ``v`` bit for bit and gets no decay.
-    Rebinding a ``p.data`` afterwards detaches it: the optimizer keeps
-    updating its slice of ``flat``, which the parameter no longer shows.
+    are flat vectors of the same layout. Every parameter needs a gradient at
+    every step. Rebinding a ``p.data`` afterwards detaches it: the optimizer
+    keeps updating its slice of ``flat``, which the parameter no longer shows.
     """
 
     def __init__(self, params: list[tuple[str, Tensor]], lr: float,
@@ -115,15 +114,18 @@ class AdamW:
         self.v = np.zeros_like(self.flat)
 
     def step(self) -> None:
-        """One update of every parameter that has a gradient.
+        """One update of every parameter.
 
-        Raises NonFiniteGradient, before any state changes, if a gradient
-        holds NaN or inf.
+        Raises, before any state changes, ValueError if a parameter has no
+        gradient and NonFiniteGradient if a gradient holds NaN or inf.
         """
-        # the gradients, 0 where None, gathered into a vector that lives only
-        # for this step and is then overwritten chunk by chunk with the update
-        g = np.concatenate([np.zeros_like(p.data) if p.grad is None else p.grad
-                            for _, p in self.params], axis=None, out=np.empty_like(self.flat))
+        for name, p in self.params:
+            if p.grad is None:
+                raise ValueError(f"AdamW: parameter {name} has no gradient")
+        # the gradients, gathered into a vector that lives only for this step
+        # and is then overwritten chunk by chunk with the update
+        g = np.concatenate([p.grad for _, p in self.params], axis=None,
+                           out=np.empty_like(self.flat))
         if not np.isfinite(g).all():
             name = next(n for (n, _), lo, hi in self._slices if not np.isfinite(g[lo:hi]).all())
             raise NonFiniteGradient(name)
@@ -131,43 +133,28 @@ class AdamW:
         bc1 = 1.0 - self.b1 ** self.t
         bc2 = 1.0 - self.b2 ** self.t
         scratch = np.empty(min(_CHUNK, self.flat.size), self.flat.dtype)
-        for lo, hi in self._runs_with_grad():
-            for a in range(lo, hi, _CHUNK):
-                b = min(a + _CHUNK, hi)
-                w, m, v, gc, s = (self.flat[a:b], self.m[a:b], self.v[a:b], g[a:b],
-                                  scratch[:b - a])
-                # the per-tensor expressions, operand for operand:
-                # m = b1*m + (1-b1)*g; v = b2*v + ((1-b2)*g)*g;
-                # u = (m/bc1) / (sqrt(v/bc2) + eps); w = w - lr*(u + wd*w)
-                np.multiply(gc, 1.0 - self.b1, out=s)
-                m *= self.b1
-                m += s
-                np.multiply(gc, 1.0 - self.b2, out=s)
-                s *= gc
-                v *= self.b2
-                v += s
-                np.divide(v, bc2, out=s)
-                np.sqrt(s, out=s)
-                s += self.eps
-                np.divide(m, bc1, out=gc)
-                gc /= s
-                np.multiply(w, self.weight_decay, out=s)
-                gc += s
-                gc *= self.lr
-                w -= gc
-
-    def _runs_with_grad(self) -> list[tuple[int, int]]:
-        """The [lo, hi) ranges of ``flat`` covered by adjacent parameters
-        that have a gradient."""
-        runs: list[tuple[int, int]] = []
-        for (_, p), lo, hi in self._slices:
-            if p.grad is None:
-                continue
-            if runs and runs[-1][1] == lo:
-                runs[-1] = (runs[-1][0], hi)
-            else:
-                runs.append((lo, hi))
-        return runs
+        for a in range(0, self.flat.size, _CHUNK):
+            b = min(a + _CHUNK, self.flat.size)
+            w, m, v, gc, s = (self.flat[a:b], self.m[a:b], self.v[a:b], g[a:b], scratch[:b - a])
+            # the per-tensor expressions, operand for operand:
+            # m = b1*m + (1-b1)*g; v = b2*v + ((1-b2)*g)*g;
+            # u = (m/bc1) / (sqrt(v/bc2) + eps); w = w - lr*(u + wd*w)
+            np.multiply(gc, 1.0 - self.b1, out=s)
+            m *= self.b1
+            m += s
+            np.multiply(gc, 1.0 - self.b2, out=s)
+            s *= gc
+            v *= self.b2
+            v += s
+            np.divide(v, bc2, out=s)
+            np.sqrt(s, out=s)
+            s += self.eps
+            np.divide(m, bc1, out=gc)
+            gc /= s
+            np.multiply(w, self.weight_decay, out=s)
+            gc += s
+            gc *= self.lr
+            w -= gc
 
     def zero_grad(self) -> None:
         for _, p in self.params:

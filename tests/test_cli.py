@@ -119,6 +119,24 @@ class TestTrainEvalCli:
                      "--data", str(dataset)]) == 0
         assert loads == ops
 
+    def test_checkpoint_of_another_depth_refused(self, dataset, tiny_cfg, tmp_path, request,
+                                                 capsys):
+        # a checkpoint names exactly the decoder stages its depth fuses
+        depth2 = tmp_path / "depth2.cfg"
+        depth2.write_text(tiny_cfg.read_text() + "decoder.depth = 2\n", encoding="utf-8")
+        for cfg, run in ((tiny_cfg, "depth4"), (depth2, "depth2")):
+            assert main(["train", "--config", str(cfg), "--data", str(dataset),
+                         "--out", str(tmp_path / run)]) == 0
+        capsys.readouterr()
+        request.getfixturevalue("no_data_load")
+        for run, cfg, counts in (("depth4", depth2, "(0 missing, 20 unexpected)"),
+                                 ("depth2", tiny_cfg, "(20 missing, 0 unexpected)")):
+            rc = main(["eval", "--ckpt", str(tmp_path / run / "checkpoint"), "--config", str(cfg),
+                       "--data", str(dataset), "--report", str(tmp_path / "r.txt")])
+            _assert_one_line_exit_2(rc, capsys, "checkpoint mismatch", "decoder.attention.2.",
+                                    counts)
+        assert not (tmp_path / "r.txt").exists()
+
 
 @pytest.fixture(scope="module")
 def dataset_48x64(tmp_path_factory):

@@ -32,9 +32,10 @@ def _upsample_to_finest(x):
 def _depth1_oracle(dec, f, p):
     """A depth-1 decoder's output: its stage-0 projections, amplification and
     (zero-initialized W_O, so residual-only) attention, upsampled to the finest stage."""
-    lin_f, lin_p = dec.proj_f[0], dec.proj_p[0]
+    lin_f = dec.proj_f[0]
     fbar = f @ lin_f.w.data + lin_f.b.data
     if p is not None:
+        lin_p = dec.proj_p[0]
         pbar = p @ lin_p.w.data + lin_p.b.data
         raw = ((fbar + pbar) ** 2).sum(axis=2)
         fbar = fbar * (raw * (1.0 / (raw.mean() + 1e-12)))[:, :, None]
@@ -47,7 +48,8 @@ class TestProjection:
     def test_identity_initialized_projection_passes_features_through(self):
         rng = np.random.default_rng(0)
         fp, _ = _pyramids(rng, cf=(4, 6, 5, 4))
-        dec = HierarchicalAmplifiedDecoder(rng, [4, 6, 5, 4], [5, 4, 3, 2], 4, depth=1)
+        dec = HierarchicalAmplifiedDecoder(rng, [4, 6, 5, 4], [5, 4, 3, 2], 4, depth=1,
+                                           phase=False)
         dec.proj_f[0].w.data = np.eye(4)
         dec.proj_f[0].b.data[:] = 0.0
         want = _upsample_to_finest(_layer_norm(fp.stages[0].data))
@@ -65,12 +67,14 @@ class TestProjection:
     def test_matches_per_pixel_matmul_oracle(self):
         rng = np.random.default_rng(2)
         fp, pp = _pyramids(rng)
-        dec = HierarchicalAmplifiedDecoder(rng, [7, 6, 5, 4], [5, 4, 3, 2], 6, depth=1)
-        for lin in (dec.proj_f[0], dec.proj_p[0]):
-            lin.b.data = rng.normal(size=lin.b.data.shape)
         f, p = fp.stages[0].data, pp.stages[0].data
-        assert np.abs(dec(fp, None).data - _depth1_oracle(dec, f, None)).max() < 1e-10
-        assert np.abs(dec(fp, pp).data - _depth1_oracle(dec, f, p)).max() < 1e-10
+        for phase in (False, True):
+            dec = HierarchicalAmplifiedDecoder(rng, [7, 6, 5, 4], [5, 4, 3, 2], 6, depth=1,
+                                               phase=phase)
+            for lin in dec.proj_f + (dec.proj_p or []):
+                lin.b.data = rng.normal(size=lin.b.data.shape)
+            got = dec(fp, pp if phase else None).data
+            assert np.abs(got - _depth1_oracle(dec, f, p if phase else None)).max() < 1e-10
 
     def test_spatial_mismatch_rejected(self):
         rng = np.random.default_rng(3)
@@ -259,9 +263,36 @@ class TestHierarchicalDecode:
     def test_runs_without_phase_pyramid(self):
         rng = np.random.default_rng(22)
         fp, _ = _pyramids(rng)
-        dec = HierarchicalAmplifiedDecoder(rng, [7, 6, 5, 4], [5, 4, 3, 2], 8)
+        dec = HierarchicalAmplifiedDecoder(rng, [7, 6, 5, 4], [5, 4, 3, 2], 8, phase=False)
         out = dec(fp, None)
         assert out.shape == (8, 16, 8)
+
+    def test_phase_pyramid_must_match_the_projections(self):
+        rng = np.random.default_rng(24)
+        fp, pp = _pyramids(rng)
+        with_phase = HierarchicalAmplifiedDecoder(rng, [7, 6, 5, 4], [5, 4, 3, 2], 8)
+        without = HierarchicalAmplifiedDecoder(rng, [7, 6, 5, 4], [5, 4, 3, 2], 8, phase=False)
+        for dec, arg, msg in ((with_phase, None, "built with phase projections, got no"),
+                              (without, pp, "built without phase projections, got a")):
+            with pytest.raises(ValueError, match=msg) as exc:
+                dec(fp, arg)
+            assert "\n" not in str(exc.value)
+
+    @pytest.mark.parametrize("phase", [True, False])
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4])
+    def test_holds_only_the_weights_its_forward_reads(self, depth, phase):
+        # the kept weights are those of a full decoder drawn from the same
+        # seed; the rest are drawn too and dropped
+        full = HierarchicalAmplifiedDecoder(np.random.default_rng(25), [7, 6, 5, 4],
+                                            [5, 4, 3, 2], 8)
+        dec = HierarchicalAmplifiedDecoder(np.random.default_rng(25), [7, 6, 5, 4],
+                                           [5, 4, 3, 2], 8, depth=depth, phase=phase)
+        kinds = ("proj_f", "proj_p", "attention") if phase else ("proj_f", "attention")
+        stages = {tuple(n.split(".")[:2]) for n, _ in dec.parameters()}
+        assert stages == {(kind, str(s)) for kind in kinds for s in range(depth)}
+        by_name = dict(full.parameters())
+        for name, p in dec.parameters():
+            assert np.array_equal(p.data, by_name[name].data), name
 
     def test_gradient_reaches_coarsest_stage_and_phase(self):
         rng = np.random.default_rng(23)

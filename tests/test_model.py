@@ -1,9 +1,12 @@
 """Backbone stub, segmentation head, prediction, pooling."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from nightseg import tensor as T
+from nightseg.decoder import HierarchicalAmplifiedDecoder
 from nightseg.gradcheck import grad_check
 from nightseg.model import (BackboneStub, ModelConfig, NightSegModel, SegOutput,
                             majority_pool, predict, segmentation_logits)
@@ -224,6 +227,31 @@ class TestFullModel:
         assert recorded
         dead = [i for i, out in enumerate(recorded) if out.grad is None]
         assert not dead, f"{len(dead)} of {len(recorded)} nodes got no gradient: {dead}"
+
+    @pytest.mark.parametrize("overrides", [
+        dict(decoder_depth=1), dict(decoder_depth=2), dict(decoder_depth=3), {},
+        dict(enhance_op="sobel"), dict(enhance_op="none"),
+        dict(enhance_op="none", decoder_depth=2), dict(matcher_mode="vanilla"),
+    ], ids=["depth1", "depth2", "depth3", "default", "sobel", "none", "none-depth2", "vanilla"])
+    def test_every_parameter_gets_a_gradient(self, tmp_path, monkeypatch, overrides):
+        # a model holds only the weights its forward reads, so a training step
+        # reaches each one; the dead ones of a shallower or texture-free model
+        # are drawn and dropped, so every kept weight starts as in the model
+        # that keeps them all: a depth-4 decoder with phase projections, which
+        # for the phase and sobel ops is the default model
+        gen_dataset(SceneConfig(), 6, 15, tmp_path)
+        ds = load_dataset(tmp_path, overrides.get("enhance_op", "phase"))
+        cfg = small_cfg(num_classes=ds.num_classes, matcher_layers=2, **overrides)
+        model = NightSegModel(cfg)
+        with monkeypatch.context() as patch:
+            patch.setattr("nightseg.model.HierarchicalAmplifiedDecoder",
+                          lambda *a, **kw: HierarchicalAmplifiedDecoder(*a, **{**kw, "phase": True}))
+            full = dict(NightSegModel(replace(cfg, decoder_depth=4)).parameters())
+        for name, p in model.parameters():
+            assert np.array_equal(p.data, full[name].data), name
+        train(model, ds, TrainConfig(iters=1, batch=4, seed=1))
+        missing = [name for name, p in model.parameters() if p.grad is None]
+        assert not missing, f"{len(missing)} parameters got no gradient: {missing[:3]}"
 
 
 def _at_path(root, name: str):

@@ -54,11 +54,20 @@ class TestAdamW:
         opt.step()
         assert p.data[0] == pytest.approx(2.0 - 0.1 * 0.5 * 2.0)
 
-    def test_none_grads_skipped(self):
-        p = Tensor(np.array([1.0]), requires_grad=True)
-        opt = AdamW([("p", p)], lr=0.1)
+    def test_missing_grad_refused_before_any_state_changes(self):
+        params = [(n, Tensor(np.arange(3.0) + i, requires_grad=True)) for i, n in enumerate("abc")]
+        opt = AdamW(params, lr=0.1, weight_decay=0.1)
+        for _, p in params:
+            p.grad = np.ones(3)
         opt.step()
-        assert p.data[0] == 1.0
+        before = opt.flat.copy(), opt.m.copy(), opt.v.copy()
+        params[1][1].grad = None
+        with pytest.raises(ValueError, match="parameter b has no gradient") as exc:
+            opt.step()
+        assert "\n" not in str(exc.value)
+        assert opt.t == 1
+        for got, want in zip((opt.flat, opt.m, opt.v), before):
+            assert np.array_equal(got, want)
 
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -71,10 +80,8 @@ class TestAdamW:
         for step in range(5):
             if step == 3:  # the phase-2 rate switch
                 opt.lr = oracle.lr = 1e-4
-            for i, ((_, p), (_, q)) in enumerate(zip(params, ref)):
-                # odd steps leave parameters 0, 3, 7, 10, ... without a gradient
-                absent = step % 2 == 1 and i % 7 in (0, 3)
-                p.grad = q.grad = None if absent else rng.normal(size=p.data.shape).astype(dtype)
+            for (_, p), (_, q) in zip(params, ref):
+                p.grad = q.grad = rng.normal(size=p.data.shape).astype(dtype)
             opt.step()
             oracle.step()
         for (name, p), (_, q) in zip(params, ref):
