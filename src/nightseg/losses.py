@@ -110,7 +110,7 @@ def decompose_gt(mask: np.ndarray, num_classes: int) -> tuple[np.ndarray, np.nda
     """
     m = np.asarray(mask)
     if m.min() < 0 or m.max() >= num_classes:
-        raise ValueError(f"mask labels outside [0, {num_classes}): {sorted(np.unique(m))}")
+        raise ValueError(f"mask labels outside [0, {num_classes}): {np.unique(m).tolist()}")
     labels = np.unique(m)
     flat = m.reshape(-1)
     targets = np.stack([(flat == c).astype(np.float64) for c in labels])

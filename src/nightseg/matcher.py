@@ -19,40 +19,22 @@ from .tensor import Tensor, attention_weights
 
 __all__ = [
     "select_reliable",
-    "bridged_similarity",
     "ReliableMatcherLayer",
     "ReliableMatcher",
 ]
 
 
-def select_reliable(sim: Tensor, k: int) -> np.ndarray:
+def select_reliable(sim: np.ndarray, k: int) -> np.ndarray:
     """Indices [..., K] of the K pixels with the largest aggregate similarity
     (the column sums of sim [..., N, hw]), best first, chosen for each
     leading index on its own; ties go to the lower pixel index.
-
-    The index choice carries no gradient.
     """
-    scores = np.sum(sim.data, axis=-2)
+    scores = np.sum(sim, axis=-2)
     hw = scores.shape[-1]
     if not 1 <= k <= hw:
         raise ValueError(f"select_reliable: K={k} outside 1..{hw}")
     # a stable sort of the negated scores keeps tied pixels in index order
     return np.argsort(-scores, axis=-1, kind="stable")[..., :k].copy()
-
-
-def bridged_similarity(q: Tensor, q_pix: Tensor, kr: Tensor, renormalize: bool = False) -> Tensor:
-    """Prototype-to-pixel weights [..., N, hw] routed through the reliable keys kr [..., K, C].
-
-    Prototype queries q and pixel queries q_pix are each soft-assigned over
-    the reliable points; the product of the two distributions has entries
-    in [0, 1], and ``renormalize`` scales each row to sum to one.
-    """
-    if kr.shape[-2] == 0:
-        raise ValueError("bridged_similarity: empty reliable set")
-    sim_qk = T.matmul(attention_weights(q, kr), T.transpose2d(attention_weights(q_pix, kr)))
-    if renormalize:
-        sim_qk = T.normalize_rows(sim_qk)
-    return sim_qk
 
 
 class ReliableMatcherLayer(Module):
@@ -90,10 +72,9 @@ class ReliableMatcherLayer(Module):
         q = T.matmul(p1, self.wq)
         keys = T.matmul(fa, self.wk)
         if self.mode == "reliable":
-            # the choice carries no gradient, so its weights stay off the tape
-            sim = attention_weights(Tensor(q.data), Tensor(keys.data))
-            kr = T.gather_rows(keys, select_reliable(sim, self.k))
-            weights = bridged_similarity(q, T.matmul(fa, self.wq), kr, self.renormalize)
+            # the choice carries no gradient, so its weights are a plain array
+            kr = T.gather_rows(keys, select_reliable(attention_weights(q.data, keys.data), self.k))
+            weights = T.bridged_similarity(q, T.matmul(fa, self.wq), kr, self.renormalize)
             upd = T.matmul(weights, T.matmul(fa, self.wv))
         else:
             upd = T.attention(q, keys, T.matmul(fa, self.wv))

@@ -19,7 +19,7 @@ from .fourier import dft2d_bruteforce, irfft2d, rfft2d
 from .gradcheck import grad_check
 from .layers import TokenSelfAttention, glorot_uniform
 from .losses import LossWeights, hungarian_match, total_loss
-from .matcher import bridged_similarity, select_reliable
+from .matcher import select_reliable
 from .metrics import miou
 from .model import ModelConfig, NightSegModel
 from .phase import choose_c_a, fourier_decompose, phase_reconstruct, sobel_texture_map
@@ -73,14 +73,14 @@ def check_attention_softmax():
     # a query [[1.0]] against one-feature keys x makes the logit row x itself
     rng = _rng(3)
     x = rng.normal(size=12)
-    got = attention_weights(Tensor([[1.0]]), Tensor(x[:, None])).data[0]
+    got = attention_weights(np.array([[1.0]]), x[:, None])[0]
     assert np.abs(got - np.exp(x) / np.sum(np.exp(x))).max() < 1e-12
-    big = attention_weights(Tensor([[1.0]]), Tensor([[1000.0], [0.0], [0.0]])).data[0]
+    big = attention_weights(np.array([[1.0]]), np.array([[1000.0], [0.0], [0.0]]))[0]
     assert np.isfinite(big).all() and abs(big[0] - 1.0) < 1e-12
     rng = _rng(4)
     for _ in range(50):
         q = rng.normal(size=(5, 3)) * rng.uniform(0.1, 50)
-        y = attention_weights(Tensor(q), Tensor(rng.normal(size=(9, 3)))).data
+        y = attention_weights(q, rng.normal(size=(9, 3)))
         assert np.abs(y.sum(axis=1) - 1.0).max() < 1e-6 and (y >= 0).all()
 
 
@@ -187,8 +187,8 @@ def _bridge(p: Tensor, fa: Tensor, wq: Tensor, wk: Tensor, k: int,
     """The reliable bridge of a matcher layer, from its query and key weights."""
     q = T.matmul(p, wq)
     keys = T.matmul(fa, wk)
-    idx = select_reliable(attention_weights(q, keys), k)
-    return bridged_similarity(q, T.matmul(fa, wq), T.gather_rows(keys, idx), renormalize)
+    idx = select_reliable(attention_weights(q.data, keys.data), k)
+    return T.bridged_similarity(q, T.matmul(fa, wq), T.gather_rows(keys, idx), renormalize)
 
 
 def check_matching_invariants():
@@ -200,70 +200,90 @@ def check_matching_invariants():
         fa = Tensor(rng.normal(size=(hw, c)))
         wq, wk, _ = _random_projections(rng, c)
         q, q_pix = T.matmul(p, wq), T.matmul(fa, wq)
-        sim = attention_weights(q, T.matmul(fa, wk))
-        assert np.abs(sim.data.sum(axis=1) - 1.0).max() < 1e-6
-        scores = sim.data.sum(axis=0)
+        sim = attention_weights(q.data, T.matmul(fa, wk).data)
+        assert np.abs(sim.sum(axis=1) - 1.0).max() < 1e-6
+        scores = sim.sum(axis=0)
         assert abs(scores.sum() - n) < 1e-5
         idx = select_reliable(sim, k)
         order = np.lexsort((np.arange(hw), -scores))
         assert np.array_equal(idx, order[:k])
         kr = T.matmul(T.gather_rows(fa, idx), wk)
-        assert np.abs(attention_weights(q, kr).data.sum(axis=1) - 1.0).max() < 1e-6
-        assert np.abs(attention_weights(q_pix, kr).data.sum(axis=1) - 1.0).max() < 1e-6
-        sim_qk = bridged_similarity(q, q_pix, kr).data
+        assert np.abs(attention_weights(q.data, kr.data).sum(axis=1) - 1.0).max() < 1e-6
+        assert np.abs(attention_weights(q_pix.data, kr.data).sum(axis=1) - 1.0).max() < 1e-6
+        sim_qk = T.bridged_similarity(q, q_pix, kr).data
         assert sim_qk.min() >= 0.0 and sim_qk.max() <= 1.0 + 1e-9
+
+
+def _weights_replay(q: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """softmax(q kᵀ / sqrt(C)) in plain numpy: product, scaling, max-subtracted softmax."""
+    s = (q @ np.swapaxes(k, -1, -2)) * (1.0 / math.sqrt(q.shape[-1]))
+    e = np.exp(s - np.max(s, axis=-1, keepdims=True))
+    return e / np.sum(e, axis=-1, keepdims=True)
 
 
 def attention_weights_replay(q: np.ndarray, k: np.ndarray, head: np.ndarray):
     """softmax(q kᵀ / sqrt(C)) and the gradients of sum(y * head) in plain
-    numpy, one step at a time: the product with kᵀ, the scaling, a
-    max-subtracted softmax, then their backward rules in reverse. The oracle
-    for the one ``attention_weights`` node, which runs these steps in place
-    on one buffer. Returns (y, d q, d k)."""
-    c = 1.0 / math.sqrt(q.shape[-1])
-    s = (q @ np.swapaxes(k, -1, -2)) * c
-    e = np.exp(s - np.max(s, axis=-1, keepdims=True))
-    y = e / np.sum(e, axis=-1, keepdims=True)
-    ds = y * (head - np.sum(head * y, axis=-1, keepdims=True)) * c
+    numpy: the steps of ``_weights_replay``, then their backward rules in
+    reverse, which the nodes run in place on one buffer. Returns (y, d q, d k)."""
+    y = _weights_replay(q, k)
+    ds = y * (head - np.sum(head * y, axis=-1, keepdims=True)) * (1.0 / math.sqrt(q.shape[-1]))
     return y, ds @ k, np.swapaxes(np.swapaxes(q, -1, -2) @ ds, -1, -2)
 
 
-def check_attention_weights_replay():
+def bridge_replay(q: np.ndarray, q_pix: np.ndarray, kr: np.ndarray, head: np.ndarray,
+                  renormalize: bool = False):
+    """softmax(q krᵀ/√C) · softmax(q_pix krᵀ/√C)ᵀ, each row scaled to sum to
+    one if ``renormalize``, and the gradients of sum(y * head) in plain numpy,
+    one step at a time, forward then backward: the oracle for the one
+    ``bridged_similarity`` node. Returns (y, d q, d q_pix, d kr)."""
+    ya, yb = _weights_replay(q, kr), _weights_replay(q_pix, kr)
+    s = ya @ np.swapaxes(yb, -1, -2)
+    y, g = s, head
+    if renormalize:
+        inv = 1.0 / np.sum(s, axis=-1)
+        y = s * inv[..., None]
+        g = head * inv[..., None] + (-np.sum(head * s, axis=-1) * inv * inv)[..., None]
+    _, dq_pix, dkb = attention_weights_replay(
+        q_pix, kr, np.swapaxes(np.swapaxes(ya, -1, -2) @ g, -1, -2))
+    _, dq, dka = attention_weights_replay(q, kr, g @ yb)
+    return y, dq, dq_pix, dkb + dka
+
+
+def check_bridge_replay():
     rng = _rng(13)
-    for dtype in (np.float32, np.float64):
-        for m, l, c in ((5, 9, 3), (8, 2048, 64), (2048, 16, 64)):
-            q0, k0, head = (rng.normal(size=s).astype(dtype) for s in ((m, c), (l, c), (m, l)))
-            q, k = Tensor(q0.copy(), requires_grad=True), Tensor(k0.copy(), requires_grad=True)
-            with T.Tape():
-                y = attention_weights(q, k)
-                T.backward(y, head)
-            for a, b in zip((y.data, q.grad, k.grad), attention_weights_replay(q0, k0, head)):
-                assert a.dtype == b.dtype and np.array_equal(a, b)
+    shapes = (((), 3, 7, 4, 5), ((2,), 8, 128, 32, 64), ((), 8, 2048, 64, 64))
+    for dtype, (lead, n, hw, k, c), renormalize in itertools.product(
+            (np.float32, np.float64), shapes, (False, True)):
+        arrays = [rng.normal(size=lead + s).astype(dtype) for s in ((n, c), (hw, c), (k, c), (n, hw))]
+        ts = [Tensor(a.copy(), requires_grad=True) for a in arrays[:3]]
+        with T.Tape():
+            y = T.bridged_similarity(*ts, renormalize)
+            T.backward(y, arrays[3])
+        for a, b in zip([y.data] + [t.grad for t in ts], bridge_replay(*arrays, renormalize)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 def attention_blocks_replay(q: np.ndarray, k: np.ndarray, v: np.ndarray, head: np.ndarray):
-    """matmul(attention_weights(q, k), v) taken one block of 256 query rows at
-    a time, and the gradients of sum(y * head): the blocks' rows of y and of
-    d q, and their d k and d v summed from the last block to the first. The
-    oracle for the one ``attention`` node, which recomputes each block's
-    weights in its backward; with one block it is the whole composed ops.
-    Returns (y, d q, d k, d v)."""
+    """softmax(q kᵀ / sqrt(C)) v taken one block of 256 query rows at a time,
+    and the gradients of sum(y * head), in plain numpy: the blocks' rows of y
+    and of d q, and their d k and d v summed from the last block to the first.
+    The oracle for the one ``attention`` node, which recomputes each block's
+    weights in its backward. Returns (y, d q, d k, d v)."""
     runs = []
     for r0 in range(0, q.shape[-2], 256):
-        ts = [Tensor(a.copy(), requires_grad=True) for a in (q[..., r0:r0 + 256, :], k, v)]
-        with T.Tape():
-            y = T.matmul(attention_weights(ts[0], ts[1]), ts[2])
-            T.backward(y, head[..., r0:r0 + 256, :])
-        runs.append([y.data] + [t.grad for t in ts])
+        hb = head[..., r0:r0 + 256, :]
+        w, dq, dk = attention_weights_replay(q[..., r0:r0 + 256, :], k,
+                                             hb @ np.swapaxes(v, -1, -2))
+        runs.append((w @ v, dq, dk, np.swapaxes(w, -1, -2) @ hb))
     y, dq = (np.concatenate([run[i] for run in runs], axis=-2) for i in (0, 1))
     dk, dv = (functools.reduce(np.add, [run[i] for run in reversed(runs)]) for i in (2, 3))
     return y, dq, dk, dv
 
 
 def check_attention_composed():
-    """attention equals matmul(attention_weights(q, k), v) taken one row block
-    at a time, value and every gradient, bit for bit: in one block, where that
-    is the whole composed ops, over 600 tokens (a short last block) and over
+    """attention equals the composed weights·V taken one row block at a time,
+    value and every gradient, bit for bit: in one block, where that is the
+    whole composed computation, over 600 tokens (a short last block) and over
     the 2048 tokens of a 128x256 image's finest decoder stage (eight blocks)."""
     rng = _rng(20)
     for dtype in (np.float32, np.float64):
@@ -426,13 +446,7 @@ def run_grad_suite() -> list[tuple[str, float]]:
     results.append(("total loss (class logits)", grad_check(
         lambda c: total_loss(m0, c, gt, 3, LossWeights()), Tensor(rng.normal(size=(5, 4))))))
 
-    k0 = Tensor(rng.normal(size=(6, 4)))
-    h7 = rng.normal(size=(3, 6))
-    results.append(("attention weights (queries)", grad_check(
-        lambda q: T.attention_weights(q, k0), Tensor(rng.normal(size=(3, 4))), h7)))
-    q0 = Tensor(rng.normal(size=(3, 4)))
-    results.append(("attention weights (keys)", grad_check(
-        lambda k: T.attention_weights(q0, k), Tensor(rng.normal(size=(6, 4))), h7)))
+    rng.normal(size=90)   # the draws of two retired entries
 
     mm = [rng.normal(size=s) for s in ((2, 3, 4), (4, 5), (5,))]   # input, weight, bias
     h8 = rng.normal(size=(2, 3, 5))
@@ -445,9 +459,7 @@ def run_grad_suite() -> list[tuple[str, float]]:
 
     # a generator of their own keeps the draws of the entries above unchanged
     rng = _rng(162)
-    h9 = rng.normal(size=(3, 5))
-    results.append(("normalize rows", grad_check(
-        T.normalize_rows, Tensor(rng.uniform(0.5, 1.5, (3, 5))), h9)))
+    rng.normal(size=(3, 5)), rng.uniform(size=(3, 5))   # the draws of a retired entry
     results.append(("bridged similarity renormalized (prototypes)", grad_check(
         lambda p: T.matmul(_bridge(p, fa0, wq, wk, 3, True), v0), Tensor(rng.normal(size=(3, 4))), h6)))
     tgt2 = (rng.random((3, 6)) > 0.5).astype(np.float64)
@@ -471,12 +483,7 @@ def run_grad_suite() -> list[tuple[str, float]]:
         lambda x: T.amplify_stage(x, pb), Tensor(fb.data.copy()), hb3.data)))
     results.append(("amplify stage over a batch (phase)", grad_check(
         lambda x: T.amplify_stage(fb, x), Tensor(pb.data.copy()), hb3.data)))
-    qb, kb = Tensor(rng.normal(size=(2, 3, 4))), Tensor(rng.normal(size=(2, 6, 4)))
-    hb4 = rng.normal(size=(2, 3, 6))
-    results.append(("attention weights over a batch (queries)", grad_check(
-        lambda q: T.attention_weights(q, kb), Tensor(qb.data.copy()), hb4)))
-    results.append(("attention weights over a batch (keys)", grad_check(
-        lambda k: T.attention_weights(qb, k), Tensor(kb.data.copy()), hb4)))
+    rng.normal(size=108)   # the draws of two retired entries
     rows = np.array([[4, 0, 4], [1, 2, 3]])   # a repeated row scatter-adds twice
     hb5 = rng.normal(size=(2, 3, 3))
     results.append(("gather rows over a batch", grad_check(
@@ -489,6 +496,16 @@ def run_grad_suite() -> list[tuple[str, float]]:
     for i, part in enumerate(("queries", "keys", "values")):
         results.append((f"attention ({part})", grad_check(
             lambda t: T.attention(*ops[:i], t, *ops[i + 1:]), Tensor(ops[i].data.copy()), hb6)))
+
+    # the bridge node on its own, from a generator of its own
+    rng = _rng(165)
+    q1, qp1, h10 = (Tensor(rng.normal(size=s)) for s in ((3, 4), (7, 4), (3, 7)))
+    results.append(("bridged similarity (reliable keys)", grad_check(
+        lambda kr: T.bridged_similarity(q1, qp1, kr), Tensor(rng.normal(size=(5, 4))), h10.data)))
+    qb, krb, hb7 = (Tensor(rng.normal(size=s)) for s in ((2, 3, 4), (2, 5, 4), (2, 3, 7)))
+    results.append(("bridged similarity renormalized over a batch (pixel queries)", grad_check(
+        lambda qp: T.bridged_similarity(qb, qp, krb, True), Tensor(rng.normal(size=(2, 7, 4))),
+        hb7.data)))
 
     return results
 
@@ -575,7 +592,7 @@ CHECKS = [
     ("sobel map: zero on constants, 4 on unit step", check_sobel),
     ("amplification matches per-pixel loop oracle", check_amplify_oracle),
     ("self-attention is permutation-equivariant", check_attention_permutation),
-    ("attention weights equal the numpy replay bit for bit", check_attention_weights_replay),
+    ("bridged similarity equals the numpy replay bit for bit", check_bridge_replay),
     ("attention equals the composed weights·V block by block, bit for bit", check_attention_composed),
     ("similarity invariants hold on 1000 random instances", check_matching_invariants),
     ("assignment matches exhaustive enumeration (1000 cases)", check_hungarian_oracle),

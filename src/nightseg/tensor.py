@@ -22,16 +22,16 @@ Conventions:
   Under ``train.AdamW`` each parameter's ``.data`` is a view into the
   optimizer's one flat weight vector, updated in place; rebinding
   ``p.data`` detaches that parameter from the vector. A backward closure
-  may overwrite a forward array only it holds: ``attention``'s writes its
-  logit gradient over its private weight buffer, which nothing reads
+  may overwrite a forward array only it holds: ``attention``'s recomputes
+  earlier weight blocks into its private scratch, which nothing reads
   again once the tape is consumed
 - gradient buffers are write-once per accumulation (``grad = grad + g``),
   never mutated in place, so views may be stored safely
 - binary ops require exact shape and dtype agreement; the only broadcasts
   happen inside single nodes: the optional per-channel ``bias`` of
   ``matmul`` and ``conv2d``, the per-pixel scaling of ``amplify_stage``, the
-  per-row scaling of ``normalize_rows``, the per-row reductions of
-  ``attention_weights``, ``attention`` and ``bce_dice_loss``, and ``expand``
+  per-row reductions and scaling of ``bridged_similarity``, the per-row
+  reductions of ``attention`` and ``bce_dice_loss``, and ``expand``
 - leading axes: every op except the two losses accepts any number of
   leading (batch) axes in front of the axes it names, e.g. x[..., H, W, C]
   or tokens [..., M, C], and treats each leading index as its own sample.
@@ -40,8 +40,8 @@ Conventions:
   with a's (np.matmul on stacks). ``expand`` adds leading axes to a tensor
   shared by every sample; ``bce_dice_loss`` and ``ce_logits`` take 2-D row
   sets, so callers flatten a batch into rows
-- reductions are per sample: the rows of ``attention_weights`` and
-  ``attention``, the normalized rows, layer_norm's features, conv2d
+- reductions are per sample: the softmax rows of ``attention`` and
+  ``bridged_similarity`` and its row sums, layer_norm's features, conv2d
   windows and ``amplify_stage``'s map mean over each map's own (h, w).
   Only gradients with respect to operands without the leading axes
   (weights, biases, ``expand`` inputs) sum over them
@@ -69,7 +69,7 @@ __all__ = [
     "attention",
     "layer_norm",
     "amplify_stage",
-    "normalize_rows",
+    "bridged_similarity",
     "conv2d",
     "upsample_bilinear2x",
     "gather_rows",
@@ -295,9 +295,9 @@ def relu(x: Tensor) -> Tensor:
     return _node(np.maximum(x.data, 0.0), bwd, x)
 
 
-def _attention_scale(op: str, q: Tensor, k: Tensor) -> float:
+def _attention_scale(op: str, q: np.ndarray, k: np.ndarray) -> float:
     """1 / sqrt(C) for queries q [..., M, C] and keys k [..., L, C] with the same leading axes."""
-    if q.data.ndim < 2 or k.data.ndim != q.data.ndim or q.shape[:-2] != k.shape[:-2]:
+    if q.ndim < 2 or k.ndim != q.ndim or q.shape[:-2] != k.shape[:-2]:
         raise ValueError(f"{op}: expects 2-D operands or stacks of them with the same "
                          f"leading axes, got {q.shape} and {k.shape}")
     if q.shape[-1] != k.shape[-1]:
@@ -313,29 +313,24 @@ def _scaled_softmax(s: np.ndarray, c: float) -> None:
     s /= np.sum(s, axis=-1, keepdims=True)
 
 
-def attention_weights(q: Tensor, k: Tensor) -> Tensor:
+def _softmax_grad(g: np.ndarray, y: np.ndarray, c: float) -> None:
+    """In place: g, the gradient of a row softmax y of logits scaled by c,
+    becomes the gradient of those logits, (g - sum(g * y)) * y * c."""
+    g -= np.sum(g * y, axis=-1, keepdims=True)
+    g *= y
+    g *= c
+
+
+def attention_weights(q: np.ndarray, k: np.ndarray) -> np.ndarray:
     """Scaled dot-product weights softmax(q k^T / sqrt(C)); row i of q [..., M, C]
     is a distribution over the rows of k [..., L, C] with the same leading axes.
 
-    One node in place of matmul, transpose2d, scale and softmax: the forward
-    applies their ufuncs in their order to one [..., M, L] buffer, and the
-    backward replays their rules, so values and gradients equal the composed
-    ops bit for bit.
+    A plain-array helper with no tape; nodes form their weights inside.
     """
     c = _attention_scale("attention_weights", q, k)
-    y = q.data @ np.swapaxes(k.data, -1, -2)
+    y = q @ np.swapaxes(k, -1, -2)
     _scaled_softmax(y, c)
-
-    def bwd(g):
-        ds = g * y
-        dot = np.sum(ds, axis=-1, keepdims=True)
-        np.subtract(g, dot, out=ds)
-        ds *= y
-        ds *= c
-        _accumulate(q, ds @ k.data)
-        _accumulate(k, np.swapaxes(np.swapaxes(q.data, -1, -2) @ ds, -1, -2))
-
-    return _node(y, bwd, q, k)
+    return y
 
 
 # query rows per block of ``attention``
@@ -346,18 +341,17 @@ def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     """softmax(q k^T / sqrt(C)) v for queries q [..., M, C], keys k [..., L, C]
     and values v [..., L, D] with the same leading axes.
 
-    One node in place of attention_weights and its matmul with v, computed
-    on blocks of _ATTENTION_ROWS query rows: on a tape or off it, the weights
+    One node in place of the weights and their matmul with v, computed on
+    blocks of _ATTENTION_ROWS query rows: on a tape or off it, the weights
     exist one [..., 256, L] block at a time. The forward runs the composed
     ops' ufuncs in their order on each block. The backward walks the blocks
     from last to first: it reuses the block the forward left in its scratch,
-    recomputes each earlier one with the same ufuncs, writes the softmax's
-    logit gradient over it, and sums the k and v gradients of the blocks from
-    the last to the first. So values and gradients equal the composed ops
-    taken one row block at a time, bit for bit, and the whole composed ops
-    bit for bit where M fits one block.
+    recomputes each earlier one with the same ufuncs, and sums the k and v
+    gradients of the blocks from the last to the first. So values and
+    gradients equal the composed ops taken one row block at a time, bit for
+    bit, and the whole composed ops bit for bit where M fits one block.
     """
-    c = _attention_scale("attention", q, k)
+    c = _attention_scale("attention", q.data, k.data)
     if v.data.ndim != k.data.ndim or v.shape[:-1] != k.shape[:-1]:
         raise ValueError(f"attention: values {v.shape} do not match keys {k.shape}")
     *lead, m, _ = q.shape
@@ -388,11 +382,9 @@ def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
             gb = g[..., rows, :]
             dvb = np.swapaxes(w, -1, -2) @ gb
             gw = gb @ vt
-            gw -= np.sum(gw * w, axis=-1, keepdims=True)
-            np.multiply(gw, w, out=w)
-            w *= c
-            np.matmul(w, k.data, out=dq[..., rows, :])
-            dkb = np.swapaxes(np.swapaxes(q.data[..., rows, :], -1, -2) @ w, -1, -2)
+            _softmax_grad(gw, w, c)
+            np.matmul(gw, k.data, out=dq[..., rows, :])
+            dkb = np.swapaxes(np.swapaxes(q.data[..., rows, :], -1, -2) @ gw, -1, -2)
             dv, dk = (dvb, dkb) if dv is None else (dv + dvb, dk + dkb)
         _accumulate(v, dv)
         _accumulate(q, dq)
@@ -461,18 +453,35 @@ def amplify_stage(fbar: Tensor, pbar: Tensor) -> Tensor:
     return _node(fbar.data * a[..., None], bwd, fbar, pbar)
 
 
-def normalize_rows(x: Tensor) -> Tensor:
-    """Scale row i of x[..., n, m] by 1 / sum_j x[..., i, j], so every row sums to one."""
-    if x.data.ndim < 2:
-        raise ValueError(f"normalize_rows: expects a 2-D tensor or a stack of them, got {x.shape}")
-    inv = 1.0 / np.sum(x.data, axis=-1)
+def bridged_similarity(q: Tensor, q_pix: Tensor, kr: Tensor, renormalize: bool = False) -> Tensor:
+    """Prototype-to-pixel weights softmax(q krᵀ/√C) · softmax(q_pix krᵀ/√C)ᵀ
+    [..., N, hw] for prototype queries q [..., N, C], pixel queries q_pix
+    [..., hw, C] and reliable keys kr [..., K, C]. Both factors' rows are
+    distributions over the K keys, so the entries lie in [0, 1];
+    ``renormalize`` scales each row to sum to one. The chain it replaces:
+    two attention_weights, transpose2d, matmul, then the row scaling.
+    """
+    if not kr.size:
+        raise ValueError("bridged_similarity: empty reliable set")
+    ya, yb = attention_weights(q.data, kr.data), attention_weights(q_pix.data, kr.data)
+    c = 1.0 / math.sqrt(kr.shape[-1])
+    s = ya @ np.swapaxes(yb, -1, -2)
+    inv = 1.0 / np.sum(s, axis=-1) if renormalize else None
 
     def bwd(g):
-        _accumulate(x, g * inv[..., None])
-        ginv = np.sum(g * x.data, axis=-1)
-        _accumulate(x, np.broadcast_to((-ginv * inv * inv)[..., None], x.shape))
+        if renormalize:
+            ginv = np.sum(g * s, axis=-1)
+            g = g * inv[..., None] + (-ginv * inv * inv)[..., None]
+        ga = g @ yb
+        gb = np.swapaxes(np.swapaxes(ya, -1, -2) @ g, -1, -2)
+        _softmax_grad(gb, yb, c)
+        _softmax_grad(ga, ya, c)
+        _accumulate(q_pix, gb @ kr.data)
+        _accumulate(q, ga @ kr.data)
+        _accumulate(kr, np.swapaxes(np.swapaxes(q_pix.data, -1, -2) @ gb, -1, -2)
+                    + np.swapaxes(np.swapaxes(q.data, -1, -2) @ ga, -1, -2))
 
-    return _node(x.data * inv[..., None], bwd, x)
+    return _node(s * inv[..., None] if renormalize else s, bwd, q, q_pix, kr)
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .tensor import Tensor
-
-__all__ = ["MAGIC", "MAGIC_F8", "write_tensor", "write_flat", "read_tensor", "encode_tensor",
-           "decode_tensor"]
+__all__ = ["MAGIC", "MAGIC_F8", "write_flat", "read_tensor", "decode_tensor"]
 
 MAGIC = b"NFT1"
 MAGIC_F8 = b"NFT8"
@@ -32,12 +29,6 @@ def _header(shape: tuple[int, ...], dtype) -> tuple[bytes, np.dtype]:
     magic = MAGIC_F8 if np.dtype(dtype) == np.float64 else MAGIC
     head = magic + struct.pack("<I", len(shape)) + struct.pack(f"<{len(shape)}I", *shape)
     return head, _STORED[magic]
-
-
-def encode_tensor(t: Tensor | np.ndarray) -> bytes:
-    arr = t.data if isinstance(t, Tensor) else np.asarray(t)
-    head, stored = _header(arr.shape, arr.dtype)
-    return head + np.ascontiguousarray(arr, dtype=stored).tobytes()
 
 
 def decode_tensor(blob: bytes) -> np.ndarray:
@@ -61,10 +52,6 @@ def decode_tensor(blob: bytes) -> np.ndarray:
                          f"need {stored.itemsize * count}")
     data = np.frombuffer(blob, dtype=stored, offset=need, count=count)
     return data.reshape(shape).astype(stored.newbyteorder("="))
-
-
-def write_tensor(path: str | Path, t: Tensor | np.ndarray) -> None:
-    Path(path).write_bytes(encode_tensor(t))
 
 
 def write_flat(path: str | Path, arrays: Sequence[np.ndarray]) -> None:

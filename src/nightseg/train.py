@@ -210,14 +210,18 @@ def load_dataset(data_dir: str | Path, enhance_op: str) -> LoadedDataset:
     """Read a generated dataset: every image as its 8-bit file values, every
     mask majority pooled to the quarter grid and, for the ``phase`` and
     ``sobel`` ops, every image's float64 texture, computed once from its
-    decoded values."""
+    decoded values. A mask label outside the manifest's class range is refused."""
     data_dir = Path(data_dir)
     meta, entries = parse_manifest(data_dir / "manifest.txt")
+    num_classes = int(meta["num_classes"])
     images, masks, textures = [], [], []
     train_idx, val_idx = [], []
     for i, (img_name, msk_name, split) in enumerate(entries):
         img = read_ppm8((data_dir / img_name).read_bytes())
         msk = read_pgm((data_dir / msk_name).read_bytes())
+        if msk.max() >= num_classes:
+            raise ValueError(f"{data_dir / msk_name}: mask labels outside [0, {num_classes}): "
+                             f"{np.unique(msk).tolist()}")
         images.append(img)
         masks.append(majority_pool(msk, 4))
         if enhance_op in ("phase", "sobel"):
@@ -229,7 +233,7 @@ def load_dataset(data_dir: str | Path, enhance_op: str) -> LoadedDataset:
         textures=textures if enhance_op != "none" else None,
         train_idx=train_idx,
         val_idx=val_idx,
-        num_classes=int(meta["num_classes"]),
+        num_classes=num_classes,
     )
 
 

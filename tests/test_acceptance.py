@@ -19,11 +19,11 @@ from nightseg.fourier import dft2d_bruteforce, irfft2d, rfft2d
 from nightseg import tensor as T
 from nightseg.layers import glorot_uniform
 from nightseg.losses import hungarian_match
-from nightseg.matcher import bridged_similarity, select_reliable
+from nightseg.matcher import select_reliable
 from nightseg.metrics import miou
 from nightseg.phase import choose_c_a, fourier_decompose, phase_reconstruct
 from nightseg.selftest import run_grad_suite
-from nightseg.tensor import Tensor, attention_weights
+from nightseg.tensor import Tensor, attention_weights, bridged_similarity
 
 
 def _report(criterion: int, text: str) -> None:
@@ -94,16 +94,16 @@ def test_criterion_5_attention_invariants_1000():
         p = Tensor(rng.normal(size=(n, c)) * rng.uniform(0.5, 3.0))
         fa = Tensor(rng.normal(size=(hw, c)) * rng.uniform(0.5, 3.0))
         q, q_pix = T.matmul(p, wq), T.matmul(fa, wq)
-        sim = attention_weights(q, T.matmul(fa, wk))
-        assert np.abs(sim.data.sum(axis=1) - 1.0).max() < 1e-6
-        scores = sim.data.sum(axis=0)
+        sim = attention_weights(q.data, T.matmul(fa, wk).data)
+        assert np.abs(sim.sum(axis=1) - 1.0).max() < 1e-6
+        scores = sim.sum(axis=0)
         assert abs(scores.sum() - n) < 1e-5
         idx = select_reliable(sim, k)
         want = sorted(range(hw), key=lambda i: (-scores[i], i))[:k]
         assert idx.tolist() == want
         kr = T.matmul(T.gather_rows(fa, idx), wk)
-        assert np.abs(attention_weights(q, kr).data.sum(axis=1) - 1.0).max() < 1e-6
-        assert np.abs(attention_weights(q_pix, kr).data.sum(axis=1) - 1.0).max() < 1e-6
+        assert np.abs(attention_weights(q.data, kr.data).sum(axis=1) - 1.0).max() < 1e-6
+        assert np.abs(attention_weights(q_pix.data, kr.data).sum(axis=1) - 1.0).max() < 1e-6
         sim_qk = bridged_similarity(q, q_pix, kr).data
         assert sim_qk.min() >= 0.0
         assert sim_qk.max() <= 1.0 + 1e-9

@@ -1,10 +1,13 @@
 """Command-line surface: exit codes, file outputs, subcommand wiring."""
 
+import shutil
+
 import pytest
 
 from nightseg.cli import main
 from nightseg.config import known_keys
-from nightseg.netpbm import read_ppm
+from nightseg.netpbm import read_pgm, read_ppm, write_pgm
+from nightseg.scenes import parse_manifest
 
 
 @pytest.fixture(scope="module")
@@ -289,6 +292,39 @@ class TestBadConfigExit2:
         rc = main(["gen-data", "--out", str(tmp_path / "data"), "--count", "2", *flags])
         _assert_one_line_exit_2(rc, capsys, flag)
         assert not (tmp_path / "data").exists()
+
+
+class TestBadMaskExit2:
+    """A mask label outside the manifest's class range fails as the dataset
+    loads, before any step, with one line naming the mask file."""
+
+    @pytest.mark.parametrize("command,split", [("train", "train"), ("eval", "val"),
+                                               ("ablate", "val")])
+    def test_label_outside_the_class_range_names_its_file(self, dataset, tiny_cfg, tmp_path,
+                                                          capsys, monkeypatch, command, split):
+        ckpt = tmp_path / "run" / "checkpoint"
+        if command == "eval":
+            assert main(["train", "--config", str(tiny_cfg), "--data", str(dataset),
+                         "--out", str(tmp_path / "run")]) == 0
+            capsys.readouterr()
+        data = tmp_path / "data"
+        shutil.copytree(dataset, data)
+        _, entries = parse_manifest(data / "manifest.txt")
+        name = next(msk for _, msk, s in entries if s == split)
+        mask = read_pgm((data / name).read_bytes())
+        mask[3, 5] = 9
+        (data / name).write_bytes(write_pgm(mask))
+
+        def no_step(*args, **kwargs):
+            raise AssertionError("a model ran on a dataset with a bad mask")
+
+        monkeypatch.setattr("nightseg.train.total_loss", no_step)
+        monkeypatch.setattr("nightseg.train.predict", no_step)
+        args = {"train": ["--out", str(tmp_path / "bad_run")],
+                "eval": ["--ckpt", str(ckpt), "--report", str(tmp_path / "r.txt")],
+                "ablate": ["--axis", "matcher"]}[command]
+        rc = main([command, "--config", str(tiny_cfg), "--data", str(data), *args])
+        _assert_one_line_exit_2(rc, capsys, str(data / name), "outside [0, 4): [0", ", 9]")
 
 
 class TestVerificationCli:

@@ -1,6 +1,7 @@
 """Config parsing and the binary tensor format."""
 
 import re
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -9,9 +10,7 @@ import pytest
 from nightseg.config import build, known_keys, parse_config
 from nightseg.losses import LossWeights
 from nightseg.model import ModelConfig
-from nightseg.tensor import Tensor
-from nightseg.tensor_io import (decode_tensor, encode_tensor, read_tensor, write_flat,
-                                write_tensor)
+from nightseg.tensor_io import decode_tensor, read_tensor, write_flat
 from nightseg.train import TrainConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -130,39 +129,44 @@ class TestConfig:
             assert build(TrainConfig, values) == TrainConfig(), key
 
 
+def nft_blob(arr: np.ndarray) -> bytes:
+    """A tensor file's bytes, laid out by hand: magic, u32 LE rank and
+    extents, then the row-major f4 (or, for float64, f8) values."""
+    magic, stored = (b"NFT8", "<f8") if arr.dtype == np.float64 else (b"NFT1", "<f4")
+    head = magic + struct.pack(f"<{arr.ndim + 1}I", arr.ndim, *arr.shape)
+    return head + arr.astype(stored).tobytes()
+
+
 class TestTensorFile:
-    def test_header_layout(self):
-        blob = encode_tensor(np.zeros((2, 3), dtype=np.float32))
+    def test_header_layout(self, tmp_path):
+        write_flat(tmp_path / "f.nft", [np.zeros((2, 3), dtype=np.float32)])
+        blob = (tmp_path / "f.nft").read_bytes()
         assert blob[:4] == b"NFT1"
-        assert blob[4:8] == (2).to_bytes(4, "little")
-        assert blob[8:12] == (2).to_bytes(4, "little")
-        assert blob[12:16] == (3).to_bytes(4, "little")
-        assert len(blob) == 16 + 4 * 6
+        assert blob[4:8] == (1).to_bytes(4, "little")
+        assert blob[8:12] == (6).to_bytes(4, "little")
+        assert len(blob) == 12 + 4 * 6
 
     def test_roundtrip_row_major(self):
         rng = np.random.default_rng(0)
         for shape in ((4,), (2, 3), (2, 3, 4), (1, 2, 3, 4)):
             arr = rng.normal(size=shape).astype(np.float32)
-            back = decode_tensor(encode_tensor(arr))
+            back = decode_tensor(nft_blob(arr))
             assert back.shape == shape
             assert np.array_equal(back, arr)
 
-    def test_tensor_wrapper_roundtrip(self, tmp_path):
-        t = Tensor(np.arange(6, dtype=np.float32).reshape(2, 3))
-        write_tensor(tmp_path / "t.nft", t)
-        assert np.array_equal(read_tensor(tmp_path / "t.nft"), t.data)
-
-    def test_float64_roundtrips_exactly(self):
+    def test_float64_roundtrips_exactly(self, tmp_path):
         arr = np.random.default_rng(1).normal(size=(3, 5))
-        blob = encode_tensor(arr)
+        write_flat(tmp_path / "f.nft", [arr])
+        blob = (tmp_path / "f.nft").read_bytes()
         assert blob[:4] == b"NFT8"
-        assert len(blob) == 16 + 8 * 15
+        assert len(blob) == 12 + 8 * 15
         back = decode_tensor(blob)
         assert back.dtype == np.float64
-        assert np.array_equal(back, arr)
+        assert np.array_equal(back, arr.reshape(-1))
 
-    def test_float32_stays_f32(self):
-        back = decode_tensor(encode_tensor(np.array([np.pi], dtype=np.float32)))
+    def test_float32_stays_f32(self, tmp_path):
+        write_flat(tmp_path / "f.nft", [np.array([np.pi], dtype=np.float32)])
+        back = read_tensor(tmp_path / "f.nft")
         assert back.dtype == np.float32
         assert back[0] == np.float32(np.pi)
 

@@ -199,7 +199,7 @@ class TestDecomposeGt:
         assert targets[0].sum() == 9
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError, match="outside"):
+        with pytest.raises(ValueError, match=r"outside \[0, 4\): \[0, 7\]$"):
             decompose_gt(np.array([[0, 7]]), 4)
 
 

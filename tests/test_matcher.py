@@ -5,9 +5,8 @@ import pytest
 
 from nightseg.gradcheck import grad_check
 from nightseg.layers import glorot_uniform
-from nightseg.matcher import (ReliableMatcher, ReliableMatcherLayer,
-                              bridged_similarity, select_reliable)
-from nightseg.tensor import Tensor, attention_weights
+from nightseg.matcher import ReliableMatcher, ReliableMatcherLayer, select_reliable
+from nightseg.tensor import Tensor, attention_weights, bridged_similarity
 from nightseg import tensor as T
 
 
@@ -25,34 +24,34 @@ def soft(rows):
 
 def cross_similarity(p, fa, wq, wk):
     """The vanilla prototype-to-pixel weights a matcher layer forms."""
-    return attention_weights(T.matmul(p, wq), T.matmul(fa, wk))
+    return attention_weights(T.matmul(p, wq).data, T.matmul(fa, wk).data)
 
 
 class TestCrossSimilarity:
     def test_zero_logits_uniform_rows(self):
         wq, wk = make_proj(0)
         sim = cross_similarity(Tensor(np.zeros((3, 4))), Tensor(np.zeros((6, 4))), wq, wk)
-        assert np.abs(sim.data - 1 / 6).max() < 1e-12
+        assert np.abs(sim - 1 / 6).max() < 1e-12
 
     def test_dominating_key_gives_one_hot(self):
         c = 4
         fa = np.zeros((5, c))
         fa[3] = 100.0
-        sim = attention_weights(Tensor(np.ones((2, c))), Tensor(fa))
-        assert sim.data[:, 3].min() > 1 - 1e-9
+        sim = attention_weights(np.ones((2, c)), fa)
+        assert sim[:, 3].min() > 1 - 1e-9
 
     def test_matches_composed_oracle(self):
         rng = np.random.default_rng(1)
         wq, wk = make_proj(2)
         p = rng.normal(size=(3, 4))
         fa = rng.normal(size=(6, 4))
-        sim = cross_similarity(Tensor(p), Tensor(fa), wq, wk).data
+        sim = cross_similarity(Tensor(p), Tensor(fa), wq, wk)
         want = soft((p @ wq.data) @ (fa @ wk.data).T / 2.0)
         assert np.abs(sim - want).max() < 1e-10
 
     def test_width_mismatch_rejected(self):
         with pytest.raises(ValueError, match="inner extents"):
-            attention_weights(Tensor(np.zeros((2, 5))), Tensor(np.zeros((4, 4))))
+            attention_weights(np.zeros((2, 5)), np.zeros((4, 4)))
 
 
 class TestReliableScores:
@@ -60,29 +59,29 @@ class TestReliableScores:
 
     def test_uniform_sim(self):
         # equal scores everywhere: the tie-break takes the first pixels
-        assert select_reliable(Tensor(np.full((2, 4), 0.25)), 2).tolist() == [0, 1]
+        assert select_reliable(np.full((2, 4), 0.25), 2).tolist() == [0, 1]
 
     def test_total_equals_prototype_count(self):
         rng = np.random.default_rng(4)
         wq, wk = make_proj(5)
         sim = cross_similarity(Tensor(rng.normal(size=(7, 4))),
                                Tensor(rng.normal(size=(9, 4))), wq, wk)
-        assert sim.data.sum(axis=0).sum() == pytest.approx(7.0, abs=1e-5)
+        assert sim.sum(axis=0).sum() == pytest.approx(7.0, abs=1e-5)
 
     def test_matches_column_sum_loop(self):
         rng = np.random.default_rng(6)
         sim = rng.uniform(size=(5, 8))
         want = np.array([sum(sim[n, m] for n in range(5)) for m in range(8)])
         order = sorted(range(8), key=lambda m: (-want[m], m))
-        assert select_reliable(Tensor(sim), 8).tolist() == order
+        assert select_reliable(sim, 8).tolist() == order
 
 
 class TestSelectReliable:
     def test_argtop(self):
-        assert select_reliable(Tensor([[0.5, 2.0, 1.0, 0.3]]), 2).tolist() == [1, 2]
+        assert select_reliable(np.array([[0.5, 2.0, 1.0, 0.3]]), 2).tolist() == [1, 2]
 
     def test_tie_break_ascending_index(self):
-        assert select_reliable(Tensor([[1.0, 1.0, 1.0, 1.0]]), 2).tolist() == [0, 1]
+        assert select_reliable(np.ones((1, 4)), 2).tolist() == [0, 1]
 
     def test_matches_sort_oracle(self):
         rng = np.random.default_rng(7)
@@ -90,33 +89,33 @@ class TestSelectReliable:
             sim = rng.normal(size=(3, 20))
             scores = sim.sum(axis=0)
             want = sorted(range(20), key=lambda i: (-scores[i], i))[:5]
-            assert select_reliable(Tensor(sim), 5).tolist() == want
+            assert select_reliable(sim, 5).tolist() == want
 
     def test_k_out_of_range_rejected(self):
         # K = 0 would leave the bridge with an empty reliable set
         for k in (0, 5):
             with pytest.raises(ValueError, match="outside"):
-                select_reliable(Tensor(np.ones((2, 4))), k)
+                select_reliable(np.ones((2, 4)), k)
 
     def test_full_k_returns_all_pixels(self):
         rng = np.random.default_rng(8)
         sim = rng.uniform(0.1, 1.0, size=(2, 6))
-        assert sorted(select_reliable(Tensor(sim), 6).tolist()) == list(range(6))
+        assert sorted(select_reliable(sim, 6).tolist()) == list(range(6))
 
     def test_batch_rows_choose_alone_with_the_same_tie_break(self):
         sim = np.array([[[1.0, 1.0, 1.0, 1.0]],
                         [[0.5, 2.0, 2.0, 0.5]],
                         [[3.0, 1.0, 3.0, 3.0]]])
-        got = select_reliable(Tensor(sim), 2)
+        got = select_reliable(sim, 2)
         assert got.tolist() == [[0, 1], [1, 2], [0, 2]]
         for b in range(3):
-            assert np.array_equal(got[b], select_reliable(Tensor(sim[b]), 2))
+            assert np.array_equal(got[b], select_reliable(sim[b], 2))
 
     def test_deterministic(self):
         rng = np.random.default_rng(9)
         sim = rng.normal(size=(4, 30))
-        a = select_reliable(Tensor(sim), 7)
-        b = select_reliable(Tensor(sim.copy()), 7)
+        a = select_reliable(sim, 7)
+        b = select_reliable(sim.copy(), 7)
         assert np.array_equal(a, b)
 
 
@@ -127,7 +126,7 @@ def reliable_inputs(seed_data, seed_proj, n, hw, k):
     p = Tensor(rng.normal(size=(n, 4)))
     fa = Tensor(rng.normal(size=(hw, 4)))
     q, q_pix = T.matmul(p, wq), T.matmul(fa, wq)
-    idx = select_reliable(attention_weights(q, T.matmul(fa, wk)), k)
+    idx = select_reliable(attention_weights(q.data, T.matmul(fa, wk).data), k)
     kr = T.matmul(T.gather_rows(fa, idx), wk)
     return p, fa, q, q_pix, kr, idx, wq, wk
 
@@ -135,8 +134,8 @@ def reliable_inputs(seed_data, seed_proj, n, hw, k):
 class TestBridgedSimilarity:
     def test_k1_all_ones(self):
         _, _, q, q_pix, kr, _, _, _ = reliable_inputs(10, 11, 3, 6, 1)
-        assert np.abs(attention_weights(q, kr).data - 1.0).max() < 1e-12
-        assert np.abs(attention_weights(q_pix, kr).data - 1.0).max() < 1e-12
+        assert np.abs(attention_weights(q.data, kr.data) - 1.0).max() < 1e-12
+        assert np.abs(attention_weights(q_pix.data, kr.data) - 1.0).max() < 1e-12
         assert np.abs(bridged_similarity(q, q_pix, kr).data - 1.0).max() < 1e-12
 
     def test_disjoint_one_hot_supports_give_zero(self):
@@ -152,8 +151,8 @@ class TestBridgedSimilarity:
         fr = fa.data[idx]
         want_q = soft((p.data @ wq.data) @ (fr @ wk.data).T / 2.0)
         want_k = soft((fa.data @ wq.data) @ (fr @ wk.data).T / 2.0)
-        assert np.abs(attention_weights(q, kr).data - want_q).max() < 1e-10
-        assert np.abs(attention_weights(q_pix, kr).data - want_k).max() < 1e-10
+        assert np.abs(attention_weights(q.data, kr.data) - want_q).max() < 1e-10
+        assert np.abs(attention_weights(q_pix.data, kr.data) - want_k).max() < 1e-10
         assert np.abs(sim_qk - want_q @ want_k.T).max() < 1e-10
         assert sim_qk.min() >= 0.0
         assert sim_qk.max() <= 1.0 + 1e-9
@@ -246,8 +245,8 @@ class TestMatcherLayer:
         fa = rng.normal(size=(6, 4))
         p1 = layer.attn_in(Tensor(np.zeros((3, 4))))
         sim = cross_similarity(p1, Tensor(fa), layer.wq, layer.wk)
-        if np.abs(sim.data - 1 / 6).max() < 1e-9:
-            upd = sim.data @ (fa @ layer.wv.data)
+        if np.abs(sim - 1 / 6).max() < 1e-9:
+            upd = sim @ (fa @ layer.wv.data)
             want = (fa @ layer.wv.data).mean(axis=0)
             assert np.abs(upd - want).max() < 1e-9
 

@@ -10,7 +10,7 @@ import pytest
 from nightseg import tensor as T
 from nightseg.gradcheck import grad_check
 from nightseg.layers import Conv2dLayer, Linear
-from nightseg.selftest import attention_blocks_replay, attention_weights_replay
+from nightseg.selftest import attention_blocks_replay, attention_weights_replay, bridge_replay
 from nightseg.tensor import Tape, Tensor, backward
 
 
@@ -101,7 +101,7 @@ class TestMatmulLeadingAxesAndBias:
 def weights_of(logits):
     """attention_weights of the query [[1.0]] against one-feature keys: the
     softmax of the logit vector itself (1 * x and x / sqrt(1) are exact)."""
-    return T.attention_weights(Tensor([[1.0]]), Tensor(np.asarray(logits)[:, None])).data[0]
+    return T.attention_weights(np.array([[1.0]]), np.asarray(logits)[:, None])[0]
 
 
 class TestSoftmax:
@@ -127,22 +127,14 @@ class TestSoftmax:
         rng = np.random.default_rng(8)
         for _ in range(100):
             q = rng.normal(size=(4, 3)) * rng.uniform(0.01, 100)
-            y = T.attention_weights(Tensor(q), Tensor(rng.normal(size=(7, 3)))).data
+            y = T.attention_weights(q, rng.normal(size=(7, 3)))
             assert np.abs(y.sum(axis=1) - 1.0).max() < 1e-6
             assert (y >= 0).all()
 
 
-def attention_run(qd, kd, head):
-    """attention_weights of fresh q and k, and the gradients of sum(y * head)."""
-    q = Tensor(qd.copy(), requires_grad=True)
-    k = Tensor(kd.copy(), requires_grad=True)
-    with Tape():
-        y = T.attention_weights(q, k)
-        backward(y, head)
-    return y.data, q.grad, k.grad
-
-
 class TestAttentionWeights:
+    """The plain-array weights the top-K choice reads."""
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("m,l,c", [(6, 6, 4), (64, 64, 64), (5, 9, 3), (8, 2048, 64),
                                        (2048, 16, 64)])
@@ -151,62 +143,10 @@ class TestAttentionWeights:
         qd = (rng.normal(size=(m, c)) * 3.0).astype(dtype)
         kd = (rng.normal(size=(l, c)) * 3.0).astype(dtype)
         head = rng.normal(size=(m, l)).astype(dtype)
-        got = attention_run(qd, kd, head)
-        want = attention_weights_replay(qd, kd, head)
-        for a, b in zip(got, want):
-            assert a.dtype == b.dtype == dtype
-            assert np.array_equal(a, b)
-
-    def test_self_attention_shares_one_tensor(self):
-        rng = np.random.default_rng(3)
-        xd, head = rng.normal(size=(7, 4)), rng.normal(size=(7, 7))
-        x = Tensor(xd.copy(), requires_grad=True)
-        with Tape():
-            backward(T.attention_weights(x, x), head)
-        _, dq, dk = attention_weights_replay(xd, xd, head)
-        assert np.array_equal(x.grad, dq + dk)
-
-    def test_shared_key_accumulates_both_gradients(self):
-        # the reliable bridge soft-assigns prototypes and pixels over one key set
-        rng = np.random.default_rng(4)
-        q1d, q2d, krd = rng.normal(size=(3, 4)), rng.normal(size=(3, 4)), rng.normal(size=(5, 4))
-        head = rng.normal(size=(3, 5))
-        kr = Tensor(krd.copy(), requires_grad=True)
-        with Tape():
-            backward(T.add(T.attention_weights(Tensor(q1d), kr),
-                           T.attention_weights(Tensor(q2d), kr)), head)
-        single = [attention_weights_replay(q, krd, head)[2] for q in (q1d, q2d)]
-        assert np.array_equal(kr.grad, single[0] + single[1])
-        assert np.abs(kr.grad - single[0]).max() > 1e-6
-
-    @pytest.mark.parametrize("wrt", ["queries", "keys"])
-    def test_gradient_matches_finite_differences(self, wrt):
-        rng = np.random.default_rng(5)
-        other = Tensor(rng.normal(size=(6, 4)))
-        head = rng.normal(size=(3, 6) if wrt == "queries" else (6, 3))
-        x = Tensor(rng.normal(size=(3, 4)))
-        if wrt == "queries":
-            err = grad_check(lambda q: T.attention_weights(q, other), x, head)
-        else:
-            err = grad_check(lambda k: T.attention_weights(other, k), x, head)
-        assert err < 1e-4
-
-    def test_no_downstream_gradient_leaves_grads_unset(self):
-        # a node no gradient reaches is skipped
-        q = Tensor(np.ones((2, 3)), requires_grad=True)
-        k = Tensor(np.ones((4, 3)), requires_grad=True)
-        x = Tensor([1.0, 2.0], requires_grad=True)
-        with Tape():
-            T.attention_weights(q, k)
-            backward(T.add(x, x), np.ones(2))
-        assert q.grad is None and k.grad is None
-
-    def test_records_one_tape_node(self):
-        q = Tensor(np.ones((2, 3)), requires_grad=True)
-        k = Tensor(np.ones((4, 3)), requires_grad=True)
-        with Tape() as tape:
-            T.attention_weights(q, k)
-            assert len(tape) == 1
+        got = T.attention_weights(qd, kd)
+        want = attention_weights_replay(qd, kd, head)[0]
+        assert got.dtype == want.dtype == dtype
+        assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("qs,ks,msg", [
         ((2, 5), (4, 4), "inner extents differ"),
@@ -215,17 +155,81 @@ class TestAttentionWeights:
     ])
     def test_bad_shapes_rejected(self, qs, ks, msg):
         with pytest.raises(ValueError, match=msg):
-            T.attention_weights(Tensor(np.zeros(qs)), Tensor(np.zeros(ks)))
+            T.attention_weights(np.zeros(qs), np.zeros(ks))
+
+
+class TestBridgedSimilarity:
+    """The reliable bridge's tape behaviour; its values and gradients against
+    the numpy replay are in TestSingleNodeMechanisms."""
+
+    def test_one_tensor_in_every_role(self):
+        rng = np.random.default_rng(3)
+        xd, head = rng.normal(size=(7, 4)), rng.normal(size=(7, 7))
+        x = Tensor(xd.copy(), requires_grad=True)
+        with Tape():
+            backward(T.bridged_similarity(x, x, x), head)
+        _, dq, dq_pix, dkr = bridge_replay(xd, xd, xd, head)
+        assert np.array_equal(x.grad, dq_pix + dq + dkr)
+
+    def test_shared_key_accumulates_both_gradients(self):
+        # prototypes and pixels are soft-assigned over one key set
+        rng = np.random.default_rng(4)
+        qd, q_pixd, krd = (rng.normal(size=s) for s in ((3, 4), (6, 4), (5, 4)))
+        head = rng.normal(size=(3, 6))
+        kr = Tensor(krd.copy(), requires_grad=True)
+        with Tape():
+            backward(T.bridged_similarity(Tensor(qd), Tensor(q_pixd), kr), head)
+        ya, yb = (T.attention_weights(x, krd) for x in (qd, q_pixd))
+        sides = (attention_weights_replay(q_pixd, krd, np.swapaxes(ya.T @ head, -1, -2))[2],
+                 attention_weights_replay(qd, krd, head @ yb)[2])
+        assert np.array_equal(kr.grad, sides[0] + sides[1])
+        assert min(np.abs(kr.grad - side).max() for side in sides) > 1e-6
+
+    @pytest.mark.parametrize("wrt", ["queries", "pixel queries", "keys"])
+    def test_gradient_matches_finite_differences(self, wrt):
+        rng = np.random.default_rng(5)
+        ops = [Tensor(rng.normal(size=s)) for s in ((3, 4), (6, 4), (5, 4))]
+        head = rng.normal(size=(3, 6))
+        i = ["queries", "pixel queries", "keys"].index(wrt)
+        err = grad_check(lambda t: T.bridged_similarity(*ops[:i], t, *ops[i + 1:]),
+                         Tensor(ops[i].data.copy()), head)
+        assert err < 1e-4
+
+    def test_no_downstream_gradient_leaves_grads_unset(self):
+        # a node no gradient reaches is skipped
+        q, q_pix, kr = (Tensor(np.ones(s), requires_grad=True) for s in ((2, 3), (5, 3), (4, 3)))
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        with Tape():
+            T.bridged_similarity(q, q_pix, kr)
+            backward(T.add(x, x), np.ones(2))
+        assert q.grad is None and q_pix.grad is None and kr.grad is None
+
+    def test_records_one_tape_node(self):
+        q, q_pix, kr = (Tensor(np.ones(s), requires_grad=True) for s in ((2, 3), (5, 3), (4, 3)))
+        with Tape() as tape:
+            T.bridged_similarity(q, q_pix, kr)
+            assert len(tape) == 1
+            T.bridged_similarity(q, q_pix, kr, renormalize=True)
+            assert len(tape) == 2
+
+    @pytest.mark.parametrize("shapes,msg", [
+        (((2, 5), (6, 5), (4, 4)), "inner extents differ"),
+        (((2, 4), (6, 3), (4, 4)), "inner extents differ"),
+        (((2, 4), (6, 4), (4,)), "expects 2-D operands"),
+        (((2, 2, 4), (2, 6, 4), (3, 4, 4)), "same leading axes"),
+        (((2, 4), (6, 4), (0, 4)), "empty reliable set"),
+    ])
+    def test_bad_shapes_rejected(self, shapes, msg):
+        with pytest.raises(ValueError, match=msg):
+            T.bridged_similarity(*(Tensor(np.zeros(s)) for s in shapes))
 
 
 def attention_pair(qd, kd, vd, head):
-    """attention(q, k, v) and matmul(attention_weights(q, k), v) of fresh
-    operands: each value and its gradients of sum(y * head) for q, k and v."""
-    runs = []
-    for f in (T.attention, lambda q, k, v: T.matmul(T.attention_weights(q, k), v)):
-        y, grads = _weighted_run(f, [qd, kd, vd], head)
-        runs.append((y, *grads))
-    return runs
+    """attention(q, k, v) of fresh operands, and the whole composed weights·V
+    in numpy: each value and its gradients of sum(y * head) for q, k and v."""
+    y, grads = _weighted_run(T.attention, [qd, kd, vd], head)
+    w, dq, dk = attention_weights_replay(qd, kd, head @ np.swapaxes(vd, -1, -2))
+    return (y, *grads), (w @ vd, dq, dk, np.swapaxes(w, -1, -2) @ head)
 
 
 def attention_operands(seed, dtype, lead, m, l, c):
@@ -447,10 +451,12 @@ class TestBackward:
         x = Tensor(rng.normal(size=(4, 4, 2)), requires_grad=True)
 
         def weights():
-            return T.attention_weights(Tensor([[1.0]]), T.reshape(T.conv2d(x, w, 1, 1), (32, 1)))
+            # the weights times a column of ones: their row sum
+            return T.attention(Tensor([[1.0]]), T.reshape(T.conv2d(x, w, 1, 1), (32, 1)),
+                               Tensor(np.ones((32, 1))))
 
         with Tape():
-            backward(weights(), np.ones((1, 32)))
+            backward(weights(), np.ones((1, 1)))
         assert np.abs(x.grad).max() < 1e-12
         h = 1e-5
         flat = x.data.reshape(-1)
@@ -616,7 +622,7 @@ class TestGradCheckExamples:
         q = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
         k = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
         with Tape():
-            backward(T.attention_weights(q, k), np.ones((3, 5)))
+            backward(T.attention(q, k, Tensor(np.ones((5, 1)))), np.ones((3, 1)))
         assert np.abs(q.grad).max() < 1e-12 and np.abs(k.grad).max() < 1e-12
 
     def test_dice_loss_gradient(self):
@@ -731,8 +737,9 @@ def _same_bits(got, want, dtype):
 
 
 class TestSingleNodeMechanisms:
-    """amplify_stage, normalize_rows and bce_dice_loss equal the composed
-    chains they replace, value and every gradient, bit for bit."""
+    """amplify_stage, bridged_similarity (and its row renormalization) and
+    bce_dice_loss equal the composed chains they replace, value and every
+    gradient, bit for bit."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     # the desk model's coarse and 64x128 fine stages, and a 96x160 image's
@@ -748,15 +755,29 @@ class TestSingleNodeMechanisms:
         _same_bits((y.data, f.grad, p.grad), amplify_chain(fd, pd, head), dtype)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("renormalize", [False, True])
+    # the desk model's 8 prototypes over its 128 pixels and 32 reliable
+    # points, alone and over a batch of 2
+    @pytest.mark.parametrize("lead", [(), (2,)])
+    def test_bridged_similarity(self, dtype, renormalize, lead):
+        rng = np.random.default_rng(len(lead) + 2 * renormalize)
+        arrays = [(rng.normal(size=lead + s) * 3.0).astype(dtype)
+                  for s in ((8, 64), (128, 64), (32, 64))]
+        head = rng.normal(size=lead + (8, 128)).astype(dtype)
+        y, grads = _weighted_run(lambda *ops: T.bridged_similarity(*ops, renormalize), arrays, head)
+        _same_bits((y, *grads), bridge_replay(*arrays, head, renormalize), dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_normalize_rows(self, dtype):
+        # the bridge's renormalization is the row scaling it replaced: the
+        # scaled rows, and the plain bridge's backward from that scaling's gradient
         rng = np.random.default_rng(8)
-        xd = rng.uniform(0.01, 1.0, size=(8, 128)).astype(dtype)
+        arrays = [(rng.normal(size=s) * 3.0).astype(dtype) for s in ((8, 64), (128, 64), (32, 64))]
         head = rng.normal(size=(8, 128)).astype(dtype)
-        x = Tensor(xd, requires_grad=True)
-        with Tape():
-            y = T.normalize_rows(x)
-            backward(y, head)
-        _same_bits((y.data, x.grad), normalize_rows_chain(xd, head), dtype)
+        y, grads = _weighted_run(lambda *ops: T.bridged_similarity(*ops, True), arrays, head)
+        s = T.bridged_similarity(*(Tensor(a) for a in arrays)).data
+        want_y, g = normalize_rows_chain(s, head)
+        _same_bits((y, *grads), (want_y, *_weighted_run(T.bridged_similarity, arrays, g)[1]), dtype)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("g", [1, 4])
@@ -775,13 +796,14 @@ class TestSingleNodeMechanisms:
         x = Tensor(np.ones((2, 3, 4)), requires_grad=True)
         with Tape() as tape:
             T.amplify_stage(x, x)
-            T.normalize_rows(T.reshape(x, (6, 4)))
+            rows = T.reshape(x, (6, 4))
+            T.bridged_similarity(rows, rows, rows, renormalize=True)
             T.bce_dice_loss(T.reshape(x, (6, 4)), np.ones((6, 4)), 1.0, 1.0)
             assert len(tape) == 5
 
     @pytest.mark.parametrize("call,msg", [
         (lambda: T.amplify_stage(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3)))), r"\[h, w, C\]"),
-        (lambda: T.normalize_rows(Tensor(np.ones(3))), "2-D"),
+        (lambda: T.bridged_similarity(*(Tensor(np.ones(3)) for _ in range(3))), "2-D"),
         (lambda: T.bce_dice_loss(Tensor(np.zeros((2, 3))), np.zeros((3, 2)), 1.0, 1.0), "same shape"),
     ])
     def test_bad_shapes_rejected(self, call, msg):
@@ -815,12 +837,13 @@ LEADING_AXIS_CASES = {
     "conv2d 4x4 stride 4": (lambda x, w: T.conv2d(x, w, 4, 0), [(8, 8, 3)], [(4, 4, 3, 2)]),
     "upsample": (T.upsample_bilinear2x, [(2, 3, 2)], []),
     "amplify normalized": (T.amplify_stage, [(2, 3, 4), (2, 3, 4)], []),
-    "attention weights": (T.attention_weights, [(4, 5), (6, 5)], []),
+    "bridged similarity": (T.bridged_similarity, [(4, 5), (6, 5), (3, 5)], []),
+    "bridged similarity renormalized": (lambda *ops: T.bridged_similarity(*ops, True),
+                                        [(4, 5), (6, 5), (3, 5)], []),
     "attention": (T.attention, [(4, 5), (6, 5), (6, 3)], []),
     "matmul of stacks": (lambda a, b, c: T.matmul(a, b, c), [(4, 5), (5, 2)], [(2,)]),
     "matmul by a weight": (lambda a, w: T.matmul(a, w), [(2, 4, 5)], [(5, 2)]),
     "transpose2d": (T.transpose2d, [(4, 5)], []),
-    "normalize rows": (T.normalize_rows, [(4, 5)], []),
     "layer norm": (T.layer_norm, [(4, 5)], [(5,), (5,)]),
 }
 
@@ -868,6 +891,6 @@ class TestLeadingAxes:
         with pytest.raises(ValueError, match="batch axes lead a"):
             T.matmul(Tensor(np.zeros((2, 4, 5))), Tensor(np.zeros((3, 5, 2))))
         with pytest.raises(ValueError, match="same leading axes"):
-            T.attention_weights(Tensor(np.zeros((2, 4, 5))), Tensor(np.zeros((3, 6, 5))))
+            T.attention_weights(np.zeros((2, 4, 5)), np.zeros((3, 6, 5)))
         with pytest.raises(ValueError, match="same leading axes"):
             T.gather_rows(Tensor(np.zeros((2, 4, 5))), np.zeros((3, 1), dtype=np.int64))

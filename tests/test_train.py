@@ -16,7 +16,7 @@ from nightseg.train import (AdamW, TrainConfig, TrainingDiverged, evaluate,
                             load_checkpoint, load_dataset, render_report,
                             save_checkpoint, train, _forward)
 from nightseg.tensor import Tensor, backward
-from nightseg.tensor_io import read_tensor, write_tensor
+from nightseg.tensor_io import read_tensor, write_flat
 
 
 @pytest.fixture(scope="module")
@@ -281,7 +281,7 @@ class TestTrainLoop:
         lines = (ckpt / "params.txt").read_text(encoding="utf-8").splitlines()
         name, *dims = lines[0].split()
         if case == "short payload":
-            write_tensor(ckpt / "params.nft", read_tensor(ckpt / "params.nft")[:-1])
+            write_flat(ckpt / "params.nft", [read_tensor(ckpt / "params.nft")[:-1]])
         else:
             edits = {"no extents": (1, lines[1].split()[0]),
                      "non-integer extent": (1, lines[1] + " x"),
