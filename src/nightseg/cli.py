@@ -86,15 +86,11 @@ def _build(args, overrides: dict[str, str] | None = None):
     the data loads."""
     from .config import build, parse_config
     from .model import ModelConfig, NightSegModel
-    from .scenes import parse_manifest
+    from .scenes import read_manifest
     from .train import TrainConfig
 
     manifest = Path(args.data) / "manifest.txt"
-    meta, entries = parse_manifest(manifest)
-    try:
-        num_classes, height, width = (int(meta[k]) for k in ("num_classes", "height", "width"))
-    except (KeyError, ValueError):
-        raise ValueError(f"{manifest}: header needs integer num_classes, height and width") from None
+    (num_classes, height, width), entries = read_manifest(manifest)
     for split in {"train": ["train"], "eval": ["val"], "ablate": ["train", "val"]}[args.command]:
         if all(entry[2] != split for entry in entries):
             raise ValueError(f"{manifest} lists no {split} samples, which {args.command} reads")

@@ -15,8 +15,7 @@ from pathlib import Path
 
 __all__ = ["option", "check_options", "known_keys", "build", "parse_config"]
 
-_BOOL = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
-_EXPECTED = {bool: "a boolean", int: "an integer", float: "a number"}
+_EXPECTED = {int: "an integer", float: "a number"}
 
 
 def option(key: str, default, *, choices=None, at_least=None):
@@ -72,14 +71,12 @@ def _convert(key: str, raw: str, tp, choices):
         args = typing.get_args(tp)
     is_tuple = typing.get_origin(tp) is tuple
     try:
-        if tp is bool:
-            return _BOOL[raw.lower()]
         if not is_tuple:
             return tp(raw)
         ints = tuple(int(p) for p in raw.replace(",", " ").split())
         if len(ints) == len(args):
             return ints
-    except (KeyError, ValueError):
+    except ValueError:
         pass
     expected = f"{len(args)} integers" if is_tuple else _EXPECTED[tp]
     raise ValueError(f"config key {key}: expected {expected}, got {raw!r}")

@@ -47,7 +47,7 @@ class ReliableMatcherLayer(Module):
     """
 
     def __init__(self, rng: np.random.Generator, width: int, k: int,
-                 mode: str = "reliable", renormalize: bool = False, dtype=np.float64):
+                 mode: str = "reliable", dtype=np.float64):
         if mode not in ("reliable", "vanilla"):
             raise ValueError(f"matcher mode must be 'reliable' or 'vanilla', got {mode!r}")
         self.attn_in = TokenSelfAttention(rng, width, dtype)
@@ -63,7 +63,6 @@ class ReliableMatcherLayer(Module):
         self.ffn = FeedForward(rng, width, dtype=dtype)
         self.k = k
         self.mode = mode
-        self.renormalize = renormalize
 
     def __call__(self, p: Tensor, fa: Tensor) -> Tensor:
         p1 = self.attn_in(p)
@@ -74,7 +73,7 @@ class ReliableMatcherLayer(Module):
         if self.mode == "reliable":
             # the choice carries no gradient, so its weights are a plain array
             kr = T.gather_rows(keys, select_reliable(attention_weights(q.data, keys.data), self.k))
-            weights = T.bridged_similarity(q, T.matmul(fa, self.wq), kr, self.renormalize)
+            weights = T.bridged_similarity(q, T.matmul(fa, self.wq), kr)
             upd = T.matmul(weights, T.matmul(fa, self.wv))
         else:
             upd = T.attention(q, keys, T.matmul(fa, self.wv))
@@ -92,14 +91,13 @@ class ReliableMatcher(Module):
     """
 
     def __init__(self, rng: np.random.Generator, num_prototypes: int, width: int,
-                 k: int, num_layers: int = 3, mode: str = "reliable",
-                 renormalize: bool = False, dtype=np.float64):
+                 k: int, num_layers: int = 3, mode: str = "reliable", dtype=np.float64):
         self.prototypes = Tensor(
             (rng.normal(0.0, 0.02, size=(num_prototypes, width))).astype(dtype),
             requires_grad=True,
         )
         self.layers = [
-            ReliableMatcherLayer(rng, width, k, mode, renormalize, dtype) for _ in range(num_layers)
+            ReliableMatcherLayer(rng, width, k, mode, dtype) for _ in range(num_layers)
         ]
 
     def __call__(self, fa: Tensor) -> Tensor:

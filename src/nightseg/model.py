@@ -40,7 +40,6 @@ class ModelConfig:
     reliable_k: int = option("matcher.reliable_k", 16)
     matcher_layers: int = option("matcher.layers", 3, at_least=1)
     matcher_mode: str = option("matcher.mode", "reliable", choices=("reliable", "vanilla"))
-    renormalize: bool = option("reliable.renormalize", False)
     seed: int = 0
     dtype: object = field(default=np.float64)
 
@@ -146,7 +145,6 @@ class NightSegModel(Module):
             k=cfg.reliable_k,
             num_layers=cfg.matcher_layers,
             mode=cfg.matcher_mode,
-            renormalize=cfg.renormalize,
             dtype=dtype,
         )
         self.class_head = Linear(rng, cfg.decoder_channels, cfg.num_classes + 1, dtype=dtype)

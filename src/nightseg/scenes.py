@@ -18,7 +18,8 @@ import numpy as np
 from .config import check_options, option
 from .netpbm import write_pgm, write_ppm
 
-__all__ = ["SceneConfig", "SceneSample", "generate_scene", "gen_dataset", "parse_manifest"]
+__all__ = ["SceneConfig", "SceneSample", "generate_scene", "gen_dataset", "parse_manifest",
+           "read_manifest"]
 
 
 @dataclass
@@ -220,3 +221,14 @@ def parse_manifest(path: str | Path) -> tuple[dict[str, str], list[tuple[str, st
             raise ValueError(f"malformed manifest line: {raw!r}")
         entries.append((parts[0], parts[1], parts[2]))
     return meta, entries
+
+
+def read_manifest(path: str | Path) -> tuple[tuple[int, int, int], list[tuple[str, str, str]]]:
+    """Returns ((num_classes, height, width) from the header, [(image, mask,
+    split), ...]); a header without those three as integers is refused."""
+    meta, entries = parse_manifest(path)
+    try:
+        dims = tuple(int(meta[k]) for k in ("num_classes", "height", "width"))
+    except (KeyError, ValueError):
+        raise ValueError(f"{path}: header needs integer num_classes, height and width") from None
+    return dims, entries

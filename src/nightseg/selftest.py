@@ -182,13 +182,12 @@ def _random_projections(rng, c):
     return [glorot_uniform(init, (c, c), c, c, np.float64) for _ in range(3)]
 
 
-def _bridge(p: Tensor, fa: Tensor, wq: Tensor, wk: Tensor, k: int,
-            renormalize: bool = False) -> Tensor:
+def _bridge(p: Tensor, fa: Tensor, wq: Tensor, wk: Tensor, k: int) -> Tensor:
     """The reliable bridge of a matcher layer, from its query and key weights."""
     q = T.matmul(p, wq)
     keys = T.matmul(fa, wk)
     idx = select_reliable(attention_weights(q.data, keys.data), k)
-    return T.bridged_similarity(q, T.matmul(fa, wq), T.gather_rows(keys, idx), renormalize)
+    return T.bridged_similarity(q, T.matmul(fa, wq), T.gather_rows(keys, idx))
 
 
 def check_matching_invariants():
@@ -230,36 +229,29 @@ def attention_weights_replay(q: np.ndarray, k: np.ndarray, head: np.ndarray):
     return y, ds @ k, np.swapaxes(np.swapaxes(q, -1, -2) @ ds, -1, -2)
 
 
-def bridge_replay(q: np.ndarray, q_pix: np.ndarray, kr: np.ndarray, head: np.ndarray,
-                  renormalize: bool = False):
-    """softmax(q krᵀ/√C) · softmax(q_pix krᵀ/√C)ᵀ, each row scaled to sum to
-    one if ``renormalize``, and the gradients of sum(y * head) in plain numpy,
-    one step at a time, forward then backward: the oracle for the one
-    ``bridged_similarity`` node. Returns (y, d q, d q_pix, d kr)."""
+def bridge_replay(q: np.ndarray, q_pix: np.ndarray, kr: np.ndarray, head: np.ndarray):
+    """softmax(q krᵀ/√C) · softmax(q_pix krᵀ/√C)ᵀ and the gradients of
+    sum(y * head) in plain numpy, one step at a time, forward then backward:
+    the oracle for the one ``bridged_similarity`` node. Returns (y, d q,
+    d q_pix, d kr)."""
     ya, yb = _weights_replay(q, kr), _weights_replay(q_pix, kr)
-    s = ya @ np.swapaxes(yb, -1, -2)
-    y, g = s, head
-    if renormalize:
-        inv = 1.0 / np.sum(s, axis=-1)
-        y = s * inv[..., None]
-        g = head * inv[..., None] + (-np.sum(head * s, axis=-1) * inv * inv)[..., None]
+    y = ya @ np.swapaxes(yb, -1, -2)
     _, dq_pix, dkb = attention_weights_replay(
-        q_pix, kr, np.swapaxes(np.swapaxes(ya, -1, -2) @ g, -1, -2))
-    _, dq, dka = attention_weights_replay(q, kr, g @ yb)
+        q_pix, kr, np.swapaxes(np.swapaxes(ya, -1, -2) @ head, -1, -2))
+    _, dq, dka = attention_weights_replay(q, kr, head @ yb)
     return y, dq, dq_pix, dkb + dka
 
 
 def check_bridge_replay():
     rng = _rng(13)
     shapes = (((), 3, 7, 4, 5), ((2,), 8, 128, 32, 64), ((), 8, 2048, 64, 64))
-    for dtype, (lead, n, hw, k, c), renormalize in itertools.product(
-            (np.float32, np.float64), shapes, (False, True)):
+    for dtype, (lead, n, hw, k, c) in itertools.product((np.float32, np.float64), shapes):
         arrays = [rng.normal(size=lead + s).astype(dtype) for s in ((n, c), (hw, c), (k, c), (n, hw))]
         ts = [Tensor(a.copy(), requires_grad=True) for a in arrays[:3]]
         with T.Tape():
-            y = T.bridged_similarity(*ts, renormalize)
+            y = T.bridged_similarity(*ts)
             T.backward(y, arrays[3])
-        for a, b in zip([y.data] + [t.grad for t in ts], bridge_replay(*arrays, renormalize)):
+        for a, b in zip([y.data] + [t.grad for t in ts], bridge_replay(*arrays)):
             assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
@@ -459,9 +451,8 @@ def run_grad_suite() -> list[tuple[str, float]]:
 
     # a generator of their own keeps the draws of the entries above unchanged
     rng = _rng(162)
-    rng.normal(size=(3, 5)), rng.uniform(size=(3, 5))   # the draws of a retired entry
-    results.append(("bridged similarity renormalized (prototypes)", grad_check(
-        lambda p: T.matmul(_bridge(p, fa0, wq, wk, 3, True), v0), Tensor(rng.normal(size=(3, 4))), h6)))
+    # the draws of two retired entries
+    rng.normal(size=(3, 5)), rng.uniform(size=(3, 5)), rng.normal(size=(3, 4))
     tgt2 = (rng.random((3, 6)) > 0.5).astype(np.float64)
     results.append(("bce + dice loss", grad_check(
         lambda x: T.bce_dice_loss(x, tgt2, 1.5, 2.5), Tensor(rng.normal(size=(3, 6))))))
@@ -503,9 +494,8 @@ def run_grad_suite() -> list[tuple[str, float]]:
     results.append(("bridged similarity (reliable keys)", grad_check(
         lambda kr: T.bridged_similarity(q1, qp1, kr), Tensor(rng.normal(size=(5, 4))), h10.data)))
     qb, krb, hb7 = (Tensor(rng.normal(size=s)) for s in ((2, 3, 4), (2, 5, 4), (2, 3, 7)))
-    results.append(("bridged similarity renormalized over a batch (pixel queries)", grad_check(
-        lambda qp: T.bridged_similarity(qb, qp, krb, True), Tensor(rng.normal(size=(2, 7, 4))),
-        hb7.data)))
+    results.append(("bridged similarity over a batch (pixel queries)", grad_check(
+        lambda qp: T.bridged_similarity(qb, qp, krb), Tensor(rng.normal(size=(2, 7, 4))), hb7.data)))
 
     return results
 

@@ -453,25 +453,20 @@ def amplify_stage(fbar: Tensor, pbar: Tensor) -> Tensor:
     return _node(fbar.data * a[..., None], bwd, fbar, pbar)
 
 
-def bridged_similarity(q: Tensor, q_pix: Tensor, kr: Tensor, renormalize: bool = False) -> Tensor:
+def bridged_similarity(q: Tensor, q_pix: Tensor, kr: Tensor) -> Tensor:
     """Prototype-to-pixel weights softmax(q krᵀ/√C) · softmax(q_pix krᵀ/√C)ᵀ
     [..., N, hw] for prototype queries q [..., N, C], pixel queries q_pix
     [..., hw, C] and reliable keys kr [..., K, C]. Both factors' rows are
-    distributions over the K keys, so the entries lie in [0, 1];
-    ``renormalize`` scales each row to sum to one. The chain it replaces:
-    two attention_weights, transpose2d, matmul, then the row scaling.
+    distributions over the K keys, so the entries lie in [0, 1]. The chain
+    it replaces: two attention_weights, transpose2d, then matmul.
     """
     if not kr.size:
         raise ValueError("bridged_similarity: empty reliable set")
     ya, yb = attention_weights(q.data, kr.data), attention_weights(q_pix.data, kr.data)
     c = 1.0 / math.sqrt(kr.shape[-1])
     s = ya @ np.swapaxes(yb, -1, -2)
-    inv = 1.0 / np.sum(s, axis=-1) if renormalize else None
 
     def bwd(g):
-        if renormalize:
-            ginv = np.sum(g * s, axis=-1)
-            g = g * inv[..., None] + (-ginv * inv * inv)[..., None]
         ga = g @ yb
         gb = np.swapaxes(np.swapaxes(ya, -1, -2) @ g, -1, -2)
         _softmax_grad(gb, yb, c)
@@ -481,7 +476,7 @@ def bridged_similarity(q: Tensor, q_pix: Tensor, kr: Tensor, renormalize: bool =
         _accumulate(kr, np.swapaxes(np.swapaxes(q_pix.data, -1, -2) @ gb, -1, -2)
                     + np.swapaxes(np.swapaxes(q.data, -1, -2) @ ga, -1, -2))
 
-    return _node(s * inv[..., None] if renormalize else s, bwd, q, q_pix, kr)
+    return _node(s, bwd, q, q_pix, kr)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from .metrics import ConfusionMatrix
 from .model import NightSegModel, SegOutput, majority_pool, predict
 from .netpbm import decode8, read_pgm, read_ppm8
 from .phase import image_texture_stack
-from .scenes import parse_manifest
+from .scenes import read_manifest
 from .tensor import Tape, Tensor, backward
 from .tensor_io import read_tensor, write_flat
 
@@ -212,8 +212,7 @@ def load_dataset(data_dir: str | Path, enhance_op: str) -> LoadedDataset:
     ``sobel`` ops, every image's float64 texture, computed once from its
     decoded values. A mask label outside the manifest's class range is refused."""
     data_dir = Path(data_dir)
-    meta, entries = parse_manifest(data_dir / "manifest.txt")
-    num_classes = int(meta["num_classes"])
+    (num_classes, _, _), entries = read_manifest(data_dir / "manifest.txt")
     images, masks, textures = [], [], []
     train_idx, val_idx = [], []
     for i, (img_name, msk_name, split) in enumerate(entries):
@@ -308,13 +307,23 @@ def _forward(model: NightSegModel, ds: LoadedDataset, idx: int | list[int], dtyp
     return model(images, None if ds.textures is None else Tensor(pick(ds.textures).astype(dtype)))
 
 
+def _check_run_dtype(model: NightSegModel, dtype) -> None:
+    """Refuse a run dtype other than the model's: numpy would silently compute
+    in the wider of the two."""
+    want = np.dtype(model.cfg.dtype)
+    if np.dtype(dtype) != want:
+        raise ValueError(f"train.dtype {np.dtype(dtype)} differs from the model's {want} weights")
+
+
 def train(model: NightSegModel, ds: LoadedDataset, tc: TrainConfig,
           out_dir: str | Path | None = None) -> list[str]:
     """Optimize the model; returns the per-logged-iteration loss lines.
 
     Each step runs its batch through the model as one [B, ...] stack on one
     tape; the loss matches every image separately and averages over them.
+    ``tc.dtype`` must be the model's dtype.
     """
+    _check_run_dtype(model, tc.dtype)
     params = model.parameters()
     opt = AdamW(params, lr=tc.lr1, weight_decay=tc.weight_decay)
     batch_rng = np.random.default_rng([tc.seed, 0xBA7C4])
@@ -355,6 +364,9 @@ def train(model: NightSegModel, ds: LoadedDataset, tc: TrainConfig,
 
 
 def evaluate(model: NightSegModel, ds: LoadedDataset, dtype) -> ConfusionMatrix:
+    """The confusion matrix of the val split, run in ``dtype``, which must be
+    the model's."""
+    _check_run_dtype(model, dtype)
     cm = ConfusionMatrix(ds.num_classes)
     for idx in ds.val_idx:
         out = _forward(model, ds, idx, dtype)

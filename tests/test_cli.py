@@ -203,6 +203,7 @@ class TestBadConfigExit2:
         ("phase.c_a = inf", "phase.c_a"),
         ("train.lambda_dice = nan", "train.lambda_dice"),
         ("decoder.normalize_amp_map = false", "decoder.normalize_amp_map"),
+        ("reliable.renormalize = true", "reliable.renormalize"),
     ])
     def test_bad_value_rejected_before_data_loads(self, dataset, tiny_cfg, tmp_path, capsys,
                                                   line, key):
@@ -211,7 +212,7 @@ class TestBadConfigExit2:
         cfg.write_text("\n".join(kept + [line]) + "\n", encoding="utf-8")
         rc = main(["train", "--config", str(cfg), "--data", str(dataset),
                    "--out", str(tmp_path / "run")])
-        # a key outside the schema (phase.c_a, decoder.normalize_amp_map) is refused as unknown
+        # a key outside the schema (phase.c_a and the other deleted keys) is refused as unknown
         needles = (key,) if key in known_keys() else (key, "unknown key")
         _assert_one_line_exit_2(rc, capsys, *needles)
         assert not (tmp_path / "run").exists()

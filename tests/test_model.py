@@ -222,7 +222,8 @@ class TestFullModel:
             record(tape, out, fn)
 
         monkeypatch.setattr(T.Tape, "record", keeping_record)
-        model = NightSegModel(small_cfg(num_classes=ds.num_classes, matcher_mode=mode))
+        model = NightSegModel(small_cfg(num_classes=ds.num_classes, matcher_mode=mode,
+                                        dtype=np.float32))
         train(model, ds, TrainConfig(iters=1, batch=4, seed=1))
         assert recorded
         dead = [i for i, out in enumerate(recorded) if out.grad is None]
@@ -241,7 +242,7 @@ class TestFullModel:
         # for the phase and sobel ops is the default model
         gen_dataset(SceneConfig(), 6, 15, tmp_path)
         ds = load_dataset(tmp_path, overrides.get("enhance_op", "phase"))
-        cfg = small_cfg(num_classes=ds.num_classes, matcher_layers=2, **overrides)
+        cfg = small_cfg(num_classes=ds.num_classes, matcher_layers=2, dtype=np.float32, **overrides)
         model = NightSegModel(cfg)
         with monkeypatch.context() as patch:
             patch.setattr("nightseg.model.HierarchicalAmplifiedDecoder",
@@ -322,11 +323,9 @@ def _close(got, want, rtol=1e-10):
 class TestBatchedModel:
     """A [B, H, W, 3] batch runs every layer once and equals B single-image runs."""
 
-    @pytest.mark.parametrize("mode,renormalize,depth", [
-        ("reliable", False, 4), ("reliable", True, 2), ("vanilla", False, 4)])
-    def test_batch_of_3_gives_the_logits_of_3_single_forwards(self, mode, renormalize, depth):
-        model = NightSegModel(small_cfg(
-            matcher_mode=mode, renormalize=renormalize, decoder_depth=depth, matcher_layers=2))
+    @pytest.mark.parametrize("mode,depth", [("reliable", 4), ("reliable", 2), ("vanilla", 4)])
+    def test_batch_of_3_gives_the_logits_of_3_single_forwards(self, mode, depth):
+        model = NightSegModel(small_cfg(matcher_mode=mode, decoder_depth=depth, matcher_layers=2))
         rng = np.random.default_rng(16)
         images, textures = rng.uniform(size=(2, 3, 32, 64, 3))
         out = model(Tensor(images), Tensor(textures))

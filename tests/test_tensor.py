@@ -209,8 +209,6 @@ class TestBridgedSimilarity:
         with Tape() as tape:
             T.bridged_similarity(q, q_pix, kr)
             assert len(tape) == 1
-            T.bridged_similarity(q, q_pix, kr, renormalize=True)
-            assert len(tape) == 2
 
     @pytest.mark.parametrize("shapes,msg", [
         (((2, 5), (6, 5), (4, 4)), "inner extents differ"),
@@ -691,16 +689,6 @@ def amplify_chain(f, p, head):
     return y, df + ds, ds
 
 
-def normalize_rows_chain(x, head):
-    """scale_rows(x, recip(tsum(x, axis=1))) and the gradient of sum(y * head)."""
-    inv = 1.0 / np.sum(x, axis=1)
-    y = x * inv[:, None]
-    g = head
-    dx = g * inv[:, None]
-    grs = -np.sum(g * x, axis=1) * inv * inv
-    return y, dx + np.broadcast_to(np.expand_dims(grs, 1), x.shape).copy()
-
-
 def bce_dice_chain(z, t, w_bce, w_dice):
     """The composed matched-mask loss in plain numpy: bce_with_logits, tmean,
     the row dice (sigmoid, mul, tsums, add, scale, add_scalar, recip, neg),
@@ -737,9 +725,8 @@ def _same_bits(got, want, dtype):
 
 
 class TestSingleNodeMechanisms:
-    """amplify_stage, bridged_similarity (and its row renormalization) and
-    bce_dice_loss equal the composed chains they replace, value and every
-    gradient, bit for bit."""
+    """amplify_stage, bridged_similarity and bce_dice_loss equal the composed
+    chains they replace, value and every gradient, bit for bit."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     # the desk model's coarse and 64x128 fine stages, and a 96x160 image's
@@ -755,29 +742,16 @@ class TestSingleNodeMechanisms:
         _same_bits((y.data, f.grad, p.grad), amplify_chain(fd, pd, head), dtype)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("renormalize", [False, True])
     # the desk model's 8 prototypes over its 128 pixels and 32 reliable
     # points, alone and over a batch of 2
     @pytest.mark.parametrize("lead", [(), (2,)])
-    def test_bridged_similarity(self, dtype, renormalize, lead):
-        rng = np.random.default_rng(len(lead) + 2 * renormalize)
+    def test_bridged_similarity(self, dtype, lead):
+        rng = np.random.default_rng(len(lead))
         arrays = [(rng.normal(size=lead + s) * 3.0).astype(dtype)
                   for s in ((8, 64), (128, 64), (32, 64))]
         head = rng.normal(size=lead + (8, 128)).astype(dtype)
-        y, grads = _weighted_run(lambda *ops: T.bridged_similarity(*ops, renormalize), arrays, head)
-        _same_bits((y, *grads), bridge_replay(*arrays, head, renormalize), dtype)
-
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_normalize_rows(self, dtype):
-        # the bridge's renormalization is the row scaling it replaced: the
-        # scaled rows, and the plain bridge's backward from that scaling's gradient
-        rng = np.random.default_rng(8)
-        arrays = [(rng.normal(size=s) * 3.0).astype(dtype) for s in ((8, 64), (128, 64), (32, 64))]
-        head = rng.normal(size=(8, 128)).astype(dtype)
-        y, grads = _weighted_run(lambda *ops: T.bridged_similarity(*ops, True), arrays, head)
-        s = T.bridged_similarity(*(Tensor(a) for a in arrays)).data
-        want_y, g = normalize_rows_chain(s, head)
-        _same_bits((y, *grads), (want_y, *_weighted_run(T.bridged_similarity, arrays, g)[1]), dtype)
+        y, grads = _weighted_run(T.bridged_similarity, arrays, head)
+        _same_bits((y, *grads), bridge_replay(*arrays, head), dtype)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("g", [1, 4])
@@ -797,7 +771,7 @@ class TestSingleNodeMechanisms:
         with Tape() as tape:
             T.amplify_stage(x, x)
             rows = T.reshape(x, (6, 4))
-            T.bridged_similarity(rows, rows, rows, renormalize=True)
+            T.bridged_similarity(rows, rows, rows)
             T.bce_dice_loss(T.reshape(x, (6, 4)), np.ones((6, 4)), 1.0, 1.0)
             assert len(tape) == 5
 
@@ -838,8 +812,6 @@ LEADING_AXIS_CASES = {
     "upsample": (T.upsample_bilinear2x, [(2, 3, 2)], []),
     "amplify normalized": (T.amplify_stage, [(2, 3, 4), (2, 3, 4)], []),
     "bridged similarity": (T.bridged_similarity, [(4, 5), (6, 5), (3, 5)], []),
-    "bridged similarity renormalized": (lambda *ops: T.bridged_similarity(*ops, True),
-                                        [(4, 5), (6, 5), (3, 5)], []),
     "attention": (T.attention, [(4, 5), (6, 5), (6, 3)], []),
     "matmul of stacks": (lambda a, b, c: T.matmul(a, b, c), [(4, 5), (5, 2)], [(2,)]),
     "matmul by a weight": (lambda a, w: T.matmul(a, w), [(2, 4, 5)], [(5, 2)]),

@@ -335,6 +335,27 @@ class TestTrainLoop:
             cm.update(pred, ds.masks[i])
         assert np.array_equal(evaluate(model, ds, np.float32).counts, cm.counts)
 
+    @pytest.mark.parametrize("model_dtype,run_dtype", [(np.float64, np.float32),
+                                                       (np.float32, np.float64)],
+                             ids=["f64-model", "f32-model"])
+    @pytest.mark.parametrize("run", [
+        lambda model, ds, dtype: train(model, ds, TrainConfig(iters=1, batch=2, dtype=dtype)),
+        lambda model, ds, dtype: evaluate(model, ds, dtype),
+    ], ids=["train", "evaluate"])
+    def test_foreign_run_dtype_refused(self, tiny_data, monkeypatch, model_dtype, run_dtype, run):
+        # refused before any work: numpy would compute silently in the wider dtype
+        ds = load_dataset(tiny_data, "phase")
+        model = NightSegModel(small_model_cfg(ds, dtype=model_dtype))
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr("nightseg.train.AdamW", no_work)
+        monkeypatch.setattr("nightseg.train._forward", no_work)
+        want = rf"^train\.dtype {np.dtype(run_dtype)} differs from the model's {np.dtype(model_dtype)}"
+        with pytest.raises(ValueError, match=want):
+            run(model, ds, run_dtype)
+
 
 def parse_text(tmp_path, text: str) -> dict[str, str]:
     """Parse config text the way the command line does: from a file."""
@@ -392,6 +413,14 @@ class TestLoadDataset:
     def test_sobel_textures(self, tiny_data):
         ds = load_dataset(tiny_data, "sobel")
         assert ds.textures[0].shape == (32, 64, 3)
+
+    def test_header_without_class_count_refused(self, tiny_data, tmp_path):
+        lines = (tiny_data / "manifest.txt").read_text(encoding="utf-8").splitlines()
+        (tmp_path / "manifest.txt").write_text(
+            "\n".join(ln for ln in lines if not ln.startswith("# num_classes")) + "\n",
+            encoding="utf-8")
+        with pytest.raises(ValueError, match="header needs integer num_classes, height and width"):
+            load_dataset(tmp_path, "phase")
 
 
 def _file_images(data_dir):
