@@ -6,7 +6,7 @@ from .gradcheck import grad_check
 from .fourier import rfft2d, irfft2d, dft2d_bruteforce
 from .phase import Spectrum, fourier_decompose, phase_reconstruct, choose_c_a
 from .model import ModelConfig, NightSegModel, SegOutput, predict
-from .metrics import ConfusionMatrix, miou
+from .metrics import ConfusionMatrix
 
 __version__ = "0.1.0"
 
@@ -15,6 +15,6 @@ __all__ = [
     "rfft2d", "irfft2d", "dft2d_bruteforce",
     "Spectrum", "fourier_decompose", "phase_reconstruct", "choose_c_a",
     "ModelConfig", "NightSegModel", "SegOutput", "predict",
-    "ConfusionMatrix", "miou",
+    "ConfusionMatrix",
     "__version__",
 ]

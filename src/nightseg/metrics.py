@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["ConfusionMatrix", "miou"]
+__all__ = ["ConfusionMatrix"]
 
 
 class ConfusionMatrix:
@@ -47,10 +47,3 @@ class ConfusionMatrix:
         per_class[present] = tp[present] / union[present]
         mean = float(per_class[present].mean()) if present.any() else float("nan")
         return per_class, mean
-
-
-def miou(pred: np.ndarray, gt: np.ndarray, num_classes: int) -> tuple[np.ndarray, float]:
-    """Per-class IoU and mean over a single prediction/ground-truth pair."""
-    cm = ConfusionMatrix(num_classes)
-    cm.update(pred, gt)
-    return cm.iou()

@@ -307,6 +307,11 @@ def _forward(model: NightSegModel, ds: LoadedDataset, idx: int | list[int], dtyp
     return model(images, None if ds.textures is None else Tensor(pick(ds.textures).astype(dtype)))
 
 
+def _finite(out: SegOutput) -> bool:
+    """Whether every mask and class logit is finite."""
+    return bool(np.isfinite(out.mask_logits.data).all() and np.isfinite(out.class_logits.data).all())
+
+
 def _check_run_dtype(model: NightSegModel, dtype) -> None:
     """Refuse a run dtype other than the model's: numpy would silently compute
     in the wider of the two."""
@@ -339,8 +344,7 @@ def train(model: NightSegModel, ds: LoadedDataset, tc: TrainConfig,
         opt.zero_grad()
         with Tape():
             out = _forward(model, ds, batch, dtype)
-            if not (np.isfinite(out.mask_logits.data).all()
-                    and np.isfinite(out.class_logits.data).all()):
+            if not _finite(out):
                 raise TrainingDiverged(it, ckpt_dir and save_checkpoint(ckpt_dir, params))
             loss = total_loss(out.mask_logits, out.class_logits,
                               np.stack([ds.masks[i] for i in batch]), ds.num_classes, tc.weights)
@@ -365,11 +369,14 @@ def train(model: NightSegModel, ds: LoadedDataset, tc: TrainConfig,
 
 def evaluate(model: NightSegModel, ds: LoadedDataset, dtype) -> ConfusionMatrix:
     """The confusion matrix of the val split, run in ``dtype``, which must be
-    the model's."""
+    the model's. A sample with a non-finite logit is refused: its argmax would
+    score weights that diverged as if they had trained."""
     _check_run_dtype(model, dtype)
     cm = ConfusionMatrix(ds.num_classes)
     for idx in ds.val_idx:
         out = _forward(model, ds, idx, dtype)
+        if not _finite(out):
+            raise ValueError(f"evaluate: non-finite logits on val sample {idx} (manifest order)")
         cm.update(predict(out, ds.num_classes), ds.masks[idx])
     return cm
 

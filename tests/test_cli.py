@@ -2,6 +2,7 @@
 
 import shutil
 
+import numpy as np
 import pytest
 
 from nightseg.cli import main
@@ -138,6 +139,24 @@ class TestTrainEvalCli:
                        "--data", str(dataset), "--report", str(tmp_path / "r.txt")])
             _assert_one_line_exit_2(rc, capsys, "checkpoint mismatch", "decoder.attention.2.",
                                     counts)
+        assert not (tmp_path / "r.txt").exists()
+
+    def test_eval_refuses_the_logits_of_a_diverged_run(self, dataset, tiny_cfg, tmp_path,
+                                                       capsys):
+        # a rate of 1e9 diverges at iteration 1; the weights it saves are finite,
+        # but the logits they give on the val samples are not
+        cfg = tmp_path / "diverge.cfg"
+        kept = [k for k in tiny_cfg.read_text().splitlines() if not k.startswith("train.iters ")]
+        cfg.write_text("\n".join(kept + ["train.iters = 3", "train.lr1 = 1e9", "train.lr2 = 1"])
+                       + "\n", encoding="utf-8")
+        run = tmp_path / "run"
+        with np.errstate(all="ignore"):
+            assert main(["train", "--config", str(cfg), "--data", str(dataset),
+                         "--out", str(run)]) == 1
+            capsys.readouterr()
+            rc = main(["eval", "--ckpt", str(run / "checkpoint"), "--config", str(cfg),
+                       "--data", str(dataset), "--report", str(tmp_path / "r.txt")])
+        _assert_one_line_exit_2(rc, capsys, "non-finite logits on val sample")
         assert not (tmp_path / "r.txt").exists()
 
 

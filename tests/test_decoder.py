@@ -7,6 +7,8 @@ from nightseg import tensor as T
 from nightseg.decoder import HierarchicalAmplifiedDecoder
 from nightseg.gradcheck import grad_check
 from nightseg.layers import Pyramid, TokenSelfAttention
+from nightseg.selftest import (check_amplify_oracle, check_attention_permutation,
+                               layer_norm_replay, weights_replay)
 from nightseg.tensor import Tensor
 
 
@@ -15,12 +17,6 @@ def _pyramids(rng, h5=1, w5=2, cf=(7, 6, 5, 4), cp=(5, 4, 3, 2), zero=False):
     fp = Pyramid(stages=[Tensor(make((h5 * 2 ** i, w5 * 2 ** i, cf[i]))) for i in range(4)])
     pp = Pyramid(stages=[Tensor(make((h5 * 2 ** i, w5 * 2 ** i, cp[i]))) for i in range(4)])
     return fp, pp
-
-
-def _layer_norm(x):
-    mu = x.mean(axis=-1, keepdims=True)
-    var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
-    return (x - mu) / np.sqrt(var + 1e-5)
 
 
 def _upsample_to_finest(x):
@@ -39,7 +35,7 @@ def _depth1_oracle(dec, f, p):
         pbar = p @ lin_p.w.data + lin_p.b.data
         raw = ((fbar + pbar) ** 2).sum(axis=2)
         fbar = fbar * (raw * (1.0 / (raw.mean() + 1e-12)))[:, :, None]
-    return _upsample_to_finest(_layer_norm(fbar))
+    return _upsample_to_finest(layer_norm_replay(fbar))
 
 
 class TestProjection:
@@ -52,7 +48,7 @@ class TestProjection:
                                            phase=False)
         dec.proj_f[0].w.data = np.eye(4)
         dec.proj_f[0].b.data[:] = 0.0
-        want = _upsample_to_finest(_layer_norm(fp.stages[0].data))
+        want = _upsample_to_finest(layer_norm_replay(fp.stages[0].data))
         assert np.abs(dec(fp, None).data - want).max() < 1e-12
 
     def test_zero_weights_zero_output(self):
@@ -85,24 +81,6 @@ class TestProjection:
             dec(fp, pp)
 
 
-def amplify_loop_oracle(f, p):
-    """The amplified map a[i, j] = sum_c (f + p)^2 over its mean plus 1e-12,
-    and f reweighted by it, by nested loops."""
-    h, w, c = f.shape
-    amap = np.zeros((h, w))
-    for i in range(h):
-        for j in range(w):
-            for k in range(c):
-                amap[i, j] += (f[i, j, k] + p[i, j, k]) ** 2
-    amap = amap / (amap.mean() + 1e-12)
-    out = np.zeros_like(f)
-    for i in range(h):
-        for j in range(w):
-            for k in range(c):
-                out[i, j, k] = f[i, j, k] * amap[i, j]
-    return amap, out
-
-
 class TestAmplifiedMap:
     """The map itself, read off as amplify_stage's per-pixel gain out / fbar."""
 
@@ -119,14 +97,7 @@ class TestAmplifiedMap:
         assert out.data[0, :, 0] == pytest.approx([1.8, 0.2])
 
     def test_matches_loop_oracle_and_nonnegative(self):
-        rng = np.random.default_rng(4)
-        f = rng.normal(size=(3, 4, 5))
-        p = rng.normal(size=(3, 4, 5))
-        amap, want = amplify_loop_oracle(f, p)
-        got = T.amplify_stage(Tensor(f), Tensor(p)).data
-        assert np.abs(got - want).max() < 1e-10
-        assert np.abs(got / f - amap[:, :, None]).max() < 1e-8
-        assert (amap >= 0).all()
+        check_amplify_oracle()
 
     def test_normalized_map_has_mean_one(self):
         rng = np.random.default_rng(5)
@@ -137,12 +108,7 @@ class TestAmplifiedMap:
 
 class TestAmplifyStage:
     def test_bundle_carries_map_and_weighted_features(self):
-        rng = np.random.default_rng(30)
-        f = rng.normal(size=(3, 4, 5))
-        p = rng.normal(size=(3, 4, 5))
-        amap, want = amplify_loop_oracle(f, p)
-        got = T.amplify_stage(Tensor(f), Tensor(p)).data
-        assert np.abs(got - want).max() < 1e-12
+        check_amplify_oracle()
 
     def test_mismatched_bundle_rejected(self):
         with pytest.raises(ValueError, match="mismatch"):
@@ -171,12 +137,9 @@ class TestAmplify:
         # 1 everywhere and its mean-scaled map is 1 / (1 + 1e-12)
         out = T.amplify_stage(Tensor(f), Tensor(unit - f))
         assert np.allclose(out.data, f, rtol=2e-12, atol=0.0)
+
     def test_matches_broadcast_loop_oracle(self):
-        rng = np.random.default_rng(7)
-        f = rng.normal(size=(4, 3, 5))
-        p = rng.normal(size=(4, 3, 5))
-        got = T.amplify_stage(Tensor(f), Tensor(p)).data
-        assert np.abs(got - amplify_loop_oracle(f, p)[1]).max() < 1e-12
+        check_amplify_oracle()
 
 
 class TestSelfAttention:
@@ -189,10 +152,7 @@ class TestSelfAttention:
         got = attn(Tensor(x)).data
         # softmax over one element is exactly 1: the layer reduces to the
         # normalized residual path LN(x + (V)Wo)
-        v = x @ attn.wv.data
-        pre = x + v @ attn.wo.data
-        mu, var = pre.mean(), pre.var()
-        want = (pre - mu) / np.sqrt(var + 1e-5)
+        want = layer_norm_replay(x + (x @ attn.wv.data) @ attn.wo.data)
         assert np.abs(got - want).max() < 1e-12
 
     def test_identical_tokens_identical_outputs(self):
@@ -208,23 +168,12 @@ class TestSelfAttention:
         a.wo.data = rng.normal(size=(4, 4))  # exercise a nonzero output proj
         t = rng.normal(size=(4, 4))
         got = a(Tensor(t)).data
-        logits = (t @ a.wq.data) @ (t @ a.wk.data).T / 2.0
-        e = np.exp(logits - logits.max(axis=1, keepdims=True))
-        att = e / e.sum(axis=1, keepdims=True)
-        pre = t + (att @ (t @ a.wv.data)) @ a.wo.data
-        mu = pre.mean(axis=1, keepdims=True)
-        var = ((pre - mu) ** 2).mean(axis=1, keepdims=True)
-        want = (pre - mu) / np.sqrt(var + 1e-5)
+        att = weights_replay(t @ a.wq.data, t @ a.wk.data)
+        want = layer_norm_replay(t + (att @ (t @ a.wv.data)) @ a.wo.data)
         assert np.abs(got - want).max() < 1e-8
 
     def test_permutation_equivariance(self):
-        rng = np.random.default_rng(11)
-        attn = TokenSelfAttention(rng, 6)
-        x = rng.normal(size=(12, 6))
-        perm = rng.permutation(12)
-        y = attn(Tensor(x)).data
-        yp = attn(Tensor(x[perm])).data
-        assert np.abs(yp - y[perm]).max() < 1e-9
+        check_attention_permutation()
 
     def test_token_budget_enforced(self):
         rng = np.random.default_rng(12)

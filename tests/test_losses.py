@@ -1,6 +1,5 @@
 """Losses and assignment: dice/BCE/CE values, Hungarian oracle, combined loss."""
 
-import itertools
 import math
 
 import numpy as np
@@ -10,17 +9,8 @@ from nightseg import tensor as T
 from nightseg.gradcheck import grad_check
 from nightseg.losses import (LossWeights, decompose_gt, hungarian_match,
                              matching_costs, total_loss)
+from nightseg.selftest import check_hungarian_oracle, least_assignment_total
 from nightseg.tensor import Tensor
-
-
-def brute_force_assignment(cost):
-    n, g = cost.shape
-    best, best_total = None, math.inf
-    for perm in itertools.permutations(range(n), g):
-        total = sum(cost[perm[i], i] for i in range(g))
-        if total < best_total:
-            best, best_total = perm, total
-    return np.array(best), best_total
 
 
 class TestHungarian:
@@ -35,33 +25,13 @@ class TestHungarian:
         assert hungarian_match(cost).tolist() == [0, 1, 2, 3]
 
     def test_rectangular_6x4_matches_brute_force(self):
-        rng = np.random.default_rng(1)
-        cost = rng.normal(size=(6, 4))
-        got = hungarian_match(cost)
-        want, want_total = brute_force_assignment(cost)
-        got_total = sum(cost[got[i], i] for i in range(4))
-        assert got_total == pytest.approx(want_total, abs=1e-9)
+        check_hungarian_oracle()
 
     def test_random_sweep_against_oracle(self):
-        rng = np.random.default_rng(2)
-        for _ in range(300):
-            n = int(rng.integers(1, 8))
-            g = int(rng.integers(1, n + 1))
-            cost = rng.normal(size=(n, g))
-            got = hungarian_match(cost)
-            assert len(set(got.tolist())) == g
-            _, want_total = brute_force_assignment(cost)
-            assert sum(cost[got[i], i] for i in range(g)) == pytest.approx(want_total, abs=1e-9)
+        check_hungarian_oracle()
 
     def test_integer_costs_exact(self):
-        rng = np.random.default_rng(3)
-        for _ in range(200):
-            n = int(rng.integers(1, 8))
-            g = int(rng.integers(1, n + 1))
-            cost = rng.integers(0, 50, size=(n, g)).astype(np.float64)
-            got = hungarian_match(cost)
-            _, want_total = brute_force_assignment(cost)
-            assert sum(cost[got[i], i] for i in range(g)) == want_total
+        check_hungarian_oracle()
 
     def test_more_segments_than_prototypes_rejected(self):
         with pytest.raises(ValueError, match="segments"):
@@ -268,8 +238,8 @@ class TestTotalLoss:
         labels, targets = decompose_gt(mask, 3)
         cost = matching_costs(m.data, c.data, targets, labels, LossWeights())
         match = hungarian_match(cost)
-        _, want_total = brute_force_assignment(cost)
-        assert sum(cost[match[i], i] for i in range(len(labels))) == pytest.approx(want_total, abs=1e-9)
+        assert (sum(cost[match[i], i] for i in range(len(labels)))
+                == pytest.approx(least_assignment_total(cost), abs=1e-9))
 
     def test_batch_is_the_mean_of_per_image_losses(self):
         rng = np.random.default_rng(13)

@@ -4,22 +4,10 @@ import numpy as np
 import pytest
 
 from nightseg.gradcheck import grad_check
-from nightseg.layers import glorot_uniform
 from nightseg.matcher import ReliableMatcher, ReliableMatcherLayer, select_reliable
+from nightseg.selftest import random_projections, weights_replay
 from nightseg.tensor import Tensor, attention_weights, bridged_similarity
 from nightseg import tensor as T
-
-
-def make_proj(seed, c=4):
-    """Query and key weights [c, c]."""
-    rng = np.random.default_rng(seed)
-    return (glorot_uniform(rng, (c, c), c, c, np.float64),
-            glorot_uniform(rng, (c, c), c, c, np.float64))
-
-
-def soft(rows):
-    e = np.exp(rows - rows.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
 
 
 def cross_similarity(p, fa, wq, wk):
@@ -29,7 +17,7 @@ def cross_similarity(p, fa, wq, wk):
 
 class TestCrossSimilarity:
     def test_zero_logits_uniform_rows(self):
-        wq, wk = make_proj(0)
+        wq, wk, _ = random_projections(np.random.default_rng(0), 4)
         sim = cross_similarity(Tensor(np.zeros((3, 4))), Tensor(np.zeros((6, 4))), wq, wk)
         assert np.abs(sim - 1 / 6).max() < 1e-12
 
@@ -42,11 +30,11 @@ class TestCrossSimilarity:
 
     def test_matches_composed_oracle(self):
         rng = np.random.default_rng(1)
-        wq, wk = make_proj(2)
+        wq, wk, _ = random_projections(np.random.default_rng(2), 4)
         p = rng.normal(size=(3, 4))
         fa = rng.normal(size=(6, 4))
         sim = cross_similarity(Tensor(p), Tensor(fa), wq, wk)
-        want = soft((p @ wq.data) @ (fa @ wk.data).T / 2.0)
+        want = weights_replay(p @ wq.data, fa @ wk.data)
         assert np.abs(sim - want).max() < 1e-10
 
     def test_width_mismatch_rejected(self):
@@ -63,7 +51,7 @@ class TestReliableScores:
 
     def test_total_equals_prototype_count(self):
         rng = np.random.default_rng(4)
-        wq, wk = make_proj(5)
+        wq, wk, _ = random_projections(np.random.default_rng(5), 4)
         sim = cross_similarity(Tensor(rng.normal(size=(7, 4))),
                                Tensor(rng.normal(size=(9, 4))), wq, wk)
         assert sim.sum(axis=0).sum() == pytest.approx(7.0, abs=1e-5)
@@ -122,7 +110,7 @@ class TestSelectReliable:
 def reliable_inputs(seed_data, seed_proj, n, hw, k):
     """(p, fa, q, q_pix, kr, idx, wq, wk) for a reliable bridge over random inputs."""
     rng = np.random.default_rng(seed_data)
-    wq, wk = make_proj(seed_proj)
+    wq, wk, _ = random_projections(np.random.default_rng(seed_proj), 4)
     p = Tensor(rng.normal(size=(n, 4)))
     fa = Tensor(rng.normal(size=(hw, 4)))
     q, q_pix = T.matmul(p, wq), T.matmul(fa, wq)
@@ -149,8 +137,8 @@ class TestBridgedSimilarity:
         sim_qk = bridged_similarity(q, q_pix, kr).data
 
         fr = fa.data[idx]
-        want_q = soft((p.data @ wq.data) @ (fr @ wk.data).T / 2.0)
-        want_k = soft((fa.data @ wq.data) @ (fr @ wk.data).T / 2.0)
+        want_q = weights_replay(p.data @ wq.data, fr @ wk.data)
+        want_k = weights_replay(fa.data @ wq.data, fr @ wk.data)
         assert np.abs(attention_weights(q.data, kr.data) - want_q).max() < 1e-10
         assert np.abs(attention_weights(q_pix.data, kr.data) - want_k).max() < 1e-10
         assert np.abs(sim_qk - want_q @ want_k.T).max() < 1e-10
@@ -194,12 +182,12 @@ class TestMatcherLayer:
 
         p1 = layer.attn_in(Tensor(p)).data
         wq, wk, wv = layer.wq.data, layer.wk.data, layer.wv.data
-        weights = soft((p1 @ wq) @ (fa @ wk).T / 2.0)
+        weights = weights_replay(p1 @ wq, fa @ wk)
         if mode == "reliable":
             scores = weights.sum(axis=0)
             idx = sorted(range(7), key=lambda i: (-scores[i], i))[:3]
             kr = fa[idx] @ wk
-            weights = soft((p1 @ wq) @ kr.T / 2.0) @ soft((fa @ wq) @ kr.T / 2.0).T
+            weights = weights_replay(p1 @ wq, kr) @ weights_replay(fa @ wq, kr).T
         upd = (weights @ (fa @ wv)) @ layer.out_proj.w.data + layer.out_proj.b.data
         p2 = layer.norm_cross(Tensor(p1 + upd))
         want = layer.ffn(layer.attn_out(p2)).data

@@ -1,7 +1,10 @@
-"""Every public engine and layer name has a caller in the package itself,
-outside the verification modules."""
+"""Every public name has a reader in the package itself, outside the
+verification modules; the engine's and the layers' have a caller in another
+module."""
 
 import ast
+import functools
+import importlib
 from pathlib import Path
 
 import pytest
@@ -47,6 +50,44 @@ def test_every_exported_name_has_a_caller_in_the_package(module):
             used |= _names_used(path.read_text(encoding="utf-8"), defining.stem)
     unused = sorted(set(module.__all__) - used - USED_OUTSIDE_PACKAGE)
     assert not unused, f"{module.__name__} exports names nothing in the package uses: {unused}"
+
+
+# oracles kept beside the transforms they check; only the verification
+# modules and the tests call them
+ORACLES = {"fourier.dft2d_bruteforce", "fourier.idft2d_bruteforce"}
+
+# every package module that exports names for the package to use
+EXPORTING = sorted(p.stem for p in PACKAGE.glob("*.py")
+                   if p.name != "__init__.py" and p.name not in VERIFICATION_MODULES)
+
+
+@functools.cache
+def _names_read_in_package() -> frozenset[str]:
+    """Every name a package module outside ``__init__`` and the verification
+    modules reads, bare or as an attribute, or imports."""
+    names = set()
+    for path in PACKAGE.glob("*.py"):
+        if path.name == "__init__.py" or path.name in VERIFICATION_MODULES:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                names.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                names |= {a.name for a in node.names}
+    return frozenset(names)
+
+
+@pytest.mark.parametrize("stem", EXPORTING)
+def test_every_export_is_read_in_the_package(stem):
+    """A name in a module's ``__all__`` is read somewhere in the package,
+    its own module included; a name only the tests or the verification
+    modules read is not."""
+    used = _names_read_in_package()
+    exported = importlib.import_module(f"nightseg.{stem}").__all__
+    unused = sorted(n for n in exported if n not in used and f"{stem}.{n}" not in ORACLES)
+    assert not unused, f"nightseg.{stem} exports names nothing in the package reads: {unused}"
 
 
 def test_only_the_tape_decides_whether_a_node_runs():

@@ -1,6 +1,5 @@
 """Tensor engine: forward oracles, tape semantics, gradient rules."""
 
-import math
 import tracemalloc
 import weakref
 
@@ -10,7 +9,9 @@ import pytest
 from nightseg import tensor as T
 from nightseg.gradcheck import grad_check
 from nightseg.layers import Conv2dLayer, Linear
-from nightseg.selftest import attention_blocks_replay, attention_weights_replay, bridge_replay
+from nightseg.selftest import (CONV_CASES, attention_blocks_replay, attention_weights_replay,
+                               bridge_replay, check_attention_softmax, check_conv2d_oracle,
+                               check_matmul_oracle, check_upsample_oracle)
 from nightseg.tensor import Tape, Tensor, backward
 
 
@@ -25,16 +26,7 @@ class TestMatmul:
         assert out.data.tolist() == [[11.0]]
 
     def test_matches_triple_loop_oracle(self):
-        rng = np.random.default_rng(11)
-        a = rng.normal(size=(5, 4))
-        b = rng.normal(size=(4, 3))
-        want = np.zeros((5, 3))
-        for i in range(5):
-            for j in range(3):
-                for k in range(4):
-                    want[i, j] += a[i, k] * b[k, j]
-        got = T.matmul(Tensor(a), Tensor(b)).data
-        assert np.abs(got - want).max() < 1e-12
+        check_matmul_oracle()
 
     def test_shape_mismatch_reports_both_shapes(self):
         with pytest.raises(ValueError, match=r"\(2, 3\).*\(2, 2\)"):
@@ -105,31 +97,21 @@ def weights_of(logits):
 
 
 class TestSoftmax:
-    """The row softmax that ends attention_weights."""
+    """The row softmax that ends attention_weights. The direct formula, the
+    overflow guard and the row sums are one selftest check."""
 
     def test_uniform_input(self):
         out = weights_of([0.0, 0.0, 0.0])
         assert np.abs(out - 1 / 3).max() < 1e-15
 
     def test_large_logit_no_overflow(self):
-        out = weights_of([1000.0, 0.0, 0.0])
-        assert np.isfinite(out).all()
-        assert abs(out[0] - 1.0) < 1e-12
-        assert out[1] < 1e-300
+        check_attention_softmax()
 
     def test_matches_direct_formula(self):
-        rng = np.random.default_rng(7)
-        x = rng.normal(size=17)
-        want = np.exp(x) / np.sum(np.exp(x))
-        assert np.abs(weights_of(x) - want).max() < 1e-12
+        check_attention_softmax()
 
     def test_rows_sum_to_one_sweep(self):
-        rng = np.random.default_rng(8)
-        for _ in range(100):
-            q = rng.normal(size=(4, 3)) * rng.uniform(0.01, 100)
-            y = T.attention_weights(q, rng.normal(size=(7, 3)))
-            assert np.abs(y.sum(axis=1) - 1.0).max() < 1e-6
-            assert (y >= 0).all()
+        check_attention_softmax()
 
 
 class TestAttentionWeights:
@@ -326,25 +308,6 @@ class TestAttention:
             T.attention(Tensor(np.zeros(qs)), Tensor(np.zeros(ks)), Tensor(np.zeros(vs)))
 
 
-def conv_oracle(x, w, stride, pad):
-    """Six-nested-loop cross-correlation with zero padding."""
-    xp = np.pad(x, ((pad, pad), (pad, pad), (0, 0)))
-    kh, kw, cin, cout = w.shape
-    ho = (x.shape[0] + 2 * pad - kh) // stride + 1
-    wo = (x.shape[1] + 2 * pad - kw) // stride + 1
-    out = np.zeros((ho, wo, cout))
-    for oi in range(ho):
-        for oj in range(wo):
-            for oc in range(cout):
-                acc = 0.0
-                for ki in range(kh):
-                    for kj in range(kw):
-                        for c in range(cin):
-                            acc += xp[oi * stride + ki, oj * stride + kj, c] * w[ki, kj, c, oc]
-                out[oi, oj, oc] = acc
-    return out
-
-
 class TestConv2d:
     def test_1x1_unit_kernel_is_identity(self):
         rng = np.random.default_rng(3)
@@ -359,13 +322,9 @@ class TestConv2d:
         out = T.conv2d(Tensor(x), Tensor(w), stride=1, padding=1).data
         assert out[1, 1, 0] == 9.0
 
-    @pytest.mark.parametrize("stride,pad", [(1, 0), (1, 1), (2, 1), (2, 0), (3, 2)])
+    @pytest.mark.parametrize("stride,pad", CONV_CASES)
     def test_matches_nested_loop_oracle(self, stride, pad):
-        rng = np.random.default_rng(stride * 10 + pad)
-        x = rng.normal(size=(7, 6, 3))
-        w = rng.normal(size=(3, 3, 3, 2))
-        got = T.conv2d(Tensor(x), Tensor(w), stride, pad).data
-        assert np.abs(got - conv_oracle(x, w, stride, pad)).max() < 1e-10
+        check_conv2d_oracle([(stride, pad)])
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_bias_adds_inside_the_node_bit_for_bit(self, dtype):
@@ -408,19 +367,7 @@ class TestUpsample:
         assert np.abs(out - 2.5).max() == 0.0
 
     def test_matches_per_pixel_formula_oracle(self):
-        rng = np.random.default_rng(5)
-        x = rng.normal(size=(4, 4, 2))
-        got = T.upsample_bilinear2x(Tensor(x)).data
-        want = np.zeros((8, 8, 2))
-        for a in range(8):
-            for b in range(8):
-                sy, sx = (a + 0.5) / 2 - 0.5, (b + 0.5) / 2 - 0.5
-                y0, x0 = math.floor(sy), math.floor(sx)
-                ty, tx = sy - y0, sx - x0
-                for yy, wy in ((y0, 1 - ty), (y0 + 1, ty)):
-                    for xx, wx in ((x0, 1 - tx), (x0 + 1, tx)):
-                        want[a, b] += wy * wx * x[min(max(yy, 0), 3), min(max(xx, 0), 3)]
-        assert np.abs(got - want).max() < 1e-12
+        check_upsample_oracle()
 
 
 def square(x):
