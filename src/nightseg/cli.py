@@ -41,7 +41,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     e = sub.add_parser("eval", help="evaluate a checkpoint on the validation split")
     e.add_argument("--ckpt", required=True, help="checkpoint directory written by train")
-    e.add_argument("--config", required=True, help="config file used for training")
     e.add_argument("--data", required=True, help="dataset directory")
     e.add_argument("--report", required=True, help="metrics report output path")
 
@@ -83,7 +82,7 @@ def _cmd_phase_extract(args) -> int:
 def _build(args, overrides: dict[str, str] | None = None):
     """Train config and model for the command's dataset, validated against its
     manifest; reads no image, so a bad config or a missing split fails before
-    the data loads."""
+    the data loads. ``eval`` builds the model its checkpoint's config.txt names."""
     from .config import build, parse_config
     from .model import ModelConfig, NightSegModel
     from .scenes import read_manifest
@@ -94,7 +93,8 @@ def _build(args, overrides: dict[str, str] | None = None):
     for split in {"train": ["train"], "eval": ["val"], "ablate": ["train", "val"]}[args.command]:
         if all(entry[2] != split for entry in entries):
             raise ValueError(f"{manifest} lists no {split} samples, which {args.command} reads")
-    values = {**parse_config(args.config), **(overrides or {})}
+    config = Path(args.ckpt) / "config.txt" if args.command == "eval" else args.config
+    values = {**parse_config(config), **(overrides or {})}
     tc = build(TrainConfig, values)
     mc = build(ModelConfig, values, num_classes=num_classes, seed=tc.seed, dtype=tc.dtype)
     mc.check_image_size(height, width)
@@ -193,9 +193,14 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     """Run one subcommand; a rejected config or argument value, or a missing
     input file, exits 2 with one line."""
+    import numpy as np
     args = build_parser().parse_args(argv)
+    # a run that diverges is reported by the finiteness checks of train and
+    # evaluate, in one line, not by numpy's overflow warnings
+    quiet = "ignore" if args.command in ("train", "eval", "ablate") else None
     try:
-        return _COMMANDS[args.command](args)
+        with np.errstate(over=quiet, invalid=quiet):
+            return _COMMANDS[args.command](args)
     except (ValueError, FileNotFoundError) as exc:
         print(f"nightseg: {exc}", file=sys.stderr)
         return 2

@@ -13,7 +13,7 @@ from collections.abc import Mapping
 from dataclasses import field, fields, is_dataclass
 from pathlib import Path
 
-__all__ = ["option", "check_options", "known_keys", "build", "parse_config"]
+__all__ = ["option", "check_options", "known_keys", "build", "parse_config", "render_config"]
 
 _EXPECTED = {int: "an integer", float: "a number"}
 
@@ -115,3 +115,11 @@ def parse_config(path: str | Path) -> dict[str, str]:
             raise ValueError(f"config line {lineno}: duplicate key {key!r}")
         values[key] = value
     return values
+
+
+def render_config(obj) -> str:
+    """``obj``'s keyed fields as ``key = value`` lines in schema order, each
+    spelled so that ``build`` reads its value back."""
+    values = {f.metadata["key"]: getattr(obj, f.name) for f in fields(obj) if "key" in f.metadata}
+    return "".join(f"{key} = {' '.join(map(str, v)) if isinstance(v, tuple) else v}\n"
+                   for key, v in values.items())

@@ -516,18 +516,27 @@ def check_gradients():
         assert err < 1e-4, f"{name}: max relative error {err}"
 
 
-def check_batched_forward_matches_per_sample():
-    rng = _rng(18)
-    cfg = ModelConfig(num_classes=3, backbone_widths=(4, 5, 6, 7), phase_widths=(3, 4, 5, 6),
-                      decoder_channels=8, prototypes=4, reliable_k=4, matcher_layers=2, seed=6)
-    model = NightSegModel(cfg)
-    images, textures = rng.uniform(size=(2, 3, 32, 64, 3))
-    out = model(Tensor(images), Tensor(textures))
-    for b in range(3):
-        one = model(Tensor(images[b]), Tensor(textures[b]))
-        for got, want in ((out.mask_logits.data[b], one.mask_logits.data),
-                          (out.class_logits.data[b], one.class_logits.data)):
-            assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+BATCHED_CASES = (("reliable", 4), ("reliable", 2), ("vanilla", 4))   # matcher.mode, decoder.depth
+
+
+def check_batched_forward_matches_per_sample(cases=BATCHED_CASES) -> list:
+    """A batch of 3 against 3 single-image forwards, to 1e-10 relative, for
+    each (matcher mode, decoder depth) of cases; returns the batched outputs."""
+    rng, outs = _rng(18), []
+    for mode, depth in cases:
+        model = NightSegModel(ModelConfig(
+            num_classes=3, backbone_widths=(4, 5, 6, 7), phase_widths=(3, 4, 5, 6),
+            decoder_channels=8, prototypes=4, reliable_k=4, matcher_layers=2,
+            matcher_mode=mode, decoder_depth=depth, seed=6))
+        images, textures = rng.uniform(size=(2, 3, 32, 64, 3))
+        out = model(Tensor(images), Tensor(textures))
+        for b in range(3):
+            one = model(Tensor(images[b]), Tensor(textures[b]))
+            for got, want in ((out.mask_logits.data[b], one.mask_logits.data),
+                              (out.class_logits.data[b], one.class_logits.data)):
+                assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+        outs.append(out)
+    return outs
 
 
 def check_end_to_end_gradient():

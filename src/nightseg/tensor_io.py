@@ -21,16 +21,6 @@ MAGIC_F8 = b"NFT8"
 _STORED = {MAGIC: np.dtype("<f4"), MAGIC_F8: np.dtype("<f8")}
 
 
-def _header(shape: tuple[int, ...], dtype) -> tuple[bytes, np.dtype]:
-    """The header of a tensor of ``shape`` holding ``dtype`` values, and the
-    dtype its payload is stored in."""
-    if any(s <= 0 for s in shape):
-        raise ValueError(f"tensor extents must be positive, got {shape}")
-    magic = MAGIC_F8 if np.dtype(dtype) == np.float64 else MAGIC
-    head = magic + struct.pack("<I", len(shape)) + struct.pack(f"<{len(shape)}I", *shape)
-    return head, _STORED[magic]
-
-
 def decode_tensor(blob: bytes) -> np.ndarray:
     stored = _STORED.get(bytes(blob[:4]))
     if stored is None:
@@ -60,14 +50,15 @@ def write_flat(path: str | Path, arrays: Sequence[np.ndarray]) -> None:
     The arrays share one dtype and are streamed one at a time, so no joined
     copy of them is built.
     """
-    dtypes = {a.dtype for a in arrays}
-    if len(dtypes) != 1:
-        raise ValueError(f"write_flat needs arrays of one dtype, got {sorted(map(str, dtypes))}")
-    head, stored = _header((sum(a.size for a in arrays),), dtypes.pop())
+    dtypes, size = {a.dtype for a in arrays}, sum(a.size for a in arrays)
+    if len(dtypes) != 1 or size == 0:
+        raise ValueError(f"write_flat needs a value and arrays of one dtype, got {size} values "
+                         f"of {sorted(map(str, dtypes))}")
+    magic = MAGIC_F8 if dtypes.pop() == np.float64 else MAGIC
     with open(path, "wb") as f:
-        f.write(head)
+        f.write(magic + struct.pack("<II", 1, size))
         for a in arrays:
-            f.write(np.ascontiguousarray(a, dtype=stored).data)
+            f.write(np.ascontiguousarray(a, dtype=_STORED[magic]).data)
 
 
 def read_tensor(path: str | Path) -> np.ndarray:

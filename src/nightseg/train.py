@@ -11,11 +11,12 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
 
-from .config import check_options, option
+from .config import check_options, option, render_config
 from .losses import LossWeights, total_loss
 from .metrics import ConfusionMatrix
 from .model import NightSegModel, SegOutput, majority_pool, predict
@@ -236,65 +237,50 @@ def load_dataset(data_dir: str | Path, enhance_op: str) -> LoadedDataset:
     )
 
 
-def save_checkpoint(out_dir: str | Path, params: list[tuple[str, Tensor]]) -> Path:
-    """Write ``params.txt``, one ``name d0 d1 ...`` line per parameter, and
-    ``params.nft``, every parameter's values in that order as one rank-1
-    tensor (f8 for a float64 model, f32 otherwise)."""
+def _checkpoint_texts(model: NightSegModel) -> dict[str, str]:
+    """The model's checkpoint texts: ``config.txt``, each ``ModelConfig`` key and
+    ``train.dtype``, and ``params.txt``, one ``name d0 d1 ...`` line per parameter."""
+    config = render_config(model.cfg) + f"train.dtype = {np.dtype(model.cfg.dtype)}\n"
+    params = "".join(" ".join([name, *map(str, p.data.shape)]) + "\n"
+                     for name, p in model.parameters())
+    return {"config.txt": config, "params.txt": params}
+
+
+def save_checkpoint(out_dir: str | Path, model: NightSegModel) -> Path:
+    """Write the model's ``config.txt`` and ``params.txt``, and ``params.nft``,
+    every parameter's values in ``params.txt`` order as one rank-1 tensor (f8
+    for a float64 model, f32 otherwise)."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_flat(out / "params.nft", [p.data for _, p in params])
-    lines = [" ".join([name, *map(str, p.data.shape)]) for name, p in params]
-    (out / "params.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_flat(out / "params.nft", [p.data for _, p in model.parameters()])
+    for name, text in _checkpoint_texts(model).items():
+        (out / name).write_text(text, encoding="utf-8")
     return out
 
 
 def load_checkpoint(ckpt_dir: str | Path, model: NightSegModel) -> None:
     """Copy a checkpoint's weights into the model's parameter arrays.
 
-    Names, shapes and the payload length are all checked before any
-    parameter is written. An f32 payload loads into a float64 model as an
-    exact upcast; an f8 payload is refused by a float32 model, which would
-    have to round it.
+    Its ``config.txt`` and ``params.txt`` must be, line for line, the ones this
+    model would write, and its payload the model's dtype and value count; the
+    first difference is refused before any weight is written.
     """
     ckpt = Path(ckpt_dir)
-    listed: dict[str, tuple[int, ...]] = {}
-    for i, line in enumerate((ckpt / "params.txt").read_text(encoding="utf-8").splitlines(), 1):
-        try:
-            name, *dims = line.split()
-            shape = tuple(map(int, dims))
-        except ValueError:
-            name, shape = "", ()
-        if not shape or min(shape) < 1 or name in listed:
-            raise ValueError(f"{ckpt / 'params.txt'} line {i}: expected a new name and its "
-                             f"positive extents, got {line!r}")
-        listed[name] = shape
-    params = dict(model.parameters())
-    if set(listed) != set(params):
-        missing = sorted(set(params) - set(listed))
-        extra = sorted(set(listed) - set(params))
-
-        def first(names: list[str]) -> str:
-            return str(names[:3])[:-1] + (", ...]" if len(names) > 3 else "]")
-
-        raise ValueError(f"checkpoint mismatch; missing {first(missing)}, unexpected "
-                         f"{first(extra)} ({len(missing)} missing, {len(extra)} unexpected)")
-    for name, shape in listed.items():
-        if shape != params[name].data.shape:
-            raise ValueError(f"checkpoint tensor {name}: shape {shape} != model "
-                             f"{params[name].data.shape}")
+    for name, text in _checkpoint_texts(model).items():
+        theirs = (ckpt / name).read_text(encoding="utf-8").splitlines()
+        for i, (got, want) in enumerate(zip_longest(theirs, text.splitlines(),
+                                                    fillvalue="<end of file>"), 1):
+            if got != want:
+                raise ValueError(f"{ckpt / name} line {i}: checkpoint has {got!r}, "
+                                 f"the model would write {want!r}")
+    params = [p for _, p in model.parameters()]
+    bounds, dtype = np.cumsum([p.data.size for p in params]), params[0].data.dtype
     flat = read_tensor(ckpt / "params.nft")
-    need = sum(p.data.size for p in params.values())
-    if flat.ndim != 1 or flat.size != need:
-        raise ValueError(f"checkpoint payload {ckpt / 'params.nft'} holds shape {flat.shape}; "
-                         f"params.txt lists {need} values")
-    dtype = next(iter(params.values())).data.dtype
-    if not np.can_cast(flat.dtype, dtype, "safe"):
-        raise ValueError(f"checkpoint holds {flat.dtype} weights; a {dtype} model would round them")
-    lo = 0
-    for name, shape in listed.items():
-        p = params[name]
-        p.data[...] = flat[lo:lo + p.data.size].reshape(shape)
-        lo += p.data.size
+    if flat.shape != (bounds[-1],) or flat.dtype != dtype:
+        raise ValueError(f"checkpoint payload {ckpt / 'params.nft'} holds {flat.dtype} shape "
+                         f"{flat.shape}; the model reads {bounds[-1]} {dtype} values")
+    for p, values in zip(params, np.split(flat, bounds[:-1])):
+        p.data[...] = values.reshape(p.data.shape)
 
 
 def _forward(model: NightSegModel, ds: LoadedDataset, idx: int | list[int], dtype) -> SegOutput:
@@ -335,6 +321,9 @@ def train(model: NightSegModel, ds: LoadedDataset, tc: TrainConfig,
     dtype = tc.dtype
     log: list[str] = []
     ckpt_dir = Path(out_dir) / "checkpoint" if out_dir is not None else None
+    if out_dir is not None:   # the log is written line by line, so a failed run keeps it
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
+        (Path(out_dir) / "train_log.txt").write_text("", encoding="utf-8")
 
     for it in range(tc.iters):
         opt.lr = tc.lr1 if it < tc.phase1_iters else tc.lr2
@@ -345,25 +334,26 @@ def train(model: NightSegModel, ds: LoadedDataset, tc: TrainConfig,
         with Tape():
             out = _forward(model, ds, batch, dtype)
             if not _finite(out):
-                raise TrainingDiverged(it, ckpt_dir and save_checkpoint(ckpt_dir, params))
+                raise TrainingDiverged(it, ckpt_dir and save_checkpoint(ckpt_dir, model), "logits")
             loss = total_loss(out.mask_logits, out.class_logits,
                               np.stack([ds.masks[i] for i in batch]), ds.num_classes, tc.weights)
             loss_val = loss.item()
             if not np.isfinite(loss_val):
-                raise TrainingDiverged(it, ckpt_dir and save_checkpoint(ckpt_dir, params))
+                raise TrainingDiverged(it, ckpt_dir and save_checkpoint(ckpt_dir, model))
             backward(loss)
         try:
             opt.step()
         except NonFiniteGradient as exc:
-            raise TrainingDiverged(it, ckpt_dir and save_checkpoint(ckpt_dir, params),
+            raise TrainingDiverged(it, ckpt_dir and save_checkpoint(ckpt_dir, model),
                                    f"gradient of {exc.name}") from None
         if it % tc.log_every == 0 or it == tc.iters - 1:
             log.append(f"iter {it} loss {loss_val:.6f} lr {opt.lr:.6g}")
+            if out_dir is not None:
+                with open(Path(out_dir) / "train_log.txt", "a", encoding="utf-8") as f:
+                    f.write(log[-1] + "\n")
 
-    if out_dir is not None:
-        save_checkpoint(ckpt_dir, params)
-        Path(out_dir).mkdir(parents=True, exist_ok=True)
-        (Path(out_dir) / "train_log.txt").write_text("\n".join(log) + "\n", encoding="utf-8")
+    if ckpt_dir is not None:
+        save_checkpoint(ckpt_dir, model)
     return log
 
 
@@ -381,10 +371,6 @@ def evaluate(model: NightSegModel, ds: LoadedDataset, dtype) -> ConfusionMatrix:
     return cm
 
 
-def class_name(c: int) -> str:
-    return "background" if c == 0 else f"object_{c}"
-
-
 def render_report(cm: ConfusionMatrix) -> str:
     """One `class_name iou` line per class, then `miou <value>`.
 
@@ -395,6 +381,6 @@ def render_report(cm: ConfusionMatrix) -> str:
     lines = []
     for c in range(cm.num_classes):
         value = "n/a" if np.isnan(per_class[c]) else f"{per_class[c]:.6f}"
-        lines.append(f"{class_name(c)} {value}")
+        lines.append(f"{'background' if c == 0 else f'object_{c}'} {value}")
     lines.append(f"miou {mean:.6f}")
     return "\n".join(lines) + "\n"

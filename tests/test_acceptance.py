@@ -110,8 +110,7 @@ def desk_run(tmp_path_factory) -> DeskRun:
                      "--out", str(root / run)]) == 0
         train_seconds = max(train_seconds, time.monotonic() - start)
         report = root / f"report_{run}.txt"
-        assert main(["eval", "--ckpt", str(root / run / "checkpoint"),
-                     "--config", str(config), "--data", str(data),
+        assert main(["eval", "--ckpt", str(root / run / "checkpoint"), "--data", str(data),
                      "--report", str(report)]) == 0
         reports.append(report.read_text(encoding="utf-8"))
     return DeskRun(data, config, ablate_cfg, train_seconds, iters, reports)

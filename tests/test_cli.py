@@ -1,14 +1,18 @@
 """Command-line surface: exit codes, file outputs, subcommand wiring."""
 
+import functools
 import shutil
 
 import numpy as np
 import pytest
 
+import nightseg.cli
 from nightseg.cli import main
-from nightseg.config import known_keys
+from nightseg.config import build, known_keys
+from nightseg.model import ModelConfig, NightSegModel
 from nightseg.netpbm import read_pgm, read_ppm, write_pgm
 from nightseg.scenes import parse_manifest
+from nightseg.train import load_checkpoint, save_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -87,9 +91,10 @@ class TestTrainEvalCli:
         assert main(["train", "--config", str(tiny_cfg), "--data", str(dataset),
                      "--out", str(run)]) == 0
         assert (run / "checkpoint" / "params.txt").exists()
+        assert (run / "checkpoint" / "config.txt").exists()
         assert (run / "train_log.txt").exists()
         report = tmp_path / "report.txt"
-        assert main(["eval", "--ckpt", str(run / "checkpoint"), "--config", str(tiny_cfg),
+        assert main(["eval", "--ckpt", str(run / "checkpoint"),
                      "--data", str(dataset), "--report", str(report)]) == 0
         lines = report.read_text().strip().splitlines()
         assert lines[-1].startswith("miou ")
@@ -123,22 +128,27 @@ class TestTrainEvalCli:
                      "--data", str(dataset)]) == 0
         assert loads == ops
 
-    def test_checkpoint_of_another_depth_refused(self, dataset, tiny_cfg, tmp_path, request,
-                                                 capsys):
-        # a checkpoint names exactly the decoder stages its depth fuses
-        depth2 = tmp_path / "depth2.cfg"
-        depth2.write_text(tiny_cfg.read_text() + "decoder.depth = 2\n", encoding="utf-8")
-        for cfg, run in ((tiny_cfg, "depth4"), (depth2, "depth2")):
-            assert main(["train", "--config", str(cfg), "--data", str(dataset),
-                         "--out", str(tmp_path / run)]) == 0
-        capsys.readouterr()
+    @pytest.mark.parametrize("key,value", [("matcher.mode", "vanilla"), ("enhance.op", "sobel"),
+                                           ("matcher.reliable_k", "4"), ("decoder.depth", "2")])
+    def test_checkpoint_refused_by_a_model_one_key_apart(self, dataset, tmp_path, monkeypatch,
+                                                         request, capsys, key, value):
+        # the first three keys own no weight, so only config.txt tells the models apart
+        ckpt = save_checkpoint(tmp_path / "ckpt", NightSegModel(ModelConfig(dtype=np.float32)))
+        other = NightSegModel(build(ModelConfig, {key: value}, dtype=np.float32))
+        before = [p.data.copy() for _, p in other.parameters()]
+        with pytest.raises(ValueError) as exc:
+            load_checkpoint(ckpt, other)
+        assert "config.txt line" in str(exc.value) and f"'{key} = {value}'" in str(exc.value)
+        assert "\n" not in str(exc.value)
+        for (name, p), b in zip(other.parameters(), before):
+            assert np.array_equal(p.data, b), name
+        # eval builds its model from config.txt; built one key apart, it exits 2
         request.getfixturevalue("no_data_load")
-        for run, cfg, counts in (("depth4", depth2, "(0 missing, 20 unexpected)"),
-                                 ("depth2", tiny_cfg, "(20 missing, 0 unexpected)")):
-            rc = main(["eval", "--ckpt", str(tmp_path / run / "checkpoint"), "--config", str(cfg),
-                       "--data", str(dataset), "--report", str(tmp_path / "r.txt")])
-            _assert_one_line_exit_2(rc, capsys, "checkpoint mismatch", "decoder.attention.2.",
-                                    counts)
+        monkeypatch.setattr(nightseg.cli, "_build",
+                            functools.partial(nightseg.cli._build, overrides={key: value}))
+        rc = main(["eval", "--ckpt", str(ckpt), "--data", str(dataset),
+                   "--report", str(tmp_path / "r.txt")])
+        _assert_one_line_exit_2(rc, capsys, "config.txt line", key)
         assert not (tmp_path / "r.txt").exists()
 
     def test_eval_refuses_the_logits_of_a_diverged_run(self, dataset, tiny_cfg, tmp_path,
@@ -150,12 +160,15 @@ class TestTrainEvalCli:
         cfg.write_text("\n".join(kept + ["train.iters = 3", "train.lr1 = 1e9", "train.lr2 = 1"])
                        + "\n", encoding="utf-8")
         run = tmp_path / "run"
-        with np.errstate(all="ignore"):
-            assert main(["train", "--config", str(cfg), "--data", str(dataset),
-                         "--out", str(run)]) == 1
-            capsys.readouterr()
-            rc = main(["eval", "--ckpt", str(run / "checkpoint"), "--config", str(cfg),
-                       "--data", str(dataset), "--report", str(tmp_path / "r.txt")])
+        assert main(["train", "--config", str(cfg), "--data", str(dataset),
+                     "--out", str(run)]) == 1
+        assert capsys.readouterr().err == (f"non-finite logits at iteration 1; weights at "
+                                           f"divergence saved to {run / 'checkpoint'}\n")
+        # the log is written line by line, so the failed run keeps its iteration-0 line
+        log = (run / "train_log.txt").read_text(encoding="utf-8")
+        assert log.startswith("iter 0 loss ") and log.count("\n") == 1
+        rc = main(["eval", "--ckpt", str(run / "checkpoint"),
+                   "--data", str(dataset), "--report", str(tmp_path / "r.txt")])
         _assert_one_line_exit_2(rc, capsys, "non-finite logits on val sample")
         assert not (tmp_path / "r.txt").exists()
 
@@ -254,9 +267,10 @@ class TestBadConfigExit2:
                   "--out", str(tmp_path / "run")])
 
     def test_eval_and_ablate_share_the_checks(self, dataset, tmp_path, capsys):
-        cfg = tmp_path / "bad.cfg"
+        # eval reads the checkpoint's config.txt through the same checks
+        cfg = tmp_path / "config.txt"
         cfg.write_text("train.batch = 0\n", encoding="utf-8")
-        rc = main(["eval", "--ckpt", str(tmp_path), "--config", str(cfg),
+        rc = main(["eval", "--ckpt", str(tmp_path),
                    "--data", str(dataset), "--report", str(tmp_path / "r.txt")])
         _assert_one_line_exit_2(rc, capsys, "train.batch")
         # the vanilla row alone would accept this K; the reliable row is checked before any run
@@ -268,6 +282,15 @@ class TestBadConfigExit2:
         rc = main(["train", "--config", str(tmp_path / "absent.cfg"), "--data", str(dataset),
                    "--out", str(tmp_path / "run")])
         _assert_one_line_exit_2(rc, capsys, "absent.cfg")
+
+    def test_eval_of_a_checkpoint_without_config_refused(self, dataset, tmp_path, capsys):
+        # a checkpoint written before config.txt existed says nothing of its model
+        save_checkpoint(tmp_path / "ckpt", NightSegModel(ModelConfig(dtype=np.float32)))
+        (tmp_path / "ckpt" / "config.txt").unlink()
+        rc = main(["eval", "--ckpt", str(tmp_path / "ckpt"), "--data", str(dataset),
+                   "--report", str(tmp_path / "r.txt")])
+        _assert_one_line_exit_2(rc, capsys, str(tmp_path / "ckpt" / "config.txt"))
+        assert not (tmp_path / "r.txt").exists()
 
     def test_missing_data_directory(self, tiny_cfg, tmp_path, capsys):
         rc = main(["train", "--config", str(tiny_cfg), "--data", str(tmp_path / "absent"),
@@ -291,7 +314,7 @@ class TestBadConfigExit2:
 
     def test_eval_and_ablate_without_val_split_rejected(self, dataset_no_val, tiny_cfg,
                                                         tmp_path, capsys):
-        rc = main(["eval", "--ckpt", str(tmp_path), "--config", str(tiny_cfg),
+        rc = main(["eval", "--ckpt", str(tmp_path),
                    "--data", str(dataset_no_val), "--report", str(tmp_path / "r.txt")])
         _assert_one_line_exit_2(rc, capsys, "no val samples", "eval reads")
         assert not (tmp_path / "r.txt").exists()
@@ -340,10 +363,10 @@ class TestBadMaskExit2:
 
         monkeypatch.setattr("nightseg.train.total_loss", no_step)
         monkeypatch.setattr("nightseg.train.predict", no_step)
-        args = {"train": ["--out", str(tmp_path / "bad_run")],
+        args = {"train": ["--config", str(tiny_cfg), "--out", str(tmp_path / "bad_run")],
                 "eval": ["--ckpt", str(ckpt), "--report", str(tmp_path / "r.txt")],
-                "ablate": ["--axis", "matcher"]}[command]
-        rc = main([command, "--config", str(tiny_cfg), "--data", str(data), *args])
+                "ablate": ["--config", str(tiny_cfg), "--axis", "matcher"]}[command]
+        rc = main([command, "--data", str(data), *args])
         _assert_one_line_exit_2(rc, capsys, str(data / name), "outside [0, 4): [0", ", 9]")
 
 

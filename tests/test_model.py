@@ -11,6 +11,7 @@ from nightseg.gradcheck import grad_check
 from nightseg.model import (BackboneStub, ModelConfig, NightSegModel, SegOutput,
                             majority_pool, predict, segmentation_logits)
 from nightseg.scenes import SceneConfig, gen_dataset
+from nightseg.selftest import BATCHED_CASES, check_batched_forward_matches_per_sample
 from nightseg.tensor import Tensor, backward
 from nightseg.train import TrainConfig, load_dataset, train
 
@@ -323,17 +324,10 @@ def _close(got, want, rtol=1e-10):
 class TestBatchedModel:
     """A [B, H, W, 3] batch runs every layer once and equals B single-image runs."""
 
-    @pytest.mark.parametrize("mode,depth", [("reliable", 4), ("reliable", 2), ("vanilla", 4)])
+    @pytest.mark.parametrize("mode,depth", BATCHED_CASES)
     def test_batch_of_3_gives_the_logits_of_3_single_forwards(self, mode, depth):
-        model = NightSegModel(small_cfg(matcher_mode=mode, decoder_depth=depth, matcher_layers=2))
-        rng = np.random.default_rng(16)
-        images, textures = rng.uniform(size=(2, 3, 32, 64, 3))
-        out = model(Tensor(images), Tensor(textures))
+        (out,) = check_batched_forward_matches_per_sample([(mode, depth)])
         assert out.mask_logits.shape == (3, 8, 16, 4) and out.class_logits.shape == (3, 4, 4)
-        for b in range(3):
-            one = model(Tensor(images[b]), Tensor(textures[b]))
-            _close(out.mask_logits.data[b], one.mask_logits.data)
-            _close(out.class_logits.data[b], one.class_logits.data)
 
     def test_parameter_gradients_are_the_sum_of_per_sample_gradients(self):
         model = NightSegModel(small_cfg(matcher_layers=2))
