@@ -141,7 +141,7 @@ _ABLATION_ROWS = {
 
 
 def _cmd_ablate(args) -> int:
-    from .train import evaluate, load_dataset, train
+    from .train import TrainingDiverged, evaluate, load_dataset, train
 
     rows = [(label, *_build(args, overrides))
             for label, overrides in _ABLATION_ROWS[args.axis]]
@@ -152,7 +152,11 @@ def _cmd_ablate(args) -> int:
             ds = None   # free the last op's dataset before the next one loads
             ds_op = model.cfg.enhance_op
             ds = load_dataset(args.data, ds_op)
-        train(model, ds, tc, out_dir=None)
+        try:
+            train(model, ds, tc, out_dir=None)
+        except TrainingDiverged as exc:
+            print(f"nightseg: ablate row {label}: {exc}", file=sys.stderr)
+            return 1
         _, mean = evaluate(model, ds, tc.dtype).iou()
         lines.append(f"{label} {mean:.6f}")
         print(lines[-1])

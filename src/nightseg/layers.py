@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .tensor import Tensor, attention
+from .tensor import Tensor
 
 __all__ = [
     "ATTENTION_TOKEN_BUDGET",
@@ -32,8 +32,8 @@ __all__ = [
     "Pyramid",
 ]
 
-# self-attention weights are [M, M], but they exist one block of 256 query
-# rows at a time, on a tape or off it (4 MiB per sample in float32 at this
+# self-attention weights are [M, M], but they exist one block of 128 query
+# rows at a time, on a tape or off it (2 MiB per sample in float32 at this
 # many tokens); time grows with M², and the backward recomputes each block
 ATTENTION_TOKEN_BUDGET = 4096
 
@@ -105,12 +105,15 @@ class Linear(Module):
 
 
 class LayerNorm(Module):
+    """Per-feature gain and shift of a post-norm residual, LN(x + y) over the
+    last axis; the block nodes read them directly."""
+
     def __init__(self, width: int, dtype=np.float64):
         self.gamma = Tensor(np.ones(width, dtype=dtype), requires_grad=True)
         self.beta = Tensor(np.zeros(width, dtype=dtype), requires_grad=True)
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return T.layer_norm(x, self.gamma, self.beta)
+    def __call__(self, x: Tensor, y: Tensor) -> Tensor:
+        return T.residual_norm(x, y, self.gamma, self.beta)
 
 
 class TokenSelfAttention(Module):
@@ -140,11 +143,8 @@ class TokenSelfAttention(Module):
         if x.shape[-2] > ATTENTION_TOKEN_BUDGET:
             raise ValueError(f"self-attention: {x.shape[-2]} tokens exceed the budget of "
                              f"{ATTENTION_TOKEN_BUDGET}")
-        q = T.matmul(x, self.wq)
-        k = T.matmul(x, self.wk)
-        v = T.matmul(x, self.wv)
-        ctx = T.matmul(attention(q, k, v), self.wo)
-        return self.norm(T.add(x, ctx))
+        return T.self_attention_block(x, self.wq, self.wk, self.wv, self.wo,
+                                      self.norm.gamma, self.norm.beta)
 
 
 class FeedForward(Module):
@@ -160,5 +160,5 @@ class FeedForward(Module):
         self.norm = LayerNorm(width, dtype)
 
     def __call__(self, x: Tensor) -> Tensor:
-        y = self.fc2(T.relu(self.fc1(x)))
-        return self.norm(T.add(x, y))
+        return T.feed_forward_block(x, self.fc1.w, self.fc1.b, self.fc2.w, self.fc2.b,
+                                    self.norm.gamma, self.norm.beta)

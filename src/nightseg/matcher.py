@@ -77,7 +77,7 @@ class ReliableMatcherLayer(Module):
             upd = T.matmul(weights, T.matmul(fa, self.wv))
         else:
             upd = T.attention(q, keys, T.matmul(fa, self.wv))
-        p2 = self.norm_cross(T.add(p1, self.out_proj(upd)))
+        p2 = self.norm_cross(p1, self.out_proj(upd))
         p3 = self.attn_out(p2)
         return self.ffn(p3)
 

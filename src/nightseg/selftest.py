@@ -291,15 +291,16 @@ def check_bridge_replay():
 
 
 def attention_blocks_replay(q: np.ndarray, k: np.ndarray, v: np.ndarray, head: np.ndarray):
-    """softmax(q kᵀ / sqrt(C)) v taken one block of 256 query rows at a time,
-    and the gradients of sum(y * head), in plain numpy: the blocks' rows of y
-    and of d q, and their d k and d v summed from the last block to the first.
-    The oracle for the one ``attention`` node, which recomputes each block's
-    weights in its backward. Returns (y, d q, d k, d v)."""
-    runs = []
-    for r0 in range(0, q.shape[-2], 256):
-        hb = head[..., r0:r0 + 256, :]
-        w, dq, dk = attention_weights_replay(q[..., r0:r0 + 256, :], k,
+    """softmax(q kᵀ / sqrt(C)) v taken one block of the engine's
+    ``_ATTENTION_ROWS`` query rows at a time, and the gradients of
+    sum(y * head), in plain numpy: the blocks' rows of y and of d q, and their
+    d k and d v summed from the last block to the first. The oracle for the
+    one ``attention`` node, which recomputes each block's weights in its
+    backward. Returns (y, d q, d k, d v)."""
+    runs, rows = [], T._ATTENTION_ROWS
+    for r0 in range(0, q.shape[-2], rows):
+        hb = head[..., r0:r0 + rows, :]
+        w, dq, dk = attention_weights_replay(q[..., r0:r0 + rows, :], k,
                                              hb @ np.swapaxes(v, -1, -2))
         runs.append((w @ v, dq, dk, np.swapaxes(w, -1, -2) @ hb))
     y, dq = (np.concatenate([run[i] for run in runs], axis=-2) for i in (0, 1))
@@ -311,7 +312,7 @@ def check_attention_composed():
     """attention equals the composed weights·V taken one row block at a time,
     value and every gradient, bit for bit: in one block, where that is the
     whole composed computation, over 600 tokens (a short last block) and over
-    the 2048 tokens of a 128x256 image's finest decoder stage (eight blocks)."""
+    the 2048 tokens of a 128x256 image's finest decoder stage (sixteen blocks)."""
     rng = _rng(20)
     for dtype in (np.float32, np.float64):
         for shape in ((7, 4), (2, 5, 3), (600, 16), (2048, 64)):
@@ -322,6 +323,124 @@ def check_attention_composed():
                 T.backward(y, arrays[3])
             for a, b in zip([y.data] + [t.grad for t in ts], attention_blocks_replay(*arrays)):
                 assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def _linear(a: np.ndarray, w: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    """The forward of a matmul node by a weight [K, N]: a's leading axes
+    flattened into the rows of one product, plus the bias if given."""
+    y = a.reshape(-1, w.shape[0]) @ w
+    if b is not None:
+        y = y + b
+    return y.reshape(a.shape[:-1] + (w.shape[1],))
+
+
+def _linear_back(a: np.ndarray, w: np.ndarray, g: np.ndarray):
+    """The backward of a matmul node by a weight for its gradient g: (d a, d w)."""
+    g2 = g.reshape(-1, w.shape[1])
+    a2 = a.reshape(-1, w.shape[0])
+    return (g2 @ np.swapaxes(w, -1, -2)).reshape(a.shape), np.swapaxes(a2, -1, -2) @ g2
+
+
+def norm_replay(s: np.ndarray, gamma: np.ndarray, beta: np.ndarray, head: np.ndarray):
+    """A layer norm node over the last axis with gain gamma and shift beta,
+    then its backward for the gradient head, in plain numpy. Returns (y, d s,
+    d gamma, d beta)."""
+    mu = np.mean(s, axis=-1, keepdims=True)
+    var = np.mean((s - mu) ** 2, axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + 1e-5)
+    xhat = (s - mu) * inv
+    axes = tuple(range(s.ndim - 1))
+    gg = head * gamma
+    ds = inv * (gg - np.mean(gg, axis=-1, keepdims=True)
+                - xhat * np.mean(gg * xhat, axis=-1, keepdims=True))
+    return xhat * gamma + beta, ds, np.sum(head * xhat, axis=axes), np.sum(head, axis=axes)
+
+
+def residual_norm_replay(x, y, gamma, beta, head):
+    """The chain add, layer norm that one ``residual_norm`` node replaces,
+    forward then backward. Returns (out, d x, d y, d gamma, d beta)."""
+    out, ds, dgamma, dbeta = norm_replay(x + y, gamma, beta, head)
+    return out, ds, ds, dgamma, dbeta
+
+
+def attention_block_replay(x, wq, wk, wv, wo, gamma, beta, head):
+    """The chain one ``self_attention_block`` node replaces: matmuls by W_Q,
+    W_K and W_V, attention (``attention_blocks_replay``), the matmul by W_O,
+    add and layer norm; then their backward rules in reverse, x's four
+    shares summed in the chain's order. Returns (out, d x, d W_Q, d W_K,
+    d W_V, d W_O, d gamma, d beta)."""
+    q, k, v = (_linear(x, w) for w in (wq, wk, wv))
+    a = attention_blocks_replay(q, k, v, np.zeros(q.shape, q.dtype))[0]
+    out, gs, dgamma, dbeta = norm_replay(x + _linear(a, wo), gamma, beta, head)
+    ga, dwo = _linear_back(a, wo, gs)
+    _, dq, dk, dv = attention_blocks_replay(q, k, v, ga)
+    dx, dw = gs, {}
+    for name, w, g in (("v", wv, dv), ("k", wk, dk), ("q", wq, dq)):
+        dxw, dw[name] = _linear_back(x, w, g)
+        dx = dx + dxw
+    return out, dx, dw["q"], dw["k"], dw["v"], dwo, dgamma, dbeta
+
+
+def feed_forward_replay(x, w1, b1, w2, b2, gamma, beta, head):
+    """The chain one ``feed_forward_block`` node replaces: biased matmul,
+    relu, biased matmul, add and layer norm; then their backward rules in
+    reverse. Returns (out, d x, d w1, d b1, d w2, d b2, d gamma, d beta)."""
+    h = _linear(x, w1, b1)
+    r = np.maximum(h, 0.0)
+    out, gs, dgamma, dbeta = norm_replay(x + _linear(r, w2, b2), gamma, beta, head)
+    db2 = np.sum(gs.reshape(-1, w2.shape[1]), axis=0)
+    gr, dw2 = _linear_back(r, w2, gs)
+    gh = gr * (h > 0)
+    db1 = np.sum(gh.reshape(-1, w1.shape[1]), axis=0)
+    dxh, dw1 = _linear_back(x, w1, gh)
+    return out, gs + dxh, dw1, db1, dw2, db2, dgamma, dbeta
+
+
+# (leading axes, rows, features, x broadcast from one [rows, C] set as the
+# matcher's expanded prototypes are); 300 rows span three weight blocks
+BLOCK_CASES = (((), 7, 4, False), ((3,), 5, 4, False), ((2, 2), 6, 4, False),
+               ((2,), 8, 16, True), ((), 300, 16, False))
+
+
+def _block_node_oracle(node, replay, operand_shapes, cases, bump: int):
+    """node equals its composed chain's replay, value and every gradient, bit
+    for bit, in float32 and float64 for each case of cases, as one tape node.
+    operand_shapes(c) gives the shapes of the operands after x; None stands
+    for one of x's shape."""
+    rng = _rng(bump)
+    for dtype, (lead, m, c, shared) in itertools.product((np.float32, np.float64), cases):
+        x = rng.normal(size=(m, c) if shared else lead + (m, c)).astype(dtype)
+        if shared:
+            x = np.broadcast_to(x, lead + (m, c))
+        others = [rng.normal(size=lead + (m, c) if s is None else s).astype(dtype)
+                  for s in operand_shapes(c)]
+        head = rng.normal(size=lead + (m, c)).astype(dtype)
+        arrays = [x, *others]
+        ts = [Tensor(a, requires_grad=True) for a in arrays]
+        with T.Tape() as tape:
+            y = node(*ts)
+            assert len(tape) == 1
+            T.backward(y, head)
+        for got, want in zip([y.data] + [t.grad for t in ts], replay(*arrays, head)):
+            assert got.dtype == want.dtype == dtype and np.array_equal(got, want)
+
+
+def check_residual_norm_node(cases=BLOCK_CASES):
+    """residual_norm equals add then layer norm, bit for bit."""
+    _block_node_oracle(T.residual_norm, residual_norm_replay,
+                       lambda c: [None, (c,), (c,)], cases, 21)
+
+
+def check_attention_block_node(cases=BLOCK_CASES):
+    """self_attention_block equals its seven-node chain, bit for bit."""
+    _block_node_oracle(T.self_attention_block, attention_block_replay,
+                       lambda c: [(c, c)] * 4 + [(c,), (c,)], cases, 22)
+
+
+def check_feed_forward_block_node(cases=BLOCK_CASES):
+    """feed_forward_block equals its five-node chain, bit for bit."""
+    _block_node_oracle(T.feed_forward_block, feed_forward_replay,
+                       lambda c: [(c, 2 * c), (2 * c,), (2 * c, c), (c,), (c,), (c,)], cases, 23)
 
 
 def least_assignment_total(cost: np.ndarray) -> float:
@@ -490,6 +609,10 @@ GRAD_SUITE = [
      (3, 7)),
     ("bridged similarity over a batch (pixel queries)", T.bridged_similarity,
      [(2, 3, 4), (2, 7, 4), (2, 5, 4)], 1, (2, 3, 7)),
+    ("self-attention block with a non-zero W_O (input)", T.self_attention_block,
+     [(5, 4)] + [(4, 4)] * 4 + [(4,), (4,)], 0, (5, 4)),
+    ("feed-forward block (input)", T.feed_forward_block,
+     [(3, 4), (4, 8), (8,), (8, 4), (4,), (4,), (4,)], 0, (3, 4)),
 ]
 
 
@@ -605,6 +728,9 @@ CHECKS = [
     ("self-attention is permutation-equivariant", check_attention_permutation),
     ("bridged similarity equals the numpy replay bit for bit", check_bridge_replay),
     ("attention equals the composed weights·V block by block, bit for bit", check_attention_composed),
+    ("residual norm equals add then layer norm, bit for bit", check_residual_norm_node),
+    ("self-attention block equals its seven-node chain, bit for bit", check_attention_block_node),
+    ("feed-forward block equals its five-node chain, bit for bit", check_feed_forward_block_node),
     ("similarity invariants hold on 2000 random instances", check_matching_invariants),
     ("assignment matches exhaustive enumeration (2000 cases, half integer)",
      check_hungarian_oracle),

@@ -9,6 +9,16 @@ execution order, so the tape itself is the topological order, and pops each
 node as it runs it: a closure, and every forward array only it holds, is
 freed once its backward is done.
 
+Single nodes: each of these records one node for a chain of small ops, and
+its value and gradients equal that chain's bit for bit:
+- ``attention``: weights·V, on blocks of 128 query rows
+- ``residual_norm``: add, layer norm
+- ``self_attention_block``: the q, k and v projections, attention, the W_O
+  projection, add, layer norm; it recomputes q, k and v in its backward
+- ``feed_forward_block``: biased matmul, relu, biased matmul, add, layer norm
+- ``amplify_stage``, ``bridged_similarity``, ``bce_dice_loss`` and
+  ``ce_logits``: the paper's amplification and bridge, and the losses
+
 Conventions:
 - a backward closure ``bwd(g)`` receives its node's gradient g and hands
   each input its share with ``_accumulate``. ``Tape.run`` alone skips a
@@ -22,14 +32,15 @@ Conventions:
   Under ``train.AdamW`` each parameter's ``.data`` is a view into the
   optimizer's one flat weight vector, updated in place; rebinding
   ``p.data`` detaches that parameter from the vector. A backward closure
-  may overwrite a forward array only it holds: ``attention``'s recomputes
-  earlier weight blocks into its private scratch, which nothing reads
-  again once the tape is consumed
+  may overwrite a forward array only it holds: ``attention`` and
+  ``self_attention_block`` recompute earlier weight blocks into their
+  private scratch, which nothing reads again once the tape is consumed
 - gradient buffers are write-once per accumulation (``grad = grad + g``),
   never mutated in place, so views may be stored safely
 - binary ops require exact shape and dtype agreement; the only broadcasts
   happen inside single nodes: the optional per-channel ``bias`` of
-  ``matmul`` and ``conv2d``, the per-pixel scaling of ``amplify_stage``, the
+  ``matmul`` and ``conv2d``, the per-feature gain, shift and biases of the
+  post-norm blocks, the per-pixel scaling of ``amplify_stage``, the
   per-row reductions and scaling of ``bridged_similarity``, the per-row
   reductions of ``attention`` and ``bce_dice_loss``, and ``expand``
 - leading axes: every op except the two losses accepts any number of
@@ -41,8 +52,8 @@ Conventions:
   shared by every sample; ``bce_dice_loss`` and ``ce_logits`` take 2-D row
   sets, so callers flatten a batch into rows
 - reductions are per sample: the softmax rows of ``attention`` and
-  ``bridged_similarity`` and its row sums, layer_norm's features, conv2d
-  windows and ``amplify_stage``'s map mean over each map's own (h, w).
+  ``bridged_similarity`` and its row sums, the post-norm blocks' features,
+  conv2d windows and ``amplify_stage``'s map mean over each map's own (h, w).
   Only gradients with respect to operands without the leading axes
   (weights, biases, ``expand`` inputs) sum over them
 """
@@ -67,7 +78,9 @@ __all__ = [
     "relu",
     "attention_weights",
     "attention",
-    "layer_norm",
+    "residual_norm",
+    "self_attention_block",
+    "feed_forward_block",
     "amplify_stage",
     "bridged_similarity",
     "conv2d",
@@ -333,8 +346,63 @@ def attention_weights(q: np.ndarray, k: np.ndarray) -> np.ndarray:
     return y
 
 
-# query rows per block of ``attention``
-_ATTENTION_ROWS = 256
+# query rows per block of the attention weights
+_ATTENTION_ROWS = 128
+
+
+def _weight_block(q: np.ndarray, kt: np.ndarray, c: float, y: np.ndarray, r0: int) -> np.ndarray:
+    """The weights of the query rows of q from r0 against the keys kt [..., C, L],
+    computed into the scratch y."""
+    w = y[..., : min(q.shape[-2] - r0, _ATTENTION_ROWS), :]
+    np.matmul(q[..., r0:r0 + _ATTENTION_ROWS, :], kt, out=w)
+    _scaled_softmax(w, c)
+    return w
+
+
+def _attention_forward(q: np.ndarray, k: np.ndarray, v: np.ndarray,
+                       c: float) -> tuple[np.ndarray, np.ndarray]:
+    """softmax(q kᵀ c) v, one block of _ATTENTION_ROWS query rows at a time.
+    Returns the output and the [..., rows, L] weights scratch, which holds the
+    last block's weights."""
+    *lead, m, _ = q.shape
+    lead = tuple(lead)
+    wdtype = np.result_type(q, k)
+    y = np.empty(lead + (min(m, _ATTENTION_ROWS), k.shape[-2]), wdtype)
+    out = np.empty(lead + (m, v.shape[-1]), np.result_type(wdtype, v))
+    kt = np.swapaxes(k, -1, -2)
+    for r0 in range(0, m, _ATTENTION_ROWS):
+        np.matmul(_weight_block(q, kt, c, y, r0), v, out=out[..., r0:r0 + _ATTENTION_ROWS, :])
+    return out, y
+
+
+def _attention_backward(g: np.ndarray, q: np.ndarray, k: np.ndarray, v: np.ndarray, c: float,
+                        y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The gradients (d q, d k, d v) of softmax(q kᵀ c) v for its gradient g.
+
+    Walks the blocks from last to first: it reuses the block the forward left
+    in y, recomputes each earlier one into y with the forward's ufuncs, and
+    sums the k and v gradients of the blocks from the last to the first.
+    """
+    m = q.shape[-2]
+    starts = range(0, m, _ATTENTION_ROWS)
+    kt, vt = np.swapaxes(k, -1, -2), np.swapaxes(v, -1, -2)
+    dq, dk, dv = np.empty(q.shape, y.dtype), None, None
+    for r0 in reversed(starts):
+        rows = slice(r0, r0 + _ATTENTION_ROWS)
+        w = y[..., : m - r0, :] if r0 == starts[-1] else _weight_block(q, kt, c, y, r0)
+        gb = g[..., rows, :]
+        dv = _sum_into(dv, np.swapaxes(w, -1, -2) @ gb)
+        gw = gb @ vt
+        _softmax_grad(gw, w, c)
+        np.matmul(gw, k, out=dq[..., rows, :])
+        dk = _sum_into(dk, np.swapaxes(np.swapaxes(q[..., rows, :], -1, -2) @ gw, -1, -2))
+    return dq, dk, dv
+
+
+def _sum_into(total: np.ndarray | None, part: np.ndarray) -> np.ndarray:
+    """total + part, written over total, a sum only its caller holds; part
+    itself where there is no total yet."""
+    return part if total is None else np.add(total, part, out=total)
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
@@ -343,49 +411,19 @@ def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
 
     One node in place of the weights and their matmul with v, computed on
     blocks of _ATTENTION_ROWS query rows: on a tape or off it, the weights
-    exist one [..., 256, L] block at a time. The forward runs the composed
-    ops' ufuncs in their order on each block. The backward walks the blocks
-    from last to first: it reuses the block the forward left in its scratch,
-    recomputes each earlier one with the same ufuncs, and sums the k and v
-    gradients of the blocks from the last to the first. So values and
-    gradients equal the composed ops taken one row block at a time, bit for
-    bit, and the whole composed ops bit for bit where M fits one block.
+    exist one [..., 128, L] block at a time, and the backward recomputes
+    each block but the last. The forward runs the composed ops' ufuncs in
+    their order on each block, so values and gradients equal the composed
+    ops taken one row block at a time, bit for bit, and the whole composed
+    ops bit for bit where M fits one block.
     """
     c = _attention_scale("attention", q.data, k.data)
     if v.data.ndim != k.data.ndim or v.shape[:-1] != k.shape[:-1]:
         raise ValueError(f"attention: values {v.shape} do not match keys {k.shape}")
-    *lead, m, _ = q.shape
-    lead, n = tuple(lead), k.shape[-2]
-    kt = np.swapaxes(k.data, -1, -2)
-    wdtype = np.result_type(q.data, k.data)
-    y = np.empty(lead + (min(m, _ATTENTION_ROWS), n), wdtype)
-    out = np.empty(lead + (m, v.shape[-1]), np.result_type(wdtype, v.data))
-    starts = range(0, m, _ATTENTION_ROWS)
-
-    def weights(r0: int) -> np.ndarray:
-        """The block of weights for the query rows from r0, computed into y."""
-        w = y[..., : min(m - r0, _ATTENTION_ROWS), :]
-        np.matmul(q.data[..., r0:r0 + _ATTENTION_ROWS, :], kt, out=w)
-        _scaled_softmax(w, c)
-        return w
-
-    for r0 in starts:
-        np.matmul(weights(r0), v.data, out=out[..., r0:r0 + _ATTENTION_ROWS, :])
+    out, y = _attention_forward(q.data, k.data, v.data, c)
 
     def bwd(g):
-        vt = np.swapaxes(v.data, -1, -2)
-        dq, dk, dv = np.empty(q.shape, wdtype), None, None
-        for r0 in reversed(starts):
-            rows = slice(r0, r0 + _ATTENTION_ROWS)
-            # the forward left the last block in y
-            w = y[..., : m - r0, :] if r0 == starts[-1] else weights(r0)
-            gb = g[..., rows, :]
-            dvb = np.swapaxes(w, -1, -2) @ gb
-            gw = gb @ vt
-            _softmax_grad(gw, w, c)
-            np.matmul(gw, k.data, out=dq[..., rows, :])
-            dkb = np.swapaxes(np.swapaxes(q.data[..., rows, :], -1, -2) @ gw, -1, -2)
-            dv, dk = (dvb, dkb) if dv is None else (dv + dvb, dk + dkb)
+        dq, dk, dv = _attention_backward(g, q.data, k.data, v.data, c, y)
         _accumulate(v, dv)
         _accumulate(q, dq)
         _accumulate(k, dk)
@@ -393,26 +431,133 @@ def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     return _node(out, bwd, q, k, v)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize over the last axis, then apply per-feature gain and shift."""
+# ---------------------------------------------------------------------------
+# post-norm residual blocks as single nodes
+#
+# Each node is LN(x + branch(x)) for one residual branch. The forward runs
+# the composed ops' ufuncs in their order; the backward replays the chain's
+# rules in reverse and hands x and every weight their contributions in the
+# order the chain's nodes did, one ``_accumulate`` each, so values and
+# gradients equal the composed ops bit for bit.
+# ---------------------------------------------------------------------------
+
+_NORM_EPS = 1e-5
+
+
+def _post_norm(op: str, x: Tensor, branch: np.ndarray, gamma: Tensor, beta: Tensor,
+               branch_bwd: Callable[[np.ndarray], None], *weights: Tensor) -> Tensor:
+    """The node LN(x + branch), normalized over the last axis, then scaled by
+    gamma and shifted by beta. It keeps the norm's xhat and inv, not the sum;
+    its backward hands beta, gamma and x their shares, then gives the
+    branch's gradient to ``branch_bwd``. ``weights`` are the branch's own."""
     c = x.shape[-1]
     if gamma.shape != (c,) or beta.shape != (c,):
-        raise ValueError(f"layer_norm: gain/shift must have shape ({c},), got {gamma.shape} and {beta.shape}")
-    mu = np.mean(x.data, axis=-1, keepdims=True)
-    var = np.mean((x.data - mu) ** 2, axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
+        raise ValueError(f"{op}: gain/shift must have shape ({c},), got {gamma.shape} and {beta.shape}")
+    s = x.data + branch
+    mu = np.mean(s, axis=-1, keepdims=True)
+    var = np.mean((s - mu) ** 2, axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + _NORM_EPS)
+    xhat = (s - mu) * inv
 
     def bwd(g):
-        reduce_axes = tuple(range(x.data.ndim - 1))
-        _accumulate(beta, np.sum(g, axis=reduce_axes))
-        _accumulate(gamma, np.sum(g * xhat, axis=reduce_axes))
-        gg = g * gamma.data
-        m1 = np.mean(gg, axis=-1, keepdims=True)
-        m2 = np.mean(gg * xhat, axis=-1, keepdims=True)
-        _accumulate(x, inv * (gg - m1 - xhat * m2))
+        gs = _norm_backward(g, xhat, inv, gamma, beta)
+        _accumulate(x, gs)
+        branch_bwd(gs)
 
-    return _node(xhat * gamma.data + beta.data, bwd, x, gamma, beta)
+    return _node(xhat * gamma.data + beta.data, bwd, x, gamma, beta, *weights)
+
+
+def _norm_backward(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray, gamma: Tensor,
+                   beta: Tensor) -> np.ndarray:
+    """Hands beta and gamma their shares of the norm's gradient g; returns
+    the gradient of the normalized sum."""
+    reduce_axes = tuple(range(g.ndim - 1))
+    _accumulate(beta, np.sum(g, axis=reduce_axes))
+    _accumulate(gamma, np.sum(g * xhat, axis=reduce_axes))
+    gg = g * gamma.data
+    m1 = np.mean(gg, axis=-1, keepdims=True)
+    m2 = np.mean(gg * xhat, axis=-1, keepdims=True)
+    return inv * (gg - m1 - xhat * m2)
+
+
+def _linear_grads(a2: np.ndarray, w: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For a2 [rows, K] @ w [K, N] with gradient g [..., N]: the gradient of
+    a2, and of w, as ``matmul``'s backward forms them."""
+    g2 = g.reshape(-1, w.shape[-1])
+    return g2 @ np.swapaxes(w, -1, -2), np.swapaxes(a2, -1, -2) @ g2
+
+
+def residual_norm(x: Tensor, y: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
+    """LN(x + y) over the last axis, with per-feature gain gamma and shift beta."""
+    _check_same_shape("residual_norm", x, y)
+    return _post_norm("residual_norm", x, y.data, gamma, beta, lambda gs: _accumulate(y, gs), y)
+
+
+def self_attention_block(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor,
+                         gamma: Tensor, beta: Tensor) -> Tensor:
+    """LN(x + attention(x W_Q, x W_K, x W_V) W_O) for tokens x [..., M, C],
+    weights [C, C] and a norm's gain and shift [C].
+
+    The node keeps x, the attention output, the norm's xhat and inv, and the
+    last row block of weights; its backward recomputes q, k and v from x.
+    """
+    if x.data.ndim < 2:
+        raise ValueError(f"self_attention_block: expects tokens [..., M, C], got {x.shape}")
+    c = x.shape[-1]
+    for w in (wq, wk, wv, wo):
+        if w.shape != (c, c):
+            raise ValueError(f"self_attention_block: weights must be ({c}, {c}), got {w.shape}")
+    scale = 1.0 / math.sqrt(c)
+
+    def projections() -> tuple[np.ndarray, list[np.ndarray]]:
+        x2 = x.data.reshape(-1, c)
+        return x2, [(x2 @ w.data).reshape(x.shape) for w in (wq, wk, wv)]
+
+    a, y = _attention_forward(*projections()[1], scale)
+    a2 = a.reshape(-1, c)
+
+    def bwd(gs):
+        ga, dwo = _linear_grads(a2, wo.data, gs)
+        _accumulate(wo, dwo)
+        x2, qkv = projections()
+        dq, dk, dv = _attention_backward(ga.reshape(a.shape), *qkv, scale, y)
+        for w, gw in ((wv, dv), (wk, dk), (wq, dq)):
+            dx, dw = _linear_grads(x2, w.data, gw)
+            _accumulate(x, dx.reshape(x.shape))
+            _accumulate(w, dw)
+
+    return _post_norm("self_attention_block", x, (a2 @ wo.data).reshape(x.shape), gamma, beta,
+                      bwd, wq, wk, wv, wo)
+
+
+def feed_forward_block(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
+                       gamma: Tensor, beta: Tensor) -> Tensor:
+    """LN(x + (relu(x w1 + b1) w2 + b2)) for x [..., C], w1 [C, H], b1 [H],
+    w2 [H, C], b2 [C] and a norm's gain and shift [C]. The node keeps the
+    relu output r; its backward takes the relu's mask as r > 0."""
+    c = x.shape[-1]
+    hidden = w1.shape[-1]
+    if w1.shape != (c, hidden) or w2.shape != (hidden, c):
+        raise ValueError(f"feed_forward_block: weights must be ({c}, H) and (H, {c}), "
+                         f"got {w1.shape} and {w2.shape}")
+    _check_bias("feed_forward_block", b1, hidden)
+    _check_bias("feed_forward_block", b2, c)
+    r = np.maximum((x.data.reshape(-1, c) @ w1.data + b1.data).reshape(x.shape[:-1] + (hidden,)),
+                   0.0)
+    r2 = r.reshape(-1, hidden)
+
+    def bwd(gs):
+        _accumulate(b2, np.sum(gs.reshape(-1, c), axis=(0,)))
+        gr, dw2 = _linear_grads(r2, w2.data, gs)
+        _accumulate(w2, dw2)
+        gh = gr.reshape(r.shape) * (r > 0)
+        _accumulate(b1, np.sum(gh.reshape(-1, hidden), axis=(0,)))
+        dx, dw1 = _linear_grads(x.data.reshape(-1, c), w1.data, gh)
+        _accumulate(x, dx.reshape(x.shape))
+        _accumulate(w1, dw1)
+
+    return _post_norm("feed_forward_block", x, (r2 @ w2.data + b2.data).reshape(x.shape),
+                      gamma, beta, bwd, w1, b1, w2, b2)
 
 
 # ---------------------------------------------------------------------------

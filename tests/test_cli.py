@@ -172,6 +172,23 @@ class TestTrainEvalCli:
         _assert_one_line_exit_2(rc, capsys, "non-finite logits on val sample")
         assert not (tmp_path / "r.txt").exists()
 
+    def test_ablate_reports_a_diverged_row_in_one_line(self, tiny_cfg, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert main(["gen-data", "--out", str(data), "--count", "20", "--seed", "42"]) == 0
+        cfg = tmp_path / "diverge.cfg"
+        kept = [k for k in tiny_cfg.read_text().splitlines() if not k.startswith("train.iters ")]
+        cfg.write_text("\n".join(kept + ["train.iters = 3", "train.lr1 = 1e9", "train.lr2 = 1"])
+                       + "\n", encoding="utf-8")
+        capsys.readouterr()
+        report = tmp_path / "ablate.txt"
+        rc = main(["ablate", "--axis", "matcher", "--config", str(cfg), "--data", str(data),
+                   "--report", str(report)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err == ("nightseg: ablate row vanilla_attention: "
+                                "non-finite logits at iteration 1\n")
+        assert captured.out == "" and not report.exists()
+
 
 @pytest.fixture(scope="module")
 def dataset_48x64(tmp_path_factory):

@@ -189,7 +189,7 @@ class TestMatcherLayer:
             kr = fa[idx] @ wk
             weights = weights_replay(p1 @ wq, kr) @ weights_replay(fa @ wq, kr).T
         upd = (weights @ (fa @ wv)) @ layer.out_proj.w.data + layer.out_proj.b.data
-        p2 = layer.norm_cross(Tensor(p1 + upd))
+        p2 = layer.norm_cross(Tensor(p1), Tensor(upd))
         want = layer.ffn(layer.attn_out(p2)).data
         assert np.abs(got - want).max() < 1e-9
 

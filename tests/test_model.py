@@ -1,5 +1,6 @@
 """Backbone stub, segmentation head, prediction, pooling."""
 
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -192,22 +193,25 @@ class TestFullModel:
 
     def test_tape_nodes_per_step_independent_of_batch(self, tmp_path, monkeypatch):
         # train records one forward and one loss per step over the whole
-        # [B, ...] batch, so a default-config step has as many nodes at batch
-        # 4 as at batch 1
+        # [B, ...] batch, so a step has as many nodes at batch 4 as at batch
+        # 1: 97 for the default config, whose 10 self-attention blocks, 3
+        # feed-forward blocks and 3 cross-update norms are one node each, and
+        # 88 for the vanilla matcher, whose cross-attention is one node
         gen_dataset(SceneConfig(), 10, 15, tmp_path)
         ds = load_dataset(tmp_path, "phase")
         counts = {}
 
         def counting_backward(loss):
-            counts.setdefault(batch, []).append(len(loss.tape))
+            counts.setdefault((mode, batch), []).append(len(loss.tape))
             backward(loss)
 
         monkeypatch.setattr("nightseg.train.backward", counting_backward)
-        for batch in (1, 4):
-            model = NightSegModel(ModelConfig(num_classes=ds.num_classes, dtype=np.float32))
+        for mode, batch in itertools.product(("reliable", "vanilla"), (1, 4)):
+            model = NightSegModel(ModelConfig(num_classes=ds.num_classes, matcher_mode=mode,
+                                              dtype=np.float32))
             train(model, ds, TrainConfig(iters=2, batch=batch, seed=1))
-        assert counts[1] == counts[4] == [counts[1][0]] * 2, counts
-        assert counts[1][0] <= 172, counts
+        assert counts == {("reliable", 1): [97] * 2, ("reliable", 4): [97] * 2,
+                          ("vanilla", 1): [88] * 2, ("vanilla", 4): [88] * 2}, counts
 
     @pytest.mark.parametrize("mode", ["reliable", "vanilla"])
     def test_every_recorded_node_gets_a_gradient(self, tmp_path, monkeypatch, mode):

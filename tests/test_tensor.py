@@ -8,10 +8,13 @@ import pytest
 
 from nightseg import tensor as T
 from nightseg.gradcheck import grad_check
-from nightseg.layers import Conv2dLayer, Linear
-from nightseg.selftest import (CONV_CASES, attention_blocks_replay, attention_weights_replay,
-                               bridge_replay, check_attention_softmax, check_conv2d_oracle,
-                               check_matmul_oracle, check_upsample_oracle)
+from nightseg.layers import Conv2dLayer, Linear, TokenSelfAttention
+from nightseg.selftest import (BLOCK_CASES, CONV_CASES, attention_blocks_replay,
+                               attention_weights_replay, bridge_replay,
+                               check_attention_block_node, check_attention_softmax,
+                               check_conv2d_oracle, check_feed_forward_block_node,
+                               check_matmul_oracle, check_residual_norm_node,
+                               check_upsample_oracle)
 from nightseg.tensor import Tape, Tensor, backward
 
 
@@ -220,14 +223,14 @@ def attention_operands(seed, dtype, lead, m, l, c):
 
 
 def check_attention(qd, kd, vd, head):
-    """attention's value and gradients equal the composed ops taken one
-    256-row block at a time bit for bit; the whole composed ops bit for bit
-    in one block, and to rounding (1e-5 in float32, 1e-13 in float64,
-    relative) over several; off a tape it computes the same value."""
+    """attention's value and gradients equal the composed ops taken one row
+    block of the engine's size at a time bit for bit; the whole composed ops
+    bit for bit in one block, and to rounding (1e-5 in float32, 1e-13 in
+    float64, relative) over several; off a tape it computes the same value."""
     dtype = qd.dtype
     fused, composed = attention_pair(qd, kd, vd, head)
     _same_bits(fused, attention_blocks_replay(qd, kd, vd, head), dtype)
-    if qd.shape[-2] <= 256:
+    if qd.shape[-2] <= T._ATTENTION_ROWS:
         _same_bits(fused, composed, dtype)
     tol = 1e-5 if dtype == np.float32 else 1e-13
     for got, want in zip(fused, composed):
@@ -238,8 +241,8 @@ def check_attention(qd, kd, vd, head):
 class TestAttention:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     # one row block with and without batch axes; the 128x256 model's 1/8 stage
-    # (two blocks) over a batch of 2 and its 1/4 stage (eight blocks); eight
-    # prototype queries over 2048 pixel keys
+    # over a batch of 2 and its 1/4 stage (four and sixteen blocks of 128
+    # rows); eight prototype queries over 2048 pixel keys
     @pytest.mark.parametrize("lead,m,l,c", [
         ((), 5, 7, 3), ((3,), 5, 7, 3), ((2, 2), 6, 4, 3), ((2,), 512, 512, 64),
         ((), 2048, 2048, 64), ((), 8, 2048, 64)])
@@ -249,12 +252,13 @@ class TestAttention:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("lead", [(), (2,)])
     def test_short_last_block(self, dtype, lead):
-        # 600 query rows: blocks of 256, 256 and 88. BLAS may evaluate the
-        # 88-row products with another kernel than the 600-row ones
+        # 600 query rows end in a short block, 600 % T._ATTENTION_ROWS rows
+        # (88 at 128 or 256 rows a block). BLAS may evaluate the short
+        # block's products with another kernel than the 600-row ones
         check_attention(*attention_operands(600, dtype, lead, 600, 600, 16))
 
     def test_off_tape_the_weights_exist_one_block_at_a_time(self):
-        # the [2048, 2048] float32 weights would take 16 MiB; a row block 2 MiB
+        # the [2048, 2048] float32 weights would take 16 MiB; a row block 1 MiB
         rng = np.random.default_rng(9)
         q, k, v = (Tensor(rng.normal(size=(2048, 8)).astype(np.float32)) for _ in range(3))
         tracemalloc.start()
@@ -267,7 +271,7 @@ class TestAttention:
 
     def test_on_a_tape_the_weights_exist_one_block_at_a_time(self):
         # the backward recomputes each block's weights: the node holds one
-        # 2 MiB block, not the 16 MiB [2048, 2048] buffer, until it has run
+        # 1 MiB block, not the 16 MiB [2048, 2048] buffer, until it has run
         rng = np.random.default_rng(9)
         q, k, v = (Tensor(rng.normal(size=(2048, 8)).astype(np.float32), requires_grad=True)
                    for _ in range(3))
@@ -671,6 +675,62 @@ def _same_bits(got, want, dtype):
         assert np.array_equal(a, b)
 
 
+BLOCK_NODE_CHECKS = {"residual norm": check_residual_norm_node,
+                     "self-attention block": check_attention_block_node,
+                     "feed-forward block": check_feed_forward_block_node}
+
+
+class TestBlockNodes:
+    """residual_norm, self_attention_block and feed_forward_block equal the
+    chains they replace, value and every gradient, bit for bit, in float32
+    and float64, each as one tape node."""
+
+    @pytest.mark.parametrize("case", BLOCK_CASES, ids=str)
+    @pytest.mark.parametrize("name", sorted(BLOCK_NODE_CHECKS))
+    def test_equals_composed_chain_bit_for_bit(self, name, case):
+        BLOCK_NODE_CHECKS[name]([case])
+
+    @pytest.mark.parametrize("name", sorted(BLOCK_NODE_CHECKS))
+    def test_model_widths(self, name):
+        # the 128x256 model's 1/8 decoder stage over a batch of 2, and the
+        # matcher's 8 shared prototypes
+        BLOCK_NODE_CHECKS[name]([((2,), 512, 64, False), ((2,), 8, 64, True)])
+
+    def test_self_attention_block_keeps_one_weight_block(self):
+        # beyond its input, the node keeps its output, the attention output,
+        # the norm's xhat and inv and one [2, 128, 512] block of weights,
+        # about 1.3 MiB; not q, k, v, their W_O product or the residual sum
+        rng = np.random.default_rng(11)
+        x = Tensor(rng.normal(size=(2, 512, 64)).astype(np.float32), requires_grad=True)
+        attn = TokenSelfAttention(rng, 64, np.float32)
+        tracemalloc.start()
+        try:
+            with Tape():
+                before = tracemalloc.get_traced_memory()[0]
+                attn(x)
+                held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        kept = 3 * x.data.nbytes + 2 * 512 * 4 + 2 * T._ATTENTION_ROWS * 512 * 4
+        assert held < kept + 64 * 2**10, (held, kept)
+
+    @pytest.mark.parametrize("call,msg", [
+        (lambda z: T.residual_norm(z((2, 3)), z((3, 2)), z((2,)), z((2,))), "shape mismatch"),
+        (lambda z: T.residual_norm(z((2, 3)), z((2, 3)), z((2,)), z((3,))), r"gain/shift must"),
+        (lambda z: T.self_attention_block(z((3,)), *[z((3, 3))] * 4, z((3,)), z((3,))),
+         r"tokens \[\.\.\., M, C\]"),
+        (lambda z: T.self_attention_block(z((2, 3)), *[z((3, 3))] * 3, z((3, 2)), z((3,)),
+                                          z((3,))), r"weights must be \(3, 3\)"),
+        (lambda z: T.feed_forward_block(z((2, 3)), z((3, 6)), z((6,)), z((3, 6)), z((3,)),
+                                        z((3,)), z((3,))), r"weights must be"),
+        (lambda z: T.feed_forward_block(z((2, 3)), z((3, 6)), z((3,)), z((6, 3)), z((3,)),
+                                        z((3,)), z((3,))), "bias"),
+    ])
+    def test_bad_shapes_rejected(self, call, msg):
+        with pytest.raises(ValueError, match=msg):
+            call(lambda shape: Tensor(np.zeros(shape)))
+
+
 class TestSingleNodeMechanisms:
     """amplify_stage, bridged_similarity and bce_dice_loss equal the composed
     chains they replace, value and every gradient, bit for bit."""
@@ -763,7 +823,10 @@ LEADING_AXIS_CASES = {
     "matmul of stacks": (lambda a, b, c: T.matmul(a, b, c), [(4, 5), (5, 2)], [(2,)]),
     "matmul by a weight": (lambda a, w: T.matmul(a, w), [(2, 4, 5)], [(5, 2)]),
     "transpose2d": (T.transpose2d, [(4, 5)], []),
-    "layer norm": (T.layer_norm, [(4, 5)], [(5,), (5,)]),
+    "residual norm": (T.residual_norm, [(4, 5), (4, 5)], [(5,), (5,)]),
+    "self-attention block": (T.self_attention_block, [(4, 5)], [(5, 5)] * 4 + [(5,), (5,)]),
+    "feed-forward block": (T.feed_forward_block, [(4, 5)],
+                           [(5, 10), (10,), (10, 5), (5,), (5,), (5,)]),
 }
 
 
