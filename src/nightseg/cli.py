@@ -69,10 +69,10 @@ def _cmd_gen_data(args) -> int:
 
 
 def _cmd_phase_extract(args) -> int:
-    from .netpbm import read_ppm, write_ppm
+    from .netpbm import decode8, read_ppm8, write_ppm
     from .phase import image_texture_stack
 
-    image = read_ppm(Path(args.input).read_bytes())
+    image = decode8(read_ppm8(Path(args.input).read_bytes()))
     texture = image_texture_stack(image, mode=args.mode)
     Path(args.out).write_bytes(write_ppm(texture))
     print(f"wrote {args.out}")

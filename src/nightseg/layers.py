@@ -112,9 +112,6 @@ class LayerNorm(Module):
         self.gamma = Tensor(np.ones(width, dtype=dtype), requires_grad=True)
         self.beta = Tensor(np.zeros(width, dtype=dtype), requires_grad=True)
 
-    def __call__(self, x: Tensor, y: Tensor) -> Tensor:
-        return T.residual_norm(x, y, self.gamma, self.beta)
-
 
 class TokenSelfAttention(Module):
     """Single-head scaled dot-product self-attention over tokens [..., M, C];
@@ -143,8 +140,8 @@ class TokenSelfAttention(Module):
         if x.shape[-2] > ATTENTION_TOKEN_BUDGET:
             raise ValueError(f"self-attention: {x.shape[-2]} tokens exceed the budget of "
                              f"{ATTENTION_TOKEN_BUDGET}")
-        return T.self_attention_block(x, self.wq, self.wk, self.wv, self.wo,
-                                      self.norm.gamma, self.norm.beta)
+        return T.attention_block(x, x, self.wq, self.wk, self.wv, self.wo, None,
+                                 self.norm.gamma, self.norm.beta)
 
 
 class FeedForward(Module):

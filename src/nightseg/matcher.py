@@ -15,7 +15,7 @@ import numpy as np
 
 from . import tensor as T
 from .layers import FeedForward, LayerNorm, Linear, Module, TokenSelfAttention, glorot_uniform
-from .tensor import Tensor, attention_weights
+from .tensor import Tensor
 
 __all__ = [
     "select_reliable",
@@ -68,16 +68,12 @@ class ReliableMatcherLayer(Module):
         p1 = self.attn_in(p)
         if p1.data.ndim < fa.data.ndim:
             p1 = T.expand(p1, fa.shape[:-2])
-        q = T.matmul(p1, self.wq)
-        keys = T.matmul(fa, self.wk)
-        if self.mode == "reliable":
-            # the choice carries no gradient, so its weights are a plain array
-            kr = T.gather_rows(keys, select_reliable(attention_weights(q.data, keys.data), self.k))
-            weights = T.bridged_similarity(q, T.matmul(fa, self.wq), kr)
-            upd = T.matmul(weights, T.matmul(fa, self.wv))
-        else:
-            upd = T.attention(q, keys, T.matmul(fa, self.wv))
-        p2 = self.norm_cross(p1, self.out_proj(upd))
+        # the choice carries no gradient; select_reliable is looked up at each
+        # call, so a wrapper put on it sees every choice
+        select = (lambda w: select_reliable(w, self.k)) if self.mode == "reliable" else None
+        p2 = T.attention_block(p1, fa, self.wq, self.wk, self.wv, self.out_proj.w,
+                               self.out_proj.b, self.norm_cross.gamma, self.norm_cross.beta,
+                               select)
         p3 = self.attn_out(p2)
         return self.ffn(p3)
 

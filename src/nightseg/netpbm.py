@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["write_ppm", "read_ppm", "read_ppm8", "write_pgm", "read_pgm", "quantize8",
+__all__ = ["write_ppm", "read_ppm8", "write_pgm", "read_pgm", "quantize8",
            "decode8"]
 
 
@@ -110,11 +110,6 @@ def _read_netpbm(blob: bytes, magic: bytes, channels: int) -> np.ndarray:
 def read_ppm8(blob: bytes) -> np.ndarray:
     """P6 bytes -> the file's 8-bit values [H,W,3], uint8."""
     return _read_netpbm(blob, b"P6", 3)
-
-
-def read_ppm(blob: bytes) -> np.ndarray:
-    """P6 bytes -> float64 image [H,W,3] in [0,1]: ``decode8(read_ppm8(blob))``."""
-    return decode8(read_ppm8(blob))
 
 
 def read_pgm(blob: bytes) -> np.ndarray:

@@ -79,13 +79,6 @@ def weights_replay(q: np.ndarray, k: np.ndarray) -> np.ndarray:
     return e / np.sum(e, axis=-1, keepdims=True)
 
 
-def layer_norm_replay(x: np.ndarray) -> np.ndarray:
-    """LayerNorm over the last axis with unit gain and zero bias, in plain numpy."""
-    mu = x.mean(axis=-1, keepdims=True)
-    var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
-    return (x - mu) / np.sqrt(var + 1e-5)
-
-
 def check_attention_softmax():
     # a query [[1.0]] against one-feature keys x makes the logit row x itself
     rng = _rng(3)
@@ -251,7 +244,7 @@ def check_matching_invariants():
         kr = T.matmul(T.gather_rows(fa, idx), wk)
         assert np.abs(attention_weights(q.data, kr.data).sum(axis=1) - 1.0).max() < 1e-6
         assert np.abs(attention_weights(q_pix.data, kr.data).sum(axis=1) - 1.0).max() < 1e-6
-        sim_qk = T.bridged_similarity(q, q_pix, kr).data
+        sim_qk = T._bridge(q.data, q_pix.data, kr.data)[0]
         assert sim_qk.min() >= 0.0 and sim_qk.max() <= 1.0 + 1e-9
 
 
@@ -267,7 +260,7 @@ def attention_weights_replay(q: np.ndarray, k: np.ndarray, head: np.ndarray):
 def bridge_replay(q: np.ndarray, q_pix: np.ndarray, kr: np.ndarray, head: np.ndarray):
     """softmax(q krᵀ/√C) · softmax(q_pix krᵀ/√C)ᵀ and the gradients of
     sum(y * head) in plain numpy, one step at a time, forward then backward:
-    the oracle for the one ``bridged_similarity`` node. Returns (y, d q,
+    the bridge of ``attention_block``'s reliable mode. Returns (y, d q,
     d q_pix, d kr)."""
     ya, yb = weights_replay(q, kr), weights_replay(q_pix, kr)
     y = ya @ np.swapaxes(yb, -1, -2)
@@ -277,25 +270,12 @@ def bridge_replay(q: np.ndarray, q_pix: np.ndarray, kr: np.ndarray, head: np.nda
     return y, dq, dq_pix, dkb + dka
 
 
-def check_bridge_replay():
-    rng = _rng(13)
-    shapes = (((), 3, 7, 4, 5), ((2,), 8, 128, 32, 64), ((), 8, 2048, 64, 64))
-    for dtype, (lead, n, hw, k, c) in itertools.product((np.float32, np.float64), shapes):
-        arrays = [rng.normal(size=lead + s).astype(dtype) for s in ((n, c), (hw, c), (k, c), (n, hw))]
-        ts = [Tensor(a.copy(), requires_grad=True) for a in arrays[:3]]
-        with T.Tape():
-            y = T.bridged_similarity(*ts)
-            T.backward(y, arrays[3])
-        for a, b in zip([y.data] + [t.grad for t in ts], bridge_replay(*arrays)):
-            assert a.dtype == b.dtype and np.array_equal(a, b)
-
-
 def attention_blocks_replay(q: np.ndarray, k: np.ndarray, v: np.ndarray, head: np.ndarray):
     """softmax(q kᵀ / sqrt(C)) v taken one block of the engine's
     ``_ATTENTION_ROWS`` query rows at a time, and the gradients of
     sum(y * head), in plain numpy: the blocks' rows of y and of d q, and their
-    d k and d v summed from the last block to the first. The oracle for the
-    one ``attention`` node, which recomputes each block's weights in its
+    d k and d v summed from the last block to the first. The attention of
+    ``attention_block``, which recomputes each block's weights in its
     backward. Returns (y, d q, d k, d v)."""
     runs, rows = [], T._ATTENTION_ROWS
     for r0 in range(0, q.shape[-2], rows):
@@ -306,23 +286,6 @@ def attention_blocks_replay(q: np.ndarray, k: np.ndarray, v: np.ndarray, head: n
     y, dq = (np.concatenate([run[i] for run in runs], axis=-2) for i in (0, 1))
     dk, dv = (functools.reduce(np.add, [run[i] for run in reversed(runs)]) for i in (2, 3))
     return y, dq, dk, dv
-
-
-def check_attention_composed():
-    """attention equals the composed weights·V taken one row block at a time,
-    value and every gradient, bit for bit: in one block, where that is the
-    whole composed computation, over 600 tokens (a short last block) and over
-    the 2048 tokens of a 128x256 image's finest decoder stage (sixteen blocks)."""
-    rng = _rng(20)
-    for dtype in (np.float32, np.float64):
-        for shape in ((7, 4), (2, 5, 3), (600, 16), (2048, 64)):
-            arrays = [rng.normal(size=shape).astype(dtype) for _ in range(4)]
-            ts = [Tensor(a.copy(), requires_grad=True) for a in arrays[:3]]
-            with T.Tape():
-                y = T.attention(*ts)
-                T.backward(y, arrays[3])
-            for a, b in zip([y.data] + [t.grad for t in ts], attention_blocks_replay(*arrays)):
-                assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 def _linear(a: np.ndarray, w: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
@@ -356,29 +319,47 @@ def norm_replay(s: np.ndarray, gamma: np.ndarray, beta: np.ndarray, head: np.nda
     return xhat * gamma + beta, ds, np.sum(head * xhat, axis=axes), np.sum(head, axis=axes)
 
 
-def residual_norm_replay(x, y, gamma, beta, head):
-    """The chain add, layer norm that one ``residual_norm`` node replaces,
-    forward then backward. Returns (out, d x, d y, d gamma, d beta)."""
-    out, ds, dgamma, dbeta = norm_replay(x + y, gamma, beta, head)
-    return out, ds, ds, dgamma, dbeta
-
-
-def attention_block_replay(x, wq, wk, wv, wo, gamma, beta, head):
-    """The chain one ``self_attention_block`` node replaces: matmuls by W_Q,
-    W_K and W_V, attention (``attention_blocks_replay``), the matmul by W_O,
-    add and layer norm; then their backward rules in reverse, x's four
-    shares summed in the chain's order. Returns (out, d x, d W_Q, d W_K,
-    d W_V, d W_O, d gamma, d beta)."""
-    q, k, v = (_linear(x, w) for w in (wq, wk, wv))
-    a = attention_blocks_replay(q, k, v, np.zeros(q.shape, q.dtype))[0]
-    out, gs, dgamma, dbeta = norm_replay(x + _linear(a, wo), gamma, beta, head)
+def attention_block_replay(x, src, wq, wk, wv, wo, bo, gamma, beta, head, k=None):
+    """The chain one ``attention_block`` node replaces: matmuls by W_Q of x
+    and by W_K and W_V of src (x where src is None); attention
+    (``attention_blocks_replay``), or with k given the top-k choice, the
+    gather of the reliable keys, the bridge (``bridge_replay``, with its
+    matmul by W_Q of src) and its matmul with V; the matmul by W_O plus b_O
+    where given, add and layer norm. Then their backward rules in reverse,
+    each operand's shares summed in the chain's order. Returns (out, d x,
+    d src, d W_Q, d W_K, d W_V, d W_O, d b_O, d gamma, d beta), without d src
+    or d b_O where src or b_O is None."""
+    s = x if src is None else src
+    q, keys, v = _linear(x, wq), _linear(s, wk), _linear(s, wv)
+    if k is None:
+        a = attention_blocks_replay(q, keys, v, np.zeros(q.shape, q.dtype))[0]
+    else:
+        idx = select_reliable(weights_replay(q, keys), k)
+        kr = np.take_along_axis(keys, idx[..., None], axis=-2)
+        q_pix = _linear(s, wq)
+        w = weights_replay(q, kr) @ np.swapaxes(weights_replay(q_pix, kr), -1, -2)
+        a = w @ v
+    out, gs, dgamma, dbeta = norm_replay(x + _linear(a, wo, bo), gamma, beta, head)
     ga, dwo = _linear_back(a, wo, gs)
-    _, dq, dk, dv = attention_blocks_replay(q, k, v, ga)
-    dx, dw = gs, {}
-    for name, w, g in (("v", wv, dv), ("k", wk, dk), ("q", wq, dq)):
-        dxw, dw[name] = _linear_back(x, w, g)
-        dx = dx + dxw
-    return out, dx, dw["q"], dw["k"], dw["v"], dwo, dgamma, dbeta
+    if k is None:
+        _, dq, dk, dv = attention_blocks_replay(q, keys, v, ga)
+        shares = (("src", "v", dv), ("src", "k", dk), ("x", "q", dq))
+    else:
+        _, dq, dq_pix, dkr = bridge_replay(q, q_pix, kr, ga @ np.swapaxes(v, -1, -2))
+        dk = np.zeros(keys.shape, keys.dtype)
+        for i in np.ndindex(idx.shape[:-1]):
+            dk[i][idx[i]] += dkr[i]
+        shares = (("src", "v", np.swapaxes(w, -1, -2) @ ga), ("src", "q", dq_pix),
+                  ("src", "k", dk), ("x", "q", dq))
+    weights = {"q": wq, "k": wk, "v": wv}
+    grads = {"x": gs}
+    for operand, role, g in shares:
+        dt, dw = _linear_back(x if operand == "x" else s, weights[role], g)
+        for name, d in (("x" if src is None else operand, dt), ("w" + role, dw)):
+            grads[name] = grads[name] + d if name in grads else d
+    return (out, grads["x"], *([] if src is None else [grads["src"]]), grads["wq"], grads["wk"],
+            grads["wv"], dwo, *([] if bo is None else [np.sum(gs.reshape(-1, wo.shape[1]), axis=0)]),
+            dgamma, dbeta)
 
 
 def feed_forward_replay(x, w1, b1, w2, b2, gamma, beta, head):
@@ -401,46 +382,81 @@ def feed_forward_replay(x, w1, b1, w2, b2, gamma, beta, head):
 BLOCK_CASES = (((), 7, 4, False), ((3,), 5, 4, False), ((2, 2), 6, 4, False),
                ((2,), 8, 16, True), ((), 300, 16, False))
 
+# (leading axes, query rows, source rows, reliable keys, features, x
+# broadcast); no source rows is self-attention, no reliable keys plain
+# attention. Beyond BLOCK_CASES: self-attention over 600 tokens (a short last
+# block) and the 2048 tokens of a 128x256 image's finest decoder stage
+# (sixteen blocks); prototypes attending to pixels, plainly and through the
+# reliable bridge, expanded over a batch at the desk model's 128 pixels, and
+# at 2048 pixels
+ATTENTION_CASES = tuple((lead, m, None, None, c, shared) for lead, m, c, shared in BLOCK_CASES) + (
+    ((), 600, None, None, 16, False), ((), 2048, None, None, 64, False),
+    ((), 3, 7, None, 5, False), ((2,), 8, 128, None, 64, True), ((), 8, 2048, None, 64, False),
+    ((), 3, 7, 4, 5, False), ((2,), 8, 128, 32, 64, True), ((), 8, 2048, 64, 64, False))
 
-def _block_node_oracle(node, replay, operand_shapes, cases, bump: int):
-    """node equals its composed chain's replay, value and every gradient, bit
-    for bit, in float32 and float64 for each case of cases, as one tape node.
-    operand_shapes(c) gives the shapes of the operands after x; None stands
-    for one of x's shape."""
+DTYPES = (np.float32, np.float64)
+
+
+def _block_node_oracle(cases, bump: int, dtypes=DTYPES):
+    """Each case's node equals its composed chain's replay, value and every
+    gradient, bit for bit, in each of dtypes, as one tape node, and computes
+    the same value off a tape. A case is
+    (node, replay, x's leading axes, rows and features, whether x is
+    broadcast from one [rows, C] set, the shapes of the operands after x)."""
     rng = _rng(bump)
-    for dtype, (lead, m, c, shared) in itertools.product((np.float32, np.float64), cases):
+    for dtype, (node, replay, lead, m, c, shared, shapes) in itertools.product(dtypes, cases):
         x = rng.normal(size=(m, c) if shared else lead + (m, c)).astype(dtype)
         if shared:
             x = np.broadcast_to(x, lead + (m, c))
-        others = [rng.normal(size=lead + (m, c) if s is None else s).astype(dtype)
-                  for s in operand_shapes(c)]
+        arrays = [x] + [rng.normal(size=s).astype(dtype) for s in shapes]
         head = rng.normal(size=lead + (m, c)).astype(dtype)
-        arrays = [x, *others]
         ts = [Tensor(a, requires_grad=True) for a in arrays]
         with T.Tape() as tape:
             y = node(*ts)
             assert len(tape) == 1
             T.backward(y, head)
-        for got, want in zip([y.data] + [t.grad for t in ts], replay(*arrays, head)):
-            assert got.dtype == want.dtype == dtype and np.array_equal(got, want)
+        assert np.array_equal(node(*map(Tensor, arrays)).data, y.data)   # off a tape
+        want = replay(*arrays, head)
+        assert len(want) == len(ts) + 1
+        for got, expected in zip([y.data] + [t.grad for t in ts], want):
+            assert got.dtype == expected.dtype == dtype and np.array_equal(got, expected)
 
 
-def check_residual_norm_node(cases=BLOCK_CASES):
-    """residual_norm equals add then layer norm, bit for bit."""
-    _block_node_oracle(T.residual_norm, residual_norm_replay,
-                       lambda c: [None, (c,), (c,)], cases, 21)
+def self_block(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor, gamma: Tensor,
+                beta: Tensor) -> Tensor:
+    """A TokenSelfAttention block: attention_block from x to itself, no bias."""
+    return T.attention_block(x, x, wq, wk, wv, wo, None, gamma, beta)
 
 
-def check_attention_block_node(cases=BLOCK_CASES):
-    """self_attention_block equals its seven-node chain, bit for bit."""
-    _block_node_oracle(T.self_attention_block, attention_block_replay,
-                       lambda c: [(c, c)] * 4 + [(c,), (c,)], cases, 22)
+def _cross_block(k: int | None):
+    """A matcher layer's cross update, attention_block from prototypes to
+    pixels, through the top-k reliable keys where k is given."""
+    select = None if k is None else functools.partial(select_reliable, k=k)
+    return functools.partial(T.attention_block, select=select)
+
+
+def check_attention_block_node(cases=ATTENTION_CASES, dtypes=DTYPES):
+    """attention_block equals its chain, bit for bit: self-attention without
+    a bias where a case has no source rows, else attention with a bias from x
+    to a source, through the reliable bridge where the case gives K."""
+    built = []
+    for lead, m, l, k, c, shared in cases:
+        weights = [(c, c)] * 4
+        if l is None:
+            built.append((self_block,
+                          lambda x, *w: attention_block_replay(x, None, *w[:4], None, *w[4:]),
+                          lead, m, c, shared, weights + [(c,)] * 2))
+        else:
+            built.append((_cross_block(k), functools.partial(attention_block_replay, k=k),
+                          lead, m, c, shared, [lead + (l, c)] + weights + [(c,)] * 3))
+    _block_node_oracle(built, 22, dtypes)
 
 
 def check_feed_forward_block_node(cases=BLOCK_CASES):
     """feed_forward_block equals its five-node chain, bit for bit."""
-    _block_node_oracle(T.feed_forward_block, feed_forward_replay,
-                       lambda c: [(c, 2 * c), (2 * c,), (2 * c, c), (c,), (c,), (c,)], cases, 23)
+    _block_node_oracle([(T.feed_forward_block, feed_forward_replay, lead, m, c, shared,
+                         [(c, 2 * c), (2 * c,), (2 * c, c), (c,), (c,), (c,)])
+                        for lead, m, c, shared in cases], 23)
 
 
 def least_assignment_total(cost: np.ndarray) -> float:
@@ -540,14 +556,6 @@ def check_adamw_matches_per_tensor():
             assert np.array_equal(mine, np.concatenate([a.reshape(-1) for a in theirs.values()]))
 
 
-def _bridge(p: Tensor, fa: Tensor, wq: Tensor, wk: Tensor, k: int) -> Tensor:
-    """The reliable bridge of a matcher layer, from its query and key weights."""
-    q = T.matmul(p, wq)
-    keys = T.matmul(fa, wk)
-    idx = select_reliable(attention_weights(q.data, keys.data), k)
-    return T.bridged_similarity(q, T.matmul(fa, wq), T.gather_rows(keys, idx))
-
-
 def _conv(x: Tensor, k: Tensor, bias: Tensor | None = None) -> Tensor:
     return T.conv2d(x, k, 2, 1, bias)
 
@@ -557,19 +565,15 @@ def _binary(t: Tensor) -> np.ndarray:
     return (t.data > 0).astype(np.float64)
 
 
-def _bridge_update(p: Tensor, fa: Tensor, wq: Tensor, wk: Tensor, wv: Tensor) -> Tensor:
-    """A matcher layer's cross update through its reliable bridge, before W_O."""
-    return T.matmul(_bridge(p, fa, wq, wk, 3), T.matmul(fa, wv))
-
-
 def _total_loss(mask_logits: Tensor, class_logits: Tensor, labels: Tensor) -> Tensor:
     # ground truth of 3 classes: the argmax over the last axis of a [4, 4, 3] draw
     return total_loss(mask_logits, class_logits, np.argmax(labels.data, axis=-1), 3,
                       LossWeights())
 
 
-_BRIDGE = [(3, 4), (7, 4), (4, 4), (4, 4), (4, 4)]   # prototypes, pixels, W_Q, W_K, W_V
-_ATTENTION = [(2, 3, 4), (2, 5, 4), (2, 5, 3)]        # queries, keys, values
+# prototypes, pixels, W_Q, W_K, W_V, W_O, b_O, gain, shift
+_CROSS = [(3, 4), (7, 4)] + [(4, 4)] * 4 + [(4,)] * 3
+_CROSS_BATCH = [(2, 3, 4), (2, 7, 4)] + _CROSS[2:]
 
 # name, f, the shapes of f's operands, the operand checked, the shape of the
 # head (None where f is a scalar)
@@ -581,8 +585,10 @@ GRAD_SUITE = [
      [(4, 4)], 0, (4, 4)),
     ("amplify stage (features)", T.amplify_stage, [(2, 3, 4)] * 2, 0, (2, 3, 4)),
     ("amplify stage (phase)", T.amplify_stage, [(2, 3, 4)] * 2, 1, (2, 3, 4)),
-    ("bridged similarity + update (prototypes)", _bridge_update, _BRIDGE, 0, (3, 4)),
-    ("bridged similarity + update (pixels)", _bridge_update, _BRIDGE, 1, (3, 4)),
+    ("reliable cross-attention block (prototypes)", _cross_block(3), _CROSS, 0, (3, 4)),
+    ("reliable cross-attention block over a batch (pixels)", _cross_block(3), _CROSS_BATCH, 1,
+     (2, 3, 4)),
+    ("reliable cross-attention block (W_Q)", _cross_block(3), _CROSS, 2, (3, 4)),
     ("dice", lambda x, t: T.bce_dice_loss(x, _binary(t), 0.0, 1.0), [(4, 4)] * 2, 0, None),
     ("bce", lambda x, t: T.bce_dice_loss(x, _binary(t), 1.0, 0.0), [(4, 4)] * 2, 0, None),
     ("ce", lambda x: T.ce_logits(x, np.array([1, 0, 2]), 1.0), [(3, 4)], 0, None),
@@ -602,14 +608,10 @@ GRAD_SUITE = [
     # a repeated row scatter-adds twice
     ("gather rows over a batch", lambda x: T.gather_rows(x, np.array([[4, 0, 4], [1, 2, 3]])),
      [(2, 5, 3)], 0, (2, 3, 3)),
-    ("attention (queries)", T.attention, _ATTENTION, 0, (2, 3, 3)),
-    ("attention (keys)", T.attention, _ATTENTION, 1, (2, 3, 3)),
-    ("attention (values)", T.attention, _ATTENTION, 2, (2, 3, 3)),
-    ("bridged similarity (reliable keys)", T.bridged_similarity, [(3, 4), (7, 4), (5, 4)], 2,
-     (3, 7)),
-    ("bridged similarity over a batch (pixel queries)", T.bridged_similarity,
-     [(2, 3, 4), (2, 7, 4), (2, 5, 4)], 1, (2, 3, 7)),
-    ("self-attention block with a non-zero W_O (input)", T.self_attention_block,
+    ("cross-attention block (prototypes)", _cross_block(None), _CROSS, 0, (3, 4)),
+    ("cross-attention block over a batch (pixels)", _cross_block(None), _CROSS_BATCH, 1, (2, 3, 4)),
+    ("cross-attention block (W_Q)", _cross_block(None), _CROSS, 2, (3, 4)),
+    ("self-attention block with a non-zero W_O (input)", self_block,
      [(5, 4)] + [(4, 4)] * 4 + [(4,), (4,)], 0, (5, 4)),
     ("feed-forward block (input)", T.feed_forward_block,
      [(3, 4), (4, 8), (8,), (8, 4), (4,), (4,), (4,)], 0, (3, 4)),
@@ -726,10 +728,8 @@ CHECKS = [
     ("sobel map: zero on constants, 4 on unit step", check_sobel),
     ("amplification matches per-pixel loop oracle", check_amplify_oracle),
     ("self-attention is permutation-equivariant", check_attention_permutation),
-    ("bridged similarity equals the numpy replay bit for bit", check_bridge_replay),
-    ("attention equals the composed weights·V block by block, bit for bit", check_attention_composed),
-    ("residual norm equals add then layer norm, bit for bit", check_residual_norm_node),
-    ("self-attention block equals its seven-node chain, bit for bit", check_attention_block_node),
+    ("attention block (self, cross and reliable) equals its chain, bit for bit",
+     check_attention_block_node),
     ("feed-forward block equals its five-node chain, bit for bit", check_feed_forward_block_node),
     ("similarity invariants hold on 2000 random instances", check_matching_invariants),
     ("assignment matches exhaustive enumeration (2000 cases, half integer)",

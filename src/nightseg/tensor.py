@@ -11,13 +11,13 @@ freed once its backward is done.
 
 Single nodes: each of these records one node for a chain of small ops, and
 its value and gradients equal that chain's bit for bit:
-- ``attention``: weights·V, on blocks of 128 query rows
-- ``residual_norm``: add, layer norm
-- ``self_attention_block``: the q, k and v projections, attention, the W_O
-  projection, add, layer norm; it recomputes q, k and v in its backward
+- ``attention_block``: the q, k and v projections, attention on blocks of 128
+  query rows (or the reliable top-K choice, its gather and the bridge, then
+  the product with v), the biased W_O projection, add, layer norm; it
+  recomputes the projections in its backward
 - ``feed_forward_block``: biased matmul, relu, biased matmul, add, layer norm
-- ``amplify_stage``, ``bridged_similarity``, ``bce_dice_loss`` and
-  ``ce_logits``: the paper's amplification and bridge, and the losses
+- ``amplify_stage``, ``bce_dice_loss`` and ``ce_logits``: the paper's
+  amplification, and the losses
 
 Conventions:
 - a backward closure ``bwd(g)`` receives its node's gradient g and hands
@@ -32,17 +32,17 @@ Conventions:
   Under ``train.AdamW`` each parameter's ``.data`` is a view into the
   optimizer's one flat weight vector, updated in place; rebinding
   ``p.data`` detaches that parameter from the vector. A backward closure
-  may overwrite a forward array only it holds: ``attention`` and
-  ``self_attention_block`` recompute earlier weight blocks into their
-  private scratch, which nothing reads again once the tape is consumed
+  may overwrite a forward array only it holds: ``attention_block``
+  recomputes earlier weight blocks into its private scratch, which nothing
+  reads again once the tape is consumed
 - gradient buffers are write-once per accumulation (``grad = grad + g``),
   never mutated in place, so views may be stored safely
 - binary ops require exact shape and dtype agreement; the only broadcasts
   happen inside single nodes: the optional per-channel ``bias`` of
   ``matmul`` and ``conv2d``, the per-feature gain, shift and biases of the
   post-norm blocks, the per-pixel scaling of ``amplify_stage``, the
-  per-row reductions and scaling of ``bridged_similarity``, the per-row
-  reductions of ``attention`` and ``bce_dice_loss``, and ``expand``
+  per-row reductions of the attention weights and of ``bce_dice_loss``, and
+  ``expand``
 - leading axes: every op except the two losses accepts any number of
   leading (batch) axes in front of the axes it names, e.g. x[..., H, W, C]
   or tokens [..., M, C], and treats each leading index as its own sample.
@@ -51,8 +51,8 @@ Conventions:
   with a's (np.matmul on stacks). ``expand`` adds leading axes to a tensor
   shared by every sample; ``bce_dice_loss`` and ``ce_logits`` take 2-D row
   sets, so callers flatten a batch into rows
-- reductions are per sample: the softmax rows of ``attention`` and
-  ``bridged_similarity`` and its row sums, the post-norm blocks' features,
+- reductions are per sample: the softmax rows and the reliable choice of
+  ``attention_block``, the post-norm blocks' features,
   conv2d windows and ``amplify_stage``'s map mean over each map's own (h, w).
   Only gradients with respect to operands without the leading axes
   (weights, biases, ``expand`` inputs) sum over them
@@ -76,13 +76,9 @@ __all__ = [
     "transpose2d",
     "reshape",
     "relu",
-    "attention_weights",
-    "attention",
-    "residual_norm",
-    "self_attention_block",
+    "attention_block",
     "feed_forward_block",
     "amplify_stage",
-    "bridged_similarity",
     "conv2d",
     "upsample_bilinear2x",
     "gather_rows",
@@ -338,12 +334,22 @@ def attention_weights(q: np.ndarray, k: np.ndarray) -> np.ndarray:
     """Scaled dot-product weights softmax(q k^T / sqrt(C)); row i of q [..., M, C]
     is a distribution over the rows of k [..., L, C] with the same leading axes.
 
-    A plain-array helper with no tape; nodes form their weights inside.
+    A plain-array helper with no tape: the weights the reliable choice reads,
+    and the bridge's two factors.
     """
     c = _attention_scale("attention_weights", q, k)
     y = q @ np.swapaxes(k, -1, -2)
     _scaled_softmax(y, c)
     return y
+
+
+def _bridge(q: np.ndarray, q_pix: np.ndarray, kr: np.ndarray):
+    """The reliable bridge softmax(q krᵀ/√C) · softmax(q_pix krᵀ/√C)ᵀ [..., M, L]
+    for queries q [..., M, C], pixel queries q_pix [..., L, C] and reliable
+    keys kr [..., K, C], and its two factors. Both factors' rows are
+    distributions over the K keys, so its entries lie in [0, 1]."""
+    ya, yb = attention_weights(q, kr), attention_weights(q_pix, kr)
+    return ya @ np.swapaxes(yb, -1, -2), ya, yb
 
 
 # query rows per block of the attention weights
@@ -405,36 +411,10 @@ def _sum_into(total: np.ndarray | None, part: np.ndarray) -> np.ndarray:
     return part if total is None else np.add(total, part, out=total)
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
-    """softmax(q k^T / sqrt(C)) v for queries q [..., M, C], keys k [..., L, C]
-    and values v [..., L, D] with the same leading axes.
-
-    One node in place of the weights and their matmul with v, computed on
-    blocks of _ATTENTION_ROWS query rows: on a tape or off it, the weights
-    exist one [..., 128, L] block at a time, and the backward recomputes
-    each block but the last. The forward runs the composed ops' ufuncs in
-    their order on each block, so values and gradients equal the composed
-    ops taken one row block at a time, bit for bit, and the whole composed
-    ops bit for bit where M fits one block.
-    """
-    c = _attention_scale("attention", q.data, k.data)
-    if v.data.ndim != k.data.ndim or v.shape[:-1] != k.shape[:-1]:
-        raise ValueError(f"attention: values {v.shape} do not match keys {k.shape}")
-    out, y = _attention_forward(q.data, k.data, v.data, c)
-
-    def bwd(g):
-        dq, dk, dv = _attention_backward(g, q.data, k.data, v.data, c, y)
-        _accumulate(v, dv)
-        _accumulate(q, dq)
-        _accumulate(k, dk)
-
-    return _node(out, bwd, q, k, v)
-
-
 # ---------------------------------------------------------------------------
 # post-norm residual blocks as single nodes
 #
-# Each node is LN(x + branch(x)) for one residual branch. The forward runs
+# Each node is LN(x + branch) for one residual branch. The forward runs
 # the composed ops' ufuncs in their order; the backward replays the chain's
 # rules in reverse and hands x and every weight their contributions in the
 # order the chain's nodes did, one ``_accumulate`` each, so values and
@@ -487,47 +467,80 @@ def _linear_grads(a2: np.ndarray, w: np.ndarray, g: np.ndarray) -> tuple[np.ndar
     return g2 @ np.swapaxes(w, -1, -2), np.swapaxes(a2, -1, -2) @ g2
 
 
-def residual_norm(x: Tensor, y: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
-    """LN(x + y) over the last axis, with per-feature gain gamma and shift beta."""
-    _check_same_shape("residual_norm", x, y)
-    return _post_norm("residual_norm", x, y.data, gamma, beta, lambda gs: _accumulate(y, gs), y)
+def attention_block(x: Tensor, src: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor,
+                    bo: Tensor | None, gamma: Tensor, beta: Tensor,
+                    select: Callable[[np.ndarray], np.ndarray] | None = None) -> Tensor:
+    """LN(x + A(x W_Q, src W_K, src W_V) W_O + b_O) for queries x [..., M, C]
+    and sources src [..., L, C] with the same leading axes (src is x for
+    self-attention), weights [C, C], a bias b_O [C] or None and a norm's gain
+    and shift [C].
 
+    A(q, k, v) is softmax(q kᵀ/√C) v on blocks of _ATTENTION_ROWS query rows.
+    Given ``select``, A is the reliable bridge instead:
+    select(attention_weights(q, k)) gives the indices [..., K] of each
+    leading index's reliable keys kr among the rows of k, and A is
+    ``_bridge(q, src W_Q, kr)`` times v.
 
-def self_attention_block(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor,
-                         gamma: Tensor, beta: Tensor) -> Tensor:
-    """LN(x + attention(x W_Q, x W_K, x W_V) W_O) for tokens x [..., M, C],
-    weights [C, C] and a norm's gain and shift [C].
-
-    The node keeps x, the attention output, the norm's xhat and inv, and the
-    last row block of weights; its backward recomputes q, k and v from x.
+    The node keeps x, src, A, the norm's xhat and inv, and the last block of
+    weights or the reliable keys; its backward recomputes the projections it
+    reads, and the bridge.
     """
     if x.data.ndim < 2:
-        raise ValueError(f"self_attention_block: expects tokens [..., M, C], got {x.shape}")
+        raise ValueError(f"attention_block: expects tokens [..., M, C], got {x.shape}")
+    scale = _attention_scale("attention_block", x.data, src.data)
     c = x.shape[-1]
     for w in (wq, wk, wv, wo):
         if w.shape != (c, c):
-            raise ValueError(f"self_attention_block: weights must be ({c}, {c}), got {w.shape}")
-    scale = 1.0 / math.sqrt(c)
+            raise ValueError(f"attention_block: weights must be ({c}, {c}), got {w.shape}")
+    _check_bias("attention_block", bo, c)
 
-    def projections() -> tuple[np.ndarray, list[np.ndarray]]:
-        x2 = x.data.reshape(-1, c)
-        return x2, [(x2 @ w.data).reshape(x.shape) for w in (wq, wk, wv)]
+    def project(t: Tensor, w: Tensor) -> np.ndarray:
+        return (t.data.reshape(-1, c) @ w.data).reshape(t.shape)
 
-    a, y = _attention_forward(*projections()[1], scale)
+    q, k = project(x, wq), project(src, wk)
+    if select is None:
+        a, y = _attention_forward(q, k, project(src, wv), scale)
+    else:
+        rows = _flat_rows("attention_block", k.shape, select(attention_weights(q, k)))
+        if not rows.shape[-1]:
+            raise ValueError("attention_block: empty reliable set")
+        kr = _gather(k, rows)
+        a = _bridge(q, project(src, wq), kr)[0] @ project(src, wv)
     a2 = a.reshape(-1, c)
+    branch = a2 @ wo.data
+    if bo is not None:
+        branch = branch + bo.data
 
     def bwd(gs):
+        if bo is not None:
+            _accumulate(bo, np.sum(gs.reshape(-1, c), axis=(0,)))
         ga, dwo = _linear_grads(a2, wo.data, gs)
         _accumulate(wo, dwo)
-        x2, qkv = projections()
-        dq, dk, dv = _attention_backward(ga.reshape(a.shape), *qkv, scale, y)
-        for w, gw in ((wv, dv), (wk, dk), (wq, dq)):
-            dx, dw = _linear_grads(x2, w.data, gw)
-            _accumulate(x, dx.reshape(x.shape))
+        ga = ga.reshape(a.shape)
+        q, v = project(x, wq), project(src, wv)
+        if select is None:
+            dq, dk, dv = _attention_backward(ga, q, project(src, wk), v, scale, y)
+            shares = ((src, wv, dv), (src, wk, dk), (x, wq, dq))
+        else:
+            q_pix = project(src, wq)
+            sim, ya, yb = _bridge(q, q_pix, kr)
+            gw = ga @ np.swapaxes(v, -1, -2)
+            dv = np.swapaxes(sim, -1, -2) @ ga
+            gya = gw @ yb
+            gyb = np.swapaxes(np.swapaxes(ya, -1, -2) @ gw, -1, -2)
+            _softmax_grad(gyb, yb, scale)
+            _softmax_grad(gya, ya, scale)
+            dkr = (np.swapaxes(np.swapaxes(q_pix, -1, -2) @ gyb, -1, -2)
+                   + np.swapaxes(np.swapaxes(q, -1, -2) @ gya, -1, -2))
+            shares = ((src, wv, dv), (src, wq, gyb @ kr),
+                      (src, wk, _scatter(dkr, rows, src.shape)), (x, wq, gya @ kr))
+        for t, w, g in shares:
+            dt, dw = _linear_grads(t.data.reshape(-1, c), w.data, g)
+            _accumulate(t, dt.reshape(t.shape))
             _accumulate(w, dw)
 
-    return _post_norm("self_attention_block", x, (a2 @ wo.data).reshape(x.shape), gamma, beta,
-                      bwd, wq, wk, wv, wo)
+    return _post_norm("attention_block", x, branch.reshape(x.shape), gamma, beta, bwd,
+                      src, wq, wk, wv, wo, bo)
 
 
 def feed_forward_block(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
@@ -596,32 +609,6 @@ def amplify_stage(fbar: Tensor, pbar: Tensor) -> Tensor:
         _accumulate(pbar, ds)
 
     return _node(fbar.data * a[..., None], bwd, fbar, pbar)
-
-
-def bridged_similarity(q: Tensor, q_pix: Tensor, kr: Tensor) -> Tensor:
-    """Prototype-to-pixel weights softmax(q krᵀ/√C) · softmax(q_pix krᵀ/√C)ᵀ
-    [..., N, hw] for prototype queries q [..., N, C], pixel queries q_pix
-    [..., hw, C] and reliable keys kr [..., K, C]. Both factors' rows are
-    distributions over the K keys, so the entries lie in [0, 1]. The chain
-    it replaces: two attention_weights, transpose2d, then matmul.
-    """
-    if not kr.size:
-        raise ValueError("bridged_similarity: empty reliable set")
-    ya, yb = attention_weights(q.data, kr.data), attention_weights(q_pix.data, kr.data)
-    c = 1.0 / math.sqrt(kr.shape[-1])
-    s = ya @ np.swapaxes(yb, -1, -2)
-
-    def bwd(g):
-        ga = g @ yb
-        gb = np.swapaxes(np.swapaxes(ya, -1, -2) @ g, -1, -2)
-        _softmax_grad(gb, yb, c)
-        _softmax_grad(ga, ya, c)
-        _accumulate(q_pix, gb @ kr.data)
-        _accumulate(q, ga @ kr.data)
-        _accumulate(kr, np.swapaxes(np.swapaxes(q_pix.data, -1, -2) @ gb, -1, -2)
-                    + np.swapaxes(np.swapaxes(q.data, -1, -2) @ ga, -1, -2))
-
-    return _node(s, bwd, q, q_pix, kr)
 
 
 # ---------------------------------------------------------------------------
@@ -728,26 +715,43 @@ def upsample_bilinear2x(x: Tensor) -> Tensor:
     return _node(_apply(x.data, rm, cm), bwd, x)
 
 
+def _flat_rows(op: str, shape: tuple[int, ...], indices) -> np.ndarray:
+    """indices[..., K] into the rows of an array of shape [..., M, C], each
+    leading index picking from its own M rows, as row numbers of its [-1, C]
+    flattening."""
+    idx = np.asarray(indices, dtype=np.int64)
+    if len(shape) < 2 or idx.ndim != len(shape) - 1 or idx.shape[:-1] != shape[:-2]:
+        raise ValueError(f"{op}: expects x[..., M, C] and indices[..., K] with the same "
+                         f"leading axes, got {shape} and {idx.shape}")
+    m = shape[-2]
+    if idx.size and (idx.min() < 0 or idx.max() >= m):
+        raise ValueError(f"{op}: index out of range for {m} rows")
+    return idx + (np.arange(math.prod(idx.shape[:-1])) * m).reshape(idx.shape[:-1] + (1,))
+
+
+def _gather(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The rows [..., K, C] of x[..., M, C] that ``_flat_rows`` numbered."""
+    return x.reshape(-1, x.shape[-1])[rows.reshape(-1)].reshape(rows.shape + x.shape[-1:])
+
+
+def _scatter(g: np.ndarray, rows: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """The gradient of ``_gather`` from an array of shape for its gradient g:
+    g's rows added into zeros, a repeated row once per pick."""
+    dx = np.zeros(shape, dtype=g.dtype)
+    np.add.at(dx.reshape(-1, shape[-1]), rows.reshape(-1), g.reshape(-1, shape[-1]))
+    return dx
+
+
 def gather_rows(x: Tensor, indices) -> Tensor:
     """Select rows of x[..., M, C] by indices[..., K] with the same leading
     axes (each leading index picks from its own rows); gradients scatter-add
     back to the source rows."""
-    idx = np.asarray(indices, dtype=np.int64)
-    if x.data.ndim < 2 or idx.ndim != x.data.ndim - 1 or idx.shape[:-1] != x.shape[:-2]:
-        raise ValueError(f"gather_rows: expects x[..., M, C] and indices[..., K] with the same "
-                         f"leading axes, got {x.shape} and {idx.shape}")
-    m, c = x.shape[-2:]
-    if idx.size and (idx.min() < 0 or idx.max() >= m):
-        raise ValueError(f"gather_rows: index out of range for {m} rows")
-    offsets = (np.arange(math.prod(idx.shape[:-1])) * m).reshape(idx.shape[:-1] + (1,))
-    flat = (idx + offsets).reshape(-1)
+    rows = _flat_rows("gather_rows", x.shape, indices)
 
     def bwd(g):
-        dx = np.zeros(x.shape, dtype=x.data.dtype)
-        np.add.at(dx.reshape(-1, c), flat, g.reshape(-1, c))
-        _accumulate(x, dx)
+        _accumulate(x, _scatter(g, rows, x.shape))
 
-    return _node(x.data.reshape(-1, c)[flat].reshape(idx.shape + (c,)), bwd, x)
+    return _node(_gather(x.data, rows), bwd, x)
 
 
 # ---------------------------------------------------------------------------

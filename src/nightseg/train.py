@@ -176,9 +176,9 @@ class NonFiniteGradient(FloatingPointError):
 class EightBitImages(Sequence):
     """A read-only sequence of images held as their PPM files' uint8 values.
 
-    ``images[i]`` decodes image i to a fresh float64 [H,W,3] array in [0,1],
-    bit for bit what ``read_ppm`` gives for its file. ``values`` holds the
-    8-bit arrays themselves, read-only.
+    ``images[i]`` is ``decode8`` of image i's values, a fresh float64 [H,W,3]
+    array in [0,1]. ``values`` holds the 8-bit arrays, read-only, as
+    ``read_ppm8`` read them from the files.
     """
 
     def __init__(self, values: list[np.ndarray]):

@@ -10,7 +10,7 @@ import nightseg.cli
 from nightseg.cli import main
 from nightseg.config import build, known_keys
 from nightseg.model import ModelConfig, NightSegModel
-from nightseg.netpbm import read_pgm, read_ppm, write_pgm
+from nightseg.netpbm import decode8, read_pgm, read_ppm8, write_pgm
 from nightseg.scenes import parse_manifest
 from nightseg.train import load_checkpoint, save_checkpoint
 
@@ -56,14 +56,14 @@ class TestPhaseExtract:
         rc = main(["phase-extract", "--in", str(dataset / "img_00000.ppm"),
                    "--out", str(out)])
         assert rc == 0
-        tex = read_ppm(out.read_bytes())
+        tex = decode8(read_ppm8(out.read_bytes()))
         assert tex.shape == (32, 64, 3)
 
     def test_sobel_mode_writes_texture(self, dataset, tmp_path):
         out = tmp_path / "tex_sobel.ppm"
         assert main(["phase-extract", "--in", str(dataset / "img_00001.ppm"),
                      "--out", str(out), "--mode", "sobel"]) == 0
-        assert read_ppm(out.read_bytes()).shape == (32, 64, 3)
+        assert decode8(read_ppm8(out.read_bytes())).shape == (32, 64, 3)
 
 
 @pytest.fixture(scope="module")

@@ -7,9 +7,15 @@ from nightseg import tensor as T
 from nightseg.decoder import HierarchicalAmplifiedDecoder
 from nightseg.gradcheck import grad_check
 from nightseg.layers import Pyramid, TokenSelfAttention
-from nightseg.selftest import (check_amplify_oracle, check_attention_permutation,
-                               layer_norm_replay, weights_replay)
+from nightseg.selftest import (check_amplify_oracle, check_attention_permutation, norm_replay,
+                               weights_replay)
 from nightseg.tensor import Tensor
+
+
+def unit_norm(x):
+    """LayerNorm over the last axis with unit gain and zero shift."""
+    c = x.shape[-1]
+    return norm_replay(x, np.ones(c), np.zeros(c), np.zeros_like(x))[0]
 
 
 def _pyramids(rng, h5=1, w5=2, cf=(7, 6, 5, 4), cp=(5, 4, 3, 2), zero=False):
@@ -35,7 +41,7 @@ def _depth1_oracle(dec, f, p):
         pbar = p @ lin_p.w.data + lin_p.b.data
         raw = ((fbar + pbar) ** 2).sum(axis=2)
         fbar = fbar * (raw * (1.0 / (raw.mean() + 1e-12)))[:, :, None]
-    return _upsample_to_finest(layer_norm_replay(fbar))
+    return _upsample_to_finest(unit_norm(fbar))
 
 
 class TestProjection:
@@ -48,7 +54,7 @@ class TestProjection:
                                            phase=False)
         dec.proj_f[0].w.data = np.eye(4)
         dec.proj_f[0].b.data[:] = 0.0
-        want = _upsample_to_finest(layer_norm_replay(fp.stages[0].data))
+        want = _upsample_to_finest(unit_norm(fp.stages[0].data))
         assert np.abs(dec(fp, None).data - want).max() < 1e-12
 
     def test_zero_weights_zero_output(self):
@@ -152,7 +158,7 @@ class TestSelfAttention:
         got = attn(Tensor(x)).data
         # softmax over one element is exactly 1: the layer reduces to the
         # normalized residual path LN(x + (V)Wo)
-        want = layer_norm_replay(x + (x @ attn.wv.data) @ attn.wo.data)
+        want = unit_norm(x + (x @ attn.wv.data) @ attn.wo.data)
         assert np.abs(got - want).max() < 1e-12
 
     def test_identical_tokens_identical_outputs(self):
@@ -169,7 +175,7 @@ class TestSelfAttention:
         t = rng.normal(size=(4, 4))
         got = a(Tensor(t)).data
         att = weights_replay(t @ a.wq.data, t @ a.wk.data)
-        want = layer_norm_replay(t + (att @ (t @ a.wv.data)) @ a.wo.data)
+        want = unit_norm(t + (att @ (t @ a.wv.data)) @ a.wo.data)
         assert np.abs(got - want).max() < 1e-8
 
     def test_permutation_equivariance(self):

@@ -5,8 +5,8 @@ import pytest
 
 from nightseg.gradcheck import grad_check
 from nightseg.matcher import ReliableMatcher, ReliableMatcherLayer, select_reliable
-from nightseg.selftest import random_projections, weights_replay
-from nightseg.tensor import Tensor, attention_weights, bridged_similarity
+from nightseg.selftest import norm_replay, random_projections, weights_replay
+from nightseg.tensor import Tensor, attention_weights
 from nightseg import tensor as T
 
 
@@ -119,12 +119,18 @@ def reliable_inputs(seed_data, seed_proj, n, hw, k):
     return p, fa, q, q_pix, kr, idx, wq, wk
 
 
+def bridge(q, q_pix, kr):
+    """The reliable bridge attention_block forms, from its query, pixel-query
+    and reliable-key tensors."""
+    return T._bridge(q.data, q_pix.data, kr.data)[0]
+
+
 class TestBridgedSimilarity:
     def test_k1_all_ones(self):
         _, _, q, q_pix, kr, _, _, _ = reliable_inputs(10, 11, 3, 6, 1)
         assert np.abs(attention_weights(q.data, kr.data) - 1.0).max() < 1e-12
         assert np.abs(attention_weights(q_pix.data, kr.data) - 1.0).max() < 1e-12
-        assert np.abs(bridged_similarity(q, q_pix, kr).data - 1.0).max() < 1e-12
+        assert np.abs(bridge(q, q_pix, kr) - 1.0).max() < 1e-12
 
     def test_disjoint_one_hot_supports_give_zero(self):
         # orthogonal one-hot rows: prototype routed to point 0, pixel to point 1
@@ -134,7 +140,7 @@ class TestBridgedSimilarity:
 
     def test_matches_composed_oracle_and_range(self):
         p, fa, q, q_pix, kr, idx, wq, wk = reliable_inputs(12, 13, 3, 8, 4)
-        sim_qk = bridged_similarity(q, q_pix, kr).data
+        sim_qk = bridge(q, q_pix, kr)
 
         fr = fa.data[idx]
         want_q = weights_replay(p.data @ wq.data, fr @ wk.data)
@@ -146,10 +152,11 @@ class TestBridgedSimilarity:
         assert sim_qk.max() <= 1.0 + 1e-9
 
     def test_empty_reliable_set_rejected(self):
-        _, _, q, q_pix, kr, _, _, _ = reliable_inputs(16, 17, 2, 5, 2)
-        empty = T.gather_rows(kr, np.array([], dtype=np.int64))
+        p, fa, _, _, _, _, wq, wk = reliable_inputs(16, 17, 2, 5, 2)
+        ones, zeros = Tensor(np.ones(4)), Tensor(np.zeros(4))
         with pytest.raises(ValueError, match="empty"):
-            bridged_similarity(q, q_pix, empty)
+            T.attention_block(p, fa, wq, wk, wq, wq, None, ones, zeros,
+                              lambda w: np.zeros(w.shape[:-2] + (0,), np.int64))
 
 
 class TestMatcherLayer:
@@ -189,7 +196,8 @@ class TestMatcherLayer:
             kr = fa[idx] @ wk
             weights = weights_replay(p1 @ wq, kr) @ weights_replay(fa @ wq, kr).T
         upd = (weights @ (fa @ wv)) @ layer.out_proj.w.data + layer.out_proj.b.data
-        p2 = layer.norm_cross(Tensor(p1), Tensor(upd))
+        norm = layer.norm_cross
+        p2 = Tensor(norm_replay(p1 + upd, norm.gamma.data, norm.beta.data, np.zeros_like(p1))[0])
         want = layer.ffn(layer.attn_out(p2)).data
         assert np.abs(got - want).max() < 1e-9
 

@@ -1,5 +1,6 @@
 """Backbone stub, segmentation head, prediction, pooling."""
 
+import collections
 import itertools
 from dataclasses import replace
 
@@ -194,15 +195,18 @@ class TestFullModel:
     def test_tape_nodes_per_step_independent_of_batch(self, tmp_path, monkeypatch):
         # train records one forward and one loss per step over the whole
         # [B, ...] batch, so a step has as many nodes at batch 4 as at batch
-        # 1: 97 for the default config, whose 10 self-attention blocks, 3
-        # feed-forward blocks and 3 cross-update norms are one node each, and
-        # 88 for the vanilla matcher, whose cross-attention is one node
+        # 1: 73 in either matcher mode, whose 10 self-attention blocks, 3
+        # cross updates and 3 feed-forward blocks are one node each. Both
+        # modes record the same ops, so the mode changes only what the cross
+        # update's node computes
         gen_dataset(SceneConfig(), 10, 15, tmp_path)
         ds = load_dataset(tmp_path, "phase")
-        counts = {}
+        counts, ops = {}, {}
 
         def counting_backward(loss):
             counts.setdefault((mode, batch), []).append(len(loss.tape))
+            ops.setdefault(mode, collections.Counter(
+                fn.__qualname__ for _, fn in loss.tape._nodes))
             backward(loss)
 
         monkeypatch.setattr("nightseg.train.backward", counting_backward)
@@ -210,8 +214,9 @@ class TestFullModel:
             model = NightSegModel(ModelConfig(num_classes=ds.num_classes, matcher_mode=mode,
                                               dtype=np.float32))
             train(model, ds, TrainConfig(iters=2, batch=batch, seed=1))
-        assert counts == {("reliable", 1): [97] * 2, ("reliable", 4): [97] * 2,
-                          ("vanilla", 1): [88] * 2, ("vanilla", 4): [88] * 2}, counts
+        assert counts == {("reliable", 1): [73] * 2, ("reliable", 4): [73] * 2,
+                          ("vanilla", 1): [73] * 2, ("vanilla", 4): [73] * 2}, counts
+        assert ops["reliable"] == ops["vanilla"], ops
 
     @pytest.mark.parametrize("mode", ["reliable", "vanilla"])
     def test_every_recorded_node_gets_a_gradient(self, tmp_path, monkeypatch, mode):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from nightseg.netpbm import (decode8, quantize8, read_pgm, read_ppm, read_ppm8, write_pgm,
+from nightseg.netpbm import (decode8, quantize8, read_pgm, read_ppm8, write_pgm,
                              write_ppm)
 
 
@@ -28,7 +28,7 @@ class TestRoundTrip:
         rng = np.random.default_rng(0)
         for _ in range(10):
             img = rng.uniform(size=(5, 7, 3))
-            back = read_ppm(write_ppm(img))
+            back = decode8(read_ppm8(write_ppm(img)))
             assert np.array_equal(back, quantize8(img).astype(np.float64) / 255.0)
             assert np.array_equal(read_ppm8(write_ppm(img)), quantize8(img))
 
@@ -80,4 +80,4 @@ class TestMalformed:
 
     def test_ppm_payload_checks_channels(self):
         with pytest.raises(ValueError, match="byte"):
-            read_ppm(b"P6\n1 1\n255\n\x00")  # needs 3 bytes
+            read_ppm8(b"P6\n1 1\n255\n\x00")  # needs 3 bytes

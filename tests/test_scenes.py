@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from nightseg.cli import main
-from nightseg.netpbm import read_pgm, read_ppm
+from nightseg.netpbm import decode8, read_pgm, read_ppm8
 from nightseg.scenes import (SceneConfig, _shape_region, gen_dataset, generate_scene,
                              parse_manifest)
 
@@ -129,7 +129,7 @@ class TestGenDataset:
 
     def test_files_decode(self, tmp_path):
         gen_dataset(SceneConfig(), 3, 11, tmp_path)
-        img = read_ppm((tmp_path / "img_00000.ppm").read_bytes())
+        img = decode8(read_ppm8((tmp_path / "img_00000.ppm").read_bytes()))
         msk = read_pgm((tmp_path / "msk_00000.pgm").read_bytes())
         assert img.shape == (32, 64, 3)
         assert msk.shape == (32, 64)

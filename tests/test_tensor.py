@@ -9,12 +9,13 @@ import pytest
 from nightseg import tensor as T
 from nightseg.gradcheck import grad_check
 from nightseg.layers import Conv2dLayer, Linear, TokenSelfAttention
-from nightseg.selftest import (BLOCK_CASES, CONV_CASES, attention_blocks_replay,
-                               attention_weights_replay, bridge_replay,
+from nightseg.matcher import select_reliable
+from nightseg.selftest import (ATTENTION_CASES, BLOCK_CASES, CONV_CASES, attention_block_replay,
+                               attention_blocks_replay, attention_weights_replay,
                                check_attention_block_node, check_attention_softmax,
                                check_conv2d_oracle, check_feed_forward_block_node,
-                               check_matmul_oracle, check_residual_norm_node,
-                               check_upsample_oracle)
+                               check_matmul_oracle, check_upsample_oracle, norm_replay,
+                               self_block, weights_replay)
 from nightseg.tensor import Tape, Tensor, backward
 
 
@@ -143,102 +144,128 @@ class TestAttentionWeights:
             T.attention_weights(np.zeros(qs), np.zeros(ks))
 
 
+def reliable(k):
+    """attention_block's choice of the top-k reliable keys."""
+    return lambda w: select_reliable(w, k)
+
+
+def block_operands(seed, x_shape, src_shape):
+    """x, src, W_Q, W_K, W_V, W_O [C, C], b_O, a gain and a shift [C], drawn
+    from a normal generator seeded with seed."""
+    rng = np.random.default_rng(seed)
+    c = x_shape[-1]
+    return [rng.normal(size=s) for s in (x_shape, src_shape, *[(c, c)] * 4, (c,), (c,), (c,))]
+
+
+def zeros_block(xs, ss, select=None):
+    """attention_block on zeros, from x of shape xs to src of shape ss, with
+    [C, C] weights and [C] b_O, gain and shift for x's C."""
+    c = xs[-1]
+    ws = [Tensor(np.zeros(s)) for s in [(c, c)] * 4 + [(c,)] * 3]
+    return T.attention_block(Tensor(np.zeros(xs)), Tensor(np.zeros(ss)), *ws, select)
+
+
 class TestBridgedSimilarity:
-    """The reliable bridge's tape behaviour; its values and gradients against
-    the numpy replay are in TestSingleNodeMechanisms."""
+    """attention_block's reliable bridge on the tape; its values and
+    gradients against the numpy replay are in TestSingleNodeMechanisms."""
 
     def test_one_tensor_in_every_role(self):
-        rng = np.random.default_rng(3)
-        xd, head = rng.normal(size=(7, 4)), rng.normal(size=(7, 7))
+        # x is the queries and the source of the pixel queries, keys and values
+        xd, _, *ws = block_operands(3, (7, 4), (7, 4))
+        head = np.random.default_rng(4).normal(size=(7, 4))
         x = Tensor(xd.copy(), requires_grad=True)
         with Tape():
-            backward(T.bridged_similarity(x, x, x), head)
-        _, dq, dq_pix, dkr = bridge_replay(xd, xd, xd, head)
-        assert np.array_equal(x.grad, dq_pix + dq + dkr)
+            backward(T.attention_block(x, x, *map(Tensor, ws), reliable(3)), head)
+        assert np.array_equal(x.grad, attention_block_replay(xd, None, *ws, head, k=3)[1])
 
     def test_shared_key_accumulates_both_gradients(self):
-        # prototypes and pixels are soft-assigned over one key set
-        rng = np.random.default_rng(4)
-        qd, q_pixd, krd = (rng.normal(size=s) for s in ((3, 4), (6, 4), (5, 4)))
-        head = rng.normal(size=(3, 6))
-        kr = Tensor(krd.copy(), requires_grad=True)
-        with Tape():
-            backward(T.bridged_similarity(Tensor(qd), Tensor(q_pixd), kr), head)
-        ya, yb = (T.attention_weights(x, krd) for x in (qd, q_pixd))
-        sides = (attention_weights_replay(q_pixd, krd, np.swapaxes(ya.T @ head, -1, -2))[2],
-                 attention_weights_replay(qd, krd, head @ yb)[2])
-        assert np.array_equal(kr.grad, sides[0] + sides[1])
-        assert min(np.abs(kr.grad - side).max() for side in sides) > 1e-6
+        # prototypes and pixels are soft-assigned over one key set, so W_K
+        # takes the key gradients of both sides
+        xd, srcd, wq, wk, wv, wo, bo, gamma, beta = ops = block_operands(4, (3, 4), (6, 4))
+        head = np.random.default_rng(5).normal(size=(3, 4))
+        _, grads = _weighted_run(lambda *t: T.attention_block(*t, reliable(5)), ops, head)
+        q, q_pix, keys, v = xd @ wq, srcd @ wq, srcd @ wk, srcd @ wv
+        idx = select_reliable(weights_replay(q, keys), 5)
+        kr = keys[idx]
+        ya, yb = weights_replay(q, kr), weights_replay(q_pix, kr)
+        gs = norm_replay(xd + ((ya @ yb.T) @ v) @ wo + bo, gamma, beta, head)[1]
+        gw = (gs @ wo.T) @ v.T
+        sides = (attention_weights_replay(q_pix, kr, (ya.T @ gw).T)[2],
+                 attention_weights_replay(q, kr, gw @ yb)[2])
+
+        def wk_grad(dkr):
+            dk = np.zeros(keys.shape)
+            dk[idx] += dkr
+            return srcd.T @ dk
+
+        assert np.array_equal(grads[3], wk_grad(sides[0] + sides[1]))
+        assert min(np.abs(grads[3] - wk_grad(side)).max() for side in sides) > 1e-6
 
     @pytest.mark.parametrize("wrt", ["queries", "pixel queries", "keys"])
     def test_gradient_matches_finite_differences(self, wrt):
-        rng = np.random.default_rng(5)
-        ops = [Tensor(rng.normal(size=s)) for s in ((3, 4), (6, 4), (5, 4))]
-        head = rng.normal(size=(3, 6))
-        i = ["queries", "pixel queries", "keys"].index(wrt)
-        err = grad_check(lambda t: T.bridged_similarity(*ops[:i], t, *ops[i + 1:]),
+        # the prototypes, the pixels, and W_K, which reaches the output only
+        # through the reliable keys
+        ops = [Tensor(a) for a in block_operands(5, (3, 4), (6, 4))]
+        head = np.random.default_rng(6).normal(size=(3, 4))
+        i = {"queries": 0, "pixel queries": 1, "keys": 3}[wrt]
+        err = grad_check(lambda t: T.attention_block(*ops[:i], t, *ops[i + 1:], reliable(5)),
                          Tensor(ops[i].data.copy()), head)
         assert err < 1e-4
 
     def test_no_downstream_gradient_leaves_grads_unset(self):
         # a node no gradient reaches is skipped
-        q, q_pix, kr = (Tensor(np.ones(s), requires_grad=True) for s in ((2, 3), (5, 3), (4, 3)))
-        x = Tensor([1.0, 2.0], requires_grad=True)
+        x, src = (Tensor(np.ones(s), requires_grad=True) for s in ((2, 3), (5, 3)))
+        ws = [Tensor(np.ones(s)) for s in [(3, 3)] * 4 + [(3,)] * 3]
+        y = Tensor([1.0, 2.0], requires_grad=True)
         with Tape():
-            T.bridged_similarity(q, q_pix, kr)
-            backward(T.add(x, x), np.ones(2))
-        assert q.grad is None and q_pix.grad is None and kr.grad is None
+            T.attention_block(x, src, *ws, reliable(4))
+            backward(T.add(y, y), np.ones(2))
+        assert x.grad is None and src.grad is None
 
     def test_records_one_tape_node(self):
-        q, q_pix, kr = (Tensor(np.ones(s), requires_grad=True) for s in ((2, 3), (5, 3), (4, 3)))
+        x, src = (Tensor(np.ones(s), requires_grad=True) for s in ((2, 3), (5, 3)))
+        ws = [Tensor(np.ones(s), requires_grad=True) for s in [(3, 3)] * 4 + [(3,)] * 3]
         with Tape() as tape:
-            T.bridged_similarity(q, q_pix, kr)
+            T.attention_block(x, src, *ws, reliable(4))
             assert len(tape) == 1
 
+    # the shapes of x and src, and the indices select gives
     @pytest.mark.parametrize("shapes,msg", [
-        (((2, 5), (6, 5), (4, 4)), "inner extents differ"),
-        (((2, 4), (6, 3), (4, 4)), "inner extents differ"),
-        (((2, 4), (6, 4), (4,)), "expects 2-D operands"),
-        (((2, 2, 4), (2, 6, 4), (3, 4, 4)), "same leading axes"),
-        (((2, 4), (6, 4), (0, 4)), "empty reliable set"),
+        (((2, 5), (6, 4), [0]), "inner extents differ"),
+        (((2, 2, 4), (2, 6, 3), [[0], [1]]), "inner extents differ"),
+        (((2, 4), (4,), [0]), "expects 2-D operands"),
+        (((2, 2, 4), (3, 4, 4), [[0], [1]]), "same leading axes"),
+        (((2, 4), (6, 4), []), "empty reliable set"),
+        (((2, 2, 4), (2, 6, 4), [0, 1]), "same leading axes"),
+        (((2, 4), (6, 4), [6]), "index out of range"),
     ])
     def test_bad_shapes_rejected(self, shapes, msg):
+        xs, ss, idx = shapes
         with pytest.raises(ValueError, match=msg):
-            T.bridged_similarity(*(Tensor(np.zeros(s)) for s in shapes))
+            zeros_block(xs, ss, lambda w: np.array(idx, np.int64))
 
 
-def attention_pair(qd, kd, vd, head):
-    """attention(q, k, v) of fresh operands, and the whole composed weights·V
-    in numpy: each value and its gradients of sum(y * head) for q, k and v."""
-    y, grads = _weighted_run(T.attention, [qd, kd, vd], head)
-    w, dq, dk = attention_weights_replay(qd, kd, head @ np.swapaxes(vd, -1, -2))
-    return (y, *grads), (w @ vd, dq, dk, np.swapaxes(w, -1, -2) @ head)
-
-
-def attention_operands(seed, dtype, lead, m, l, c):
-    rng = np.random.default_rng(seed)
+def blocks_match_whole_product(lead, m, l, c, dtype):
+    """attention_blocks_replay, the attention in attention_block's replay,
+    equals the whole composed weights·V, value and every gradient: bit for
+    bit in one block, and to rounding (1e-5 in float32, 1e-13 in float64,
+    relative) over several."""
+    rng = np.random.default_rng(m + l + c)
     qd, kd = ((rng.normal(size=lead + s) * 3.0).astype(dtype) for s in ((m, c), (l, c)))
     vd, head = (rng.normal(size=lead + s).astype(dtype) for s in ((l, c), (m, c)))
-    return qd, kd, vd, head
-
-
-def check_attention(qd, kd, vd, head):
-    """attention's value and gradients equal the composed ops taken one row
-    block of the engine's size at a time bit for bit; the whole composed ops
-    bit for bit in one block, and to rounding (1e-5 in float32, 1e-13 in
-    float64, relative) over several; off a tape it computes the same value."""
-    dtype = qd.dtype
-    fused, composed = attention_pair(qd, kd, vd, head)
-    _same_bits(fused, attention_blocks_replay(qd, kd, vd, head), dtype)
-    if qd.shape[-2] <= T._ATTENTION_ROWS:
-        _same_bits(fused, composed, dtype)
+    w, dq, dk = attention_weights_replay(qd, kd, head @ np.swapaxes(vd, -1, -2))
+    whole = (w @ vd, dq, dk, np.swapaxes(w, -1, -2) @ head)
+    blocks = attention_blocks_replay(qd, kd, vd, head)
+    if m <= T._ATTENTION_ROWS:
+        _same_bits(blocks, whole, dtype)
     tol = 1e-5 if dtype == np.float32 else 1e-13
-    for got, want in zip(fused, composed):
+    for got, want in zip(blocks, whole):
         assert np.abs(got - want).max() <= tol * np.abs(want).max()
-    assert np.array_equal(T.attention(Tensor(qd), Tensor(kd), Tensor(vd)).data, fused[0])
 
 
 class TestAttention:
+    """attention_block's softmax(q kᵀ/√C) v, on blocks of _ATTENTION_ROWS query rows."""
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     # one row block with and without batch axes; the 128x256 model's 1/8 stage
     # over a batch of 2 and its 1/4 stage (four and sixteen blocks of 128
@@ -247,23 +274,33 @@ class TestAttention:
         ((), 5, 7, 3), ((3,), 5, 7, 3), ((2, 2), 6, 4, 3), ((2,), 512, 512, 64),
         ((), 2048, 2048, 64), ((), 8, 2048, 64)])
     def test_equals_composed_ops_bit_for_bit(self, dtype, lead, m, l, c):
-        check_attention(*attention_operands(m + l + c, dtype, lead, m, l, c))
+        check_attention_block_node([(lead, m, l, None, c, False)], (dtype,))
+        blocks_match_whole_product(lead, m, l, c, dtype)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("lead", [(), (2,)])
     def test_short_last_block(self, dtype, lead):
-        # 600 query rows end in a short block, 600 % T._ATTENTION_ROWS rows
-        # (88 at 128 or 256 rows a block). BLAS may evaluate the short
-        # block's products with another kernel than the 600-row ones
-        check_attention(*attention_operands(600, dtype, lead, 600, 600, 16))
+        # 600 tokens end in a short block, 600 % T._ATTENTION_ROWS rows (88
+        # at 128 or 256 rows a block). BLAS may evaluate the short block's
+        # products with another kernel than the 600-row ones
+        check_attention_block_node([(lead, 600, None, None, 16, False)], (dtype,))
+        blocks_match_whole_product(lead, 600, 600, 16, dtype)
+
+    @staticmethod
+    def _self_attention_2048(requires_grad):
+        # 2048 float32 tokens of width 8: the [2048, 2048] weights would take
+        # 16 MiB, a row block 1 MiB
+        rng = np.random.default_rng(9)
+        x = Tensor(rng.normal(size=(2048, 8)).astype(np.float32), requires_grad=requires_grad)
+        ws = [Tensor(rng.normal(size=(8, 8)).astype(np.float32)) for _ in range(4)]
+        norm = [Tensor(np.ones(8, np.float32)), Tensor(np.zeros(8, np.float32))]
+        return x, ws + norm, rng.normal(size=(2048, 8)).astype(np.float32)
 
     def test_off_tape_the_weights_exist_one_block_at_a_time(self):
-        # the [2048, 2048] float32 weights would take 16 MiB; a row block 1 MiB
-        rng = np.random.default_rng(9)
-        q, k, v = (Tensor(rng.normal(size=(2048, 8)).astype(np.float32)) for _ in range(3))
+        x, ws, _ = self._self_attention_2048(False)
         tracemalloc.start()
         try:
-            T.attention(q, k, v)
+            self_block(x, *ws)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -272,14 +309,11 @@ class TestAttention:
     def test_on_a_tape_the_weights_exist_one_block_at_a_time(self):
         # the backward recomputes each block's weights: the node holds one
         # 1 MiB block, not the 16 MiB [2048, 2048] buffer, until it has run
-        rng = np.random.default_rng(9)
-        q, k, v = (Tensor(rng.normal(size=(2048, 8)).astype(np.float32), requires_grad=True)
-                   for _ in range(3))
-        head = rng.normal(size=(2048, 8)).astype(np.float32)
+        x, ws, head = self._self_attention_2048(True)
         tracemalloc.start()
         try:
             with Tape():
-                y = T.attention(q, k, v)
+                y = self_block(x, *ws)
                 held = tracemalloc.get_traced_memory()[0]
                 backward(y, head)
             peak = tracemalloc.get_traced_memory()[1]
@@ -289,27 +323,36 @@ class TestAttention:
         assert peak < 8 * 2**20, peak
 
     def test_self_attention_shares_one_tensor(self):
-        rng = np.random.default_rng(3)
-        xd, head = rng.normal(size=(7, 4)), rng.normal(size=(7, 4))
-        _, (g,) = _weighted_run(lambda x: T.attention(x, x, x), [xd], head)
-        _, dq, dk, dv = attention_pair(xd, xd, xd, head)[1]
-        assert np.array_equal(g, dv + dq + dk)
+        # x is its own source, and one weight is W_Q, W_K, W_V and W_O
+        xd, _, wd, *_, gamma, beta = block_operands(3, (7, 4), (7, 4))
+        head = np.random.default_rng(4).normal(size=(7, 4))
+        x, w = Tensor(xd.copy(), requires_grad=True), Tensor(wd.copy(), requires_grad=True)
+        with Tape():
+            backward(self_block(x, w, w, w, w, Tensor(gamma), Tensor(beta)), head)
+        _, dx, dwq, dwk, dwv, dwo, _, _ = attention_block_replay(xd, None, wd, wd, wd, wd, None,
+                                                                 gamma, beta, head)
+        assert np.array_equal(x.grad, dx)
+        assert np.array_equal(w.grad, dwo + dwv + dwk + dwq)
 
     def test_records_one_tape_node(self):
         x = Tensor(np.ones((2, 4, 3)), requires_grad=True)
+        ws = [Tensor(np.ones(s)) for s in [(3, 3)] * 4 + [(3,)] * 2]
         with Tape() as tape:
-            T.attention(x, x, x)
+            self_block(x, *ws)
             assert len(tape) == 1
 
+    # the shapes of x, src and W_V
     @pytest.mark.parametrize("qs,ks,vs,msg", [
-        ((2, 5), (4, 4), (4, 4), "inner extents differ"),
-        ((2, 3, 1), (4, 1), (4, 2), "expects 2-D operands"),
-        ((2, 3), (4, 3), (5, 2), "values .* do not match keys"),
-        ((2, 2, 3), (2, 4, 3), (4, 2), "values .* do not match keys"),
+        ((2, 5), (4, 4), (5, 5), "inner extents differ"),
+        ((2, 3, 1), (4, 1), (1, 1), "expects 2-D operands"),
+        ((2, 3), (4, 3), (5, 2), "weights must be"),
+        ((2, 2, 3), (2, 4, 3), (3, 2), "weights must be"),
     ])
     def test_bad_shapes_rejected(self, qs, ks, vs, msg):
+        c = qs[-1]
+        ws = [Tensor(np.zeros(s)) for s in [(c, c), (c, c), vs, (c, c), (c,), (c,), (c,)]]
         with pytest.raises(ValueError, match=msg):
-            T.attention(Tensor(np.zeros(qs)), Tensor(np.zeros(ks)), Tensor(np.zeros(vs)))
+            T.attention_block(Tensor(np.zeros(qs)), Tensor(np.zeros(ks)), *ws)
 
 
 class TestConv2d:
@@ -394,26 +437,34 @@ class TestBackward:
         assert np.array_equal(x.grad, np.array([[2.0, 4.0]]))
 
     def test_composite_conv_softmax_sum_matches_fd(self):
-        # the rows of the attention softmax sum to one, so both gradients vanish
+        # the rows of the attention softmax sum to one, so with every value
+        # row equal no gradient reaches the conv input of the keys
         rng = np.random.default_rng(0)
-        w = Tensor(rng.normal(size=(3, 3, 2, 2)))
+        kernel = rng.normal(size=(3, 3, 2, 3))
+        kernel[..., 2] = 0.0   # channel 2 is its bias, 1, at every pixel
+        conv_w, conv_b = Tensor(kernel), Tensor([0.0, 0.0, 1.0])
         x = Tensor(rng.normal(size=(4, 4, 2)), requires_grad=True)
+        wk = np.diag([1.0, 1.0, 0.0])   # the keys read channels 0 and 1
+        wv = np.zeros((3, 3))
+        wv[2] = [1.0, 2.0, 3.0]         # every value row is [1, 2, 3]
+        eye = Tensor(np.eye(3))
+        head = np.array([[1.0, -2.0, 0.5]])
 
-        def weights():
-            # the weights times a column of ones: their row sum
-            return T.attention(Tensor([[1.0]]), T.reshape(T.conv2d(x, w, 1, 1), (32, 1)),
-                               Tensor(np.ones((32, 1))))
+        def block():
+            src = T.reshape(T.conv2d(x, conv_w, 1, 1, conv_b), (16, 3))
+            return T.attention_block(Tensor([[1.0, 0.5, 0.0]]), src, eye, Tensor(wk), Tensor(wv),
+                                     eye, None, Tensor(np.ones(3)), Tensor(np.zeros(3)))
 
         with Tape():
-            backward(weights(), np.ones((1, 1)))
+            backward(block(), head)
         assert np.abs(x.grad).max() < 1e-12
         h = 1e-5
         flat = x.data.reshape(-1)
         keep = flat[0]
         flat[0] = keep + h
-        fp = np.sum(weights().data)
+        fp = np.sum(block().data * head)
         flat[0] = keep - h
-        fm = np.sum(weights().data)
+        fm = np.sum(block().data * head)
         flat[0] = keep
         assert abs((fp - fm) / (2 * h)) < 1e-9
 
@@ -566,13 +617,19 @@ class TestGradCheckExamples:
         assert grad_check(square, x) < 1e-9
 
     def test_softmax_conservation(self):
-        # every attention row sums to one, so the gradient of the sum vanishes
+        # every attention row sums to one, so with every value row equal the
+        # queries and keys, and so W_Q and W_K, get no gradient
         rng = np.random.default_rng(1)
-        q = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-        k = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
+        xd, srcd, wq, wk, _, wo, bo, gamma, beta = block_operands(1, (3, 4), (5, 4))
+        srcd[:, 0] = 1.0
+        wv = np.zeros((4, 4))
+        wv[0] = 1.0   # every value row is ones
+        wq, wk = Tensor(wq, requires_grad=True), Tensor(wk, requires_grad=True)
         with Tape():
-            backward(T.attention(q, k, Tensor(np.ones((5, 1)))), np.ones((3, 1)))
-        assert np.abs(q.grad).max() < 1e-12 and np.abs(k.grad).max() < 1e-12
+            backward(T.attention_block(Tensor(xd), Tensor(srcd), wq, wk, Tensor(wv), Tensor(wo),
+                                       Tensor(bo), Tensor(gamma), Tensor(beta)),
+                     rng.normal(size=(3, 4)))
+        assert np.abs(wq.grad).max() < 1e-12 and np.abs(wk.grad).max() < 1e-12
 
     def test_dice_loss_gradient(self):
         rng = np.random.default_rng(2)
@@ -675,15 +732,16 @@ def _same_bits(got, want, dtype):
         assert np.array_equal(a, b)
 
 
-BLOCK_NODE_CHECKS = {"residual norm": check_residual_norm_node,
-                     "self-attention block": check_attention_block_node,
-                     "feed-forward block": check_feed_forward_block_node}
+BLOCK_NODE_CHECKS = {
+    "self-attention block": lambda cases: check_attention_block_node(
+        [(lead, m, None, None, c, shared) for lead, m, c, shared in cases]),
+    "feed-forward block": check_feed_forward_block_node}
 
 
 class TestBlockNodes:
-    """residual_norm, self_attention_block and feed_forward_block equal the
-    chains they replace, value and every gradient, bit for bit, in float32
-    and float64, each as one tape node."""
+    """attention_block and feed_forward_block equal the chains they replace,
+    value and every gradient, bit for bit, in float32 and float64, each as
+    one tape node."""
 
     @pytest.mark.parametrize("case", BLOCK_CASES, ids=str)
     @pytest.mark.parametrize("name", sorted(BLOCK_NODE_CHECKS))
@@ -695,6 +753,11 @@ class TestBlockNodes:
         # the 128x256 model's 1/8 decoder stage over a batch of 2, and the
         # matcher's 8 shared prototypes
         BLOCK_NODE_CHECKS[name]([((2,), 512, 64, False), ((2,), 8, 64, True)])
+
+    # prototypes attending to pixels, plainly and through the reliable bridge
+    @pytest.mark.parametrize("case", [c for c in ATTENTION_CASES if c[2] is not None], ids=str)
+    def test_cross_attention_equals_composed_chain_bit_for_bit(self, case):
+        check_attention_block_node([case])
 
     def test_self_attention_block_keeps_one_weight_block(self):
         # beyond its input, the node keeps its output, the attention output,
@@ -714,13 +777,36 @@ class TestBlockNodes:
         kept = 3 * x.data.nbytes + 2 * 512 * 4 + 2 * T._ATTENTION_ROWS * 512 * 4
         assert held < kept + 64 * 2**10, (held, kept)
 
+    @pytest.mark.parametrize("k", [16, None], ids=["reliable", "vanilla"])
+    def test_cross_attention_block_keeps_no_source_map(self, k):
+        # 8 prototypes over the 2048 pixels of a 128x256 image, batch 2: the
+        # node keeps the reliable keys or one [2, 8, 2048] block of weights,
+        # under a quarter of one [2, 2048, 64] map; the backward recomputes
+        # the keys, pixel queries and values, and the bridge
+        rng = np.random.default_rng(12)
+        x, src = (Tensor(rng.normal(size=s).astype(np.float32), requires_grad=True)
+                  for s in ((2, 8, 64), (2, 2048, 64)))
+        ws = [Tensor(rng.normal(size=s).astype(np.float32), requires_grad=True)
+              for s in [(64, 64)] * 4 + [(64,)] * 3]
+        tracemalloc.start()
+        try:
+            with Tape():
+                before = tracemalloc.get_traced_memory()[0]
+                T.attention_block(x, src, *ws, None if k is None else reliable(k))
+                held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held < src.data.nbytes / 4, held
+
     @pytest.mark.parametrize("call,msg", [
-        (lambda z: T.residual_norm(z((2, 3)), z((3, 2)), z((2,)), z((2,))), "shape mismatch"),
-        (lambda z: T.residual_norm(z((2, 3)), z((2, 3)), z((2,)), z((3,))), r"gain/shift must"),
-        (lambda z: T.self_attention_block(z((3,)), *[z((3, 3))] * 4, z((3,)), z((3,))),
+        (lambda z: T.attention_block(z((2, 3)), z((2, 3)), *[z((3, 3))] * 4, None, z((2,)),
+                                     z((3,))), r"gain/shift must"),
+        (lambda z: self_block(z((3,)), *[z((3, 3))] * 4, z((3,)), z((3,))),
          r"tokens \[\.\.\., M, C\]"),
-        (lambda z: T.self_attention_block(z((2, 3)), *[z((3, 3))] * 3, z((3, 2)), z((3,)),
-                                          z((3,))), r"weights must be \(3, 3\)"),
+        (lambda z: self_block(z((2, 3)), *[z((3, 3))] * 3, z((3, 2)), z((3,)), z((3,))),
+         r"weights must be \(3, 3\)"),
+        (lambda z: T.attention_block(z((2, 3)), z((4, 3)), *[z((3, 3))] * 4, z((2,)), z((3,)),
+                                     z((3,))), "attention_block: bias"),
         (lambda z: T.feed_forward_block(z((2, 3)), z((3, 6)), z((6,)), z((3, 6)), z((3,)),
                                         z((3,)), z((3,))), r"weights must be"),
         (lambda z: T.feed_forward_block(z((2, 3)), z((3, 6)), z((3,)), z((6, 3)), z((3,)),
@@ -732,8 +818,9 @@ class TestBlockNodes:
 
 
 class TestSingleNodeMechanisms:
-    """amplify_stage, bridged_similarity and bce_dice_loss equal the composed
-    chains they replace, value and every gradient, bit for bit."""
+    """amplify_stage, the reliable bridge of attention_block and bce_dice_loss
+    equal the composed chains they replace, value and every gradient, bit
+    for bit."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     # the desk model's coarse and 64x128 fine stages, and a 96x160 image's
@@ -753,12 +840,7 @@ class TestSingleNodeMechanisms:
     # points, alone and over a batch of 2
     @pytest.mark.parametrize("lead", [(), (2,)])
     def test_bridged_similarity(self, dtype, lead):
-        rng = np.random.default_rng(len(lead))
-        arrays = [(rng.normal(size=lead + s) * 3.0).astype(dtype)
-                  for s in ((8, 64), (128, 64), (32, 64))]
-        head = rng.normal(size=lead + (8, 128)).astype(dtype)
-        y, grads = _weighted_run(T.bridged_similarity, arrays, head)
-        _same_bits((y, *grads), bridge_replay(*arrays, head), dtype)
+        check_attention_block_node([(lead, 8, 128, 32, 64, False)], (dtype,))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("g", [1, 4])
@@ -778,13 +860,15 @@ class TestSingleNodeMechanisms:
         with Tape() as tape:
             T.amplify_stage(x, x)
             rows = T.reshape(x, (6, 4))
-            T.bridged_similarity(rows, rows, rows)
+            ws = [Tensor(np.eye(4))] * 4 + [Tensor(np.zeros(4)), Tensor(np.ones(4)),
+                                             Tensor(np.zeros(4))]
+            T.attention_block(rows, rows, *ws, reliable(3))
             T.bce_dice_loss(T.reshape(x, (6, 4)), np.ones((6, 4)), 1.0, 1.0)
             assert len(tape) == 5
 
     @pytest.mark.parametrize("call,msg", [
         (lambda: T.amplify_stage(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3)))), r"\[h, w, C\]"),
-        (lambda: T.bridged_similarity(*(Tensor(np.ones(3)) for _ in range(3))), "2-D"),
+        (lambda: zeros_block((2, 3), (3,), reliable(1)), "2-D"),
         (lambda: T.bce_dice_loss(Tensor(np.zeros((2, 3))), np.zeros((3, 2)), 1.0, 1.0), "same shape"),
     ])
     def test_bad_shapes_rejected(self, call, msg):
@@ -818,13 +902,13 @@ LEADING_AXIS_CASES = {
     "conv2d 4x4 stride 4": (lambda x, w: T.conv2d(x, w, 4, 0), [(8, 8, 3)], [(4, 4, 3, 2)]),
     "upsample": (T.upsample_bilinear2x, [(2, 3, 2)], []),
     "amplify normalized": (T.amplify_stage, [(2, 3, 4), (2, 3, 4)], []),
-    "bridged similarity": (T.bridged_similarity, [(4, 5), (6, 5), (3, 5)], []),
-    "attention": (T.attention, [(4, 5), (6, 5), (6, 3)], []),
+    "bridged similarity": (lambda x, src, *w: T.attention_block(x, src, *w, reliable(3)),
+                           [(4, 5), (6, 5)], [(5, 5)] * 4 + [(5,)] * 3),
+    "attention": (T.attention_block, [(4, 5), (6, 5)], [(5, 5)] * 4 + [(5,)] * 3),
     "matmul of stacks": (lambda a, b, c: T.matmul(a, b, c), [(4, 5), (5, 2)], [(2,)]),
     "matmul by a weight": (lambda a, w: T.matmul(a, w), [(2, 4, 5)], [(5, 2)]),
     "transpose2d": (T.transpose2d, [(4, 5)], []),
-    "residual norm": (T.residual_norm, [(4, 5), (4, 5)], [(5,), (5,)]),
-    "self-attention block": (T.self_attention_block, [(4, 5)], [(5, 5)] * 4 + [(5,), (5,)]),
+    "self-attention block": (self_block, [(4, 5)], [(5, 5)] * 4 + [(5,), (5,)]),
     "feed-forward block": (T.feed_forward_block, [(4, 5)],
                            [(5, 10), (10,), (10, 5), (5,), (5,), (5,)]),
 }

@@ -9,7 +9,7 @@ from nightseg.cli import main
 from nightseg.config import build, parse_config
 from nightseg.metrics import ConfusionMatrix
 from nightseg.model import ModelConfig, NightSegModel, majority_pool, predict
-from nightseg.netpbm import read_pgm, read_ppm
+from nightseg.netpbm import read_pgm, read_ppm8
 from nightseg.scenes import SceneConfig, gen_dataset, parse_manifest
 from nightseg.selftest import PerTensorAdamW
 from nightseg.train import (AdamW, TrainConfig, TrainingDiverged, evaluate,
@@ -413,7 +413,8 @@ class TestLoadDataset:
 
 def _file_images(data_dir):
     _, entries = parse_manifest(data_dir / "manifest.txt")
-    return [read_ppm((data_dir / name).read_bytes()) for name, _, _ in entries]
+    # value / 255 in float64, the decoding written out
+    return [read_ppm8((data_dir / name).read_bytes()) / 255.0 for name, _, _ in entries]
 
 
 class TestEightBitImages:
