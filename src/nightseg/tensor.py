@@ -19,6 +19,19 @@ its value and gradients equal that chain's bit for bit:
 - ``amplify_stage``, ``bce_dice_loss`` and ``ce_logits``: the paper's
   amplification, and the losses
 
+What a node keeps until its backward runs: its inputs, which its closure
+holds as tensors, and only what its backward cannot form again cheaply.
+- ``conv2d`` keeps its input, not its im2col windows; the backward rebuilds
+  them with the forward's own code for the kernel's gradient
+- ``amplify_stage`` keeps its map and the map before scaling, not fbar + pbar
+- ``attention_block`` keeps x, src, the attention output, the norm's xhat
+  and inv, and the last block of weights or the reliable keys; its
+  backward recomputes q, k and v, drops them once their gradients are
+  formed, and drops each gradient share once it is handed out
+- ``feed_forward_block`` keeps its relu output, ``bce_dice_loss`` its
+  sigmoid, and ``ce_logits`` its row maxima; the other ops keep only their
+  inputs (``matmul`` keeps a as one matrix of rows)
+
 Conventions:
 - a backward closure ``bwd(g)`` receives its node's gradient g and hands
   each input its share with ``_accumulate``. ``Tape.run`` alone skips a
@@ -32,9 +45,10 @@ Conventions:
   Under ``train.AdamW`` each parameter's ``.data`` is a view into the
   optimizer's one flat weight vector, updated in place; rebinding
   ``p.data`` detaches that parameter from the vector. A backward closure
-  may overwrite a forward array only it holds: ``attention_block``
+  may overwrite an array only it holds, in two places: ``attention_block``
   recomputes earlier weight blocks into its private scratch, which nothing
-  reads again once the tape is consumed
+  reads again once the tape is consumed, and ``_attention_backward`` writes
+  d q block by block over the q that the backward recomputed
 - gradient buffers are write-once per accumulation (``grad = grad + g``),
   never mutated in place, so views may be stored safely
 - binary ops require exact shape and dtype agreement; the only broadcasts
@@ -387,12 +401,14 @@ def _attention_backward(g: np.ndarray, q: np.ndarray, k: np.ndarray, v: np.ndarr
 
     Walks the blocks from last to first: it reuses the block the forward left
     in y, recomputes each earlier one into y with the forward's ufuncs, and
-    sums the k and v gradients of the blocks from the last to the first.
+    sums the k and v gradients of the blocks from the last to the first. Once
+    a block's part of d k is formed, its rows of q are read no more, so d q is
+    written over them: the d q returned is q, which the caller must hold alone.
     """
     m = q.shape[-2]
     starts = range(0, m, _ATTENTION_ROWS)
     kt, vt = np.swapaxes(k, -1, -2), np.swapaxes(v, -1, -2)
-    dq, dk, dv = np.empty(q.shape, y.dtype), None, None
+    dk, dv = None, None
     for r0 in reversed(starts):
         rows = slice(r0, r0 + _ATTENTION_ROWS)
         w = y[..., : m - r0, :] if r0 == starts[-1] else _weight_block(q, kt, c, y, r0)
@@ -400,9 +416,9 @@ def _attention_backward(g: np.ndarray, q: np.ndarray, k: np.ndarray, v: np.ndarr
         dv = _sum_into(dv, np.swapaxes(w, -1, -2) @ gb)
         gw = gb @ vt
         _softmax_grad(gw, w, c)
-        np.matmul(gw, k, out=dq[..., rows, :])
         dk = _sum_into(dk, np.swapaxes(np.swapaxes(q[..., rows, :], -1, -2) @ gw, -1, -2))
-    return dq, dk, dv
+        np.matmul(gw, k, out=q[..., rows, :])
+    return q, dk, dv
 
 
 def _sum_into(total: np.ndarray | None, part: np.ndarray) -> np.ndarray:
@@ -483,7 +499,8 @@ def attention_block(x: Tensor, src: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, 
 
     The node keeps x, src, A, the norm's xhat and inv, and the last block of
     weights or the reliable keys; its backward recomputes the projections it
-    reads, and the bridge.
+    reads, and the bridge, and drops each of them, and each gradient share,
+    as soon as it has been read.
     """
     if x.data.ndim < 2:
         raise ValueError(f"attention_block: expects tokens [..., M, C], got {x.shape}")
@@ -511,33 +528,45 @@ def attention_block(x: Tensor, src: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, 
     if bo is not None:
         branch = branch + bo.data
 
+    def give(t: Tensor, w: Tensor, g: np.ndarray) -> None:
+        """Hand t and w their shares of the projection t W's gradient g."""
+        dt, dw = _linear_grads(t.data.reshape(-1, c), w.data, g)
+        _accumulate(t, dt.reshape(t.shape))
+        _accumulate(w, dw)
+
     def bwd(gs):
         if bo is not None:
             _accumulate(bo, np.sum(gs.reshape(-1, c), axis=(0,)))
         ga, dwo = _linear_grads(a2, wo.data, gs)
         _accumulate(wo, dwo)
         ga = ga.reshape(a.shape)
-        q, v = project(x, wq), project(src, wv)
         if select is None:
-            dq, dk, dv = _attention_backward(ga, q, project(src, wk), v, scale, y)
-            shares = ((src, wv, dv), (src, wk, dk), (x, wq, dq))
-        else:
-            q_pix = project(src, wq)
-            sim, ya, yb = _bridge(q, q_pix, kr)
-            gw = ga @ np.swapaxes(v, -1, -2)
-            dv = np.swapaxes(sim, -1, -2) @ ga
-            gya = gw @ yb
-            gyb = np.swapaxes(np.swapaxes(ya, -1, -2) @ gw, -1, -2)
-            _softmax_grad(gyb, yb, scale)
-            _softmax_grad(gya, ya, scale)
-            dkr = (np.swapaxes(np.swapaxes(q_pix, -1, -2) @ gyb, -1, -2)
-                   + np.swapaxes(np.swapaxes(q, -1, -2) @ gya, -1, -2))
-            shares = ((src, wv, dv), (src, wq, gyb @ kr),
-                      (src, wk, _scatter(dkr, rows, src.shape)), (x, wq, gya @ kr))
-        for t, w, g in shares:
-            dt, dw = _linear_grads(t.data.reshape(-1, c), w.data, g)
-            _accumulate(t, dt.reshape(t.shape))
-            _accumulate(w, dw)
+            # d q, d k, d v; each is dropped once handed out
+            grads = list(_attention_backward(ga, project(x, wq), project(src, wk),
+                                             project(src, wv), scale, y))
+            del ga
+            for t, w in ((src, wv), (src, wk), (x, wq)):
+                give(t, w, grads.pop())
+            return
+        # the reliable bridge: each share is formed when it is handed out
+        q, q_pix = project(x, wq), project(src, wq)
+        sim, ya, yb = _bridge(q, q_pix, kr)
+        gw = ga @ np.swapaxes(project(src, wv), -1, -2)
+        give(src, wv, np.swapaxes(sim, -1, -2) @ ga)
+        del sim, ga
+        gya = gw @ yb
+        gyb = np.swapaxes(np.swapaxes(ya, -1, -2) @ gw, -1, -2)
+        del gw
+        _softmax_grad(gyb, yb, scale)
+        _softmax_grad(gya, ya, scale)
+        del ya, yb
+        dkr = (np.swapaxes(np.swapaxes(q_pix, -1, -2) @ gyb, -1, -2)
+               + np.swapaxes(np.swapaxes(q, -1, -2) @ gya, -1, -2))
+        del q, q_pix
+        give(src, wq, gyb @ kr)
+        del gyb
+        give(src, wk, _scatter(dkr, rows, src.shape))
+        give(x, wq, gya @ kr)
 
     return _post_norm("attention_block", x, branch.reshape(x.shape), gamma, beta, bwd,
                       src, wq, wk, wv, wo, bo)
@@ -586,7 +615,8 @@ def amplify_stage(fbar: Tensor, pbar: Tensor) -> Tensor:
     """Scale every channel of pixel (i, j) of fbar[..., h, w, C] by the
     amplified map a[..., i, j] = sum_c (fbar + pbar)[..., i, j, c]^2, divided
     by its own mean over (h, w) plus 1e-12, so it has mean 1 and an all-zero
-    map stays finite.
+    map stays finite. The node keeps the map, not the sum fbar + pbar, which
+    its backward forms again.
     """
     _check_same_shape("amplify_stage", fbar, pbar)
     if fbar.data.ndim < 3:
@@ -603,7 +633,7 @@ def amplify_stage(fbar: Tensor, pbar: Tensor) -> Tensor:
         graw = np.sum(g * fbar.data, axis=-1)
         gr = np.sum(graw * raw, axis=(-2, -1), keepdims=True)
         graw = graw * r + -gr * r * r * (1.0 / hw)
-        ds = graw[..., None] * s
+        ds = graw[..., None] * (fbar.data + pbar.data)
         ds += ds
         _accumulate(fbar, ds)
         _accumulate(pbar, ds)
@@ -619,7 +649,8 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0,
            bias: Tensor | None = None) -> Tensor:
     """Cross-correlate x[..., H, W, Cin] with w[kh, kw, Cin, Cout], zero
     padding, then add bias[Cout] if given; the windows of every leading
-    index form the rows of one im2col product."""
+    index form the rows of one im2col product. The node keeps x, not its
+    windows: the backward rebuilds them for the kernel's gradient."""
     if x.data.ndim < 3 or w.data.ndim != 4:
         raise ValueError(f"conv2d: expects x[..., H, W, Cin] and w[kh, kw, Cin, Cout], "
                          f"got {x.shape} and {w.shape}")
@@ -640,27 +671,33 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0,
     ho = (hp - kh) // stride + 1
     wo = (wp - kw) // stride + 1
 
-    xp = np.pad(x.data, ((0, 0),) * len(lead) + ((padding, padding), (padding, padding), (0, 0)))
-    cols = np.empty(lead + (ho, wo, kh, kw, cin), dtype=x.data.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            cols[..., i, j, :] = xp[..., i : i + (ho - 1) * stride + 1 : stride,
-                                    j : j + (wo - 1) * stride + 1 : stride, :]
-    cols2 = cols.reshape(-1, kh * kw * cin)
+    def windows() -> np.ndarray:
+        """The im2col rows [windows, kh * kw * Cin] of x, zero padded: one
+        copy of a strided view whose [..., oh, ow, i, j, :] is the padded
+        input's [..., oh * stride + i, ow * stride + j, :]."""
+        xp = x.data
+        if padding:
+            xp = np.zeros(lead + (hp, wp, cin), x.data.dtype)
+            xp[..., padding : padding + h, padding : padding + wd, :] = x.data
+        *lead_strides, sh, sw, sc = xp.strides
+        view = np.lib.stride_tricks.as_strided(
+            xp, lead + (ho, wo, kh, kw, cin),
+            tuple(lead_strides) + (sh * stride, sw * stride, sh, sw, sc), writeable=False)
+        return view.copy().reshape(-1, kh * kw * cin)
+
     w2 = w.data.reshape(kh * kw * cin, cout)
-    y = (cols2 @ w2).reshape(lead + (ho, wo, cout))
+    y = (windows() @ w2).reshape(lead + (ho, wo, cout))
     if bias is not None:
         y = y + bias.data
-    xp_shape = xp.shape   # the backward needs only this, so xp is not kept alive
 
     def bwd(g):
         if bias is not None:
             _accumulate(bias, np.sum(g, axis=tuple(range(g.ndim - 1))))
         g2 = g.reshape(-1, cout)
-        _accumulate(w, (cols2.T @ g2).reshape(w.shape))
+        _accumulate(w, (windows().T @ g2).reshape(w.shape))
         if x.requires_grad:
             dcols = (g2 @ w2.T).reshape(lead + (ho, wo, kh, kw, cin))
-            dxp = np.zeros(xp_shape, x.data.dtype)
+            dxp = np.zeros(lead + (hp, wp, cin), x.data.dtype)
             for i in range(kh):
                 for j in range(kw):
                     dxp[..., i : i + (ho - 1) * stride + 1 : stride,

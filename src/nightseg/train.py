@@ -211,22 +211,34 @@ def load_dataset(data_dir: str | Path, enhance_op: str) -> LoadedDataset:
     """Read a generated dataset: every image as its 8-bit file values, every
     mask majority pooled to the quarter grid and, for the ``phase`` and
     ``sobel`` ops, every image's float64 texture, computed once from its
-    decoded values. A mask label outside the manifest's class range is refused."""
+    decoded values. An image or mask whose extents differ from the
+    manifest's, and a mask label outside its class range, are refused before
+    any texture is computed; so is a texture the image cannot form, naming
+    its file."""
     data_dir = Path(data_dir)
-    (num_classes, _, _), entries = read_manifest(data_dir / "manifest.txt")
-    images, masks, textures = [], [], []
+    (num_classes, height, width), entries = read_manifest(data_dir / "manifest.txt")
+    images, masks = [], []
     train_idx, val_idx = [], []
     for i, (img_name, msk_name, split) in enumerate(entries):
         img = read_ppm8((data_dir / img_name).read_bytes())
         msk = read_pgm((data_dir / msk_name).read_bytes())
+        for name, arr in ((img_name, img), (msk_name, msk)):
+            if arr.shape[:2] != (height, width):
+                raise ValueError(f"{data_dir / name}: extents {arr.shape[0]}x{arr.shape[1]} "
+                                 f"differ from the manifest's {height}x{width}")
         if msk.max() >= num_classes:
             raise ValueError(f"{data_dir / msk_name}: mask labels outside [0, {num_classes}): "
                              f"{np.unique(msk).tolist()}")
         images.append(img)
         masks.append(majority_pool(msk, 4))
-        if enhance_op in ("phase", "sobel"):
-            textures.append(image_texture_stack(decode8(img), mode=enhance_op))
         (train_idx if split == "train" else val_idx).append(i)
+    textures = []
+    if enhance_op in ("phase", "sobel"):
+        for (img_name, _, _), img in zip(entries, images):
+            try:
+                textures.append(image_texture_stack(decode8(img), mode=enhance_op))
+            except ValueError as exc:
+                raise ValueError(f"{data_dir / img_name}: {exc}") from None
     return LoadedDataset(
         images=EightBitImages(images),
         masks=masks,

@@ -10,7 +10,7 @@ import nightseg.cli
 from nightseg.cli import main
 from nightseg.config import build, known_keys
 from nightseg.model import ModelConfig, NightSegModel
-from nightseg.netpbm import decode8, read_pgm, read_ppm8, write_pgm
+from nightseg.netpbm import decode8, read_pgm, read_ppm8, write_pgm, write_ppm
 from nightseg.scenes import parse_manifest
 from nightseg.train import load_checkpoint, save_checkpoint
 
@@ -354,37 +354,86 @@ class TestBadConfigExit2:
         assert not (tmp_path / "data").exists()
 
 
+def _run_on_a_damaged_copy(command, split, damage, dataset, tiny_cfg, tmp_path, capsys,
+                           monkeypatch):
+    """Runs command on a copy of dataset whose first sample of split was
+    changed by damage(data, image name, mask name), which returns the name
+    of the file it changed; no texture may be computed and no model run.
+    Returns the exit code, the changed file and the output that command
+    would have written."""
+    ckpt = tmp_path / "run" / "checkpoint"
+    if command == "eval":
+        assert main(["train", "--config", str(tiny_cfg), "--data", str(dataset),
+                     "--out", str(tmp_path / "run")]) == 0
+        capsys.readouterr()
+    data = tmp_path / "data"
+    shutil.copytree(dataset, data)
+    _, entries = parse_manifest(data / "manifest.txt")
+    name = damage(data, *next((img, msk) for img, msk, s in entries if s == split))
+
+    def no_step(*args, **kwargs):
+        raise AssertionError("a texture or a model ran on a dataset with a bad file")
+
+    for target in ("image_texture_stack", "total_loss", "predict"):
+        monkeypatch.setattr(f"nightseg.train.{target}", no_step)
+    out = {"train": tmp_path / "bad_run", "eval": tmp_path / "r.txt",
+           "ablate": tmp_path / "table.txt"}[command]
+    args = {"train": ["--config", str(tiny_cfg), "--out", str(out)],
+            "eval": ["--ckpt", str(ckpt), "--report", str(out)],
+            "ablate": ["--config", str(tiny_cfg), "--axis", "matcher", "--report", str(out)]}
+    return main([command, "--data", str(data), *args[command]]), data / name, out
+
+
+_COMMAND_SPLITS = [("train", "train"), ("eval", "val"), ("ablate", "val")]
+
+
 class TestBadMaskExit2:
     """A mask label outside the manifest's class range fails as the dataset
-    loads, before any step, with one line naming the mask file."""
+    loads, before any texture or step, with one line naming the mask file."""
 
-    @pytest.mark.parametrize("command,split", [("train", "train"), ("eval", "val"),
-                                               ("ablate", "val")])
+    @pytest.mark.parametrize("command,split", _COMMAND_SPLITS)
     def test_label_outside_the_class_range_names_its_file(self, dataset, tiny_cfg, tmp_path,
                                                           capsys, monkeypatch, command, split):
-        ckpt = tmp_path / "run" / "checkpoint"
-        if command == "eval":
-            assert main(["train", "--config", str(tiny_cfg), "--data", str(dataset),
-                         "--out", str(tmp_path / "run")]) == 0
-            capsys.readouterr()
-        data = tmp_path / "data"
-        shutil.copytree(dataset, data)
-        _, entries = parse_manifest(data / "manifest.txt")
-        name = next(msk for _, msk, s in entries if s == split)
+        def relabel(data, _, name):
+            mask = read_pgm((data / name).read_bytes())
+            mask[3, 5] = 9
+            (data / name).write_bytes(write_pgm(mask))
+            return name
+
+        rc, path, out = _run_on_a_damaged_copy(command, split, relabel, dataset, tiny_cfg,
+                                               tmp_path, capsys, monkeypatch)
+        _assert_one_line_exit_2(rc, capsys, str(path), "outside [0, 4): [0", ", 9]")
+        assert not out.exists()
+
+
+class TestBadExtentsExit2:
+    """An image or mask whose extents differ from the manifest's header fails
+    as the dataset loads, before any texture or step, with one line naming
+    the file."""
+
+    @staticmethod
+    def narrow_image(data, name, _):
+        image = decode8(read_ppm8((data / name).read_bytes()))
+        (data / name).write_bytes(write_ppm(image[:, :48]))
+        return name
+
+    @staticmethod
+    def short_mask(data, _, name):
         mask = read_pgm((data / name).read_bytes())
-        mask[3, 5] = 9
-        (data / name).write_bytes(write_pgm(mask))
+        (data / name).write_bytes(write_pgm(mask[:24]))
+        return name
 
-        def no_step(*args, **kwargs):
-            raise AssertionError("a model ran on a dataset with a bad mask")
-
-        monkeypatch.setattr("nightseg.train.total_loss", no_step)
-        monkeypatch.setattr("nightseg.train.predict", no_step)
-        args = {"train": ["--config", str(tiny_cfg), "--out", str(tmp_path / "bad_run")],
-                "eval": ["--ckpt", str(ckpt), "--report", str(tmp_path / "r.txt")],
-                "ablate": ["--config", str(tiny_cfg), "--axis", "matcher"]}[command]
-        rc = main([command, "--data", str(data), *args])
-        _assert_one_line_exit_2(rc, capsys, str(data / name), "outside [0, 4): [0", ", 9]")
+    @pytest.mark.parametrize("damage,extents", [(narrow_image, "32x48"), (short_mask, "24x64")],
+                             ids=["image", "mask"])
+    @pytest.mark.parametrize("command,split", _COMMAND_SPLITS)
+    def test_extents_other_than_the_header_name_their_file(self, dataset, tiny_cfg, tmp_path,
+                                                           capsys, monkeypatch, command, split,
+                                                           damage, extents):
+        rc, path, out = _run_on_a_damaged_copy(command, split, damage, dataset, tiny_cfg,
+                                               tmp_path, capsys, monkeypatch)
+        _assert_one_line_exit_2(rc, capsys, str(path),
+                                f"extents {extents} differ from the manifest's 32x64")
+        assert not out.exists()
 
 
 class TestVerificationCli:

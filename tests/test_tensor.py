@@ -798,6 +798,57 @@ class TestBlockNodes:
             tracemalloc.stop()
         assert held < src.data.nbytes / 4, held
 
+    def test_conv2d_keeps_its_input_not_its_windows(self):
+        # a 3x3 kernel over [2, 64, 64, 8]: the windows are nine inputs, 2.25 MiB
+        # in float32; beyond x, which its closure holds, the node keeps only its
+        # output, one input's size
+        rng = np.random.default_rng(13)
+        x = Tensor(rng.normal(size=(2, 64, 64, 8)).astype(np.float32), requires_grad=True)
+        w = Tensor(rng.normal(size=(3, 3, 8, 8)).astype(np.float32), requires_grad=True)
+        tracemalloc.start()
+        try:
+            with Tape():
+                before = tracemalloc.get_traced_memory()[0]
+                y = T.conv2d(x, w, 1, 1)
+                held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held < y.data.nbytes + x.data.nbytes, held
+
+    def test_amplify_stage_keeps_no_sum(self):
+        # beyond its output it keeps the [2, 32, 32] map and its unscaled sums,
+        # not the [2, 32, 32, 64] sum fbar + pbar
+        rng = np.random.default_rng(14)
+        f, p = (Tensor(rng.normal(size=(2, 32, 32, 64)).astype(np.float32), requires_grad=True)
+                for _ in range(2))
+        tracemalloc.start()
+        try:
+            with Tape():
+                before = tracemalloc.get_traced_memory()[0]
+                y = T.amplify_stage(f, p)
+                held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held < y.data.nbytes + f.data.nbytes / 4, held
+
+    def test_attention_backward_writes_dq_over_q(self):
+        # 300 query rows: three blocks, the last one short, walked last to
+        # first; each block's d k part must read its q rows before d q lands
+        rng = np.random.default_rng(15)
+        q, k, v = (rng.normal(size=(2, n, 16)) for n in (300, 40, 40))
+        c = 0.25   # 1 / sqrt(C), the scale weights_replay applies
+        out, y = T._attention_forward(q, k, v, c)
+        g = rng.normal(size=out.shape)
+        private = q.copy()
+        dq, dk, dv = T._attention_backward(g, private, k, v, c, y)
+        assert dq is private
+        w = weights_replay(q, k)
+        gw = g @ np.swapaxes(v, -1, -2)
+        gs = (gw - np.sum(gw * w, axis=-1, keepdims=True)) * w * c
+        np.testing.assert_allclose(dq, gs @ k, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(dk, np.swapaxes(gs, -1, -2) @ q, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(dv, np.swapaxes(w, -1, -2) @ g, rtol=1e-12, atol=1e-12)
+
     @pytest.mark.parametrize("call,msg", [
         (lambda z: T.attention_block(z((2, 3)), z((2, 3)), *[z((3, 3))] * 4, None, z((2,)),
                                      z((3,))), r"gain/shift must"),
