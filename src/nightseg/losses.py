@@ -1,4 +1,4 @@
-"""Mask-classification losses: assignment, dice/BCE/CE, and the combined loss.
+"""Mask-classification loss: ground-truth segments, assignment, and the combined loss.
 
 Ground truth is decomposed into one binary segment per class present.
 Each segment is assigned to a distinct prototype by minimum-cost matching
@@ -159,15 +159,14 @@ def total_loss(mask_logits: Tensor, class_logits: Tensor, gt_mask: np.ndarray,
 
     mask_logits [..., h, w, N], class_logits [..., N, K + 1] and gt_mask
     [..., h, w] share their leading (batch) axes, if any. Each image's
-    ground truth is decomposed and matched on its own; then one dice+BCE
-    node takes the matched rows of every image and one CE node all B·N
-    prototypes, each scaled to the mean over the batch.
+    ground truth is decomposed and matched on its own; one
+    ``tensor.mask_classification_loss`` node then takes every image's
+    matched planes and all B·N class rows, its mask terms batch-averaged.
     """
     *lead, h, w, n = mask_logits.shape
     if class_logits.shape[:-1] != (*lead, n):
-        raise ValueError(
-            f"total_loss: {mask_logits.shape} mask planes vs {class_logits.shape} class rows"
-        )
+        raise ValueError(f"total_loss: {mask_logits.shape} mask planes vs "
+                         f"{class_logits.shape} class rows")
     gt = np.asarray(gt_mask)
     if gt.shape != (*lead, h, w):
         raise ValueError(f"total_loss: ground truth {gt.shape} != mask extents {(*lead, h, w)}")
@@ -175,19 +174,15 @@ def total_loss(mask_logits: Tensor, class_logits: Tensor, gt_mask: np.ndarray,
     logits = mask_logits.data.reshape(batch, h * w, n)
     cls_logits = class_logits.data.reshape(batch, n, -1)
 
-    rows, targets = [], []
+    picks, targets = [], []
     ce_targets = np.full((batch, n), num_classes, dtype=np.int64)  # final slot = "no object"
     for b, gt_b in enumerate(gt.reshape(batch, h, w)):
         labels, targets_b = decompose_gt(gt_b, num_classes)
         cost = matching_costs(logits[b], cls_logits[b], targets_b, labels, weights)
         proto_for_segment = hungarian_match(cost)
         ce_targets[b, proto_for_segment] = labels
-        rows.append(proto_for_segment + b * n)
+        picks.append(np.stack([np.full_like(proto_for_segment, b), proto_for_segment], axis=1))
         targets.append(targets_b)
-
-    planes = T.transpose2d(T.reshape(mask_logits, (batch, h * w, n)))       # [B, N, hw]
-    matched = T.gather_rows(T.reshape(planes, (batch * n, h * w)), np.concatenate(rows))
-    mask_term = T.bce_dice_loss(matched, np.concatenate(targets),
-                                weights.bce / batch, weights.dice / batch)
-    class_rows = T.reshape(class_logits, (batch * n, class_logits.shape[-1]))
-    return T.add(mask_term, T.ce_logits(class_rows, ce_targets.reshape(-1), weights.cls))
+    return T.mask_classification_loss(mask_logits, class_logits, np.concatenate(picks),
+                                      np.concatenate(targets), ce_targets.reshape(*lead, n),
+                                      weights.bce / batch, weights.dice / batch, weights.cls)

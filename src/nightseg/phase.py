@@ -40,6 +40,7 @@ class Spectrum:
     amplitude: np.ndarray   # [H, W//2+1] float64
     phasor: np.ndarray      # [H, W//2+1] complex128
     shape: tuple[int, int]  # the plane's [H, W]
+    flat: bool              # every bin but DC pinned: a constant or all-zero plane
 
     def __post_init__(self):
         h, w = self.shape
@@ -67,7 +68,7 @@ def _plane_mean(amp: np.ndarray, w: int) -> float:
 
 def fourier_decompose(x: np.ndarray) -> Spectrum:
     """Half spectrum of a real plane as amplitude and unit phasor; bins that
-    vanish up to rounding get phasor 1."""
+    vanish up to rounding get phasor 1 (all but DC: the plane is flat)."""
     if x.ndim != 2:
         raise ValueError(f"fourier_decompose: expects a single-channel plane, got {x.shape}")
     if not np.all(np.isfinite(x)):
@@ -77,7 +78,7 @@ def fourier_decompose(x: np.ndarray) -> Spectrum:
     pinned = amp <= ZERO_BIN_RTOL * _plane_mean(amp, x.shape[1])
     phasor = np.divide(z, amp, out=z, where=~pinned)
     phasor[pinned] = 1.0
-    return Spectrum(amp, phasor, x.shape)
+    return Spectrum(amp, phasor, x.shape, bool(pinned.reshape(-1)[1:].all()))
 
 
 def choose_c_a(s: Spectrum) -> float:
@@ -126,8 +127,9 @@ def image_texture_stack(image: np.ndarray, mode: str) -> np.ndarray:
     mode "phase": constant-amplitude phase reconstruction per channel, at
     that channel's mean amplitude. The reconstruction is linear in the
     constant and the min-max scaling cancels it, so no other constant would
-    change the maps beyond rounding. mode "sobel": gradient magnitude per
-    channel.
+    change the maps beyond rounding. A flat channel has no phase outside DC:
+    its map is all zero, as Sobel's is, not the spike its pinned bins would
+    reconstruct. mode "sobel": gradient magnitude per channel.
     """
     if image.ndim != 3:
         raise ValueError(f"image_texture_stack: expects [H,W,C], got {image.shape}")
@@ -136,7 +138,8 @@ def image_texture_stack(image: np.ndarray, mode: str) -> np.ndarray:
         plane = image[:, :, c]
         if mode == "phase":
             spectrum = fourier_decompose(plane)
-            tex = phase_reconstruct(spectrum, choose_c_a(spectrum))
+            tex = (np.zeros(plane.shape) if spectrum.flat
+                   else phase_reconstruct(spectrum, choose_c_a(spectrum)))
         elif mode == "sobel":
             tex = sobel_texture_map(plane)
         else:

@@ -16,8 +16,9 @@ its value and gradients equal that chain's bit for bit:
   the product with v), the biased W_O projection, add, layer norm; it
   recomputes the projections in its backward
 - ``feed_forward_block``: biased matmul, relu, biased matmul, add, layer norm
-- ``amplify_stage``, ``bce_dice_loss`` and ``ce_logits``: the paper's
-  amplification, and the losses
+- ``amplify_stage``: the paper's amplification
+- ``mask_classification_loss``: the pick of the matched mask planes, dice
+  and BCE on them, the CE of every class row, and their sum
 
 What a node keeps until its backward runs: its inputs, which its closure
 holds as tensors, and only what its backward cannot form again cheaply.
@@ -28,9 +29,9 @@ holds as tensors, and only what its backward cannot form again cheaply.
   and inv, and the last block of weights or the reliable keys; its
   backward recomputes q, k and v, drops them once their gradients are
   formed, and drops each gradient share once it is handed out
-- ``feed_forward_block`` keeps its relu output, ``bce_dice_loss`` its
-  sigmoid, and ``ce_logits`` its row maxima; the other ops keep only their
-  inputs (``matmul`` keeps a as one matrix of rows)
+- ``feed_forward_block`` keeps its relu output, ``mask_classification_loss``
+  the matched planes' sigmoid and the class rows' maxima; the other ops
+  keep only their inputs (``matmul`` keeps a as one matrix of rows)
 
 Conventions:
 - a backward closure ``bwd(g)`` receives its node's gradient g and hands
@@ -55,21 +56,21 @@ Conventions:
   happen inside single nodes: the optional per-channel ``bias`` of
   ``matmul`` and ``conv2d``, the per-feature gain, shift and biases of the
   post-norm blocks, the per-pixel scaling of ``amplify_stage``, the
-  per-row reductions of the attention weights and of ``bce_dice_loss``, and
-  ``expand``
-- leading axes: every op except the two losses accepts any number of
-  leading (batch) axes in front of the axes it names, e.g. x[..., H, W, C]
-  or tokens [..., M, C], and treats each leading index as its own sample.
-  ``matmul`` with a 2-D right operand (a weight) flattens a's leading axes
-  into the rows of one GEMM; a right operand with leading axes pairs them
-  with a's (np.matmul on stacks). ``expand`` adds leading axes to a tensor
-  shared by every sample; ``bce_dice_loss`` and ``ce_logits`` take 2-D row
-  sets, so callers flatten a batch into rows
+  per-row reductions of the attention weights and of
+  ``mask_classification_loss``, and ``expand``
+- leading axes: every op accepts any number of leading (batch) axes in
+  front of the axes it names, e.g. x[..., H, W, C] or tokens [..., M, C],
+  and treats each leading index as its own sample. ``matmul`` with a 2-D
+  right operand (a weight) flattens a's leading axes into the rows of one
+  GEMM; a right operand with leading axes pairs them with a's (np.matmul on
+  stacks). ``expand`` adds leading axes to a tensor shared by every sample.
+  ``mask_classification_loss`` numbers the leading indices as one flat
+  batch, which its (image, prototype) picks name
 - reductions are per sample: the softmax rows and the reliable choice of
   ``attention_block``, the post-norm blocks' features,
   conv2d windows and ``amplify_stage``'s map mean over each map's own (h, w).
   Only gradients with respect to operands without the leading axes
-  (weights, biases, ``expand`` inputs) sum over them
+  (weights, biases, ``expand`` inputs) sum over them; so does the loss
 """
 
 from __future__ import annotations
@@ -95,9 +96,7 @@ __all__ = [
     "amplify_stage",
     "conv2d",
     "upsample_bilinear2x",
-    "gather_rows",
-    "bce_dice_loss",
-    "ce_logits",
+    "mask_classification_loss",
 ]
 
 _FLOAT_DTYPES = (np.float32, np.float64)
@@ -518,10 +517,17 @@ def attention_block(x: Tensor, src: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, 
     if select is None:
         a, y = _attention_forward(q, k, project(src, wv), scale)
     else:
-        rows = _flat_rows("attention_block", k.shape, select(attention_weights(q, k)))
-        if not rows.shape[-1]:
+        idx = np.asarray(select(attention_weights(q, k)), dtype=np.int64)
+        lead, nk = k.shape[:-2], k.shape[-2]
+        if idx.ndim != k.ndim - 1 or idx.shape[:-1] != lead:
+            raise ValueError(f"attention_block: expects keys [..., L, C] and indices [..., K] "
+                             f"with the same leading axes, got {k.shape} and {idx.shape}")
+        if not idx.shape[-1]:
             raise ValueError("attention_block: empty reliable set")
-        kr = _gather(k, rows)
+        if idx.size and (idx.min() < 0 or idx.max() >= nk):
+            raise ValueError(f"attention_block: index out of range for {nk} rows")
+        rows = idx + (np.arange(math.prod(lead)) * nk).reshape(lead + (1,))   # of k's [-1, C] rows
+        kr = k.reshape(-1, c)[rows]   # [..., K, C]
         a = _bridge(q, project(src, wq), kr)[0] @ project(src, wv)
     a2 = a.reshape(-1, c)
     branch = a2 @ wo.data
@@ -565,7 +571,9 @@ def attention_block(x: Tensor, src: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, 
         del q, q_pix
         give(src, wq, gyb @ kr)
         del gyb
-        give(src, wk, _scatter(dkr, rows, src.shape))
+        dk = np.zeros(src.shape, dkr.dtype)   # a key picked twice adds twice
+        np.add.at(dk.reshape(-1, c), rows, dkr)
+        give(src, wk, dk)
         give(x, wq, gya @ kr)
 
     return _post_norm("attention_block", x, branch.reshape(x.shape), gamma, beta, bwd,
@@ -642,7 +650,7 @@ def amplify_stage(fbar: Tensor, pbar: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# convolution / resampling / gather
+# convolution / resampling
 # ---------------------------------------------------------------------------
 
 def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0,
@@ -752,109 +760,63 @@ def upsample_bilinear2x(x: Tensor) -> Tensor:
     return _node(_apply(x.data, rm, cm), bwd, x)
 
 
-def _flat_rows(op: str, shape: tuple[int, ...], indices) -> np.ndarray:
-    """indices[..., K] into the rows of an array of shape [..., M, C], each
-    leading index picking from its own M rows, as row numbers of its [-1, C]
-    flattening."""
-    idx = np.asarray(indices, dtype=np.int64)
-    if len(shape) < 2 or idx.ndim != len(shape) - 1 or idx.shape[:-1] != shape[:-2]:
-        raise ValueError(f"{op}: expects x[..., M, C] and indices[..., K] with the same "
-                         f"leading axes, got {shape} and {idx.shape}")
-    m = shape[-2]
-    if idx.size and (idx.min() < 0 or idx.max() >= m):
-        raise ValueError(f"{op}: index out of range for {m} rows")
-    return idx + (np.arange(math.prod(idx.shape[:-1])) * m).reshape(idx.shape[:-1] + (1,))
-
-
-def _gather(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """The rows [..., K, C] of x[..., M, C] that ``_flat_rows`` numbered."""
-    return x.reshape(-1, x.shape[-1])[rows.reshape(-1)].reshape(rows.shape + x.shape[-1:])
-
-
-def _scatter(g: np.ndarray, rows: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """The gradient of ``_gather`` from an array of shape for its gradient g:
-    g's rows added into zeros, a repeated row once per pick."""
-    dx = np.zeros(shape, dtype=g.dtype)
-    np.add.at(dx.reshape(-1, shape[-1]), rows.reshape(-1), g.reshape(-1, shape[-1]))
-    return dx
-
-
-def gather_rows(x: Tensor, indices) -> Tensor:
-    """Select rows of x[..., M, C] by indices[..., K] with the same leading
-    axes (each leading index picks from its own rows); gradients scatter-add
-    back to the source rows."""
-    rows = _flat_rows("gather_rows", x.shape, indices)
-
-    def bwd(g):
-        _accumulate(x, _scatter(g, rows, x.shape))
-
-    return _node(_gather(x.data, rows), bwd, x)
-
-
 # ---------------------------------------------------------------------------
-# classification losses (kept as primitives for numerical stability)
+# the mask-classification loss, one node
 # ---------------------------------------------------------------------------
 
-def _sigmoid_np(z: np.ndarray) -> np.ndarray:
-    # Piecewise form avoids exp overflow on large |z|.
-    pos = z >= 0
-    r = np.empty_like(z)
-    r[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    r[~pos] = ez / (1.0 + ez)
-    return r
+def mask_classification_loss(mask_logits: Tensor, class_logits: Tensor, picks, targets, classes,
+                             bce_weight: float, dice_weight: float, cls_weight: float) -> Tensor:
+    """bce_weight * sum_g mean BCE_g + dice_weight * sum_g dice_g + cls_weight * mean CE.
 
-
-def bce_dice_loss(logits: Tensor, targets, bce_weight: float, dice_weight: float) -> Tensor:
-    """bce_weight * sum_g mean_m BCE + dice_weight * sum_g dice_g of mask
-    logits against binary targets, both [G, M].
-
-    BCE is taken on the logits, log-sum-exp stable; dice_g is
-    1 - (2 sum_m p t + 1) / (sum_m p + sum_m t + 1) with p = sigmoid(logits).
-    One node, replayed bit for bit like the paper-mechanism nodes above.
+    mask_logits [..., h, w, N] and class_logits [..., N, K] share leading
+    axes, numbered as one flat batch; picks [G, 2] are matched (image,
+    prototype) pairs, targets [G, hw] their binary masks and classes [..., N]
+    every prototype's class. On a picked plane's logits z, BCE_g is
+    log-sum-exp stable and dice_g = 1 - (2 sum p t + 1) / (sum p + sum t + 1)
+    with p = sigmoid(z). A plane picked twice gets both gradients.
     """
-    t = np.asarray(targets, dtype=logits.data.dtype)
-    if logits.data.ndim != 2 or t.shape != logits.shape:
-        raise ValueError(f"bce_dice_loss: expects logits[G, M] and targets of the same shape, "
-                         f"got {logits.shape} and {t.shape}")
-    z = logits.data
-    c = 1.0 / z.shape[1]
-    bce = np.sum(np.maximum(z, 0.0) - z * t + np.log1p(np.exp(-np.abs(z))), axis=1) * c
-    p = _sigmoid_np(z)
+    shape, k = mask_logits.shape, class_logits.shape[-1]
+    pick, idx = np.asarray(picks, dtype=np.int64), np.asarray(classes, dtype=np.int64)
+    t = np.asarray(targets, dtype=mask_logits.data.dtype)
+    if (len(shape) < 3 or class_logits.shape[:-1] != shape[:-3] + shape[-1:] or t.ndim != 2
+            or idx.shape != class_logits.shape[:-1] or t.shape[1] != shape[-3] * shape[-2]
+            or pick.shape != (len(t), 2)):
+        raise ValueError(f"mask_classification_loss: expects mask logits [..., h, w, N], class "
+                         f"logits [..., N, K], picks [G, 2], targets [G, hw], classes [..., N], "
+                         f"got {shape}, {class_logits.shape}, {pick.shape}, {t.shape}, {idx.shape}")
+    batch, n = math.prod(shape[:-3]), shape[-1]
+    img, proto = pick.T
+    if pick.size and (pick.min() < 0 or img.max() >= batch or proto.max() >= n):
+        raise ValueError(f"mask_classification_loss: pick out of range for {batch} x {n} planes")
+    if idx.size and (idx.min() < 0 or idx.max() >= k):
+        raise ValueError(f"mask_classification_loss: class index out of range for {k} classes")
+    z = mask_logits.data.reshape(batch, -1, n)[img, :, proto]   # [G, hw]
+    c = 1.0 / t.shape[1]
+    e = np.exp(-np.abs(z))   # at most 1: the stable BCE and the sigmoid share it
+    bce = np.sum(np.maximum(z, 0.0) - z * t + np.log1p(e), axis=1) * c
+    p = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     num = np.sum(p * t, axis=1) * 2.0 + 1.0
     rden = 1.0 / (np.sum(p, axis=1) + np.sum(t, axis=1) + 1.0)
-    q = num * rden
-    dice = q * -1.0 + 1.0
+    dice = num * rden * -1.0 + 1.0
+    zc = class_logits.data.reshape(-1, k)
+    rows, cls = np.arange(len(zc)), idx.reshape(-1)
+    zmax = np.max(zc, axis=1, keepdims=True)
+    lse = zmax[:, 0] + np.log(np.sum(np.exp(zc - zmax), axis=1))
+    ce = np.asarray(np.mean(lse - zc[rows, cls])) * cls_weight
 
     def bwd(g):
         gq = g * dice_weight * -1.0
         ginter = gq * rden * 2.0
         gden = -(gq * num) * rden * rden
-        _accumulate(logits, (gden[:, None] + ginter[:, None] * t) * p * (1.0 - p))
-        _accumulate(logits, g * bce_weight * c * (p - t))
+        gz = (gden[:, None] + ginter[:, None] * t) * p * (1.0 - p) + g * bce_weight * c * (p - t)
+        dz = np.zeros((batch, t.shape[1], n), dtype=gz.dtype)
+        np.add.at(dz, (img, slice(None), proto), gz)
+        _accumulate(mask_logits, dz.reshape(shape))
+        pc = np.exp(zc - zmax)
+        pc /= np.sum(pc, axis=1, keepdims=True)
+        pc[rows, cls] -= 1.0
+        pc *= float(g * cls_weight) / len(zc)
+        _accumulate(class_logits, pc.reshape(class_logits.shape))
 
-    return _node(np.sum(bce) * bce_weight + np.sum(dice) * dice_weight, bwd, logits)
-
-
-def ce_logits(logits: Tensor, class_indices, weight: float) -> Tensor:
-    """weight * mean cross-entropy of logits[N, K] against integer class
-    indices [N]; the weight scales the mean and its gradient as one float
-    product each."""
-    idx = np.asarray(class_indices, dtype=np.int64)
-    if logits.data.ndim != 2 or idx.shape != (logits.shape[0],):
-        raise ValueError(f"ce_logits: expects logits[N,K] and indices[N], got {logits.shape} and {idx.shape}")
-    if idx.size and (idx.min() < 0 or idx.max() >= logits.shape[1]):
-        raise ValueError(f"ce_logits: class index out of range for {logits.shape[1]} classes")
-    z = logits.data
-    zmax = np.max(z, axis=1, keepdims=True)
-    lse = zmax[:, 0] + np.log(np.sum(np.exp(z - zmax), axis=1))
-    n = z.shape[0]
-    rows = np.arange(n)
-
-    def bwd(g):
-        p = np.exp(z - zmax)
-        p /= np.sum(p, axis=1, keepdims=True)
-        p[rows, idx] -= 1.0
-        _accumulate(logits, p * (float(g * weight) / n))
-
-    return _node(np.asarray(np.mean(lse - z[rows, idx])) * weight, bwd, logits)
+    return _node(np.asarray(np.sum(bce) * bce_weight + np.sum(dice) * dice_weight + ce), bwd,
+                 mask_logits, class_logits)

@@ -213,8 +213,7 @@ def load_dataset(data_dir: str | Path, enhance_op: str) -> LoadedDataset:
     ``sobel`` ops, every image's float64 texture, computed once from its
     decoded values. An image or mask whose extents differ from the
     manifest's, and a mask label outside its class range, are refused before
-    any texture is computed; so is a texture the image cannot form, naming
-    its file."""
+    any texture is computed."""
     data_dir = Path(data_dir)
     (num_classes, height, width), entries = read_manifest(data_dir / "manifest.txt")
     images, masks = [], []
@@ -232,17 +231,12 @@ def load_dataset(data_dir: str | Path, enhance_op: str) -> LoadedDataset:
         images.append(img)
         masks.append(majority_pool(msk, 4))
         (train_idx if split == "train" else val_idx).append(i)
-    textures = []
-    if enhance_op in ("phase", "sobel"):
-        for (img_name, _, _), img in zip(entries, images):
-            try:
-                textures.append(image_texture_stack(decode8(img), mode=enhance_op))
-            except ValueError as exc:
-                raise ValueError(f"{data_dir / img_name}: {exc}") from None
+    textures = None if enhance_op == "none" else [
+        image_texture_stack(decode8(img), mode=enhance_op) for img in images]
     return LoadedDataset(
         images=EightBitImages(images),
         masks=masks,
-        textures=textures if enhance_op != "none" else None,
+        textures=textures,
         train_idx=train_idx,
         val_idx=val_idx,
         num_classes=num_classes,

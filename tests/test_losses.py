@@ -48,10 +48,24 @@ def _logit(p):
         return np.clip(np.log(p) - np.log1p(-p), -40.0, 40.0)
 
 
+def matched_loss(z, t, bce_weight, dice_weight, cls_weight=0.0, class_logits=None, classes=None):
+    """The loss node on mask logits z [G, M] (a Tensor), each row the one
+    plane of its own image, every plane picked against its target row of t;
+    the class term is taken on class_logits [G, 1, K] (zero logits where
+    None) against classes [G, 1]."""
+    g, m = z.shape
+    if class_logits is None:
+        class_logits = Tensor(np.zeros((g, 1, 2), z.dtype))
+    return T.mask_classification_loss(
+        T.reshape(z, (g, 1, m, 1)), class_logits, np.stack([np.arange(g), np.zeros(g, int)], 1),
+        np.reshape(t, (g, m)), np.zeros((g, 1), int) if classes is None else classes,
+        bce_weight, dice_weight, cls_weight)
+
+
 def dice(p, t):
     """Whole-array dice of probabilities p against t: the matched-mask loss
-    with the BCE weight at 0."""
-    return T.bce_dice_loss(Tensor(_logit(p).reshape(1, -1)), t.reshape(1, -1), 0.0, 1.0)
+    with the other weights at 0."""
+    return matched_loss(Tensor(_logit(p).reshape(1, -1)), t.reshape(1, -1), 0.0, 1.0)
 
 
 class TestDice:
@@ -71,7 +85,7 @@ class TestDice:
     def test_gradient(self):
         rng = np.random.default_rng(4)
         t = (rng.random(12) > 0.5).astype(np.float64)
-        assert grad_check(lambda x: T.bce_dice_loss(T.reshape(x, (1, 12)), t[None], 0.0, 1.0),
+        assert grad_check(lambda x: matched_loss(T.reshape(x, (1, 12)), t[None], 0.0, 1.0),
                           Tensor(rng.normal(size=12))) < 1e-4
 
     def test_rows_are_independent(self):
@@ -82,8 +96,8 @@ class TestDice:
         for g in range(3):
             p = 1.0 / (1.0 + np.exp(-z[g]))
             want += 1.0 - (2.0 * (p * t[g]).sum() + 1.0) / (p.sum() + t[g].sum() + 1.0)
-        assert T.bce_dice_loss(Tensor(z), t, 0.0, 1.0).item() == pytest.approx(want, abs=1e-12)
-        singles = sum(T.bce_dice_loss(Tensor(z[g:g + 1]), t[g:g + 1], 0.0, 1.0).item()
+        assert matched_loss(Tensor(z), t, 0.0, 1.0).item() == pytest.approx(want, abs=1e-12)
+        singles = sum(matched_loss(Tensor(z[g:g + 1]), t[g:g + 1], 0.0, 1.0).item()
                       for g in range(3))
         assert singles == pytest.approx(want, abs=1e-12)
 
@@ -97,8 +111,16 @@ class TestDice:
 
 def bce(z, t):
     """Mean BCE over all elements: the matched-mask loss of one row with the
-    dice weight at 0."""
-    return T.bce_dice_loss(T.reshape(z, (1, z.size)), np.reshape(t, (1, -1)), 1.0, 0.0)
+    other weights at 0."""
+    return matched_loss(T.reshape(z, (1, z.size)), np.reshape(t, (1, -1)), 1.0, 0.0)
+
+
+def ce(z, classes, weight=1.0):
+    """Mean CE of the class logit rows z [N, K] against classes [N]: the loss
+    node on N one-prototype images with the mask weights at 0."""
+    n = len(z.data)
+    return matched_loss(Tensor(np.zeros((n, 1), z.dtype)), np.zeros((n, 1)), 0.0, 0.0, weight,
+                        T.reshape(z, (n, 1, z.shape[1])), np.reshape(classes, (n, 1)))
 
 
 class TestBceCe:
@@ -111,7 +133,7 @@ class TestBceCe:
         logits = np.full((2, 3), -50.0)
         logits[0, 1] = 50.0
         logits[1, 2] = 50.0
-        assert T.ce_logits(Tensor(logits), [1, 2], 1.0).item() < 1e-12
+        assert ce(Tensor(logits), [1, 2]).item() < 1e-12
 
     def test_bce_matches_direct_formula(self):
         rng = np.random.default_rng(6)
@@ -126,14 +148,14 @@ class TestBceCe:
         idx = np.array([0, 3, 2, 4])
         p = np.exp(z) / np.exp(z).sum(axis=1, keepdims=True)
         want = -np.mean(np.log(p[np.arange(4), idx]))
-        assert T.ce_logits(Tensor(z), idx, 1.0).item() == pytest.approx(want, abs=1e-10)
+        assert ce(Tensor(z), idx).item() == pytest.approx(want, abs=1e-10)
 
     def test_losses_nonnegative(self):
         rng = np.random.default_rng(8)
         z = rng.normal(size=(3, 4))
         t = (rng.random((3, 4)) > 0.5).astype(np.float64)
         assert bce(Tensor(z), t).item() >= 0.0
-        assert T.ce_logits(Tensor(z), [0, 1, 2], 1.0).item() >= 0.0
+        assert ce(Tensor(z), [0, 1, 2]).item() >= 0.0
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_ce_weight_scales_value_and_gradient_bit_for_bit(self, dtype):
@@ -145,10 +167,10 @@ class TestBceCe:
         w = 2.0 / 3.0
         x = Tensor(z.copy(), requires_grad=True)
         with T.Tape():
-            loss = T.ce_logits(x, idx, w)
+            loss = ce(x, idx, w)
             T.backward(loss)
         assert loss.dtype == dtype
-        assert np.array_equal(loss.data, T.ce_logits(Tensor(z), idx, 1.0).data * w)
+        assert np.array_equal(loss.data, ce(Tensor(z), idx).data * w)
         p = np.exp(z - z.max(axis=1, keepdims=True))
         p /= p.sum(axis=1, keepdims=True)
         p[np.arange(6), idx] -= 1.0

@@ -115,7 +115,7 @@ def reliable_inputs(seed_data, seed_proj, n, hw, k):
     fa = Tensor(rng.normal(size=(hw, 4)))
     q, q_pix = T.matmul(p, wq), T.matmul(fa, wq)
     idx = select_reliable(attention_weights(q.data, T.matmul(fa, wk).data), k)
-    kr = T.matmul(T.gather_rows(fa, idx), wk)
+    kr = T.matmul(Tensor(fa.data[idx]), wk)
     return p, fa, q, q_pix, kr, idx, wq, wk
 
 

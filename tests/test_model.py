@@ -195,10 +195,10 @@ class TestFullModel:
     def test_tape_nodes_per_step_independent_of_batch(self, tmp_path, monkeypatch):
         # train records one forward and one loss per step over the whole
         # [B, ...] batch, so a step has as many nodes at batch 4 as at batch
-        # 1: 73 in either matcher mode, whose 10 self-attention blocks, 3
-        # cross updates and 3 feed-forward blocks are one node each. Both
-        # modes record the same ops, so the mode changes only what the cross
-        # update's node computes
+        # 1: 66 in either matcher mode, whose 10 self-attention blocks, 3
+        # cross updates and 3 feed-forward blocks are one node each, as is
+        # the whole loss. Both modes record the same ops, so the mode changes
+        # only what the cross update's node computes
         gen_dataset(SceneConfig(), 10, 15, tmp_path)
         ds = load_dataset(tmp_path, "phase")
         counts, ops = {}, {}
@@ -214,9 +214,10 @@ class TestFullModel:
             model = NightSegModel(ModelConfig(num_classes=ds.num_classes, matcher_mode=mode,
                                               dtype=np.float32))
             train(model, ds, TrainConfig(iters=2, batch=batch, seed=1))
-        assert counts == {("reliable", 1): [73] * 2, ("reliable", 4): [73] * 2,
-                          ("vanilla", 1): [73] * 2, ("vanilla", 4): [73] * 2}, counts
+        assert counts == {("reliable", 1): [66] * 2, ("reliable", 4): [66] * 2,
+                          ("vanilla", 1): [66] * 2, ("vanilla", 4): [66] * 2}, counts
         assert ops["reliable"] == ops["vanilla"], ops
+        assert ops["reliable"]["mask_classification_loss.<locals>.bwd"] == 1, ops
 
     @pytest.mark.parametrize("mode", ["reliable", "vanilla"])
     def test_every_recorded_node_gets_a_gradient(self, tmp_path, monkeypatch, mode):

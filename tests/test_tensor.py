@@ -632,9 +632,13 @@ class TestGradCheckExamples:
         assert np.abs(wq.grad).max() < 1e-12 and np.abs(wk.grad).max() < 1e-12
 
     def test_dice_loss_gradient(self):
+        # the dice term alone, on each of 4 prototype planes over 2x2 pixels
         rng = np.random.default_rng(2)
         tgt = (rng.random((4, 4)) > 0.5).astype(np.float64)
-        err = grad_check(lambda t: T.bce_dice_loss(t, tgt, 0.0, 1.0), Tensor(rng.normal(size=(4, 4))))
+        picks = [[0, 0], [0, 1], [0, 2], [0, 3]]
+        err = grad_check(lambda t: T.mask_classification_loss(
+            t, Tensor(np.zeros((4, 2))), picks, tgt, np.zeros(4, int), 0.0, 1.0, 0.0),
+            Tensor(rng.normal(size=(2, 2, 4))))
         assert err < 1e-4
 
     def test_non_finite_reported_with_coordinate(self):
@@ -724,6 +728,33 @@ def bce_dice_chain(z, t, w_bce, w_dice):
     dz = gy * y * (1.0 - y)
     gbl = np.broadcast_to(np.expand_dims(gb * c, 1), z.shape).copy()
     return loss, dz + gbl * (_sigmoid(z) - t)
+
+
+def mask_classification_chain(m, c, picks, t, classes, w_bce, w_dice, w_cls):
+    """The composed loss path in plain numpy: reshape, transpose2d and reshape
+    of the mask logits, gather_rows of the picked planes and bce_dice_chain on
+    them; reshape of the class logits and the row CE; their add. Then the
+    gradients: the planes' rows scattered into zeros, a repeated pick added
+    twice, and back through the transpose; the CE rows' softmax less the
+    one-hot target. Returns (loss, d mask logits, d class logits)."""
+    *lead, h, w, n = m.shape
+    b = int(np.prod(lead))
+    planes = np.swapaxes(m.reshape(b, h * w, n), 1, 2).reshape(b * n, h * w)
+    rows = picks[:, 0] * n + picks[:, 1]
+    mask_loss, dz = bce_dice_chain(planes[rows], t, w_bce, w_dice)
+    dplanes = np.zeros(planes.shape, dz.dtype)
+    np.add.at(dplanes, rows, dz)
+    zc, idx = c.reshape(-1, c.shape[-1]), classes.reshape(-1)
+    r = np.arange(len(zc))
+    zmax = np.max(zc, axis=1, keepdims=True)
+    lse = zmax[:, 0] + np.log(np.sum(np.exp(zc - zmax), axis=1))
+    ce = np.asarray(np.mean(lse - zc[r, idx])) * w_cls
+    pc = np.exp(zc - zmax)
+    pc /= np.sum(pc, axis=1, keepdims=True)
+    pc[r, idx] -= 1.0
+    dc = pc * (float(np.ones((), c.dtype) * w_cls) / len(zc))
+    return (np.asarray(mask_loss + ce),
+            np.swapaxes(dplanes.reshape(b, n, h * w), 1, 2).reshape(m.shape), dc.reshape(c.shape))
 
 
 def _same_bits(got, want, dtype):
@@ -869,9 +900,9 @@ class TestBlockNodes:
 
 
 class TestSingleNodeMechanisms:
-    """amplify_stage, the reliable bridge of attention_block and bce_dice_loss
-    equal the composed chains they replace, value and every gradient, bit
-    for bit."""
+    """amplify_stage, the reliable bridge of attention_block and
+    mask_classification_loss equal the composed chains they replace, value
+    and every gradient, bit for bit."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     # the desk model's coarse and 64x128 fine stages, and a 96x160 image's
@@ -894,17 +925,25 @@ class TestSingleNodeMechanisms:
         check_attention_block_node([(lead, 8, 128, 32, 64, False)], (dtype,))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    # g planes picked: one of one image, or four over a batch of 3 with one
+    # plane picked twice; the desk model's 8 prototypes over 8x16 pixels
     @pytest.mark.parametrize("g", [1, 4])
     @pytest.mark.parametrize("w_bce,w_dice", [(5.0, 5.0), (0.7, 1.3)])
     def test_bce_dice_loss(self, dtype, g, w_bce, w_dice):
         rng = np.random.default_rng(g)
-        zd = (rng.normal(size=(g, 128)) * 4.0).astype(dtype)
+        lead, picks = ((), np.array([[0, 5]])) if g == 1 else (
+            (3,), np.array([[0, 1], [2, 6], [1, 0], [2, 6]]))
+        md = (rng.normal(size=lead + (8, 16, 8)) * 4.0).astype(dtype)
+        cd = (rng.normal(size=lead + (8, 5)) * 3.0).astype(dtype)
         t = (rng.random((g, 128)) > 0.5).astype(np.float64)
-        z = Tensor(zd, requires_grad=True)
+        classes = rng.integers(0, 5, size=lead + (8,))
+        m, c = Tensor(md, requires_grad=True), Tensor(cd, requires_grad=True)
         with Tape():
-            loss = T.bce_dice_loss(z, t, w_bce, w_dice)
+            loss = T.mask_classification_loss(m, c, picks, t, classes, w_bce, w_dice, 2.0)
             backward(loss)
-        _same_bits((loss.data, z.grad), bce_dice_chain(zd, t.astype(dtype), w_bce, w_dice), dtype)
+        _same_bits((loss.data, m.grad, c.grad),
+                   mask_classification_chain(md, cd, picks, t.astype(dtype), classes, w_bce,
+                                             w_dice, 2.0), dtype)
 
     def test_each_records_one_tape_node(self):
         x = Tensor(np.ones((2, 3, 4)), requires_grad=True)
@@ -914,14 +953,28 @@ class TestSingleNodeMechanisms:
             ws = [Tensor(np.eye(4))] * 4 + [Tensor(np.zeros(4)), Tensor(np.ones(4)),
                                              Tensor(np.zeros(4))]
             T.attention_block(rows, rows, *ws, reliable(3))
-            T.bce_dice_loss(T.reshape(x, (6, 4)), np.ones((6, 4)), 1.0, 1.0)
-            assert len(tape) == 5
+            T.mask_classification_loss(x, Tensor(np.ones((4, 3))), [[0, 1]], np.ones((1, 6)),
+                                       np.zeros(4, int), 1.0, 1.0, 1.0)
+            assert len(tape) == 4
 
     @pytest.mark.parametrize("call,msg", [
         (lambda: T.amplify_stage(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3)))), r"\[h, w, C\]"),
         (lambda: zeros_block((2, 3), (3,), reliable(1)), "2-D"),
-        (lambda: T.bce_dice_loss(Tensor(np.zeros((2, 3))), np.zeros((3, 2)), 1.0, 1.0), "same shape"),
-    ])
+    ] + [(lambda m=m, c=c, p=p, t=t, k=k: T.mask_classification_loss(
+        Tensor(np.zeros(m)), Tensor(np.zeros(c)), p, np.zeros(t), k, 1.0, 1.0, 1.0), msg)
+        for m, c, p, t, k, msg in [
+            ((2, 3), (3, 2), [[0, 0]], (1, 2), [0, 0, 0], "expects mask logits"),
+            ((2, 2, 3), (4, 2), [[0, 0]], (1, 4), [0, 0, 0], "expects mask logits"),
+            ((2, 2, 3), (3, 2), [[0, 0]], (1, 3), [0, 0, 0], "expects mask logits"),
+            ((2, 2, 3), (3, 2), [[0, 0]], (2, 4), [0, 0, 0], "expects mask logits"),
+            ((2, 2, 3), (3, 2), [0, 0], (1, 4), [0, 0, 0], "expects mask logits"),
+            ((2, 2, 3), (3, 2), [[0, 0]], (1, 4), [0, 0], "expects mask logits"),
+            ((2, 2, 3), (3, 2), [[1, 0]], (1, 4), [0, 0, 0], "pick out of range"),
+            ((2, 2, 2, 3), (2, 3, 2), [[0, 3]], (1, 4), [[0] * 3] * 2, "pick out of range"),
+            ((2, 2, 3), (3, 2), [[0, -1]], (1, 4), [0, 0, 0], "pick out of range"),
+            ((2, 2, 3), (3, 2), [[0, 0]], (1, 4), [0, 2, 0], "class index out of range"),
+            ((2, 2, 3), (3, 2), [[0, 0]], (1, 4), [0, -1, 0], "class index out of range"),
+        ]])
     def test_bad_shapes_rejected(self, call, msg):
         with pytest.raises(ValueError, match=msg):
             call()
@@ -986,15 +1039,30 @@ class TestLeadingAxes:
         for i in range(len(xb), len(xb) + len(xs)):
             _close(grads[i], sum(g_b[i] for _, g_b in ones))
 
-    def test_gather_rows_picks_per_row(self):
+    def test_loss_picks_planes_per_image(self):
+        # the loss on a batch of 3 is the sum of its images' losses, each with
+        # its own picks, one plane picked twice, and the CE mean over 3 N rows
         rng = np.random.default_rng(40)
-        x = rng.normal(size=(3, 5, 2))
-        idx = np.array([[4, 0, 4], [1, 2, 3], [0, 0, 0]])
-        head = rng.normal(size=(3, 3, 2))
-        y, (g,) = _weighted_run(lambda t: T.gather_rows(t, idx), [x], head)
+        m, c = rng.normal(size=(3, 2, 3, 5)), rng.normal(size=(3, 5, 4))
+        picks = np.array([[0, 4], [2, 1], [0, 0], [0, 4], [1, 2]])
+        t = (rng.random((5, 6)) > 0.5).astype(np.float64)
+        classes = rng.integers(0, 4, size=(3, 5))
+
+        def loss(m, c, picks, t, classes, w_cls):
+            return T.mask_classification_loss(m, c, picks, t, classes, 1.5, 2.5, w_cls)
+
+        y, (gm, gc) = _weighted_run(
+            lambda m, c: loss(m, c, picks, t, classes, 0.9), [m, c], np.ones(()))
+        total = 0.0
         for b in range(3):
-            y_b, (g_b,) = _weighted_run(lambda t: T.gather_rows(t, idx[b]), [x[b]], head[b])
-            assert np.array_equal(y[b], y_b) and np.array_equal(g[b], g_b)
+            mine = picks[:, 0] == b
+            one = np.stack([np.zeros(mine.sum(), int), picks[mine, 1]], axis=1)
+            y_b, (gm_b, gc_b) = _weighted_run(
+                lambda m, c: loss(m, c, one, t[mine], classes[b], 0.3), [m[b], c[b]], np.ones(()))
+            total += y_b
+            _close(gm[b], gm_b)
+            _close(gc[b], gc_b)
+        _close(y, np.asarray(total))
 
     def test_expand_shares_one_tensor_and_sums_its_gradient(self):
         rng = np.random.default_rng(41)
@@ -1009,5 +1077,7 @@ class TestLeadingAxes:
             T.matmul(Tensor(np.zeros((2, 4, 5))), Tensor(np.zeros((3, 5, 2))))
         with pytest.raises(ValueError, match="same leading axes"):
             T.attention_weights(np.zeros((2, 4, 5)), np.zeros((3, 6, 5)))
-        with pytest.raises(ValueError, match="same leading axes"):
-            T.gather_rows(Tensor(np.zeros((2, 4, 5))), np.zeros((3, 1), dtype=np.int64))
+        with pytest.raises(ValueError, match="expects mask logits"):
+            T.mask_classification_loss(Tensor(np.zeros((2, 2, 3, 5))), Tensor(np.zeros((3, 5, 4))),
+                                       [[0, 0]], np.zeros((1, 6)), np.zeros((3, 5), int),
+                                       1.0, 1.0, 1.0)

@@ -431,19 +431,24 @@ class TestLoadDataset:
         with pytest.raises(ValueError, match="header needs integer num_classes, height and width"):
             load_dataset(tmp_path, "phase")
 
-    def test_an_all_zero_channel_names_its_image_file(self, tiny_data, tmp_path):
-        # its amplitudes are all zero, so phase_reconstruct refuses c_a = 0
+    def test_an_all_zero_and_a_constant_channel_load_with_zero_textures_and_train(
+            self, tiny_data, tmp_path):
+        # neither has energy outside the DC bin, so neither has a phase texture:
+        # the all-zero channel's c_a would be 0, the constant one's map a spike
         data = tmp_path / "data"
         shutil.copytree(tiny_data, data)
         _, entries = parse_manifest(data / "manifest.txt")
         name = entries[4][0]
         image = decode8(read_ppm8((data / name).read_bytes()))
         image[..., 1] = 0.0
+        image[..., 2] = 0.6
         (data / name).write_bytes(write_ppm(image))
-        with pytest.raises(ValueError) as exc:
-            load_dataset(data, "phase")
-        assert str(exc.value) == (f"{data / name}: phase_reconstruct: c_a must be positive "
-                                  "and finite, got 0.0")
+        ds = load_dataset(data, "phase")
+        assert np.all(ds.textures[4][..., 1:] == 0.0) and ds.textures[4][..., 0].max() == 1.0
+        model = NightSegModel(small_model_cfg(ds))
+        ds.train_idx = [4, 5]
+        log = train(model, ds, TrainConfig(iters=2, batch=2, seed=0, log_every=1))
+        assert len(log) == 2 and all(np.isfinite(float(line.split()[3])) for line in log)
 
 
 def _file_images(data_dir):
