@@ -255,9 +255,10 @@ def check_matching_invariants():
         order = np.lexsort((np.arange(hw), -scores))
         assert np.array_equal(idx, order[:k])
         kr = T.matmul(Tensor(fa.data[idx]), wk)
-        assert np.abs(attention_weights(q.data, kr.data).sum(axis=1) - 1.0).max() < 1e-6
-        assert np.abs(attention_weights(q_pix.data, kr.data).sum(axis=1) - 1.0).max() < 1e-6
-        sim_qk = T._bridge(q.data, q_pix.data, kr.data)[0]
+        ya, yb = attention_weights(q.data, kr.data), attention_weights(q_pix.data, kr.data)
+        assert np.abs(ya.sum(axis=1) - 1.0).max() < 1e-6
+        assert np.abs(yb.sum(axis=1) - 1.0).max() < 1e-6
+        sim_qk = ya @ yb.T
         assert sim_qk.min() >= 0.0 and sim_qk.max() <= 1.0 + 1e-9
 
 
@@ -333,7 +334,8 @@ def norm_replay(s: np.ndarray, gamma: np.ndarray, beta: np.ndarray, head: np.nda
 
 
 def attention_block_replay(x, src, wq, wk, wv, wo, bo, gamma, beta, head, k=None):
-    """The chain one ``attention_block`` node replaces: matmuls by W_Q of x
+    """The unabsorbed chain whose value and gradients one ``attention_block``
+    node computes in absorbed form, the node's oracle: matmuls by W_Q of x
     and by W_K and W_V of src (x where src is None); attention
     (``attention_blocks_replay``), or with k given the top-k choice, the
     gather of the reliable keys, the bridge (``bridge_replay``, with its
@@ -410,10 +412,20 @@ ATTENTION_CASES = tuple((lead, m, None, None, c, shared) for lead, m, c, shared 
 DTYPES = (np.float32, np.float64)
 
 
-def _block_node_oracle(cases, bump: int, dtypes=DTYPES):
+# attention_block against its unabsorbed chain, relative to each output's
+# largest magnitude: a probe of every ATTENTION_CASES entry and the unit
+# tests' cases found at most 3.8e-12 in float64 and 3.1e-4 in float32, both
+# on saturated softmaxes, whose gradients cancel; against an extended-
+# precision replay the node was 5-9x further off than the chain there.
+# Each bound is over ten times the probe's worst
+ABSORBED_RTOL = {np.float32: 4e-3, np.float64: 5e-11}
+
+
+def _block_node_oracle(cases, bump: int, dtypes=DTYPES, rtol=None):
     """Each case's node equals its composed chain's replay, value and every
-    gradient, bit for bit, in each of dtypes, as one tape node, and computes
-    the same value off a tape. A case is
+    gradient, in each of dtypes, as one tape node, and computes the same value
+    off a tape: bit for bit, or with rtol given, to rtol[dtype] of each
+    output's largest magnitude. A case is
     (node, replay, x's leading axes, rows and features, whether x is
     broadcast from one [rows, C] set, the shapes of the operands after x)."""
     rng = _rng(bump)
@@ -432,7 +444,11 @@ def _block_node_oracle(cases, bump: int, dtypes=DTYPES):
         want = replay(*arrays, head)
         assert len(want) == len(ts) + 1
         for got, expected in zip([y.data] + [t.grad for t in ts], want):
-            assert got.dtype == expected.dtype == dtype and np.array_equal(got, expected)
+            assert got.dtype == expected.dtype == dtype
+            if rtol is None:
+                assert np.array_equal(got, expected)
+            else:
+                assert np.abs(got - expected).max() <= rtol[dtype] * np.abs(expected).max()
 
 
 def self_block(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor, gamma: Tensor,
@@ -449,9 +465,10 @@ def _cross_block(k: int | None):
 
 
 def check_attention_block_node(cases=ATTENTION_CASES, dtypes=DTYPES):
-    """attention_block equals its chain, bit for bit: self-attention without
-    a bias where a case has no source rows, else attention with a bias from x
-    to a source, through the reliable bridge where the case gives K."""
+    """attention_block matches its unabsorbed chain to ABSORBED_RTOL:
+    self-attention without a bias where a case has no source rows, else
+    attention with a bias from x to a source, through the reliable bridge
+    where the case gives K."""
     built = []
     for lead, m, l, k, c, shared in cases:
         weights = [(c, c)] * 4
@@ -462,7 +479,7 @@ def check_attention_block_node(cases=ATTENTION_CASES, dtypes=DTYPES):
         else:
             built.append((_cross_block(k), functools.partial(attention_block_replay, k=k),
                           lead, m, c, shared, [lead + (l, c)] + weights + [(c,)] * 3))
-    _block_node_oracle(built, 22, dtypes)
+    _block_node_oracle(built, 22, dtypes, ABSORBED_RTOL)
 
 
 def check_feed_forward_block_node(cases=BLOCK_CASES):
@@ -590,6 +607,8 @@ def _total_loss(mask_logits: Tensor, class_logits: Tensor, labels: Tensor) -> Te
 # prototypes, pixels, W_Q, W_K, W_V, W_O, b_O, gain, shift
 _CROSS = [(3, 4), (7, 4)] + [(4, 4)] * 4 + [(4,)] * 3
 _CROSS_BATCH = [(2, 3, 4), (2, 7, 4)] + _CROSS[2:]
+# tokens, W_Q, W_K, W_V, W_O, gain, shift
+_SELF = [(5, 4)] + [(4, 4)] * 4 + [(4,), (4,)]
 # mask logits, class logits, targets
 _MASK = [(3, 2, 4), (4, 3), (2, 6)]
 
@@ -626,8 +645,14 @@ GRAD_SUITE = [
     ("cross-attention block (prototypes)", _cross_block(None), _CROSS, 0, (3, 4)),
     ("cross-attention block over a batch (pixels)", _cross_block(None), _CROSS_BATCH, 1, (2, 3, 4)),
     ("cross-attention block (W_Q)", _cross_block(None), _CROSS, 2, (3, 4)),
-    ("self-attention block with a non-zero W_O (input)", self_block,
-     [(5, 4)] + [(4, 4)] * 4 + [(4,), (4,)], 0, (5, 4)),
+    ("self-attention block with a non-zero W_O (input)", self_block, _SELF, 0, (5, 4)),
+    # the weights, bias and norm of every attention block; the absorbed
+    # W_QK and W_VO hand each weight its share through the other
+    *((f"self-attention block ({name})", self_block, _SELF, i, (5, 4))
+      for i, name in enumerate(("W_Q", "W_K", "W_V", "W_O", "gain", "shift"), 1)),
+    *((f"{kind} block ({name})", _cross_block(k), _CROSS, i, (3, 4))
+      for kind, k in (("cross-attention", None), ("reliable cross-attention", 3))
+      for i, name in enumerate(("W_K", "W_V", "W_O", "b_O", "gain", "shift"), 3)),
     ("feed-forward block (input)", T.feed_forward_block,
      [(3, 4), (4, 8), (8,), (8, 4), (4,), (4,), (4,)], 0, (3, 4)),
 ]
@@ -772,7 +797,7 @@ CHECKS = [
     ("flat channels: zero phase and sobel maps", check_flat_planes),
     ("amplification matches per-pixel loop oracle", check_amplify_oracle),
     ("self-attention is permutation-equivariant", check_attention_permutation),
-    ("attention block (self, cross and reliable) equals its chain, bit for bit",
+    ("attention block (self, cross and reliable) matches its unabsorbed chain",
      check_attention_block_node),
     ("feed-forward block equals its five-node chain, bit for bit", check_feed_forward_block_node),
     ("similarity invariants hold on 2000 random instances", check_matching_invariants),

@@ -10,11 +10,13 @@ node as it runs it: a closure, and every forward array only it holds, is
 freed once its backward is done.
 
 Single nodes: each of these records one node for a chain of small ops, and
-its value and gradients equal that chain's bit for bit:
+its value and gradients equal that chain's bit for bit, but for
+``attention_block``'s, which equal its chain's to rounding:
 - ``attention_block``: the q, k and v projections, attention on blocks of 128
   query rows (or the reliable top-K choice, its gather and the bridge, then
-  the product with v), the biased W_O projection, add, layer norm; it
-  recomputes the projections in its backward
+  the product with v), the biased W_O projection, add, layer norm. It takes
+  them in absorbed form, W_QK = W_Q W_Kᵀ on the query side and
+  W_VO = W_V W_O on the output side, so no source map is projected
 - ``feed_forward_block``: biased matmul, relu, biased matmul, add, layer norm
 - ``amplify_stage``: the paper's amplification
 - ``mask_classification_loss``: the pick of the matched mask planes, dice
@@ -26,9 +28,11 @@ holds as tensors, and only what its backward cannot form again cheaply.
   them with the forward's own code for the kernel's gradient
 - ``amplify_stage`` keeps its map and the map before scaling, not fbar + pbar
 - ``attention_block`` keeps x, src, the attention output, the norm's xhat
-  and inv, and the last block of weights or the reliable keys; its
-  backward recomputes q, k and v, drops them once their gradients are
-  formed, and drops each gradient share once it is handed out
+  and inv, W_QK and W_VO, and the last block of weights or the reliable
+  source rows with their [..., K, C] products; its backward recomputes the
+  absorbed queries x W_QK and the reliable bridge's [..., L, K] pixel
+  factor, forms no other [..., L, C] array than the gradient of src, and
+  drops each gradient share once it is handed out
 - ``feed_forward_block`` keeps its relu output, ``mask_classification_loss``
   the matched planes' sigmoid and the class rows' maxima; the other ops
   keep only their inputs (``matmul`` keeps a as one matrix of rows)
@@ -46,10 +50,9 @@ Conventions:
   Under ``train.AdamW`` each parameter's ``.data`` is a view into the
   optimizer's one flat weight vector, updated in place; rebinding
   ``p.data`` detaches that parameter from the vector. A backward closure
-  may overwrite an array only it holds, in two places: ``attention_block``
-  recomputes earlier weight blocks into its private scratch, which nothing
-  reads again once the tape is consumed, and ``_attention_backward`` writes
-  d q block by block over the q that the backward recomputed
+  may overwrite an array only it holds: ``_attention_backward`` recomputes
+  earlier weight blocks into its private scratch and writes d q block by
+  block over the q that the backward recomputed
 - gradient buffers are write-once per accumulation (``grad = grad + g``),
   never mutated in place, so views may be stored safely
 - binary ops require exact shape and dtype agreement; the only broadcasts
@@ -335,34 +338,27 @@ def _scaled_softmax(s: np.ndarray, c: float) -> None:
     s /= np.sum(s, axis=-1, keepdims=True)
 
 
-def _softmax_grad(g: np.ndarray, y: np.ndarray, c: float) -> None:
+def _softmax_grad(g: np.ndarray, y: np.ndarray, c: float, d: np.ndarray | None = None) -> None:
     """In place: g, the gradient of a row softmax y of logits scaled by c,
-    becomes the gradient of those logits, (g - sum(g * y)) * y * c."""
-    g -= np.sum(g * y, axis=-1, keepdims=True)
+    becomes the gradient of those logits, (g - d) * y * c, where the row
+    term d is sum(g * y) over each row unless the caller gives it."""
+    g -= np.sum(g * y, axis=-1, keepdims=True) if d is None else d
     g *= y
     g *= c
 
 
-def attention_weights(q: np.ndarray, k: np.ndarray) -> np.ndarray:
+def attention_weights(q: np.ndarray, k: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Scaled dot-product weights softmax(q k^T / sqrt(C)); row i of q [..., M, C]
     is a distribution over the rows of k [..., L, C] with the same leading axes.
+    They are written into ``out`` [..., M, L] where given.
 
     A plain-array helper with no tape: the weights the reliable choice reads,
-    and the bridge's two factors.
+    and the reliable bridge's two factors.
     """
     c = _attention_scale("attention_weights", q, k)
-    y = q @ np.swapaxes(k, -1, -2)
+    y = np.matmul(q, np.swapaxes(k, -1, -2), out=out)
     _scaled_softmax(y, c)
     return y
-
-
-def _bridge(q: np.ndarray, q_pix: np.ndarray, kr: np.ndarray):
-    """The reliable bridge softmax(q krᵀ/√C) · softmax(q_pix krᵀ/√C)ᵀ [..., M, L]
-    for queries q [..., M, C], pixel queries q_pix [..., L, C] and reliable
-    keys kr [..., K, C], and its two factors. Both factors' rows are
-    distributions over the K keys, so its entries lie in [0, 1]."""
-    ya, yb = attention_weights(q, kr), attention_weights(q_pix, kr)
-    return ya @ np.swapaxes(yb, -1, -2), ya, yb
 
 
 # query rows per block of the attention weights
@@ -378,46 +374,56 @@ def _weight_block(q: np.ndarray, kt: np.ndarray, c: float, y: np.ndarray, r0: in
     return w
 
 
-def _attention_forward(q: np.ndarray, k: np.ndarray, v: np.ndarray,
-                       c: float) -> tuple[np.ndarray, np.ndarray]:
-    """softmax(q kᵀ c) v, one block of _ATTENTION_ROWS query rows at a time.
-    Returns the output and the [..., rows, L] weights scratch, which holds the
-    last block's weights."""
+def _attention_forward(q: np.ndarray, s: np.ndarray, c: float) -> tuple[np.ndarray, np.ndarray]:
+    """softmax(q sᵀ c) s for sources s that are the keys and the values, one
+    block of _ATTENTION_ROWS query rows at a time. Returns the output and the
+    [..., rows, L] weights scratch, which holds the last block's weights."""
     *lead, m, _ = q.shape
     lead = tuple(lead)
-    wdtype = np.result_type(q, k)
-    y = np.empty(lead + (min(m, _ATTENTION_ROWS), k.shape[-2]), wdtype)
-    out = np.empty(lead + (m, v.shape[-1]), np.result_type(wdtype, v))
-    kt = np.swapaxes(k, -1, -2)
+    dtype = np.result_type(q, s)
+    y = np.empty(lead + (min(m, _ATTENTION_ROWS), s.shape[-2]), dtype)
+    out = np.empty(lead + (m, s.shape[-1]), dtype)
+    st = np.swapaxes(s, -1, -2)
     for r0 in range(0, m, _ATTENTION_ROWS):
-        np.matmul(_weight_block(q, kt, c, y, r0), v, out=out[..., r0:r0 + _ATTENTION_ROWS, :])
+        np.matmul(_weight_block(q, st, c, y, r0), s, out=out[..., r0:r0 + _ATTENTION_ROWS, :])
     return out, y
 
 
-def _attention_backward(g: np.ndarray, q: np.ndarray, k: np.ndarray, v: np.ndarray, c: float,
-                        y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The gradients (d q, d k, d v) of softmax(q kᵀ c) v for its gradient g.
+def _attention_backward(g: np.ndarray, q: np.ndarray, s: np.ndarray, c: float, y: np.ndarray,
+                        out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The gradients (d q, d s) of out = softmax(q sᵀ c) s, whose sources s
+    are its keys and its values, for its gradient g.
 
     Walks the blocks from last to first: it reuses the block the forward left
-    in y, recomputes each earlier one into y with the forward's ufuncs, and
-    sums the k and v gradients of the blocks from the last to the first. Once
-    a block's part of d k is formed, its rows of q are read no more, so d q is
-    written over them: the d q returned is q, which the caller must hold alone.
+    in y and recomputes each earlier one with the forward's ufuncs. The
+    softmax gradient's row term is rowsum(g ∘ out), formed once for all
+    blocks (FlashAttention-2's D). A block's weights w and its logits'
+    gradient gw share one [..., 2 rows, L] scratch, so its share of d s,
+    wᵀ g + gwᵀ q, is one product, summed into one d s from the last block to
+    the first. Once that share is formed, the block's rows of q are read no
+    more, so d q is written over them: the d q returned is q, which the
+    caller must hold alone.
     """
-    m = q.shape[-2]
+    m, n = q.shape[-2], y.shape[-2]
     starts = range(0, m, _ATTENTION_ROWS)
-    kt, vt = np.swapaxes(k, -1, -2), np.swapaxes(v, -1, -2)
-    dk, dv = None, None
+    st = np.swapaxes(s, -1, -2)
+    d = np.sum(g * out, axis=-1, keepdims=True)
+    z = np.empty(y.shape[:-2] + (2 * n, y.shape[-1]), y.dtype)
+    ds = None
     for r0 in reversed(starts):
-        rows = slice(r0, r0 + _ATTENTION_ROWS)
-        w = y[..., : m - r0, :] if r0 == starts[-1] else _weight_block(q, kt, c, y, r0)
+        rows, nr = slice(r0, r0 + _ATTENTION_ROWS), min(m - r0, n)
+        zb = z[..., : 2 * nr, :]
+        w, gw = zb[..., :nr, :], zb[..., nr:, :]
+        if r0 == starts[-1]:
+            w[...] = y[..., :nr, :]
+        else:
+            _weight_block(q, st, c, z, r0)
         gb = g[..., rows, :]
-        dv = _sum_into(dv, np.swapaxes(w, -1, -2) @ gb)
-        gw = gb @ vt
-        _softmax_grad(gw, w, c)
-        dk = _sum_into(dk, np.swapaxes(np.swapaxes(q[..., rows, :], -1, -2) @ gw, -1, -2))
-        np.matmul(gw, k, out=q[..., rows, :])
-    return q, dk, dv
+        np.matmul(gb, st, out=gw)
+        _softmax_grad(gw, w, c, d[..., rows, :])
+        ds = _sum_into(ds, np.swapaxes(zb, -1, -2) @ np.concatenate((gb, q[..., rows, :]), -2))
+        np.matmul(gw, s, out=q[..., rows, :])
+    return q, ds
 
 
 def _sum_into(total: np.ndarray | None, part: np.ndarray) -> np.ndarray:
@@ -488,18 +494,18 @@ def attention_block(x: Tensor, src: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, 
     """LN(x + A(x W_Q, src W_K, src W_V) W_O + b_O) for queries x [..., M, C]
     and sources src [..., L, C] with the same leading axes (src is x for
     self-attention), weights [C, C], a bias b_O [C] or None and a norm's gain
-    and shift [C].
+    and shift [C]. A(q, k, v) is softmax(q kᵀ/√C) v; given ``select``, it is
+    the reliable bridge softmax(q krᵀ/√C) · softmax(src W_Q krᵀ/√C)ᵀ · v,
+    where select(attention_weights(q, k)) gives the indices [..., K] of each
+    leading index's reliable keys kr among the rows of k.
 
-    A(q, k, v) is softmax(q kᵀ/√C) v on blocks of _ATTENTION_ROWS query rows.
-    Given ``select``, A is the reliable bridge instead:
-    select(attention_weights(q, k)) gives the indices [..., K] of each
-    leading index's reliable keys kr among the rows of k, and A is
-    ``_bridge(q, src W_Q, kr)`` times v.
-
-    The node keeps x, src, A, the norm's xhat and inv, and the last block of
-    weights or the reliable keys; its backward recomputes the projections it
-    reads, and the bridge, and drops each of them, and each gradient share,
-    as soon as it has been read.
+    The node absorbs W_K into W_QK = W_Q W_Kᵀ and W_V into W_VO = W_V W_O, so
+    no source map is projected. With q̃ = x W_QK the branch is
+    softmax(q̃ srcᵀ/√C) src W_VO + b_O, on blocks of _ATTENTION_ROWS query
+    rows; reliably, with fr the chosen rows of src (so kr = fr W_K), it is
+    softmax(q̃ frᵀ/√C) · (softmax(src W_QK frᵀ/√C)ᵀ · src) W_VO + b_O. The
+    backward recomputes q̃ and the [..., L, K] pixel factor, and forms no
+    [..., L, C] array but the gradient of src.
     """
     if x.data.ndim < 2:
         raise ValueError(f"attention_block: expects tokens [..., M, C], got {x.shape}")
@@ -509,72 +515,74 @@ def attention_block(x: Tensor, src: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, 
         if w.shape != (c, c):
             raise ValueError(f"attention_block: weights must be ({c}, {c}), got {w.shape}")
     _check_bias("attention_block", bo, c)
+    wqk, wvo = wq.data @ wk.data.T, wv.data @ wo.data
+    s = src.data
 
-    def project(t: Tensor, w: Tensor) -> np.ndarray:
-        return (t.data.reshape(-1, c) @ w.data).reshape(t.shape)
+    def queries() -> np.ndarray:
+        return (x.data.reshape(-1, c) @ wqk).reshape(x.shape)
 
-    q, k = project(x, wq), project(src, wk)
+    q = queries()
     if select is None:
-        a, y = _attention_forward(q, k, project(src, wv), scale)
+        a, y = _attention_forward(q, s, scale)
     else:
-        idx = np.asarray(select(attention_weights(q, k)), dtype=np.int64)
-        lead, nk = k.shape[:-2], k.shape[-2]
-        if idx.ndim != k.ndim - 1 or idx.shape[:-1] != lead:
-            raise ValueError(f"attention_block: expects keys [..., L, C] and indices [..., K] "
-                             f"with the same leading axes, got {k.shape} and {idx.shape}")
+        idx = np.asarray(select(attention_weights(q, s)), dtype=np.int64)
+        lead, n = s.shape[:-2], s.shape[-2]
+        if idx.ndim != s.ndim - 1 or idx.shape[:-1] != lead:
+            raise ValueError(f"attention_block: expects sources [..., L, C] and indices [..., K] "
+                             f"with the same leading axes, got {s.shape} and {idx.shape}")
         if not idx.shape[-1]:
             raise ValueError("attention_block: empty reliable set")
-        if idx.size and (idx.min() < 0 or idx.max() >= nk):
-            raise ValueError(f"attention_block: index out of range for {nk} rows")
-        rows = idx + (np.arange(math.prod(lead)) * nk).reshape(lead + (1,))   # of k's [-1, C] rows
-        kr = k.reshape(-1, c)[rows]   # [..., K, C]
-        a = _bridge(q, project(src, wq), kr)[0] @ project(src, wv)
+        if idx.size and (idx.min() < 0 or idx.max() >= n):
+            raise ValueError(f"attention_block: index out of range for {n} rows")
+        rows = idx + (np.arange(math.prod(lead)) * n).reshape(lead + (1,))   # of src's [-1, C] rows
+        fr = s.reshape(-1, c)[rows]   # [..., K, C]
+        kb = fr @ wqk.T               # src kbᵀ are the pixel factor's logits
+        ya = attention_weights(q, fr)
+        pix = np.swapaxes(attention_weights(s, kb), -1, -2) @ s   # [..., K, C]
+        a = ya @ pix
+    del q
     a2 = a.reshape(-1, c)
-    branch = a2 @ wo.data
+    branch = a2 @ wvo
     if bo is not None:
         branch = branch + bo.data
-
-    def give(t: Tensor, w: Tensor, g: np.ndarray) -> None:
-        """Hand t and w their shares of the projection t W's gradient g."""
-        dt, dw = _linear_grads(t.data.reshape(-1, c), w.data, g)
-        _accumulate(t, dt.reshape(t.shape))
-        _accumulate(w, dw)
 
     def bwd(gs):
         if bo is not None:
             _accumulate(bo, np.sum(gs.reshape(-1, c), axis=(0,)))
-        ga, dwo = _linear_grads(a2, wo.data, gs)
-        _accumulate(wo, dwo)
+        ga, dwvo = _linear_grads(a2, wvo, gs)
+        _accumulate(wo, wv.data.T @ dwvo)
+        _accumulate(wv, dwvo @ wo.data.T)
         ga = ga.reshape(a.shape)
         if select is None:
-            # d q, d k, d v; each is dropped once handed out
-            grads = list(_attention_backward(ga, project(x, wq), project(src, wk),
-                                             project(src, wv), scale, y))
+            dq, ds = _attention_backward(ga, queries(), s, scale, y, a)
+            dwqk = None
+        else:
+            q = queries()
+            gya = ga @ np.swapaxes(pix, -1, -2)
+            gpix = np.swapaxes(ya, -1, -2) @ ga
             del ga
-            for t, w in ((src, wv), (src, wk), (x, wq)):
-                give(t, w, grads.pop())
-            return
-        # the reliable bridge: each share is formed when it is handed out
-        q, q_pix = project(x, wq), project(src, wq)
-        sim, ya, yb = _bridge(q, q_pix, kr)
-        gw = ga @ np.swapaxes(project(src, wv), -1, -2)
-        give(src, wv, np.swapaxes(sim, -1, -2) @ ga)
-        del sim, ga
-        gya = gw @ yb
-        gyb = np.swapaxes(np.swapaxes(ya, -1, -2) @ gw, -1, -2)
-        del gw
-        _softmax_grad(gyb, yb, scale)
-        _softmax_grad(gya, ya, scale)
-        del ya, yb
-        dkr = (np.swapaxes(np.swapaxes(q_pix, -1, -2) @ gyb, -1, -2)
-               + np.swapaxes(np.swapaxes(q, -1, -2) @ gya, -1, -2))
-        del q, q_pix
-        give(src, wq, gyb @ kr)
-        del gyb
-        dk = np.zeros(src.shape, dkr.dtype)   # a key picked twice adds twice
-        np.add.at(dk.reshape(-1, c), rows, dkr)
-        give(src, wk, dk)
-        give(x, wq, gya @ kr)
+            # the pixel factor and its logits' gradient side by side, [..., L, 2 K]
+            z = np.empty(s.shape[:-1] + (2 * kb.shape[-2],), s.dtype)
+            yb, gyb = np.split(z, 2, axis=-1)
+            attention_weights(s, kb, out=yb)
+            np.matmul(s, np.swapaxes(gpix, -1, -2), out=gyb)
+            _softmax_grad(gyb, yb, scale)
+            _softmax_grad(gya, ya, scale)
+            # src is the pixel factor's queries and the rows it weighs: one product
+            ds = z @ np.concatenate((gpix, kb), -2)
+            dkb = np.swapaxes(gyb, -1, -2) @ s
+            del z, yb, gyb
+            np.add.at(ds.reshape(-1, c), rows,   # a row picked twice adds twice
+                      np.swapaxes(gya, -1, -2) @ q + dkb @ wqk)
+            dwqk = dkb.reshape(-1, c).T @ fr.reshape(-1, c)   # through kb = fr W_QKᵀ
+            dq = gya @ fr
+        _accumulate(src, ds)
+        del ds
+        dx, dwq = _linear_grads(x.data.reshape(-1, c), wqk, dq)
+        dwqk = _sum_into(dwqk, dwq)
+        _accumulate(x, dx.reshape(x.shape))
+        _accumulate(wq, dwqk @ wk.data)
+        _accumulate(wk, dwqk.T @ wq.data)
 
     return _post_norm("attention_block", x, branch.reshape(x.shape), gamma, beta, bwd,
                       src, wq, wk, wv, wo, bo)

@@ -120,9 +120,9 @@ def reliable_inputs(seed_data, seed_proj, n, hw, k):
 
 
 def bridge(q, q_pix, kr):
-    """The reliable bridge attention_block forms, from its query, pixel-query
-    and reliable-key tensors."""
-    return T._bridge(q.data, q_pix.data, kr.data)[0]
+    """The reliable bridge softmax(q krᵀ/√C) · softmax(q_pix krᵀ/√C)ᵀ in its
+    unabsorbed form, from the query, pixel-query and reliable-key tensors."""
+    return attention_weights(q.data, kr.data) @ attention_weights(q_pix.data, kr.data).T
 
 
 class TestBridgedSimilarity:
@@ -148,6 +148,10 @@ class TestBridgedSimilarity:
         assert np.abs(attention_weights(q.data, kr.data) - want_q).max() < 1e-10
         assert np.abs(attention_weights(q_pix.data, kr.data) - want_k).max() < 1e-10
         assert np.abs(sim_qk - want_q @ want_k.T).max() < 1e-10
+        # the absorbed factors attention_block forms: W_K moves to the query side
+        wqk = wq.data @ wk.data.T
+        assert np.abs(attention_weights(p.data @ wqk, fr) - want_q).max() < 1e-10
+        assert np.abs(attention_weights(fa.data, fr @ wqk.T) - want_k).max() < 1e-10
         assert sim_qk.min() >= 0.0
         assert sim_qk.max() <= 1.0 + 1e-9
 
