@@ -609,6 +609,8 @@ _CROSS = [(3, 4), (7, 4)] + [(4, 4)] * 4 + [(4,)] * 3
 _CROSS_BATCH = [(2, 3, 4), (2, 7, 4)] + _CROSS[2:]
 # tokens, W_Q, W_K, W_V, W_O, gain, shift
 _SELF = [(5, 4)] + [(4, 4)] * 4 + [(4,), (4,)]
+# tokens, w1, b1, w2, b2, gain, shift
+_FFN = [(3, 4), (4, 8), (8,), (8, 4), (4,), (4,), (4,)]
 # mask logits, class logits, targets
 _MASK = [(3, 2, 4), (4, 3), (2, 6)]
 
@@ -653,8 +655,8 @@ GRAD_SUITE = [
     *((f"{kind} block ({name})", _cross_block(k), _CROSS, i, (3, 4))
       for kind, k in (("cross-attention", None), ("reliable cross-attention", 3))
       for i, name in enumerate(("W_K", "W_V", "W_O", "b_O", "gain", "shift"), 3)),
-    ("feed-forward block (input)", T.feed_forward_block,
-     [(3, 4), (4, 8), (8,), (8, 4), (4,), (4,), (4,)], 0, (3, 4)),
+    *((f"feed-forward block ({name})", T.feed_forward_block, _FFN, i, (3, 4))
+      for i, name in enumerate(("input", "w1", "b1", "w2", "b2", "gain", "shift"))),
 ]
 
 

@@ -15,8 +15,9 @@ its value and gradients equal that chain's bit for bit, but for
 - ``attention_block``: the q, k and v projections, attention on blocks of 128
   query rows (or the reliable top-K choice, its gather and the bridge, then
   the product with v), the biased W_O projection, add, layer norm. It takes
-  them in absorbed form, W_QK = W_Q W_Kᵀ on the query side and
-  W_VO = W_V W_O on the output side, so no source map is projected
+  them in absorbed form, W_QK = W_Q W_Kᵀ/√C on the query side and
+  W_VO = W_V W_O on the output side, so no source map is projected and no
+  logit is scaled
 - ``feed_forward_block``: biased matmul, relu, biased matmul, add, layer norm
 - ``amplify_stage``: the paper's amplification
 - ``mask_classification_loss``: the pick of the matched mask planes, dice
@@ -28,11 +29,12 @@ holds as tensors, and only what its backward cannot form again cheaply.
   them with the forward's own code for the kernel's gradient
 - ``amplify_stage`` keeps its map and the map before scaling, not fbar + pbar
 - ``attention_block`` keeps x, src, the attention output, the norm's xhat
-  and inv, W_QK and W_VO, and the last block of weights or the reliable
-  source rows with their [..., K, C] products; its backward recomputes the
-  absorbed queries x W_QK and the reliable bridge's [..., L, K] pixel
-  factor, forms no other [..., L, C] array than the gradient of src, and
-  drops each gradient share once it is handed out
+  and inv, W_QK and W_VO, and each query row's log-sum-exp [..., M, 1] or
+  the reliable source rows with their [..., K, C] products; its backward
+  recomputes the absorbed queries x W_QK, every block of weights from the
+  log-sum-exp and the reliable bridge's [..., L, K] pixel factor, forms no
+  other [..., L, C] array than the gradient of src, and drops each
+  gradient share once it is handed out
 - ``feed_forward_block`` keeps its relu output, ``mask_classification_loss``
   the matched planes' sigmoid and the class rows' maxima; the other ops
   keep only their inputs (``matmul`` keeps a as one matrix of rows)
@@ -51,8 +53,9 @@ Conventions:
   optimizer's one flat weight vector, updated in place; rebinding
   ``p.data`` detaches that parameter from the vector. A backward closure
   may overwrite an array only it holds: ``_attention_backward`` recomputes
-  earlier weight blocks into its private scratch and writes d q block by
-  block over the q that the backward recomputed
+  each weight block into its private scratch and writes d q block by block
+  over the q that the backward recomputed, and ``_post_norm`` forms the sum
+  and xhat over the fresh branch array its caller hands it
 - gradient buffers are write-once per accumulation (``grad = grad + g``),
   never mutated in place, so views may be stored safely
 - binary ops require exact shape and dtype agreement; the only broadcasts
@@ -330,34 +333,39 @@ def _attention_scale(op: str, q: np.ndarray, k: np.ndarray) -> float:
     return 1.0 / math.sqrt(q.shape[-1])
 
 
-def _scaled_softmax(s: np.ndarray, c: float) -> None:
-    """In place: s becomes the row softmax of s * c, max-subtracted."""
-    s *= c
+def _softmax(s: np.ndarray) -> None:
+    """In place: s becomes its row softmax, max-subtracted."""
     s -= np.max(s, axis=-1, keepdims=True)
     np.exp(s, out=s)
     s /= np.sum(s, axis=-1, keepdims=True)
 
 
-def _softmax_grad(g: np.ndarray, y: np.ndarray, c: float, d: np.ndarray | None = None) -> None:
-    """In place: g, the gradient of a row softmax y of logits scaled by c,
-    becomes the gradient of those logits, (g - d) * y * c, where the row
-    term d is sum(g * y) over each row unless the caller gives it."""
+def _softmax_grad(g: np.ndarray, y: np.ndarray, d: np.ndarray | None = None) -> None:
+    """In place: g, the gradient of a row softmax y, becomes the gradient of
+    its logits, (g - d) * y, where the row term d is sum(g * y) over each row
+    unless the caller gives it."""
     g -= np.sum(g * y, axis=-1, keepdims=True) if d is None else d
     g *= y
-    g *= c
 
 
-def attention_weights(q: np.ndarray, k: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _weights(q: np.ndarray, k: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """softmax(q kᵀ) over the rows of k for queries q already scaled by
+    1/sqrt(C), written into ``out`` where given."""
+    y = np.matmul(q, np.swapaxes(k, -1, -2), out=out)
+    _softmax(y)
+    return y
+
+
+def attention_weights(q: np.ndarray, k: np.ndarray) -> np.ndarray:
     """Scaled dot-product weights softmax(q k^T / sqrt(C)); row i of q [..., M, C]
     is a distribution over the rows of k [..., L, C] with the same leading axes.
-    They are written into ``out`` [..., M, L] where given.
 
-    A plain-array helper with no tape: the weights the reliable choice reads,
-    and the reliable bridge's two factors.
+    A plain-array helper with no tape, for code that holds unscaled queries.
     """
     c = _attention_scale("attention_weights", q, k)
-    y = np.matmul(q, np.swapaxes(k, -1, -2), out=out)
-    _scaled_softmax(y, c)
+    y = q @ np.swapaxes(k, -1, -2)
+    y *= c
+    _softmax(y)
     return y
 
 
@@ -365,62 +373,70 @@ def attention_weights(q: np.ndarray, k: np.ndarray, out: np.ndarray | None = Non
 _ATTENTION_ROWS = 128
 
 
-def _weight_block(q: np.ndarray, kt: np.ndarray, c: float, y: np.ndarray, r0: int) -> np.ndarray:
-    """The weights of the query rows of q from r0 against the keys kt [..., C, L],
-    computed into the scratch y."""
-    w = y[..., : min(q.shape[-2] - r0, _ATTENTION_ROWS), :]
-    np.matmul(q[..., r0:r0 + _ATTENTION_ROWS, :], kt, out=w)
-    _scaled_softmax(w, c)
-    return w
+def _attention_forward(q: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """softmax(q sᵀ) s for queries q [..., M, C] already scaled by 1/sqrt(C)
+    and sources s [..., L, C] that are the keys and the values, one block of
+    _ATTENTION_ROWS query rows at a time.
 
-
-def _attention_forward(q: np.ndarray, s: np.ndarray, c: float) -> tuple[np.ndarray, np.ndarray]:
-    """softmax(q sᵀ c) s for sources s that are the keys and the values, one
-    block of _ATTENTION_ROWS query rows at a time. Returns the output and the
-    [..., rows, L] weights scratch, which holds the last block's weights."""
+    A block's weights stay unnormalised, e = exp(S - rowmax) of its logits S:
+    the row sums l are one product e 1, and the block's [..., rows, C] output
+    rows, not its weights, are divided by them (FlashAttention-2's order).
+    Returns the output and each query row's log-sum-exp, rowmax + log l,
+    [..., M, 1], from which the backward recomputes the normalised weights.
+    """
     *lead, m, _ = q.shape
     lead = tuple(lead)
     dtype = np.result_type(q, s)
-    y = np.empty(lead + (min(m, _ATTENTION_ROWS), s.shape[-2]), dtype)
+    e = np.empty(lead + (min(m, _ATTENTION_ROWS), s.shape[-2]), dtype)
     out = np.empty(lead + (m, s.shape[-1]), dtype)
+    lse = np.empty(lead + (m, 1), dtype)
+    ones = np.ones(s.shape[-2], dtype)
     st = np.swapaxes(s, -1, -2)
     for r0 in range(0, m, _ATTENTION_ROWS):
-        np.matmul(_weight_block(q, st, c, y, r0), s, out=out[..., r0:r0 + _ATTENTION_ROWS, :])
-    return out, y
+        rows = slice(r0, r0 + _ATTENTION_ROWS)
+        eb = e[..., : min(m - r0, _ATTENTION_ROWS), :]
+        np.matmul(q[..., rows, :], st, out=eb)
+        rowmax = np.max(eb, axis=-1, keepdims=True)
+        eb -= rowmax
+        np.exp(eb, out=eb)
+        total = (eb @ ones)[..., None]
+        ob = out[..., rows, :]
+        np.matmul(eb, s, out=ob)
+        ob /= total
+        np.log(total, out=total)
+        np.add(rowmax, total, out=lse[..., rows, :])
+    return out, lse
 
 
-def _attention_backward(g: np.ndarray, q: np.ndarray, s: np.ndarray, c: float, y: np.ndarray,
+def _attention_backward(g: np.ndarray, q: np.ndarray, s: np.ndarray, lse: np.ndarray,
                         out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The gradients (d q, d s) of out = softmax(q sᵀ c) s, whose sources s
-    are its keys and its values, for its gradient g.
+    """The gradients (d q, d s) of out = softmax(q sᵀ) s, whose queries q are
+    already scaled by 1/sqrt(C) and whose sources s are its keys and its
+    values, for its gradient g, given the forward's row log-sum-exp lse.
 
-    Walks the blocks from last to first: it reuses the block the forward left
-    in y and recomputes each earlier one with the forward's ufuncs. The
-    softmax gradient's row term is rowsum(g ∘ out), formed once for all
-    blocks (FlashAttention-2's D). A block's weights w and its logits'
-    gradient gw share one [..., 2 rows, L] scratch, so its share of d s,
-    wᵀ g + gwᵀ q, is one product, summed into one d s from the last block to
-    the first. Once that share is formed, the block's rows of q are read no
-    more, so d q is written over them: the d q returned is q, which the
-    caller must hold alone.
+    Each block's normalised weights are recomputed as exp(q sᵀ - lse), with
+    no max, sum or divide. The softmax gradient's row term is rowsum(g ∘ out),
+    formed once for all blocks (FlashAttention-2's D). A block's weights w and
+    its logits' gradient gw share one [..., 2 rows, L] scratch, so its share
+    of d s, wᵀ g + gwᵀ q, is one product, summed into one d s. Once that
+    share is formed, the block's rows of q are read no more, so d q is written
+    over them: the d q returned is q, which the caller must hold alone.
     """
-    m, n = q.shape[-2], y.shape[-2]
-    starts = range(0, m, _ATTENTION_ROWS)
+    m = q.shape[-2]
     st = np.swapaxes(s, -1, -2)
     d = np.sum(g * out, axis=-1, keepdims=True)
-    z = np.empty(y.shape[:-2] + (2 * n, y.shape[-1]), y.dtype)
+    z = np.empty(q.shape[:-2] + (2 * min(m, _ATTENTION_ROWS), s.shape[-2]), np.result_type(q, s))
     ds = None
-    for r0 in reversed(starts):
-        rows, nr = slice(r0, r0 + _ATTENTION_ROWS), min(m - r0, n)
+    for r0 in range(0, m, _ATTENTION_ROWS):
+        rows, nr = slice(r0, r0 + _ATTENTION_ROWS), min(m - r0, _ATTENTION_ROWS)
         zb = z[..., : 2 * nr, :]
         w, gw = zb[..., :nr, :], zb[..., nr:, :]
-        if r0 == starts[-1]:
-            w[...] = y[..., :nr, :]
-        else:
-            _weight_block(q, st, c, z, r0)
+        np.matmul(q[..., rows, :], st, out=w)
+        w -= lse[..., rows, :]
+        np.exp(w, out=w)
         gb = g[..., rows, :]
         np.matmul(gb, st, out=gw)
-        _softmax_grad(gw, w, c, d[..., rows, :])
+        _softmax_grad(gw, w, d[..., rows, :])
         ds = _sum_into(ds, np.swapaxes(zb, -1, -2) @ np.concatenate((gb, q[..., rows, :]), -2))
         np.matmul(gw, s, out=q[..., rows, :])
     return q, ds
@@ -435,11 +451,12 @@ def _sum_into(total: np.ndarray | None, part: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # post-norm residual blocks as single nodes
 #
-# Each node is LN(x + branch) for one residual branch. The forward runs
-# the composed ops' ufuncs in their order; the backward replays the chain's
-# rules in reverse and hands x and every weight their contributions in the
-# order the chain's nodes did, one ``_accumulate`` each, so values and
-# gradients equal the composed ops bit for bit.
+# Each node is LN(x + branch) for one residual branch. The backward hands
+# x and every weight their contributions in the order the chain's nodes
+# did, one ``_accumulate`` each. ``feed_forward_block`` runs the composed
+# ops' ufuncs in their order, forward and backward, so its values and
+# gradients equal its chain's bit for bit. ``attention_block`` computes its
+# branch in absorbed form and equals its chain to rounding.
 # ---------------------------------------------------------------------------
 
 _NORM_EPS = 1e-5
@@ -448,17 +465,20 @@ _NORM_EPS = 1e-5
 def _post_norm(op: str, x: Tensor, branch: np.ndarray, gamma: Tensor, beta: Tensor,
                branch_bwd: Callable[[np.ndarray], None], *weights: Tensor) -> Tensor:
     """The node LN(x + branch), normalized over the last axis, then scaled by
-    gamma and shifted by beta. It keeps the norm's xhat and inv, not the sum;
-    its backward hands beta, gamma and x their shares, then gives the
-    branch's gradient to ``branch_bwd``. ``weights`` are the branch's own."""
+    gamma and shifted by beta. ``branch`` is a fresh array only the caller
+    made: the sum, its centred form and xhat are computed over it in turn.
+    The node keeps the norm's xhat and inv, not the sum; its backward hands
+    beta, gamma and x their shares, then gives the branch's gradient to
+    ``branch_bwd``. ``weights`` are the branch's own."""
     c = x.shape[-1]
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ValueError(f"{op}: gain/shift must have shape ({c},), got {gamma.shape} and {beta.shape}")
-    s = x.data + branch
-    mu = np.mean(s, axis=-1, keepdims=True)
-    var = np.mean((s - mu) ** 2, axis=-1, keepdims=True)
+    xhat = branch
+    xhat += x.data
+    xhat -= np.mean(xhat, axis=-1, keepdims=True)
+    var = np.mean(xhat ** 2, axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + _NORM_EPS)
-    xhat = (s - mu) * inv
+    xhat *= inv
 
     def bwd(g):
         gs = _norm_backward(g, xhat, inv, gamma, beta)
@@ -499,13 +519,16 @@ def attention_block(x: Tensor, src: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, 
     where select(attention_weights(q, k)) gives the indices [..., K] of each
     leading index's reliable keys kr among the rows of k.
 
-    The node absorbs W_K into W_QK = W_Q W_Kᵀ and W_V into W_VO = W_V W_O, so
-    no source map is projected. With q̃ = x W_QK the branch is
-    softmax(q̃ srcᵀ/√C) src W_VO + b_O, on blocks of _ATTENTION_ROWS query
-    rows; reliably, with fr the chosen rows of src (so kr = fr W_K), it is
-    softmax(q̃ frᵀ/√C) · (softmax(src W_QK frᵀ/√C)ᵀ · src) W_VO + b_O. The
-    backward recomputes q̃ and the [..., L, K] pixel factor, and forms no
-    [..., L, C] array but the gradient of src.
+    The node absorbs W_K and the scale into W_QK = W_Q W_Kᵀ/√C and W_V into
+    W_VO = W_V W_O, so no source map is projected and no logit is scaled.
+    With q̃ = x W_QK the branch is softmax(q̃ srcᵀ) src W_VO + b_O, on blocks
+    of _ATTENTION_ROWS query rows, and the node keeps each query row's
+    log-sum-exp; reliably, with fr the chosen rows of src (so kr = fr W_K)
+    and kb = fr W_QKᵀ, it is softmax(q̃ frᵀ) · (softmax(src kbᵀ)ᵀ · src)
+    W_VO + b_O. The backward recomputes q̃, each block's weights from the
+    log-sum-exp or the [..., L, K] pixel factor, and forms no [..., L, C]
+    array but the gradient of src. The gradient of W_QK takes 1/√C once,
+    before it is handed to W_Q and W_K.
     """
     if x.data.ndim < 2:
         raise ValueError(f"attention_block: expects tokens [..., M, C], got {x.shape}")
@@ -516,6 +539,7 @@ def attention_block(x: Tensor, src: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, 
             raise ValueError(f"attention_block: weights must be ({c}, {c}), got {w.shape}")
     _check_bias("attention_block", bo, c)
     wqk, wvo = wq.data @ wk.data.T, wv.data @ wo.data
+    wqk *= scale
     s = src.data
 
     def queries() -> np.ndarray:
@@ -523,9 +547,9 @@ def attention_block(x: Tensor, src: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, 
 
     q = queries()
     if select is None:
-        a, y = _attention_forward(q, s, scale)
+        a, lse = _attention_forward(q, s)
     else:
-        idx = np.asarray(select(attention_weights(q, s)), dtype=np.int64)
+        idx = np.asarray(select(_weights(q, s)), dtype=np.int64)
         lead, n = s.shape[:-2], s.shape[-2]
         if idx.ndim != s.ndim - 1 or idx.shape[:-1] != lead:
             raise ValueError(f"attention_block: expects sources [..., L, C] and indices [..., K] "
@@ -537,14 +561,14 @@ def attention_block(x: Tensor, src: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, 
         rows = idx + (np.arange(math.prod(lead)) * n).reshape(lead + (1,))   # of src's [-1, C] rows
         fr = s.reshape(-1, c)[rows]   # [..., K, C]
         kb = fr @ wqk.T               # src kbᵀ are the pixel factor's logits
-        ya = attention_weights(q, fr)
-        pix = np.swapaxes(attention_weights(s, kb), -1, -2) @ s   # [..., K, C]
+        ya = _weights(q, fr)
+        pix = np.swapaxes(_weights(s, kb), -1, -2) @ s   # [..., K, C]
         a = ya @ pix
     del q
     a2 = a.reshape(-1, c)
     branch = a2 @ wvo
     if bo is not None:
-        branch = branch + bo.data
+        branch += bo.data
 
     def bwd(gs):
         if bo is not None:
@@ -554,7 +578,7 @@ def attention_block(x: Tensor, src: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, 
         _accumulate(wv, dwvo @ wo.data.T)
         ga = ga.reshape(a.shape)
         if select is None:
-            dq, ds = _attention_backward(ga, queries(), s, scale, y, a)
+            dq, ds = _attention_backward(ga, queries(), s, lse, a)
             dwqk = None
         else:
             q = queries()
@@ -564,10 +588,10 @@ def attention_block(x: Tensor, src: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, 
             # the pixel factor and its logits' gradient side by side, [..., L, 2 K]
             z = np.empty(s.shape[:-1] + (2 * kb.shape[-2],), s.dtype)
             yb, gyb = np.split(z, 2, axis=-1)
-            attention_weights(s, kb, out=yb)
+            _weights(s, kb, out=yb)
             np.matmul(s, np.swapaxes(gpix, -1, -2), out=gyb)
-            _softmax_grad(gyb, yb, scale)
-            _softmax_grad(gya, ya, scale)
+            _softmax_grad(gyb, yb)
+            _softmax_grad(gya, ya)
             # src is the pixel factor's queries and the rows it weighs: one product
             ds = z @ np.concatenate((gpix, kb), -2)
             dkb = np.swapaxes(gyb, -1, -2) @ s
@@ -580,6 +604,7 @@ def attention_block(x: Tensor, src: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, 
         del ds
         dx, dwq = _linear_grads(x.data.reshape(-1, c), wqk, dq)
         dwqk = _sum_into(dwqk, dwq)
+        dwqk *= scale   # of W_Q W_Kᵀ, which W_QK holds times 1/√C
         _accumulate(x, dx.reshape(x.shape))
         _accumulate(wq, dwqk @ wk.data)
         _accumulate(wk, dwqk.T @ wq.data)
@@ -614,8 +639,10 @@ def feed_forward_block(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor
         _accumulate(x, dx.reshape(x.shape))
         _accumulate(w1, dw1)
 
-    return _post_norm("feed_forward_block", x, (r2 @ w2.data + b2.data).reshape(x.shape),
-                      gamma, beta, bwd, w1, b1, w2, b2)
+    branch = r2 @ w2.data
+    branch += b2.data
+    return _post_norm("feed_forward_block", x, branch.reshape(x.shape), gamma, beta, bwd,
+                      w1, b1, w2, b2)
 
 
 # ---------------------------------------------------------------------------

@@ -293,6 +293,31 @@ class TestAttention:
         check_attention_block_node([(lead, 600, None, None, 16, False)], (dtype,))
         blocks_match_whole_product(lead, 600, 600, 16, dtype)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_kept_log_sum_exp(self, dtype):
+        # one-hot queries read each row's logits straight from a column of the
+        # sources (1 * z and 0 * z add up exactly), so the kept row
+        # log-sum-exp is checked against a float64 logaddexp.reduce of those
+        # very logits: rows of equal logits, rows spanning ±1e3 and plain
+        # draws, 300 rows in three blocks, the last one short
+        rng = np.random.default_rng(16)
+        m, n = 300, 40
+        z = np.concatenate([np.repeat(rng.uniform(-5.0, 5.0, size=(2, 100, 1)), n, axis=-1),
+                            rng.uniform(-1e3, 1e3, size=(2, 100, n)),
+                            rng.normal(size=(2, 100, n)) * 3.0], axis=1).astype(dtype)
+        z[:, 100:200, :2] = [1e3, -1e3]
+        q = np.broadcast_to(np.eye(m, dtype=dtype), (2, m, m)).copy()
+        s = np.swapaxes(z, -1, -2).copy()   # [2, n, m]: row i of q picks z[:, i]
+        out, lse = T._attention_forward(q, s)
+        want = np.logaddexp.reduce(z.astype(np.float64), axis=-1)[..., None]
+        assert lse.shape == (2, m, 1) and lse.dtype == dtype
+        tol = n * np.finfo(dtype).eps * np.maximum(1.0, np.abs(want))
+        assert (np.abs(lse - want) <= tol).all(), np.abs(lse - want).max()
+        g = rng.normal(size=out.shape).astype(dtype)
+        dq, ds = T._attention_backward(g, q, s, lse, out)
+        for a in (out, dq, ds):
+            assert a.dtype == dtype and np.isfinite(a).all()
+
     @staticmethod
     def _self_attention_2048(requires_grad):
         # 2048 float32 tokens of width 8: the [2048, 2048] weights would take
@@ -314,8 +339,8 @@ class TestAttention:
         assert peak < 4 * 2**20, peak
 
     def test_on_a_tape_the_weights_exist_one_block_at_a_time(self):
-        # the backward recomputes each block's weights: the node holds one
-        # 1 MiB block, not the 16 MiB [2048, 2048] buffer, until it has run
+        # the backward recomputes each block's weights: until it has run, the
+        # node holds the rows' log-sum-exp, not the 16 MiB [2048, 2048] buffer
         x, ws, head = self._self_attention_2048(True)
         tracemalloc.start()
         try:
@@ -815,6 +840,24 @@ class TestBlockNodes:
         kept = 3 * x.data.nbytes + 2 * 512 * 4 + 2 * T._ATTENTION_ROWS * 512 * 4
         assert held < kept + 64 * 2**10, (held, kept)
 
+    def test_self_attention_block_keeps_only_the_log_sum_exp(self):
+        # beyond its input, the node keeps its output, the attention output,
+        # the norm's xhat and inv and the [2, 512, 1] row log-sum-exp: no
+        # [2, 128, 512] block of weights (512 KiB)
+        rng = np.random.default_rng(11)
+        x = Tensor(rng.normal(size=(2, 512, 64)).astype(np.float32), requires_grad=True)
+        attn = TokenSelfAttention(rng, 64, np.float32)
+        tracemalloc.start()
+        try:
+            with Tape():
+                before = tracemalloc.get_traced_memory()[0]
+                attn(x)
+                held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        kept = 3 * x.data.nbytes + 2 * (2 * 512 * 4)
+        assert held < kept + 64 * 2**10, (held, kept)
+
     @staticmethod
     def _prototypes_over_pixels():
         # 8 prototypes over the 2048 pixels of a 128x256 image, batch 2
@@ -828,7 +871,7 @@ class TestBlockNodes:
     @pytest.mark.parametrize("k", [16, None], ids=["reliable", "vanilla"])
     def test_cross_attention_block_keeps_no_source_map(self, k):
         # the node keeps the reliable rows with their [2, K, 64] products, or
-        # one [2, 8, 2048] block of weights, under a quarter of one
+        # the rows' [2, 8, 1] log-sum-exp, under a quarter of one
         # [2, 2048, 64] map; the backward recomputes the [2, 2048, K] factor
         x, src, ws, _ = self._prototypes_over_pixels()
         tracemalloc.start()
@@ -899,22 +942,24 @@ class TestBlockNodes:
         assert held < y.data.nbytes + f.data.nbytes / 4, held
 
     def test_attention_backward_writes_dq_over_q(self):
-        # 300 query rows: three blocks, the last one short, walked last to
-        # first; each block's d s share must read its q rows before d q lands.
-        # The sources s are the keys and the values, so d s sums both shares
+        # 300 query rows: three blocks, the last one short; each block's d s
+        # share must read its q rows before d q lands. The queries come
+        # scaled by 1/sqrt(C) = 0.25, the scale weights_replay applies, and
+        # the gradients are those of the scaled queries' logits. The sources
+        # s are the keys and the values, so d s sums both shares
         rng = np.random.default_rng(15)
         q, s = (rng.normal(size=(2, n, 16)) for n in (300, 40))
-        c = 0.25   # 1 / sqrt(C), the scale weights_replay applies
-        out, y = T._attention_forward(q, s, c)
+        qs = q * 0.25
+        out, lse = T._attention_forward(qs, s)
         g = rng.normal(size=out.shape)
-        private = q.copy()
-        dq, ds = T._attention_backward(g, private, s, c, y, out)
+        private = qs.copy()
+        dq, ds = T._attention_backward(g, private, s, lse, out)
         assert dq is private
         w = weights_replay(q, s)
         gw = g @ np.swapaxes(s, -1, -2)
-        gs = (gw - np.sum(gw * w, axis=-1, keepdims=True)) * w * c
+        gs = (gw - np.sum(gw * w, axis=-1, keepdims=True)) * w
         np.testing.assert_allclose(dq, gs @ s, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(ds, np.swapaxes(gs, -1, -2) @ q + np.swapaxes(w, -1, -2) @ g,
+        np.testing.assert_allclose(ds, np.swapaxes(gs, -1, -2) @ qs + np.swapaxes(w, -1, -2) @ g,
                                    rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("call,msg", [
